@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .norms import InducedNormResult
 from .regimes import DynamicsBackend
 from .superop import DefectiveLiouvillianError, _sort_order
 
@@ -125,20 +126,14 @@ class ClassicalBackend(DynamicsBackend):
         return l1_norm(M)
 
     def norm_result(self, M, warm=None):
-        # exact evaluation with a basis-vector witness, mirroring the quantum
-        # result shape where needed
+        # exact evaluation with a basis-vector witness
         j = int(np.argmax(np.abs(M).sum(axis=0)))
         value = float(np.abs(M[:, j]).sum())
-
-        class _Result:
-            pass
-
-        res = _Result()
-        res.value = value
-        res.witness_state = np.eye(self.dim)[:, j]
-        res.witness_observable = np.sign(M[:, j])
-        res.converged = True
-        return res
+        return InducedNormResult(
+            value=value, witness_state=np.eye(self.dim)[:, j],
+            witness_observable=np.sign(M[:, j]), iterations=0,
+            restarts_used=1, converged=True,
+            restart_values=np.array([value]), exact=True)
 
     def eigenvalues(self):
         return self._lam

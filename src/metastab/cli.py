@@ -309,9 +309,9 @@ def _cmd_detect(args, dyn, payload):
     }
     # restart spread of the generator-norm optimization: a heuristic
     # confidence indicator for the reported lower bounds (zero for exact
-    # classical norms)
+    # norms)
     res = dyn.norm_result(dyn.generator_matrix())
-    out["norm_restart_dispersion"] = getattr(res, "restart_dispersion", 0.0)
+    out["norm_restart_dispersion"] = res.restart_dispersion
     fh = _open_out(args)
     json.dump(out, fh, indent=2, default=_json_default)
     fh.write("\n")

@@ -1,14 +1,21 @@
-"""Trace-norm-induced superoperator norm via alternating ascent.
+"""Trace-norm-induced superoperator norm: exact for qubits, alternating
+ascent above.
 
 For a Hermiticity-preserving map X the induced norm sup ||X(rho)||_1 over
 states is attained on pure states, so the problem is the bilinear
 maximization of Tr[O X(psi psi^dag)] over unit vectors psi and reflections O.
-Both coordinate maxima have closed forms (sign operator of X(psi psi^dag),
+
+At D = 2 the backend path (_induced_norm_matrix) is exact: in the Pauli basis
+the problem reduces to a maximization over the Bloch sphere that a secular
+equation solves in closed form. At D >= 3 it runs the alternating ascent:
+both coordinate maxima have closed forms (sign operator of X(psi psi^dag),
 top eigenvector of X^dag(O)), giving a monotone ascent; multiple restarts
-guard against local maxima. Reported values are certified lower bounds,
-exact whenever any restart reaches the global optimum.
+guard against local maxima. Ascent values are certified lower bounds, exact
+whenever any restart reaches the global optimum. induced_trace_norm always
+runs the ascent, at every dimension.
 """
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +36,7 @@ class InducedNormResult:
     restarts_used: int
     converged: bool
     restart_values: np.ndarray
+    exact: bool = False
 
     @property
     def restart_dispersion(self):
@@ -78,8 +86,112 @@ def _batch_sign_observables(evals, evecs):
 
 
 def _induced_norm_matrix(M, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
-                         rel_tol=DEFAULT_REL_TOL, seed=0, warm=None,
-                         burn_in=25, keep_after_burn_in=4):
+                         rel_tol=DEFAULT_REL_TOL, seed=0, warm=None):
+    """Induced trace norm of a raw D^2 x D^2 Hermiticity-preserving matrix:
+    exact at D = 2 (the ascent settings are then unused), the alternating
+    ascent's lower bound at D >= 3."""
+    if dim == 2:
+        return _qubit_induced_norm(M)
+    return _alternating_ascent(M, dim, restarts=restarts, max_iter=max_iter,
+                               rel_tol=rel_tol, seed=seed, warm=warm)
+
+
+# column-stacked Pauli matrices: _PAULI_VECS[:, k] = vec(sigma_k), sigma_0 = I
+_PAULI_VECS = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0],
+                        [1, 0, 0, -1]], dtype=complex).T
+
+
+def _sphere_argmax(B, c):
+    """Unit vector r maximizing |c + B r| for a real 3 x 3 B.
+
+    Stationary points solve (mu - A) r = g with A = B^T B and g = B^T c; the
+    global maximum has mu >= lambda_max(A) (More & Sorensen 1983; Gander,
+    Golub & von Matt 1989). In the eigenbasis of A, with mu = lambda_max + s
+    and d_k = lambda_max - lambda_k, |r| = 1 is the secular equation
+    sum_k g_k^2 / (s + d_k)^2 = 1. Its left side falls monotonically in s, and
+    1/|r(s)| is concave in s (a power mean of exponent -2 of the s + d_k), so
+    Newton's method started left of the root climbs to it monotonically.
+    Hard case: when g has no component on the top eigenvector and the other
+    components alone give |r| <= 1, s = 0 and the top eigenvector fills r up
+    to unit length.
+    """
+    lam, V = np.linalg.eigh(B.T @ B)
+    g = (V.T @ (B.T @ c)).tolist()
+    d = (lam[-1] - lam).tolist()
+    g2 = [x * x for x in g]
+
+    def radius(s):
+        return math.sqrt(sum(w / (s + dk) ** 2 for w, dk in zip(g2, d) if w))
+
+    # left of the root: |r(s)| >= |g_k| / (s + d_k) >= 1 for some k
+    s = max(0.0, max(abs(x) - dk for x, dk in zip(g, d)))
+    n = radius(s)
+    if s == 0.0 and n <= 1.0:
+        # hard case: g_top = 0, and r is filled up along the top eigenvector
+        coeffs = [x / dk if x else 0.0 for x, dk in zip(g, d)]
+        coeffs[-1] = math.sqrt(1.0 - n * n)
+    else:
+        for _ in range(100):
+            slope = sum(w / (s + dk) ** 3 for w, dk in zip(g2, d) if w) / n ** 3
+            step = (1.0 - 1.0 / n) / slope
+            if not step > 4e-16 * s:
+                break
+            s += step
+            n = radius(s)
+        coeffs = [x / (s + dk) if x else 0.0 for x, dk in zip(g, d)]
+    r = V @ coeffs
+    return r / math.hypot(*r)
+
+
+def _qubit_induced_norm(M):
+    """Exact induced trace norm of a Hermiticity-preserving qubit map.
+
+    With T = S^dag M S / 2 in the Pauli basis (real part, which matches the
+    ascent's Hermitian symmetrization of X(rho)), a pure state
+    rho = (I + r.sigma)/2 maps to [(a + b.r) I + (c + B r).sigma]/2, whose
+    trace norm is max(|a + b.r|, |c + B r|). The norm is therefore
+    max(|a| + |b|, max_{|r|=1} |c + B r|). The value is evaluated at a unit
+    r, so it never exceeds the true norm.
+    """
+    T = 0.5 * (_PAULI_VECS.conj().T @ M @ _PAULI_VECS).real
+    a, b, c, B = T[0, 0], T[0, 1:], T[1:, 0], T[1:, 1:]
+    b_norm = math.hypot(*b)
+    # maximizer of |a + b.r|; with b = 0 any unit vector is one
+    r_affine = math.copysign(1.0, a) * b / b_norm if b_norm > 0 \
+        else np.array([0.0, 0.0, 1.0])
+    best = None
+    for r in (_sphere_argmax(B, c), r_affine):
+        alpha = a + b @ r
+        beta = c + B @ r
+        beta_norm = math.hypot(*beta)
+        value = max(abs(alpha), beta_norm)
+        if best is None or value > best[0]:
+            best = (value, r, alpha, beta, beta_norm)
+    value, r, alpha, beta, beta_norm = best
+
+    # Bloch vector r -> state vector, on the side of the sphere that is stable
+    if r[2] >= 0:
+        psi = np.array([1.0 + r[2], r[0] + 1j * r[1]])
+    else:
+        psi = np.array([r[0] - 1j * r[1], 1.0 - r[2]])
+    psi /= np.linalg.norm(psi)
+    # sign operator of X(psi psi^dag) = (alpha I + beta.sigma) / 2
+    if alpha >= beta_norm:
+        obs = np.eye(2, dtype=complex)
+    elif alpha + beta_norm < 0:
+        obs = -np.eye(2, dtype=complex)
+    else:
+        nx, ny, nz = beta / beta_norm
+        obs = np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]])
+    return InducedNormResult(
+        value=float(value), witness_state=psi, witness_observable=obs,
+        iterations=0, restarts_used=1, converged=True,
+        restart_values=np.array([float(value)]), exact=True)
+
+
+def _alternating_ascent(M, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
+                        rel_tol=DEFAULT_REL_TOL, seed=0, warm=None,
+                        burn_in=25, keep_after_burn_in=4):
     """Alternating-ascent maximization on a raw D^2 x D^2 matrix.
 
     All restarts advance in lockstep through batched eigendecompositions;
@@ -168,17 +280,18 @@ def induced_trace_norm(X, restarts=None, max_iter=DEFAULT_MAX_ITER,
                        rel_tol=DEFAULT_REL_TOL, seed=0, warm=None):
     """Trace-norm-induced norm of a Hermiticity-preserving superoperator.
 
-    Returns an InducedNormResult whose value is a lower bound on the true
-    norm; the witness state and observable reproduce it exactly.
+    Runs the alternating ascent at every dimension, qubits included. Returns
+    an InducedNormResult whose value is a lower bound on the true norm; the
+    witness state and observable reproduce it exactly.
     """
     if not isinstance(X, Superoperator):
         raise TypeError("induced_trace_norm expects a Superoperator")
     if not X.hermiticity_preserving:
         raise ValueError("induced norm is defined here only for "
                          "hermiticity-preserving superoperators")
-    return _induced_norm_matrix(X.matrix, X.dim, restarts=restarts,
-                                max_iter=max_iter, rel_tol=rel_tol,
-                                seed=seed, warm=warm)
+    return _alternating_ascent(X.matrix, X.dim, restarts=restarts,
+                               max_iter=max_iter, rel_tol=rel_tol,
+                               seed=seed, warm=warm)
 
 
 def max_norm_induced(X, restarts=None, max_iter=DEFAULT_MAX_ITER,

@@ -2,8 +2,9 @@
 limits, the windowed change measure, timescales, and metastability verdicts.
 
 Everything is phrased against an abstract dynamics backend so that the same
-machinery runs on quantum models (induced trace norms from the alternating
-optimizer) and on classical rate matrices (exact l1-induced norms).
+machinery runs on quantum models (induced trace norms: exact for qubits,
+from the alternating optimizer above) and on classical rate matrices (exact
+l1-induced norms).
 """
 import math
 import threading
@@ -193,7 +194,8 @@ class DynamicsBackend:
 
 
 class QuantumBackend(DynamicsBackend):
-    """Quantum dynamics backend; norms come from the alternating optimizer."""
+    """Quantum dynamics backend; norms are exact at D = 2 and come from the
+    alternating optimizer at D >= 3."""
 
     def __init__(self, model=None, liouvillian=None, spectral=None,
                  zero_tol=None, restarts=None, max_iter=_norms.DEFAULT_MAX_ITER,

@@ -18,27 +18,6 @@ from .regimes import (CUTOFF_RELAXATION, change_measure, classify_regime,
                       relaxation_times, scan_metastable, timescales,
                       TrivialDynamicsError, _golden_refine, _window_grid)
 
-# gating constants: value, and the condition each one guards
-GATE_CONSTANTS = {
-    "basic": (0.25, "threshold roots of x(1-x)=c exist"),
-    "initial_tail": ((-1.0 + math.sqrt(2.0)) / 2.0,
-                     "identity-distance dichotomy stays split on the window tail"),
-    "final_tail": (-2.0 + math.sqrt(5.0),
-                   "stationary-distance dichotomy stays split on the window tail"),
-    "relaxation": ((1.0 - 1.0 / math.e) / math.e,
-                   "relaxation-time crossing levels remain positive"),
-    "growth_inverse": ((3.0 * math.log(1.5) - 1.0) / 2.0,
-                       "domain of the slope-3/2 growth inverse"),
-    "proj_growth": (0.0837, "a-priori bound making the projector-weighted "
-                            "change fit the slope-3/2 growth inverse domain"),
-    "proj_split": (0.129, "a-priori bound keeping the projector-weighted "
-                          "dichotomy split"),
-    "proj_one_plus": (0.130, "a-priori domain for the weighted root with the "
-                             "1+sqrt(upper) factor"),
-    "complement_split": (0.0997, "a-priori bound keeping the complement-"
-                                 "weighted dichotomy split"),
-}
-
 
 class SeparationInconsistencyError(ValueError):
     """An eigenvalue fits neither the initial nor the final branch; usually a
@@ -221,7 +200,7 @@ def spectral_projection_report(dyn, m, t_start, t_end, n_grid=33, tol=1e-8):
     measure of the extension is recomputed directly and also bounded by the
     linear-extension estimate). All weighted-dichotomy bounds gate on the
     numerically verified conditions rather than on their loosest a-priori
-    constants; the constants are kept in GATE_CONSTANTS for reference.
+    constants.
     """
     lam, m_ss, _ = _spectrum_of(dyn)
     n_modes = lam.size
@@ -478,13 +457,28 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
     slack is >= -tol or its hypotheses do not hold (marked inapplicable).
     stationary_override substitutes a wrong stationary projection; it exists
     for negative-control tests and taints only the rows built on that
-    projection.
+    projection. The backend is restored afterwards, also when the battery
+    raises: the override and the norms and warm starts computed under it do
+    not outlive the call.
     """
-    if stationary_override is not None:
-        base_stationary = dyn.stationary_matrix
-        dyn.stationary_matrix = lambda: stationary_override
-        dyn._norm_cache = {}
+    args = (dyn, grid, tol, seed, window, window4, n_grid, scan_points, threads)
+    if stationary_override is None:
+        return _bound_battery(*args)
+    caches = {name: getattr(dyn, name) for name in ("_norm_cache", "_warm_cache")
+              if hasattr(dyn, name)}
+    dyn.stationary_matrix = lambda: stationary_override
+    for name in caches:
+        setattr(dyn, name, {})
+    try:
+        return _bound_battery(*args)
+    finally:
+        del dyn.stationary_matrix
+        for name, cache in caches.items():
+            setattr(dyn, name, cache)
 
+
+def _bound_battery(dyn, grid, tol, seed, window, window4, n_grid, scan_points,
+                   threads):
     lam = dyn.eigenvalues()
     gen_norm = dyn.liouvillian_norm()
     if gen_norm <= 1e-14:
@@ -726,7 +720,4 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
         "c_delta4": c4, "m4": m4, "separated": separated,
         "projection": proj_report,
     }
-    if stationary_override is not None:
-        dyn.stationary_matrix = base_stationary
-        dyn._norm_cache = {}
     return BoundBatteryReport(rows=tuple(rows), tol=tol, context=context)

@@ -87,10 +87,6 @@ class Superoperator:
         return unvec(self.matrix.conj().T @ vec(A), self.dim)
 
 
-def identity_superop(dim):
-    return Superoperator(dim, np.eye(dim * dim, dtype=complex), True, True)
-
-
 def build_liouvillian(model):
     """Assemble the master-equation generator as a D^2 x D^2 matrix.
 

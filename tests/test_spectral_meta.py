@@ -173,6 +173,16 @@ def test_bound_battery_corrupted_stationary_control(spin_backend):
     assert clean.all_pass
 
 
+def test_bound_battery_override_restores_backend_on_error(spin_model):
+    dyn = QuantumBackend(model=spin_model, seed=0)
+    with pytest.raises(ValueError):
+        # a 9 x 9 projection cannot be combined with 4 x 4 qubit maps
+        bound_battery(dyn, stationary_override=np.eye(9))
+    assert "stationary_matrix" not in vars(dyn)
+    assert dyn.distance_to_stationary(200.0) == pytest.approx(math.exp(-1.0),
+                                                              abs=1e-12)
+
+
 def test_battery_csv_rows(spin_backend):
     rep = bound_battery(spin_backend, seed=0)
     rows = list(rep.csv_rows())
