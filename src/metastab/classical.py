@@ -7,7 +7,6 @@ entries and columns summing to zero, so e^{tQ} is column-stochastic and the
 trace norm.
 """
 import json
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +14,8 @@ import scipy.linalg
 
 from .norms import InducedNormResult
 from .regimes import DynamicsBackend
-from .superop import DefectiveLiouvillianError, _sort_order
+from .superop import (DEFECT_TOL, DefectiveLiouvillianError, SpectralData,
+                      _sort_order)
 
 
 @dataclass(frozen=True)
@@ -64,62 +64,32 @@ class ClassicalBackend(DynamicsBackend):
 
     def __init__(self, generator, zero_tol=None):
         self.generator = generator
-        self.dim = generator.dim
-        Q = generator.rates
-        lam, V = np.linalg.eig(Q)
+        lam, V = np.linalg.eig(generator.rates)
         order = _sort_order(lam)
         lam, V = lam[order], V[:, order]
         cond = float(np.linalg.cond(V))
-        self._defective = (not np.isfinite(cond)) or cond > 1e8
-        scale = max(float(np.max(np.abs(lam))), 0.0)
         if zero_tol is None:
-            zero_tol = 1e-9 * scale + 1e-300
-        self.zero_tol = zero_tol
-        self._lam = lam
-        self._m_ss = int(np.sum(np.abs(lam) <= zero_tol))
-        if not self._defective:
-            W = np.linalg.inv(V)
-            self._V, self._W = V, W
-        else:
-            self._V = self._W = None
-        self._eye = np.eye(self.dim)
-        self._evo_cache = {}
-        self._norm_cache = {}
-        self._cache_lock = threading.Lock()
+            zero_tol = 1e-9 * float(np.max(np.abs(lam))) + 1e-300
+        # a defective chain still evolves; only its projections raise
+        defective = not np.isfinite(cond) or cond > DEFECT_TOL
+        super().__init__(
+            SpectralData(dim=generator.dim, eigenvalues=lam, right_vecs=V,
+                         left_dual=None if defective else np.linalg.inv(V),
+                         m_ss=int(np.sum(np.abs(lam) <= zero_tol)),
+                         zero_tol=zero_tol, eigvec_condition=cond),
+            np.eye(generator.dim))
 
-    # --- primitive interface --------------------------------------------------
-    def evolution_matrix(self, t):
-        E = self._evo_cache.get(t)
-        if E is None:
-            E = classical_evolution(self.generator, t)
-            with self._cache_lock:
-                self._evo_cache[t] = E
-        return E
-
-    def identity_matrix(self):
-        return self._eye
-
-    def stationary_matrix(self):
-        # zero-eigenspace projector; reducible chains (m_ss > 1) included
-        if self._defective:
-            raise DefectiveLiouvillianError(np.inf)
-        P = self._V[:, :self._m_ss] @ self._W[:self._m_ss, :]
-        return P.real if np.max(np.abs(P.imag)) < 1e-10 else P
+    def _evolve(self, t):
+        return classical_evolution(self.generator, t)
 
     def generator_matrix(self):
         return self.generator.rates
 
     def slow_projector_matrix(self, m):
-        if self._defective:
+        if self.spectral.left_dual is None:
             raise DefectiveLiouvillianError(np.inf)
-        if not (self._m_ss <= m <= self.dim):
-            raise ValueError("cut m=%d outside [m_ss=%d, %d]"
-                             % (m, self._m_ss, self.dim))
-        if m not in self.valid_cuts():
-            from .superop import InvalidCutError
-
-            raise InvalidCutError("cut m=%d splits a conjugate pair" % m)
-        P = self._V[:, :m] @ self._W[:m, :]
+        P = super().slow_projector_matrix(m)
+        # projectors of a real rate matrix are real up to round-off
         return P.real if np.max(np.abs(P.imag)) < 1e-10 else P
 
     def matrix_norm(self, M, warm=None):
@@ -134,28 +104,6 @@ class ClassicalBackend(DynamicsBackend):
             witness_observable=np.sign(M[:, j]), iterations=0,
             restarts_used=1, converged=True,
             restart_values=np.array([value]), exact=True)
-
-    def eigenvalues(self):
-        return self._lam
-
-    @property
-    def m_ss(self):
-        return self._m_ss
-
-    def valid_cuts(self):
-        lam = self._lam
-        scale = max(np.max(np.abs(lam)), 1.0)
-        cuts = []
-        for m in range(self._m_ss, self.dim + 1):
-            if m == self.dim or m == 0:
-                cuts.append(m)
-                continue
-            a, b = lam[m - 1], lam[m]
-            splits = (abs(a.imag) > 1e-12 * scale
-                      and abs(a - np.conj(b)) <= 1e-8 * scale)
-            if not splits:
-                cuts.append(m)
-        return cuts
 
     def random_observable(self, rng):
         f = rng.normal(size=self.dim)

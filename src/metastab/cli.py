@@ -8,8 +8,8 @@ pipeline on a rate matrix with exact l1 norms. Exit codes: 0 success,
 where one was required), 2 usage or input error.
 """
 import argparse
+import contextlib
 import hashlib
-import io
 import json
 import math
 import os
@@ -23,12 +23,14 @@ from .classical import (ClassicalBackend, rate_matrix_from_edges,
 from .heisenberg import observable_trajectory
 from .models import ModelSpecifier, build_model
 from .modes import change_thresholds
+# classify_regime is unused here but stays importable as cli.classify_regime:
+# bench/tracing.py wraps each analysis function where it is looked up
 from .regimes import (QuantumBackend, TimeGrid, TrivialDynamicsError,
                       change_measure, classify_regime, scan_metastable,
                       timescales)
 from .spectral_meta import (SeparationInconsistencyError, bound_battery,
                             detect_separation, spectral_projection_report)
-from .superop import DefectiveLiouvillianError, QuantumModel
+from .superop import QuantumModel
 
 
 class UsageError(Exception):
@@ -164,17 +166,28 @@ def _grid_from_args(args):
                     spacing=args.spacing)
 
 
-def _open_out(args):
-    if args.out:
-        return open(args.out, "w", newline="")
-    return sys.stdout
+@contextlib.contextmanager
+def _output(args):
+    """The --out file, closed afterwards, or stdout."""
+    if not args.out:
+        yield sys.stdout
+        return
+    with open(args.out, "w", newline="") as fh:
+        yield fh
 
 
-def _emit_csv(fh, header_meta, columns, rows):
-    fh.write("# %s\n" % header_meta)
-    fh.write(",".join(columns) + "\n")
-    for row in rows:
-        fh.write(",".join(row) + "\n")
+def _emit_json(args, out):
+    with _output(args) as fh:
+        json.dump(out, fh, indent=2, default=_json_default)
+        fh.write("\n")
+
+
+def _emit_csv(args, payload, columns, rows):
+    with _output(args) as fh:
+        fh.write("# %s\n" % _meta_line(payload, args.seed))
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
 
 
 def _meta_line(payload, seed):
@@ -201,7 +214,7 @@ def _json_default(obj):
 def _backend(args, model=None, generator=None):
     if generator is not None:
         return ClassicalBackend(generator)
-    return QuantumBackend(model=model, seed=args.seed, threads=args.threads)
+    return QuantumBackend(model=model, seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +228,9 @@ def _cmd_spectrum(args, dyn, payload):
         "model_hash": _model_hash(payload),
         "seed": args.seed,
     }
-    if hasattr(dyn, "spectral"):
+    if isinstance(dyn, QuantumBackend):
         out["eigvec_condition"] = dyn.spectral.eigvec_condition
-    fh = _open_out(args)
-    json.dump(out, fh, indent=2, default=_json_default)
-    fh.write("\n")
-    if fh is not sys.stdout:
-        fh.close()
+    _emit_json(args, out)
     return 0
 
 
@@ -229,10 +238,7 @@ def _cmd_distances(args, dyn, payload):
     ts = _grid_from_args(args).times()
     rows = [( _fmt(t), _fmt(dyn.distance_to_identity(float(t))),
               _fmt(dyn.distance_to_stationary(float(t))) ) for t in ts]
-    fh = _open_out(args)
-    _emit_csv(fh, _meta_line(payload, args.seed), ("t", "d_initial", "d_stationary"), rows)
-    if fh is not sys.stdout:
-        fh.close()
+    _emit_csv(args, payload, ("t", "d_initial", "d_stationary"), rows)
     return 0
 
 
@@ -246,11 +252,8 @@ def _cmd_changes(args, dyn, payload):
         else:
             lo = hi = math.nan
         rows.append((_fmt(t), _fmt(c), _fmt(lo), _fmt(hi)))
-    fh = _open_out(args)
-    _emit_csv(fh, _meta_line(payload, args.seed),
+    _emit_csv(args, payload,
               ("t_start", "c_delta", "threshold_lower", "threshold_upper"), rows)
-    if fh is not sys.stdout:
-        fh.close()
     return 0
 
 
@@ -271,8 +274,7 @@ def _cmd_detect(args, dyn, payload):
     try:
         scales = timescales(dyn)
         hits = scan_metastable(dyn, c_delta_max=args.cdelta_max,
-                               ratio=args.ratio, n_scan=args.scan_points,
-                               threads=args.threads)
+                               ratio=args.ratio, n_scan=args.scan_points)
     except TrivialDynamicsError as err:
         raise UsageError("trivial dynamics: %s" % err)
     gen_norm = dyn.liouvillian_norm()
@@ -312,11 +314,7 @@ def _cmd_detect(args, dyn, payload):
     # norms)
     res = dyn.norm_result(dyn.generator_matrix())
     out["norm_restart_dispersion"] = res.restart_dispersion
-    fh = _open_out(args)
-    json.dump(out, fh, indent=2, default=_json_default)
-    fh.write("\n")
-    if fh is not sys.stdout:
-        fh.close()
+    _emit_json(args, out)
     return 0
 
 
@@ -325,8 +323,7 @@ def _cmd_project(args, dyn, payload):
         t_start, t_end = args.window
     else:
         hits = scan_metastable(dyn, c_delta_max=args.cdelta_max,
-                               ratio=args.ratio, n_scan=args.scan_points,
-                               threads=args.threads)
+                               ratio=args.ratio, n_scan=args.scan_points)
         if not hits:
             print("no metastable window found; pass --window", file=sys.stderr)
             return 1
@@ -367,25 +364,19 @@ def _cmd_project(args, dyn, payload):
             "fast_residual": report.fast_residual,
         },
     }
-    fh = _open_out(args)
-    json.dump(out, fh, indent=2, default=_json_default)
-    fh.write("\n")
-    if fh is not sys.stdout:
-        fh.close()
+    _emit_json(args, out)
     return 0
 
 
 def _cmd_verify_bounds(args, dyn, payload):
     grid = _grid_from_args(args).times() if args.tmin is not None else None
     try:
-        report = bound_battery(dyn, grid=grid, tol=args.tol, seed=args.seed,
-                               threads=args.threads)
+        report = bound_battery(dyn, grid=grid, tol=args.tol, seed=args.seed)
     except TrivialDynamicsError as err:
         raise UsageError("trivial dynamics: %s" % err)
-    fh = _open_out(args)
     if args.format == "json":
         ctx = {k: v for k, v in report.context.items() if k != "projection"}
-        json.dump({
+        _emit_json(args, {
             "model_hash": _model_hash(payload), "seed": args.seed,
             "tol": report.tol, "all_pass": report.all_pass,
             "failed_ids": report.failed_ids(),
@@ -394,14 +385,11 @@ def _cmd_verify_bounds(args, dyn, payload):
                       "slack": r.slack, "pass": r.passed(report.tol),
                       "applicable": r.applicable, "note": r.note}
                      for r in report.rows],
-        }, fh, indent=2, default=_json_default)
-        fh.write("\n")
+        })
     else:
         rows = report.csv_rows()
         columns = next(rows)
-        _emit_csv(fh, _meta_line(payload, args.seed), columns, rows)
-    if fh is not sys.stdout:
-        fh.close()
+        _emit_csv(args, payload, columns, rows)
     if not report.all_pass:
         print("FAILED bounds: %s" % ", ".join(report.failed_ids()),
               file=sys.stderr)
@@ -411,7 +399,7 @@ def _cmd_verify_bounds(args, dyn, payload):
 
 def _cmd_heisenberg(args, dyn, payload):
     ts = _grid_from_args(args).times()
-    if hasattr(dyn, "spectral"):
+    if isinstance(dyn, QuantumBackend):
         spec = dyn.spectral
         dim = spec.dim
         if args.observable == "basis":
@@ -449,10 +437,7 @@ def _cmd_heisenberg(args, dyn, payload):
             cells = [_fmt(t), _fmt(float(np.max(np.abs(ft - f_ss))))]
             cells += [_fmt(v) for v in ft]
             rows.append(tuple(cells))
-    fh = _open_out(args)
-    _emit_csv(fh, _meta_line(payload, args.seed), columns, rows)
-    if fh is not sys.stdout:
-        fh.close()
+    _emit_csv(args, payload, columns, rows)
     return 0
 
 
@@ -464,8 +449,8 @@ def _add_common(p, grid_required=True, tmin=1e-3, tmax=1e3):
     p.add_argument("--param", action="append", metavar="NAME=VALUE",
                    help="model parameter (repeatable)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker threads (0 = auto)")
+    p.add_argument("--threads", type=int,
+                   help="accepted and ignored; analyses run single-threaded")
     p.add_argument("--out", help="output file (default stdout)")
     if grid_required:
         p.add_argument("--tmin", type=float, default=tmin)
@@ -538,11 +523,7 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as err:
-        # argparse exits 2 on usage errors already; propagate its code
-        raise
+    args = parser.parse_args(argv)
     fn, classical = parser._command_specs[args.command]
     if "METASTAB_SEED" in os.environ:
         try:
@@ -550,8 +531,6 @@ def main(argv=None):
         except ValueError:
             print("METASTAB_SEED must be an integer", file=sys.stderr)
             return 2
-    if args.threads == 0:
-        args.threads = os.cpu_count() or 1
     try:
         if classical:
             generator, payload = _load_classical_generator(args)
@@ -560,14 +539,9 @@ def main(argv=None):
             model, payload = _load_quantum_model(args)
             dyn = _backend(args, model=model)
         return fn(args, dyn, payload)
-    except UsageError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 2
-    except DefectiveLiouvillianError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 2
-    except ValueError as err:
-        # invalid windows, cuts, or parameter domains reached an operation
+    except (UsageError, ValueError) as err:
+        # ValueError: invalid windows, cuts, parameter domains or defective
+        # generators reached an operation
         print("error: %s" % err, file=sys.stderr)
         return 2
 

@@ -4,6 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .norms import _induced_norm_matrix
 from .superop import QuantumModel, build_liouvillian
 
 SPIN_X = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
@@ -32,10 +33,9 @@ def spin_half_dephasing(gamma=1.0, kappa=0.005, omega=5.025):
 def random_lindbladian(dim, n_jumps, seed, target_norm=1.0):
     """Random model with GUE-like Hamiltonian and Gaussian jump operators,
     rescaled so the induced norm of its generator is target_norm (in [0.5, 2]).
+    The norm is the backend's: exact at D = 2, the ascent's lower bound above.
     Deterministic under seed.
     """
-    from .norms import induced_trace_norm
-
     if dim < 2:
         raise ValueError("dim must be at least 2")
     if n_jumps < 1:
@@ -50,7 +50,8 @@ def random_lindbladian(dim, n_jumps, seed, target_norm=1.0):
         J = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
         jumps.append(J / np.sqrt(2.0 * dim))
     raw = QuantumModel(hamiltonian=H, jumps=tuple(jumps))
-    norm = induced_trace_norm(build_liouvillian(raw), seed=int(seed)).value
+    norm = _induced_norm_matrix(build_liouvillian(raw).matrix, dim,
+                                seed=int(seed)).value
     s = target_norm / norm
     return QuantumModel(hamiltonian=s * H,
                         jumps=tuple(np.sqrt(s) * J for J in jumps))

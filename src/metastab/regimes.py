@@ -6,8 +6,8 @@ machinery runs on quantum models (induced trace norms: exact for qubits,
 from the alternating optimizer above) and on classical rate matrices (exact
 l1-induced norms).
 """
+import copy
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,45 +55,33 @@ class TimeGrid:
 
 
 class DynamicsBackend:
-    """Abstract contractive dynamics with an induced-norm evaluator.
+    """Contractive dynamics on one sorted eigensystem, with an induced norm.
 
-    Concrete backends provide the raw matrices of the evolution family and a
-    (possibly optimizer-based) induced norm; all regime quantities derive
-    from those. Norm values are cached keyed by the matrix expression, so
-    repeated grid sweeps are cheap and thread-order independent.
+    A backend holds the SpectralData of its generator (eigenvalues, mode
+    pairs, stationary count, valid cuts) and derives every regime quantity
+    from it. Subclasses supply only the dynamics (_evolve, generator_matrix)
+    and the norm (norm_result, exact or a lower bound). Evolution matrices
+    and norm values are cached, the latter keyed by the matrix expression,
+    so repeated grid sweeps are cheap.
     """
 
-    dim = None
+    def __init__(self, spectral, identity):
+        self.spectral = spectral
+        self.dim = spectral.dim
+        self._eye = identity
+        self._norm_cache = {}
+        self._evo_cache = {}
+        self._warm_cache = {}
 
-    # --- primitive interface -------------------------------------------------
-    def evolution_matrix(self, t):
-        raise NotImplementedError
-
-    def identity_matrix(self):
-        raise NotImplementedError
-
-    def stationary_matrix(self):
+    # --- supplied by subclasses ------------------------------------------------
+    def _evolve(self, t):
         raise NotImplementedError
 
     def generator_matrix(self):
         raise NotImplementedError
 
-    def slow_projector_matrix(self, m):
-        raise NotImplementedError
-
-    def matrix_norm(self, M, warm=None):
-        """Induced norm of an arbitrary map matrix (exact or lower bound)."""
-        raise NotImplementedError
-
-    def eigenvalues(self):
-        """Generator eigenvalues sorted by decreasing real part."""
-        raise NotImplementedError
-
-    @property
-    def m_ss(self):
-        raise NotImplementedError
-
-    def valid_cuts(self):
+    def norm_result(self, M, warm=None):
+        """InducedNormResult of an arbitrary map matrix."""
         raise NotImplementedError
 
     def random_observable(self, rng):
@@ -104,21 +92,57 @@ class DynamicsBackend:
         """Matrix of the measurement superoperator encoding obs correlations."""
         raise NotImplementedError
 
+    # --- spectral primitives ---------------------------------------------------
+    def evolution_matrix(self, t):
+        E = self._evo_cache.get(t)
+        if E is None:
+            E = self._evo_cache[t] = self._evolve(t)
+        return E
+
+    def identity_matrix(self):
+        return self._eye
+
+    def stationary_matrix(self):
+        return self.slow_projector_matrix(self.m_ss)
+
+    def slow_projector_matrix(self, m):
+        return self.spectral.projector_matrix(m)
+
+    def matrix_norm(self, M, warm=None):
+        """Induced norm of an arbitrary map matrix (exact or lower bound)."""
+        return self.norm_result(M, warm=warm).value
+
+    def eigenvalues(self):
+        """Generator eigenvalues sorted by decreasing real part."""
+        return self.spectral.eigenvalues
+
+    @property
+    def m_ss(self):
+        return self.spectral.m_ss
+
+    def valid_cuts(self):
+        return self.spectral.valid_cuts()
+
+    def with_stationary(self, P):
+        """Copy of this backend whose stationary projection is P.
+
+        The copy shares the spectrum but starts with empty caches, so norms
+        and warm starts computed under P never reach this backend.
+        """
+        view = copy.copy(self)
+        view._norm_cache, view._warm_cache, view._evo_cache = {}, {}, {}
+        view.stationary_matrix = lambda: P
+        return view
+
     # --- derived quantities ---------------------------------------------------
     def _cached(self, key, builder):
         value = self._norm_cache.get(key)
         if value is None:
-            value = builder()
-            with self._cache_lock:
-                self._norm_cache[key] = value
+            value = self._norm_cache[key] = builder()
         return value
 
     def _family_warm(self, family):
-        """Reference witness per map family, from a spectrum-derived time.
-
-        Warm starts must not depend on evaluation order (grid sweeps may run
-        in threads), so the reference is computed once from fixed times.
-        """
+        """Warm-start witness for a map family, or None."""
         return None
 
     def distance(self, t1, t2):
@@ -199,83 +223,52 @@ class QuantumBackend(DynamicsBackend):
 
     def __init__(self, model=None, liouvillian=None, spectral=None,
                  zero_tol=None, restarts=None, max_iter=_norms.DEFAULT_MAX_ITER,
-                 rel_tol=_norms.DEFAULT_REL_TOL, seed=0, threads=1):
+                 rel_tol=_norms.DEFAULT_REL_TOL, seed=0):
         if liouvillian is None:
             if model is None:
                 raise ValueError("provide a model or a liouvillian")
             liouvillian = build_liouvillian(model)
+        super().__init__(
+            spectral or spectral_decompose(liouvillian, zero_tol=zero_tol),
+            np.eye(liouvillian.dim ** 2, dtype=complex))
         self.model = model
         self.liouvillian = liouvillian
-        self.spectral = spectral or spectral_decompose(liouvillian, zero_tol=zero_tol)
-        self.dim = liouvillian.dim
         self.restarts = restarts
         self.max_iter = max_iter
         self.rel_tol = rel_tol
         self.seed = seed
-        self.threads = threads
-        self._norm_cache = {}
-        self._evo_cache = {}
-        self._warm_cache = {}
-        self._cache_lock = threading.Lock()
-        self._eye = np.eye(self.dim * self.dim, dtype=complex)
 
     def _family_warm(self, family):
-        with self._cache_lock:
-            if family in self._warm_cache:
-                return self._warm_cache[family]
-        lam = self.spectral.eigenvalues
-        if self.spectral.m_ss >= lam.size:
+        """Reference witness of the identity or stationary family.
+
+        Computed once per family at a time fixed by the spectrum, so every
+        call in the family starts from the same witness whatever the order of
+        calls.
+        """
+        if family not in self._warm_cache:
+            lam = self.spectral.eigenvalues
             witness = None
-        else:
-            # reference times fixed by the spectrum, not by call order
-            if family == "ident":
-                t_ref = 1.0 / max(-lam.real[-1], 1e-300)
-                M = self.evolution_matrix(t_ref) - self._eye
-            else:
-                t_ref = 1.0 / max(-lam.real[self.spectral.m_ss], 1e-300)
-                M = self.evolution_matrix(t_ref) - self.stationary_matrix()
-            witness = self.norm_result(M).witness_state
-        with self._cache_lock:
+            if self.spectral.m_ss < lam.size:
+                if family == "ident":
+                    t_ref = 1.0 / max(-lam.real[-1], 1e-300)
+                    M = self.evolution_matrix(t_ref) - self._eye
+                else:
+                    t_ref = 1.0 / max(-lam.real[self.spectral.m_ss], 1e-300)
+                    M = self.evolution_matrix(t_ref) - self.stationary_matrix()
+                witness = self.norm_result(M).witness_state
             self._warm_cache[family] = witness
-        return witness
+        return self._warm_cache[family]
 
-    def evolution_matrix(self, t):
-        E = self._evo_cache.get(t)
-        if E is None:
-            E = self.spectral.evolution_matrix(t)
-            with self._cache_lock:
-                self._evo_cache[t] = E
-        return E
-
-    def identity_matrix(self):
-        return self._eye
-
-    def stationary_matrix(self):
-        return self.spectral.projector_matrix(self.spectral.m_ss)
+    def _evolve(self, t):
+        return self.spectral.evolution_matrix(t)
 
     def generator_matrix(self):
         return self.liouvillian.matrix
-
-    def slow_projector_matrix(self, m):
-        return self.spectral.projector_matrix(m)
-
-    def matrix_norm(self, M, warm=None):
-        return self.norm_result(M, warm=warm).value
 
     def norm_result(self, M, warm=None):
         return _norms._induced_norm_matrix(
             M, self.dim, restarts=self.restarts, max_iter=self.max_iter,
             rel_tol=self.rel_tol, seed=self.seed, warm=warm)
-
-    def eigenvalues(self):
-        return self.spectral.eigenvalues
-
-    @property
-    def m_ss(self):
-        return self.spectral.m_ss
-
-    def valid_cuts(self):
-        return self.spectral.valid_cuts()
 
     def random_observable(self, rng):
         from .operators import max_norm
@@ -568,7 +561,7 @@ def classify_regime(dyn, t_start, t_end, n_grid=33, guard=VERDICT_GUARD,
 
 
 def scan_metastable(dyn, c_delta_max=0.1, ratio=2.0, grid=None, n_grid=33,
-                    n_scan=24, threads=1, merge=True):
+                    n_scan=24, merge=True):
     """Slide windows (t, ratio t) over a grid and return Metastable verdicts.
 
     Windows exceeding c_delta_max are dropped; adjacent Metastable windows
@@ -600,14 +593,7 @@ def scan_metastable(dyn, c_delta_max=0.1, ratio=2.0, grid=None, n_grid=33,
         return classify_regime(dyn, t, ratio * t, n_grid=n_grid,
                                with_doubling=False)
 
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            verdicts = list(pool.map(probe, grid))
-    else:
-        verdicts = [probe(t) for t in grid]
-
+    verdicts = [probe(t) for t in grid]
     hits = [(i, v) for i, v in enumerate(verdicts)
             if v is not None and v.verdict == "Metastable"
             and v.c_delta <= c_delta_max]

@@ -8,7 +8,6 @@ not hold are emitted as inapplicable so a report never silently drops a
 check.
 """
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -406,21 +405,14 @@ class BoundBatteryReport:
                    "1" if row.passed(self.tol) else "0")
 
 
-def _parallel_values(fn, items, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def _select_window(dyn, ratio, c_max, n_grid, n_scan, fallback_span,
-                   scan_grid=None, threads=1):
+                   scan_grid=None):
     """Best (smallest-change) metastable window at the given ratio, or a
     deterministic fallback window centered between the timescales."""
     try:
         hits = scan_metastable(dyn, c_delta_max=c_max, ratio=ratio,
                                n_grid=n_grid, n_scan=n_scan, grid=scan_grid,
-                               threads=threads, merge=False)
+                               merge=False)
     except TrivialDynamicsError:
         hits = []
     if hits:
@@ -449,36 +441,18 @@ def default_battery_grid(tau_0, tau_ss, n_points=33):
 
 
 def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
-                  n_grid=33, scan_points=16, threads=1,
-                  stationary_override=None):
+                  n_grid=33, scan_points=16, stationary_override=None):
     """Evaluate the full inequality battery on one dynamics backend.
 
     Emits one row per (inequality, evaluation point); a row passes when its
     slack is >= -tol or its hypotheses do not hold (marked inapplicable).
     stationary_override substitutes a wrong stationary projection; it exists
     for negative-control tests and taints only the rows built on that
-    projection. The backend is restored afterwards, also when the battery
-    raises: the override and the norms and warm starts computed under it do
-    not outlive the call.
+    projection. The battery then runs on dyn.with_stationary(...), a copy
+    with its own caches, so the backend passed in is never changed.
     """
-    args = (dyn, grid, tol, seed, window, window4, n_grid, scan_points, threads)
-    if stationary_override is None:
-        return _bound_battery(*args)
-    caches = {name: getattr(dyn, name) for name in ("_norm_cache", "_warm_cache")
-              if hasattr(dyn, name)}
-    dyn.stationary_matrix = lambda: stationary_override
-    for name in caches:
-        setattr(dyn, name, {})
-    try:
-        return _bound_battery(*args)
-    finally:
-        del dyn.stationary_matrix
-        for name, cache in caches.items():
-            setattr(dyn, name, cache)
-
-
-def _bound_battery(dyn, grid, tol, seed, window, window4, n_grid, scan_points,
-                   threads):
+    if stationary_override is not None:
+        dyn = dyn.with_stationary(stationary_override)
     lam = dyn.eigenvalues()
     gen_norm = dyn.liouvillian_norm()
     if gen_norm <= 1e-14:
@@ -504,14 +478,14 @@ def _bound_battery(dyn, grid, tol, seed, window, window4, n_grid, scan_points,
     if window is None:
         w2_start, w2_end, w2_found = _select_window(
             dyn, 2.0, CUTOFF_RELAXATION, max(9, n_grid // 3), scan_points,
-            span, scan_grid=scan2, threads=threads)
+            span, scan_grid=scan2)
     else:
         w2_start, w2_end = window
         w2_found = True
     if window4 is None:
         w4_start, w4_end, w4_found = _select_window(
             dyn, 4.0, 0.24, max(9, n_grid // 3), scan_points, span,
-            scan_grid=scan4, threads=threads)
+            scan_grid=scan4)
     else:
         w4_start, w4_end = window4
         w4_found = True
@@ -520,10 +494,9 @@ def _bound_battery(dyn, grid, tol, seed, window, window4, n_grid, scan_points,
     add = rows.append
 
     # shared curves over the grid
-    d_init = np.asarray(_parallel_values(dyn.distance_to_identity, grid, threads))
-    d_stat = np.asarray(_parallel_values(dyn.distance_to_stationary, grid, threads))
-    d_doubling = np.asarray(_parallel_values(
-        lambda t: dyn.distance(t, 2.0 * t), grid, threads))
+    d_init = np.asarray([dyn.distance_to_identity(t) for t in grid])
+    d_stat = np.asarray([dyn.distance_to_stationary(t) for t in grid])
+    d_doubling = np.asarray([dyn.distance(t, 2.0 * t) for t in grid])
 
     def safe_exp(x):
         return math.exp(x) if x < 700 else math.inf

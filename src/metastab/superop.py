@@ -108,14 +108,16 @@ def build_liouvillian(model):
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Sorted eigensystem of a Liouvillian with biorthonormal mode pairs.
+    """Sorted eigensystem of a generator with biorthonormal mode pairs.
 
     Eigenvalues are ordered by decreasing real part (ties: ascending |imag|,
     then solver order). right_vecs holds vec(R_k) as columns; left_dual holds
     the dual rows, so that left_dual @ right_vecs = identity and
     e^{tL} = right_vecs @ diag(e^{t lambda}) @ left_dual. The mode operators
     are normalized to Tr(left_mode(k) @ right_mode(l)) = delta_kl, without
-    conjugation.
+    conjugation. A classical rate matrix stores its eigenvectors the same way
+    (dim is then the number of states), with left_dual None when the chain
+    is defective.
     """
 
     dim: int

@@ -64,3 +64,21 @@ def random_state(rng, dim):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     v /= np.linalg.norm(v)
     return np.outer(v, v.conj())
+
+
+BACKEND_CACHES = ("_norm_cache", "_warm_cache", "_evo_cache")
+
+
+def cache_snapshot(dyn):
+    """Each backend cache with a shallow copy of its contents."""
+    return {name: (getattr(dyn, name), dict(getattr(dyn, name)))
+            for name in BACKEND_CACHES}
+
+
+def assert_caches_untouched(dyn, snapshot):
+    """The caches are the same objects, holding the same entries."""
+    assert "stationary_matrix" not in vars(dyn)
+    for name, (cache, contents) in snapshot.items():
+        assert getattr(dyn, name) is cache, name
+        assert cache.keys() == contents.keys(), name
+        assert all(cache[k] is v for k, v in contents.items()), name

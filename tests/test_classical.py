@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from metastab.classical import (ClassicalGenerator,
+from metastab.classical import (ClassicalBackend, ClassicalGenerator,
                                 classical_backend, classical_evolution,
                                 embed_as_lindbladian, l1_induced_distance,
                                 l1_norm, rate_matrix_from_edges,
@@ -13,7 +13,11 @@ from metastab.norms import induced_trace_norm
 from metastab.operators import trace_norm
 from metastab.regimes import change_measure, scan_metastable, timescales
 from metastab.spectral_meta import bound_battery
-from metastab.superop import Superoperator, build_liouvillian, spectral_decompose
+from metastab.superop import (DefectiveLiouvillianError, InvalidCutError,
+                              Superoperator, build_liouvillian,
+                              spectral_decompose)
+
+from conftest import assert_caches_untouched, cache_snapshot
 
 
 def symmetric_two_state(a=1.0):
@@ -166,3 +170,50 @@ def test_rate_matrix_loaders():
         rate_matrix_from_edges("0 1 -2.0")
     with pytest.raises(ValueError):
         rate_matrix_from_edges("0 1\n")
+
+
+def test_cyclic_chain_cuts_and_real_projection():
+    # rotation 0 -> 1 -> 2 -> 0: eigenvalues 0 and -3/2 +- i sqrt(3)/2
+    dyn = ClassicalBackend(ClassicalGenerator(
+        np.array([[-1.0, 0.0, 1.0], [1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])))
+    assert dyn.valid_cuts() == [1, 3]
+    with pytest.raises(InvalidCutError, match="conjugate eigenvalue pair"):
+        dyn.slow_projector_matrix(2)
+    with pytest.raises(InvalidCutError, match="outside"):
+        dyn.slow_projector_matrix(4)
+    P = dyn.stationary_matrix()
+    assert P.dtype == np.float64
+    assert np.allclose(P, np.full((3, 3), 1.0 / 3.0), atol=1e-12)
+    assert dyn.slow_projector_matrix(3).dtype == np.float64
+
+
+def test_defective_chain_evolves_but_has_no_projections():
+    # irreversible 0 -> 1 -> 2 with equal rates: a Jordan block at -1
+    dyn = classical_backend(ClassicalGenerator(
+        np.array([[-1.0, 0.0, 0.0], [1.0, -1.0, 0.0], [0.0, 1.0, 0.0]])))
+    # = 0.477302437082...: both transient columns give 2 (e^{-1/2} - e^{-1})
+    assert dyn.distance(0.5, 1.0) == pytest.approx(
+        2.0 * (math.exp(-0.5) - math.exp(-1.0)), abs=1e-12)
+    with pytest.raises(DefectiveLiouvillianError):
+        dyn.stationary_matrix()
+    with pytest.raises(DefectiveLiouvillianError):
+        dyn.slow_projector_matrix(3)
+
+
+def test_classical_battery_override_leaves_caller_caches_alone():
+    dyn = classical_backend(three_state_double_well())
+    clean = bound_battery(dyn, seed=0)
+    assert clean.all_pass
+    snapshot = cache_snapshot(dyn)
+    bad = np.outer([1.0, 0.0, 0.0], np.ones(3))
+    grid = [row.t for row in clean.rows if row.id == "change2_all"]
+    rep = bound_battery(dyn, grid=grid, seed=0,
+                        window=clean.context["window2"],
+                        window4=clean.context["window4"],
+                        stationary_override=bad)
+    # ||I - P|| is 4/3 for the true projection and 2 for the override
+    ipss = [r.lhs for r in rep.rows if r.id == "IPss" and r.t == 1.0]
+    assert ipss == [pytest.approx(2.0)]
+    assert_caches_untouched(dyn, snapshot)
+    assert dyn.stationary_distance() == pytest.approx(4.0 / 3.0)
+    assert np.allclose(dyn.stationary_matrix(), np.full((3, 3), 1.0 / 3.0))

@@ -3,7 +3,7 @@ import pytest
 
 from metastab.models import (ModelSpecifier, build_model, random_lindbladian,
                              spin_half_dephasing, three_state_double_well)
-from metastab.norms import induced_trace_norm
+from metastab.norms import _induced_norm_matrix, induced_trace_norm
 from metastab.superop import (DefectiveLiouvillianError, build_liouvillian,
                               spectral_decompose, superop_flags_residuals)
 
@@ -66,6 +66,16 @@ def test_random_lindbladian_norm_scaled():
         model = random_lindbladian(3, 2, seed=seed)
         norm = induced_trace_norm(build_liouvillian(model), seed=seed).value
         assert 0.5 <= norm <= 2.0
+
+
+def test_random_lindbladian_exact_norm_at_d2():
+    # at D = 2 the normalisation uses the exact qubit norm, so the generator
+    # hits target_norm to round-off
+    for seed in range(50):
+        for target in (1.0, 0.5):
+            L = build_liouvillian(random_lindbladian(2, 2, seed=seed,
+                                                     target_norm=target))
+            assert abs(_induced_norm_matrix(L.matrix, 2).value - target) <= 1e-12
 
 
 def test_random_lindbladian_flags_and_diagonalizability():

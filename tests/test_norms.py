@@ -340,3 +340,17 @@ def test_induced_trace_norm_stays_on_ascent_at_d2(spin_spectral):
     assert not res.exact and res.iterations > 0
     assert res.value == pytest.approx(
         _induced_norm_matrix(X.matrix, 2).value, abs=1e-10)
+
+
+def test_max_norm_induced_is_the_adjoint_trace_norm():
+    # a non-unital evolution map: X(I) != I, so the max-norm-induced norm of
+    # X exceeds its induced trace norm (1, trace preservation); only the
+    # adjoint's trace norm bounds every ratio ||X(O)||_max / ||O||_max
+    spec = spectral_decompose(build_liouvillian(random_lindbladian(3, 2, seed=5)))
+    X = Superoperator(3, spec.evolution_matrix(1.0), hermiticity_preserving=True)
+    assert max_norm(X.apply(np.eye(3))) > 1.0 + 1e-3
+    value = max_norm_induced(X)
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        O = random_hermitian(rng, 3)
+        assert value >= max_norm(X.apply(O)) / max_norm(O) - 1e-9

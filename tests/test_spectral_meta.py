@@ -10,7 +10,8 @@ from metastab.spectral_meta import (SeparationInconsistencyError, bound_battery,
                                     spectral_projection_report,
                                     spectrum_change_bound_check)
 
-from conftest import DECAY_FAST, KAPPA
+from conftest import (DECAY_FAST, KAPPA, assert_caches_untouched,
+                      cache_snapshot)
 
 
 def test_spectrum_change_margins_zero_pair(spin_backend, spin_spectral):
@@ -189,3 +190,22 @@ def test_battery_csv_rows(spin_backend):
     assert rows[0] == ("id", "t", "lhs", "rhs", "slack", "pass")
     assert all(len(r) == 6 for r in rows)
     assert all(r[5] == "1" for r in rows[1:])
+
+
+def test_bound_battery_override_leaves_caller_caches_alone(spin_model):
+    dyn = QuantumBackend(model=spin_model, seed=0)
+    clean = bound_battery(dyn, seed=0)
+    snapshot = cache_snapshot(dyn)
+    bad_state = np.eye(2) / 2 + 0.3 * np.array([[1.0, 0], [0, -1.0]])
+    from metastab.superop import vec
+
+    bad = np.outer(vec(bad_state), vec(np.eye(2)).conj())
+    grid = [row.t for row in clean.rows if row.id == "change2_all"]
+    rep = bound_battery(dyn, grid=grid, seed=0,
+                        window=clean.context["window2"],
+                        window4=clean.context["window4"],
+                        stationary_override=bad)
+    assert "change2_ss" in rep.failed_ids()
+    assert_caches_untouched(dyn, snapshot)
+    assert dyn.distance_to_stationary(200.0) == pytest.approx(math.exp(-1.0),
+                                                              abs=1e-12)
