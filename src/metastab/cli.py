@@ -312,8 +312,8 @@ def _cmd_detect(args, dyn, payload):
     # restart spread of the generator-norm optimization: a heuristic
     # confidence indicator for the reported lower bounds (zero for exact
     # norms)
-    res = dyn.norm_result(dyn.generator_matrix())
-    out["norm_restart_dispersion"] = res.restart_dispersion
+    out["norm_restart_dispersion"] = \
+        dyn.generator_norm_result().restart_dispersion
     _emit_json(args, out)
     return 0
 

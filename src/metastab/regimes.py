@@ -165,8 +165,13 @@ class DynamicsBackend:
             self.evolution_matrix(t) - self.stationary_matrix(),
             warm=self._family_warm("stat")))
 
+    def generator_norm_result(self):
+        """InducedNormResult of the generator, computed once."""
+        return self._cached(("gen",),
+                            lambda: self.norm_result(self.generator_matrix()))
+
     def liouvillian_norm(self):
-        return self._cached(("gen",), lambda: self.matrix_norm(self.generator_matrix()))
+        return self.generator_norm_result().value
 
     def stationary_distance(self):
         return self._cached(("ident-stat",), lambda: self.matrix_norm(
@@ -564,9 +569,12 @@ def scan_metastable(dyn, c_delta_max=0.1, ratio=2.0, grid=None, n_grid=33,
                     n_scan=24, merge=True):
     """Slide windows (t, ratio t) over a grid and return Metastable verdicts.
 
-    Windows exceeding c_delta_max are dropped; adjacent Metastable windows
-    are merged when the merged span still classifies Metastable. Output is
-    ordered by ascending window start.
+    Each window is first probed on a coarse grid: a window with any distance
+    d(t, s) above c_delta_max is dropped without classification, and the
+    probe stops at the first such distance. Windows classified Metastable
+    with a change measure above c_delta_max are dropped too. Adjacent
+    Metastable windows are merged when the merged span still classifies
+    Metastable. Output is ordered by ascending window start.
     """
     if ratio < 2.0:
         raise ValueError("ratio must be at least 2 (pronounced time regime)")
@@ -586,9 +594,14 @@ def scan_metastable(dyn, c_delta_max=0.1, ratio=2.0, grid=None, n_grid=33,
     grid = np.sort(grid)
 
     def probe(t):
-        # cheap lower bound on the window change: grid values only
+        # pre-screen: does any coarse-grid distance from t exceed the budget?
+        # Checked far end first, where the distance is usually largest, and
+        # stopped at the first excess. The predicate, hence every verdict, is
+        # the same in any order, and skipping a distance changes no value a
+        # later analysis computes: a distance depends on its arguments alone
+        # (no warm start, fixed restart seeds)
         probe_ts = _window_grid(t, ratio * t, max(7, n_grid // 2))
-        if max(dyn.distance(t, s) for s in probe_ts) > c_delta_max:
+        if any(dyn.distance(t, s) > c_delta_max for s in probe_ts[::-1]):
             return None
         return classify_regime(dyn, t, ratio * t, n_grid=n_grid,
                                with_doubling=False)

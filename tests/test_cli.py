@@ -213,3 +213,48 @@ def test_usage_error_exits_2(capsys):
     code, _, err = run_cli(["spectrum", "--model", "builtin:spin_half",
                             "--param", "gamma"], capsys)
     assert code == 2
+
+
+@pytest.fixture
+def norm_calls(monkeypatch):
+    """Counts induced-norm oracle calls, model normalisation included."""
+    import metastab.models
+    import metastab.norms
+
+    calls = []
+    inner = metastab.norms._induced_norm_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(metastab.norms, "_induced_norm_matrix", counted)
+    monkeypatch.setattr(metastab.models, "_induced_norm_matrix", counted)
+    return calls
+
+
+RANDOM_D4_ARGS = ["--model", "builtin:random_lindbladian", "--param", "dim=4",
+                  "--param", "n_jumps=2", "--seed", "0"]
+
+
+def test_random_detect_norm_calls(norm_calls, capsys):
+    # 1 model normalisation + 1 generator norm (reused for the dispersion)
+    # + 97 in timescales (50 ident, 44 stat, 1 ident-stat, 2 warm-start
+    # witnesses) + 24 scan probes, each failing at its first, far-end
+    # distance
+    code, _, _ = run_cli(["detect"] + RANDOM_D4_ARGS, capsys)
+    assert code == 0
+    assert len(norm_calls) == 123
+
+
+def test_spin_norm_calls(norm_calls, capsys):
+    # detect: 1 generator norm + 88 in timescales + 1,479 in the scan + 153
+    # in relaxation_times; verify-bounds: the battery with its two window
+    # scans, whose probes stop at their first over-budget distance
+    code, _, _ = run_cli(["detect"] + SPIN_ARGS, capsys)
+    assert code == 0
+    assert len(norm_calls) == 1721
+    norm_calls.clear()
+    code, _, _ = run_cli(["verify-bounds"] + SPIN_ARGS, capsys)
+    assert code == 0
+    assert len(norm_calls) == 1720

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from metastab.classical import ClassicalBackend, ClassicalGenerator
-from metastab.models import spin_half_dephasing
+from metastab.models import random_lindbladian, spin_half_dephasing
 from metastab.modes import change_thresholds
 from metastab.regimes import (CUTOFF_RELAXATION, QuantumBackend, TimeGrid,
                               TrivialDynamicsError, change_measure,
                               classify_regime, distinguishability_bounds,
                               observable_average_change, relaxation_times,
                               scan_metastable, state_change_measure,
-                              timescales)
+                              timescales, _window_grid)
 
 
 
@@ -125,6 +125,51 @@ def test_scan_metastable_spin(spin_backend):
 def test_scan_empty_when_no_separation():
     dyn = QuantumBackend(model=spin_half_dephasing(1.0, 1.0, 10.0), seed=0)
     assert scan_metastable(dyn, c_delta_max=0.1, ratio=2.0) == []
+
+
+def pair_keys(dyn):
+    return {k for k in dyn._norm_cache if k[0] == "pair"}
+
+
+def test_scan_lazy_probe_matches_exhaustive_probe(spin_model):
+    # the probe stops at the first over-budget distance; evaluating every
+    # probe-grid distance beforehand must not change a single verdict
+    lazy = QuantumBackend(model=spin_model, seed=0)
+    eager = QuantumBackend(model=spin_model, seed=0)
+    rep = timescales(eager)
+    for t in np.geomspace(rep.tau_0 * 1.05, rep.tau_ss / 2.0, 24):
+        for s in _window_grid(t, 2.0 * t, 16):
+            eager.distance(t, s)
+    probed = pair_keys(eager)
+    hits = scan_metastable(lazy, c_delta_max=0.1, ratio=2.0)
+    assert hits
+    assert repr(hits) == repr(scan_metastable(eager, c_delta_max=0.1,
+                                              ratio=2.0))
+    # the lazy scan skipped some probe distances that the eager one holds
+    assert probed - pair_keys(lazy)
+
+
+def test_scan_probe_stops_at_first_excess():
+    # on this D = 4 model every window fails its probe at the far end, so
+    # the scan evaluates exactly one pair distance per window
+    dyn = QuantumBackend(model=random_lindbladian(4, 2, seed=0), seed=0)
+    timescales(dyn)
+    assert not pair_keys(dyn)
+    assert scan_metastable(dyn, c_delta_max=0.1, n_scan=24) == []
+    assert len(pair_keys(dyn)) == 24
+
+
+def test_pair_distances_do_not_depend_on_evaluation_order():
+    # ascent values (D = 3) depend on the arguments (t1, t2) alone: no warm
+    # start, fixed restart seeds, so skipped distances cannot move results
+    model = random_lindbladian(3, 2, seed=0)
+    first = QuantumBackend(model=model, seed=0)
+    second = QuantumBackend(model=model, seed=0)
+    ts = np.geomspace(0.1, 20.0, 6)
+    pairs = [(t1, t2) for t1 in ts for t2 in ts if t1 < t2]
+    forward = {p: first.distance(*p) for p in pairs}
+    backward = {p: second.distance(*p) for p in reversed(pairs)}
+    assert forward == backward
 
 
 def test_scan_refuses_trivial():
