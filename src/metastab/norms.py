@@ -11,8 +11,10 @@ equation solves in closed form. At D >= 3 it runs the alternating ascent:
 both coordinate maxima have closed forms (sign operator of X(psi psi^dag),
 top eigenvector of X^dag(O)), giving a monotone ascent; multiple restarts
 guard against local maxima. Ascent values are certified lower bounds, exact
-whenever any restart reaches the global optimum. induced_trace_norm always
-runs the ascent, at every dimension.
+whenever any restart reaches the global optimum. _alternating_ascents runs
+the ascent on several maps in lockstep, with the same result for each map as
+a call of its own. induced_trace_norm always runs the ascent, at every
+dimension.
 """
 import functools
 import math
@@ -25,6 +27,8 @@ from .superop import Superoperator
 
 DEFAULT_MAX_ITER = 200
 DEFAULT_REL_TOL = 1e-10
+# maps per lockstep pass of _alternating_ascents; bounds its working arrays
+LOCKSTEP_MAPS = 32
 
 
 @dataclass(frozen=True)
@@ -192,29 +196,62 @@ def _qubit_induced_norm(M):
 def _alternating_ascent(M, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
                         rel_tol=DEFAULT_REL_TOL, seed=0, warm=None,
                         burn_in=25, keep_after_burn_in=4):
-    """Alternating-ascent maximization on a raw D^2 x D^2 matrix.
+    """Alternating-ascent maximization on a raw D^2 x D^2 matrix: the
+    lockstep kernel of _alternating_ascents with a single map (T = 1)."""
+    return _alternating_ascents(
+        [M], dim, restarts=restarts, max_iter=max_iter, rel_tol=rel_tol,
+        seed=seed, warms=[warm], burn_in=burn_in,
+        keep_after_burn_in=keep_after_burn_in)[0]
 
-    All restarts advance in lockstep through batched eigendecompositions;
-    chains are independent, so the result does not depend on scheduling.
-    After a burn-in the laggard chains (strictly below the leaders) are
-    frozen and only the leaders iterate to full tolerance; frozen values
-    remain valid lower bounds.
+
+def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
+                         rel_tol=DEFAULT_REL_TOL, seed=0, warms=None,
+                         burn_in=25, keep_after_burn_in=4):
+    """Alternating ascent on T raw D^2 x D^2 matrices at once.
+
+    The T maps x R restarts advance in lockstep through batched
+    eigendecompositions, at most LOCKSTEP_MAPS maps per pass. Chains are
+    stored map after map, so each map's working chains form one contiguous
+    block, and each block is multiplied by its own matrix in a plain gemm.
+    Every map keeps its own seed states and warm start (warms[k]), its own
+    convergence, and its own burn-in cull: after burn_in iterations the
+    laggard chains of a map (strictly behind that map's leaders) are frozen
+    and only its keep_after_burn_in leaders iterate to full tolerance; frozen
+    values remain valid lower bounds. A map's result therefore does not
+    depend on the other maps in the pass: it equals, bit for bit, the
+    single-map call _alternating_ascent(Ms[k], dim, warm=warms[k]).
+    Returns one InducedNormResult per map, in order.
     """
+    if warms is None:
+        warms = [None] * len(Ms)
+    if len(Ms) > LOCKSTEP_MAPS:
+        step = LOCKSTEP_MAPS
+        return [res for lo in range(0, len(Ms), step)
+                for res in _alternating_ascents(
+                    Ms[lo:lo + step], dim, restarts=restarts,
+                    max_iter=max_iter, rel_tol=rel_tol, seed=seed,
+                    warms=warms[lo:lo + step], burn_in=burn_in,
+                    keep_after_burn_in=keep_after_burn_in)]
     if restarts is None:
         restarts = max(16, 4 * dim)
-    psi_full = _seed_states(dim, restarts, seed, warm)
-    R = psi_full.shape[0]
-    Mt = M.T
-    Mc = M.conj()
+    T = len(Ms)
+    seeds = [_seed_states(dim, restarts, seed, w) for w in warms]
+    psi_full = np.concatenate(seeds)
+    sizes = [s.shape[0] for s in seeds]
+    owner = np.repeat(np.arange(T), sizes)          # map of each chain
+    first = np.concatenate(([0], np.cumsum(sizes)))  # first chain of each map
+    Mts = [M.T for M in Ms]
+    Mcs = [M.conj() for M in Ms]
 
-    values_full = np.zeros(R)
-    obs_full = np.zeros((R, dim, dim), dtype=complex)
-    iterations_full = np.zeros(R, dtype=int)
-    converged_full = np.zeros(R, dtype=bool)
+    N = psi_full.shape[0]
+    values_full = np.zeros(N)
+    obs_full = np.zeros((N, dim, dim), dtype=complex)
+    iterations_full = np.zeros(N, dtype=int)
+    converged_full = np.zeros(N, dtype=bool)
 
-    work = np.arange(R)          # indices of chains still iterating
+    work = np.arange(N)          # indices of chains still iterating
+    bounds = first               # work[bounds[k]:bounds[k + 1]]: map k's chains
     psi = psi_full.copy()
-    culled = False
     it = 0
     while it < max_iter and work.size:
         it += 1
@@ -222,7 +259,8 @@ def _alternating_ascent(M, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
         # coordinate step in O: sign observable of X(psi psi^dag)
         rho = psi[:, :, None] * psi[:, None, :].conj()          # rho[r,i,j]
         rho_vec = rho.transpose(0, 2, 1).reshape(n, dim * dim)  # column stacking
-        W = (rho_vec @ Mt).reshape(n, dim, dim).transpose(0, 2, 1)
+        W = _blockwise_product(rho_vec, Mts, bounds)
+        W = W.reshape(n, dim, dim).transpose(0, 2, 1)
         W = (W + W.conj().transpose(0, 2, 1)) / 2
         evals, evecs = np.linalg.eigh(W)
         new_values = np.abs(evals).sum(axis=1)
@@ -238,42 +276,64 @@ def _alternating_ascent(M, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
 
         done = np.abs(new_values - prev) <= rel_tol * np.maximum(1.0, new_values)
         converged_full[work[done]] = True
-        still = ~done
-        if not culled and it >= burn_in and int(still.sum()) > keep_after_burn_in:
-            # freeze chains strictly behind the leaders; ties keep lower index
-            sub = work[still]
-            order = np.lexsort((sub, -values_full[sub]))
-            keep = np.zeros(still.sum(), dtype=bool)
-            keep[order[:keep_after_burn_in]] = True
-            next_mask = np.zeros(n, dtype=bool)
-            next_mask[np.flatnonzero(still)[keep]] = True
-            culled = True
-        else:
-            next_mask = still
-        work = work[next_mask]
-        psi = psi[next_mask]
-        obs = obs[next_mask]
-        if not work.size:
-            break
+        next_mask = ~done
+        # the cull happens once, at the end of burn-in: a map with at most
+        # keep_after_burn_in unconverged chains then never has more later
+        if it == max(burn_in, 1) and next_mask.any():
+            # per map, freeze chains strictly behind the leaders; ties keep
+            # lower index
+            sub = work[next_mask]
+            order = np.lexsort((sub, -values_full[sub], owner[sub]))
+            ranked = owner[sub[order]]
+            rank = np.arange(ranked.size) - np.searchsorted(ranked, ranked)
+            keep = np.empty(ranked.size, dtype=bool)
+            keep[order] = rank < keep_after_burn_in
+            next_mask[np.flatnonzero(next_mask)[~keep]] = False
+        if not next_mask.all():
+            work = work[next_mask]
+            psi = psi[next_mask]
+            obs = obs[next_mask]
+            if not work.size:
+                break
+            if T > 1:
+                bounds = np.searchsorted(owner[work], np.arange(T + 1))
 
         # coordinate step in psi: top eigenvector of X^dag(O)
         n = work.size
         obs_vec = obs.transpose(0, 2, 1).reshape(n, dim * dim)
-        A = (obs_vec @ Mc).reshape(n, dim, dim).transpose(0, 2, 1)
+        A = _blockwise_product(obs_vec, Mcs, bounds)
+        A = A.reshape(n, dim, dim).transpose(0, 2, 1)
         A = (A + A.conj().transpose(0, 2, 1)) / 2
         a_evals, a_evecs = np.linalg.eigh(A)
         psi = a_evecs[:, :, -1]
 
-    best = int(np.argmax(values_full))
-    return InducedNormResult(
-        value=float(values_full[best]),
-        witness_state=psi_full[best].copy(),
-        witness_observable=obs_full[best].copy(),
-        iterations=int(iterations_full[best]),
-        restarts_used=R,
-        converged=bool(converged_full[best]),
-        restart_values=values_full.copy(),
-    )
+    results = []
+    for k in range(T):
+        lo, hi = first[k], first[k + 1]
+        best = lo + int(np.argmax(values_full[lo:hi]))
+        results.append(InducedNormResult(
+            value=float(values_full[best]),
+            witness_state=psi_full[best].copy(),
+            witness_observable=obs_full[best].copy(),
+            iterations=int(iterations_full[best]),
+            restarts_used=int(hi - lo),
+            converged=bool(converged_full[best]),
+            restart_values=values_full[lo:hi].copy(),
+        ))
+    return results
+
+
+def _blockwise_product(vecs, mats, bounds):
+    """Rows bounds[k]:bounds[k + 1] of vecs times mats[k], one plain gemm per
+    map, so each block's product is exactly the single-map one."""
+    if len(mats) == 1:
+        return vecs @ mats[0]
+    out = np.empty((vecs.shape[0], mats[0].shape[1]), dtype=complex)
+    for k, mat in enumerate(mats):
+        lo, hi = bounds[k], bounds[k + 1]
+        if hi > lo:
+            out[lo:hi] = vecs[lo:hi] @ mat
+    return out
 
 
 def induced_trace_norm(X, restarts=None, max_iter=DEFAULT_MAX_ITER,

@@ -135,76 +135,104 @@ class DynamicsBackend:
         return view
 
     # --- derived quantities ---------------------------------------------------
-    def _cached(self, key, builder):
-        value = self._norm_cache.get(key)
-        if value is None:
-            value = self._norm_cache[key] = builder()
-        return value
-
     def _family_warm(self, family):
         """Warm-start witness for a map family, or None."""
         return None
+
+    def _norm_map(self, key):
+        """(matrix, warm start) of the map whose norm the cache key names.
+
+        The single getters and prefetch both build their maps here, so a
+        cached value does not depend on which of them computed it. A pair
+        key ("pair", t1, t2) has t1 < t2 and names E(t1) - E(t2).
+        """
+        family, *args = key
+        E, I = self.evolution_matrix, self.identity_matrix()
+        if family == "pair":
+            return E(args[0]) - E(args[1]), None
+        if family == "ident":
+            return E(args[0]) - I, self._family_warm("ident")
+        if family == "stat":
+            return (E(args[0]) - self.stationary_matrix(),
+                    self._family_warm("stat"))
+        if family == "ident-stat":
+            return I - self.stationary_matrix(), None
+        P = self.slow_projector_matrix(args[0])
+        if family == "proj":
+            return E(args[1]) - P, None
+        if family == "drift":
+            return P @ (E(args[1]) - I), None
+        if family == "fast":
+            return (I - P) @ E(args[1]), None
+        if family == "pnorm":
+            return P, None
+        if family == "ipnorm":
+            return I - P, None
+        if family == "pgen":
+            return P @ self.generator_matrix(), None
+        raise KeyError(key)
+
+    def _norm_of(self, key):
+        value = self._norm_cache.get(key)
+        if value is None:
+            M, warm = self._norm_map(key)
+            value = self._norm_cache[key] = self.matrix_norm(M, warm=warm)
+        return value
+
+    def prefetch(self, keys):
+        """Cache hint: evaluate the norms of the uncached keys in one batch.
+
+        keys are norm-cache keys such as ("ident", t), ("proj", m, t) or
+        ("pair", t1, t2), the last in either order (equal times name the
+        zero distance). Each value equals, bit for bit, the one the single
+        getter would compute, so a prefetch never changes a result; it only
+        saves per-call overhead for keys that are evaluated later anyway.
+        A no-op here and on every backend with exact norms.
+        """
 
     def distance(self, t1, t2):
         """Induced-norm distance between the evolution maps at two times."""
         if t1 == t2:
             return 0.0
-        key = ("pair", min(t1, t2), max(t1, t2))
-        return self._cached(key, lambda: self.matrix_norm(
-            self.evolution_matrix(t1) - self.evolution_matrix(t2)))
+        return self._norm_of(("pair", min(t1, t2), max(t1, t2)))
 
     def distance_to_identity(self, t):
-        key = ("ident", t)
-        return self._cached(key, lambda: self.matrix_norm(
-            self.evolution_matrix(t) - self.identity_matrix(),
-            warm=self._family_warm("ident")))
+        return self._norm_of(("ident", t))
 
     def distance_to_stationary(self, t):
-        key = ("stat", t)
-        return self._cached(key, lambda: self.matrix_norm(
-            self.evolution_matrix(t) - self.stationary_matrix(),
-            warm=self._family_warm("stat")))
+        return self._norm_of(("stat", t))
 
     def generator_norm_result(self):
         """InducedNormResult of the generator, computed once."""
-        return self._cached(("gen",),
-                            lambda: self.norm_result(self.generator_matrix()))
+        result = self._norm_cache.get(("gen",))
+        if result is None:
+            result = self._norm_cache[("gen",)] = self.norm_result(
+                self.generator_matrix())
+        return result
 
     def liouvillian_norm(self):
         return self.generator_norm_result().value
 
     def stationary_distance(self):
-        return self._cached(("ident-stat",), lambda: self.matrix_norm(
-            self.identity_matrix() - self.stationary_matrix()))
+        return self._norm_of(("ident-stat",))
 
     def projector_distance(self, m, t):
-        key = ("proj", m, t)
-        return self._cached(key, lambda: self.matrix_norm(
-            self.evolution_matrix(t) - self.slow_projector_matrix(m)))
+        return self._norm_of(("proj", m, t))
 
     def slow_drift(self, m, t):
-        key = ("drift", m, t)
-        P = self.slow_projector_matrix(m)
-        return self._cached(key, lambda: self.matrix_norm(
-            P @ (self.evolution_matrix(t) - self.identity_matrix())))
+        return self._norm_of(("drift", m, t))
 
     def fast_residual(self, m, t):
-        key = ("fast", m, t)
-        P = self.slow_projector_matrix(m)
-        return self._cached(key, lambda: self.matrix_norm(
-            (self.identity_matrix() - P) @ self.evolution_matrix(t)))
+        return self._norm_of(("fast", m, t))
 
     def projector_norm(self, m):
-        return self._cached(("pnorm", m),
-                            lambda: self.matrix_norm(self.slow_projector_matrix(m)))
+        return self._norm_of(("pnorm", m))
 
     def complement_norm(self, m):
-        return self._cached(("ipnorm", m), lambda: self.matrix_norm(
-            self.identity_matrix() - self.slow_projector_matrix(m)))
+        return self._norm_of(("ipnorm", m))
 
     def projected_generator_norm(self, m):
-        return self._cached(("pgen", m), lambda: self.matrix_norm(
-            self.slow_projector_matrix(m) @ self.generator_matrix()))
+        return self._norm_of(("pgen", m))
 
     def max_imag(self):
         lam = self.eigenvalues()
@@ -274,6 +302,29 @@ class QuantumBackend(DynamicsBackend):
         return _norms._induced_norm_matrix(
             M, self.dim, restarts=self.restarts, max_iter=self.max_iter,
             rel_tol=self.rel_tol, seed=self.seed, warm=warm)
+
+    def prefetch(self, keys):
+        # the qubit norm is an exact closed form; the ascent runs at D >= 3
+        if self.dim < 3:
+            return
+        todo = {}
+        for key in keys:
+            if key[0] == "pair":
+                t1, t2 = key[1:]
+                if t1 == t2:
+                    continue
+                key = ("pair", min(t1, t2), max(t1, t2))
+            if key not in self._norm_cache:
+                todo[key] = None
+        if not todo:
+            return
+        maps = [self._norm_map(key) for key in todo]
+        results = _norms._alternating_ascents(
+            [M for M, _ in maps], self.dim, restarts=self.restarts,
+            max_iter=self.max_iter, rel_tol=self.rel_tol, seed=self.seed,
+            warms=[warm for _, warm in maps])
+        for key, res in zip(todo, results):
+            self._norm_cache[key] = res.value
 
     def random_observable(self, rng):
         from .operators import max_norm
@@ -358,24 +409,57 @@ def _golden_refine(f, a, b, rel_tol=1e-6, max_iter=80):
     return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
+def _golden_path(a, b, rel_tol=1e-6, max_iter=80):
+    """The points _golden_refine(f, a, b) visits, in order, when f rises
+    across them: a replay of its own arithmetic with a rising stand-in f."""
+    path = []
+
+    def rising(t):
+        path.append(t)
+        return len(path)
+
+    _golden_refine(rising, a, b, rel_tol=rel_tol, max_iter=max_iter)
+    return path
+
+
+def _refined_sup(dyn, f, key, ts, rel_tol=1e-6):
+    """f on the grid ts, and its golden-section refinement around the grid
+    maximum. Returns (grid values, argmax index, refined t, refined value).
+
+    f(t) is the backend norm under the cache key key(t), so the grid is
+    prefetched as one batch. When the grid maximum is the last point, the
+    points the refinement visits if f keeps rising (_golden_path) are
+    prefetched too; the refinement then reads them from the cache and
+    evaluates singly from the first point the prediction missed, so no
+    value depends on the prediction.
+    """
+    dyn.prefetch([key(t) for t in ts])
+    vals = [f(t) for t in ts]
+    k = int(np.argmax(vals))
+    a = ts[max(0, k - 1)]
+    b = ts[min(len(ts) - 1, k + 1)]
+    if k == len(ts) - 1:
+        dyn.prefetch([key(t) for t in _golden_path(a, b, rel_tol)])
+    t_ref, v_ref = _golden_refine(f, a, b, rel_tol=rel_tol)
+    return vals, k, t_ref, v_ref
+
+
 def change_measure(dyn, t_start, t_end, n_grid=33, refine_rel_tol=1e-6):
     """Windowed change sup_{t in [t_start, t_end]} ||e^{t_start L} - e^{t L}||.
 
     Contractivity reduces the pair supremum to distances from the window
-    start. Evaluated on a log grid, then refined by golden section around the
-    grid maximum. Returns (value, argmax time).
+    start. Evaluated on a log grid (one batched sweep at D >= 3), then
+    refined by golden section around the grid maximum. Returns (value,
+    argmax time).
     """
     if t_end < t_start:
         raise ValueError("window end before start")
     if t_end == t_start:
         return 0.0, t_start
     ts = _window_grid(t_start, t_end, n_grid)
-    vals = [dyn.distance(t_start, t) for t in ts]
-    k = int(np.argmax(vals))
-    a = ts[max(0, k - 1)]
-    b = ts[min(len(ts) - 1, k + 1)]
-    t_ref, v_ref = _golden_refine(lambda t: dyn.distance(t_start, t), a, b,
-                                  rel_tol=refine_rel_tol)
+    vals, k, t_ref, v_ref = _refined_sup(
+        dyn, lambda t: dyn.distance(t_start, t),
+        lambda t: ("pair", t_start, t), ts, rel_tol=refine_rel_tol)
     if v_ref >= vals[k]:
         return float(v_ref), float(t_ref)
     return float(vals[k]), float(ts[k])
@@ -387,11 +471,9 @@ def change_measure_doubling(dyn, t_start, t_end, n_grid=33):
     if t_end < 2 * t_start:
         return 0.0
     ts = _window_grid(t_start, t_end / 2.0, n_grid)
-    vals = [dyn.distance(t, 2 * t) for t in ts]
-    k = int(np.argmax(vals))
-    a = ts[max(0, k - 1)]
-    b = ts[min(len(ts) - 1, k + 1)]
-    _, v_ref = _golden_refine(lambda t: dyn.distance(t, 2 * t), a, b)
+    vals, k, _, v_ref = _refined_sup(
+        dyn, lambda t: dyn.distance(t, 2 * t), lambda t: ("pair", t, 2 * t),
+        ts)
     return float(max(vals[k], v_ref))
 
 
@@ -506,7 +588,8 @@ def classify_regime(dyn, t_start, t_end, n_grid=33, guard=VERDICT_GUARD,
     the identity and to the stationary projection must stay within one branch
     of their dichotomies across the window, with the upper thresholds relaxed
     by the change measure on the second half of the window. Cutoff constants
-    carry a guard band against discretization of the supremum.
+    carry a guard band against discretization of the supremum. The grids of
+    both distances are prefetched as one sweep (batched at D >= 3).
     """
     if not t_end >= 2 * t_start > 0:
         raise ValueError("window must satisfy t_end >= 2 t_start > 0")
@@ -533,6 +616,7 @@ def classify_regime(dyn, t_start, t_end, n_grid=33, guard=VERDICT_GUARD,
     lower, upper = change_thresholds(c_delta)
     ts = _window_grid(t_start, t_end, n_grid)
     first_half = ts <= t_end / 2.0 + 1e-12 * t_end
+    dyn.prefetch([(family, t) for family in ("ident", "stat") for t in ts])
     d_init = np.array([dyn.distance_to_identity(t) for t in ts])
     d_stat = np.array([dyn.distance_to_stationary(t) for t in ts])
 

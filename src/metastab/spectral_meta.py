@@ -15,7 +15,7 @@ import numpy as np
 from .modes import change_thresholds, linear_growth_inverse
 from .regimes import (CUTOFF_RELAXATION, change_measure, classify_regime,
                       relaxation_times, scan_metastable, timescales,
-                      TrivialDynamicsError, _golden_refine, _window_grid)
+                      TrivialDynamicsError, _refined_sup, _window_grid)
 
 
 class SeparationInconsistencyError(ValueError):
@@ -182,16 +182,6 @@ class SpectralProjectionReport:
         return out
 
 
-def _sup_on_window(f, t_start, t_end, n_grid):
-    ts = _window_grid(t_start, t_end, n_grid)
-    vals = [f(t) for t in ts]
-    k = int(np.argmax(vals))
-    a = ts[max(0, k - 1)]
-    b = ts[min(len(ts) - 1, k + 1)]
-    _, v_ref = _golden_refine(f, a, b)
-    return float(max(vals[k], v_ref)), ts, np.asarray(vals)
-
-
 def spectral_projection_report(dyn, m, t_start, t_end, n_grid=33, tol=1e-8):
     """Slow-mode projection error analysis on a window.
 
@@ -199,7 +189,8 @@ def spectral_projection_report(dyn, m, t_start, t_end, n_grid=33, tol=1e-8):
     measure of the extension is recomputed directly and also bounded by the
     linear-extension estimate). All weighted-dichotomy bounds gate on the
     numerically verified conditions rather than on their loosest a-priori
-    constants.
+    constants. Every grid distance the rows need is prefetched as one sweep
+    (batched at D >= 3).
     """
     lam, m_ss, _ = _spectrum_of(dyn)
     n_modes = lam.size
@@ -213,8 +204,24 @@ def spectral_projection_report(dyn, m, t_start, t_end, n_grid=33, tol=1e-8):
         c_rebound = c_orig
         c_delta = c_orig
 
-    proj_sup, ts, proj_vals = _sup_on_window(
-        lambda t: dyn.projector_distance(m, t), t_start, t_ext, n_grid)
+    nontrivial_fast = m < n_modes
+    nontrivial_slow = m > m_ss
+    # every distance below on a known time, as one batched sweep
+    ts = _window_grid(t_start, t_ext, n_grid)
+    half = [float(t) for t in ts[: max(2, len(ts) // 2)]]
+    keys = [(family, m, t) for family in ("proj", "drift", "fast")
+            for t in ts]
+    keys.append(("drift", m, 2.0 * t_start))
+    keys += [("fast", m, n * t) for t in half for n in (2, 3)]
+    if nontrivial_fast and nontrivial_slow:
+        keys += [(family, t) for family in ("ident", "stat") for t in ts]
+    dyn.prefetch(keys)
+
+    proj_vals, k, _, v_ref = _refined_sup(
+        dyn, lambda t: dyn.projector_distance(m, t), lambda t: ("proj", m, t),
+        ts)
+    proj_sup = float(max(proj_vals[k], v_ref))
+    proj_vals = np.asarray(proj_vals)
     drift_vals = np.asarray([dyn.slow_drift(m, float(t)) for t in ts])
     fast_vals = np.asarray([dyn.fast_residual(m, float(t)) for t in ts])
     drift_sup = float(drift_vals.max())
@@ -329,11 +336,10 @@ def spectral_projection_report(dyn, m, t_start, t_end, n_grid=33, tol=1e-8):
                           "inverse domain or projection not pinned"))
 
     # decay of the fast residual
-    for t in ts[: max(2, len(ts) // 2)]:
+    for t in half:
         for n in (2, 3):
-            add(BoundRow("ss_exp_P", float(t),
-                         dyn.fast_residual(m, n * float(t)),
-                         dyn.fast_residual(m, float(t)) ** n))
+            add(BoundRow("ss_exp_P", t, dyn.fast_residual(m, n * t),
+                         dyn.fast_residual(m, t) ** n))
 
     # projection-error versions of the change and distance bounds
     add(BoundRow("C_P3", math.nan, c_delta, 2.0 * c_p))
@@ -343,8 +349,6 @@ def spectral_projection_report(dyn, m, t_start, t_end, n_grid=33, tol=1e-8):
         add(BoundRow("C_P_IP", float(t), float(v), (2.0 + c_p) * c_p))
 
     contradiction = None
-    nontrivial_fast = m < n_modes
-    nontrivial_slow = m > m_ss
     if nontrivial_fast and nontrivial_slow:
         for t in ts:
             add(BoundRow("dist_0_P", float(t), 1.0 - c_p,
@@ -449,7 +453,9 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
     stationary_override substitutes a wrong stationary projection; it exists
     for negative-control tests and taints only the rows built on that
     projection. The battery then runs on dyn.with_stationary(...), a copy
-    with its own caches, so the backend passed in is never changed.
+    with its own caches, so the backend passed in is never changed. The
+    shared curves and subsampled rows are prefetched as one sweep (batched
+    at D >= 3); like every prefetch, this changes no value.
     """
     if stationary_override is not None:
         dyn = dyn.with_stationary(stationary_override)
@@ -493,7 +499,15 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
     rows = []
     add = rows.append
 
-    # shared curves over the grid
+    # shared curves over the grid, then subsampled rows that need distances
+    # at derived times: every point is known now, so one batched sweep
+    sub = [float(t) for t in grid[:: max(1, len(grid) // 6)]]
+    dyn.prefetch(
+        [(family, t) for family in ("ident", "stat") for t in grid]
+        + [("pair", t, 2.0 * t) for t in grid]
+        + [("ident", n * t) for t in sub for n in (2, 3, 4)]
+        + [("stat", n * t) for t in sub for n in (2, 3)]
+        + [("pair", t, t + t / 2.0) for t in sub])
     d_init = np.asarray([dyn.distance_to_identity(t) for t in grid])
     d_stat = np.asarray([dyn.distance_to_stationary(t) for t in grid])
     d_doubling = np.asarray([dyn.distance(t, 2.0 * t) for t in grid])
@@ -514,10 +528,7 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
             add(BoundRow("change_spectral_ss", float(t),
                          float(np.max(np.abs(lam_t[dyn.m_ss:]))), float(ds)))
 
-    # subsampled rows that need distances at derived times
-    sub = grid[:: max(1, len(grid) // 6)]
     for t in sub:
-        t = float(t)
         di = dyn.distance_to_identity(t)
         for n in (2, 3, 4):
             add(BoundRow("0_lin", t, dyn.distance_to_identity(n * t), n * di))

@@ -4,7 +4,8 @@ import scipy.optimize
 
 from metastab.models import SPIN_Z, random_lindbladian
 from metastab.models import SPIN_X, SPIN_Y
-from metastab.norms import (_alternating_ascent, _induced_norm_matrix,
+from metastab.norms import (LOCKSTEP_MAPS, _alternating_ascent,
+                            _alternating_ascents, _induced_norm_matrix,
                             correlator_superop, induced_norm_sampling_oracle,
                             induced_trace_norm, max_norm_induced,
                             measurement_superop_norm)
@@ -192,6 +193,56 @@ def test_restart_dispersion_reported(spin_spectral):
     res = induced_trace_norm(X)
     assert res.restart_values.size == res.restarts_used
     assert res.restart_dispersion >= 0.0
+
+
+# --- lockstep ascent over several maps ---------------------------------------
+
+def mixed_map_stack(dim):
+    """More than LOCKSTEP_MAPS (matrix, warm) pairs of one random model: pair
+    maps, warm-started ident and stat maps, proj and drift maps."""
+    from metastab.regimes import QuantumBackend
+
+    dyn = QuantumBackend(model=random_lindbladian(dim, 2, seed=3), seed=0)
+    m = dyn.valid_cuts()[-2]
+    keys = []
+    for t in np.geomspace(0.05, 40.0, 8):
+        keys += [("pair", t, 2.0 * t), ("pair", 0.5 * t, t), ("ident", t),
+                 ("stat", t), ("proj", m, t), ("drift", m, t)]
+    stack = [dyn._norm_map(key) for key in keys]
+    assert len(stack) > LOCKSTEP_MAPS
+    assert sum(warm is not None for _, warm in stack) == 16
+    return stack
+
+
+def assert_same_result(a, b):
+    for name in ("value", "iterations", "restarts_used", "converged", "exact"):
+        assert type(getattr(a, name)) is type(getattr(b, name)), name
+        assert getattr(a, name) == getattr(b, name), name
+    for name in ("witness_state", "witness_observable", "restart_values"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("max_iter", [200, 30])
+def test_lockstep_ascent_equals_single_map_ascent(dim, max_iter):
+    # every map of a stack (crossing a chunk boundary) gets, bit for bit, the
+    # result of its own single-map call, in either stack order: no map's
+    # cull, convergence or products see another map's chains
+    stack = mixed_map_stack(dim)
+    single = [_alternating_ascent(M, dim, warm=warm, max_iter=max_iter)
+              for M, warm in stack]
+    for order in (1, -1):
+        Ms = [M for M, _ in stack[::order]]
+        warms = [warm for _, warm in stack[::order]]
+        batch = _alternating_ascents(Ms, dim, warms=warms, max_iter=max_iter)
+        assert len(batch) == len(stack)
+        for got, want in zip(batch, single[::order]):
+            assert_same_result(got, want)
+    if max_iter == 30:
+        # the capped runs stop unconverged on some maps
+        assert not all(res.converged for res in single)
 
 
 # --- exact qubit norm on the backend path ------------------------------------

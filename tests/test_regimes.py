@@ -11,7 +11,8 @@ from metastab.regimes import (CUTOFF_RELAXATION, QuantumBackend, TimeGrid,
                               classify_regime, distinguishability_bounds,
                               observable_average_change, relaxation_times,
                               scan_metastable, state_change_measure,
-                              timescales, _window_grid)
+                              timescales, _golden_path, _golden_refine,
+                              _refined_sup, _window_grid)
 
 
 
@@ -170,6 +171,67 @@ def test_pair_distances_do_not_depend_on_evaluation_order():
     forward = {p: first.distance(*p) for p in pairs}
     backward = {p: second.distance(*p) for p in reversed(pairs)}
     assert forward == backward
+
+
+def test_pair_distance_does_not_depend_on_argument_order():
+    # a pair is always evaluated as E(earlier) - E(later); the ascent's value
+    # for the negated map differs in the last bits (here ...4316 vs ...4296)
+    model = random_lindbladian(3, 2, seed=0)
+    forward = QuantumBackend(model=model, seed=0).distance(0.1, 20.0)
+    backward = QuantumBackend(model=model, seed=0).distance(20.0, 0.1)
+    assert forward == backward
+
+
+def recording(f, visited):
+    def g(t):
+        visited.append(t)
+        return f(t)
+    return g
+
+
+@pytest.mark.parametrize("a, b, rel_tol", [(1.875, 2.0, 1e-6),
+                                           (0.3, 7.0, 1e-6),
+                                           (10.0, 10.5, 1e-3)])
+def test_golden_path_is_the_rising_refinement(a, b, rel_tol):
+    visited = []
+    _golden_refine(recording(math.exp, visited), a, b, rel_tol=rel_tol)
+    assert _golden_path(a, b, rel_tol=rel_tol) == visited
+
+
+class SweepStub:
+    """Backend stand-in for _refined_sup: norms of a scalar function g, a
+    cache, and a prefetch that fills the cache and records its keys."""
+
+    def __init__(self, g):
+        self.g, self.cache, self.prefetched = g, {}, []
+
+    def prefetch(self, keys):
+        for key in keys:
+            self.prefetched.append(key)
+            self.cache.setdefault(key, self.g(key[1]))
+
+    def value(self, t):
+        return self.cache.setdefault(("x", t), self.g(t))
+
+
+def test_refined_sup_when_the_golden_prediction_fails():
+    # the grid maximum is the last point, so the rising path is prefetched,
+    # but a bump inside the last bracket turns the refinement back; it must
+    # still return golden section's own result
+    def g(t):
+        return t + 0.5 * math.exp(-((t - 1.96) / 0.01) ** 2)
+
+    ts = np.linspace(1.0, 2.0, 9)
+    stub = SweepStub(g)
+    vals, k, t_ref, v_ref = _refined_sup(stub, stub.value, lambda t: ("x", t),
+                                         ts)
+    visited = []
+    want = _golden_refine(recording(g, visited), ts[-2], ts[-1])
+    assert k == len(ts) - 1 and vals == [g(t) for t in ts]
+    assert (t_ref, v_ref) == want and v_ref > vals[k]
+    predicted = _golden_path(ts[-2], ts[-1])
+    assert [key[1] for key in stub.prefetched] == list(ts) + predicted
+    assert set(visited) - set(predicted)
 
 
 def test_scan_refuses_trivial():

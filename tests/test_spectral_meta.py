@@ -184,6 +184,30 @@ def test_bound_battery_override_restores_backend_on_error(spin_model):
                                                               abs=1e-12)
 
 
+def test_batched_battery_caches_single_map_values(monkeypatch):
+    # at D = 3 the battery's sweeps are prefetched in batches; every cached
+    # norm must equal, bit for bit, what a fresh backend computes for that
+    # key alone
+    model = random_lindbladian(3, 2, seed=0)
+    batches = []
+    prefetch = QuantumBackend.prefetch
+
+    def counted(self, keys):
+        n_cached = len(self._norm_cache)
+        prefetch(self, keys)
+        batches.append(len(self._norm_cache) - n_cached)
+
+    monkeypatch.setattr(QuantumBackend, "prefetch", counted)
+    dyn = QuantumBackend(model=model, seed=0)
+    bound_battery(dyn, seed=0, scan_points=8, n_grid=17)
+    assert max(batches) > 32
+    fresh = QuantumBackend(model=model, seed=0)
+    keys = [key for key in dyn._norm_cache if key != ("gen",)]
+    assert len(keys) > sum(batches) > 100
+    for key in keys:
+        assert fresh._norm_of(key) == dyn._norm_cache[key], key
+
+
 def test_battery_csv_rows(spin_backend):
     rep = bound_battery(spin_backend, seed=0)
     rows = list(rep.csv_rows())
