@@ -21,7 +21,7 @@ def change_thresholds(c):
 def linear_growth_inverse(value, slope):
     """Invert f(x) = slope*x - e^x + 1 on its increasing branch [0, ln(slope)].
 
-    Bisection to 1e-13 in x. The domain endpoint is
+    One bracketed_root on [0, ln(slope)]. The domain endpoint is
     f(ln(slope)) = slope*ln(slope) - slope + 1.
     """
     if slope <= 1.0:
@@ -32,17 +32,8 @@ def linear_growth_inverse(value, slope):
         raise ValueError("value %r outside the invertible range [0, %r]" % (value, v_max))
     if value >= v_max:
         return x_hi
-    lo, hi = 0.0, x_hi
-    f = lambda x: slope * x - math.exp(x) + 1.0
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if f(mid) < value:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13:
-            break
-    return (lo + hi) / 2.0
+    return bracketed_root(lambda x: slope * x - math.exp(x) + 1.0 - value,
+                          0.0, x_hi)
 
 
 def inverse_bound(which, value):
@@ -72,8 +63,61 @@ class ModeRegimes:
     imag_bound: float | None
 
 
-def first_crossing(f, target, t_max, step, t_min=0.0, value_tol=1e-12, refine=60):
-    """First t in (t_min, t_max] with f(t) = target, by scan then bisection.
+def bracketed_root(f, a, b):
+    """Root of f in the bracket [a, b] by Brent's method (Brent 1973).
+
+    A step-for-step port of the zeroin variant in scipy.optimize.brentq: it
+    returns brentq's float for xtol = 1e-12 * max(|a|, |b|, 1e-300) and
+    rtol = 4 eps, without the memory and start-up cost of importing
+    scipy.optimize. Returns an endpoint where f is zero; raises ValueError
+    when f(a) and f(b) have the same sign and RuntimeError when 100
+    iterations do not converge.
+    """
+    xtol = 1e-12 * max(abs(a), abs(b), 1e-300)
+    rtol = 4.0 * np.finfo(float).eps
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if (fpre < 0.0) != (fcur < 0.0):  # a sign change: new bracket
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        # interpolate (secant, or inverse quadratic through three points)
+        # when that step is short enough; otherwise bisect
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) \
+                    / (dblk * dpre * (fblk - fpre))
+        if stry is not None \
+                and 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = float(f(xcur))
+    raise RuntimeError("bracketed_root: no convergence in 100 iterations")
+
+
+def first_crossing(f, target, t_max, step, t_min=0.0):
+    """First t in (t_min, t_max] with f(t) = target: a scan for the first
+    sign change of f - target, then one bracketed_root on that step.
 
     The scan step must resolve oscillations of f; returns None when no sign
     change of f - target is found up to t_max.
@@ -81,27 +125,13 @@ def first_crossing(f, target, t_max, step, t_min=0.0, value_tol=1e-12, refine=60
     t_lo = t_min
     f_lo = f(t_lo) - target
     steps = int(np.ceil((t_max - t_min) / step))
-    crossing = None
     for k in range(1, steps + 1):
         t_hi = min(t_min + k * step, t_max)
         f_hi = f(t_hi) - target
         if f_lo * f_hi <= 0.0 and (f_hi >= 0.0 or f_lo >= 0.0):
-            crossing = (t_lo, t_hi, f_lo, f_hi)
-            break
+            return bracketed_root(lambda t: f(t) - target, t_lo, t_hi)
         t_lo, f_lo = t_hi, f_hi
-    if crossing is None:
-        return None
-    a, b, fa, fb = crossing
-    for _ in range(refine):
-        m = (a + b) / 2.0
-        fm = f(m) - target
-        if abs(fm) <= value_tol and (b - a) <= 1e-12 * max(1.0, abs(m)):
-            return m
-        if fa * fm <= 0.0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return (a + b) / 2.0
+    return None
 
 
 def mode_regimes(lam, c):

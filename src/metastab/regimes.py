@@ -8,11 +8,11 @@ l1-induced norms).
 """
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .modes import change_thresholds, first_crossing
+from .modes import bracketed_root, change_thresholds, first_crossing
 from . import norms as _norms
 from .superop import build_liouvillian, spectral_decompose, vec
 
@@ -371,17 +371,12 @@ class TimescaleReport:
     tau_ss: float | None
     tau_dprime: float | None = None
     tau_prime: float | None = None
-    tau_0_bracket: tuple | None = None
-    tau_ss_bracket: tuple | None = None
     tau_0_residual: float | None = None
     tau_ss_residual: float | None = None
     absent: dict = field(default_factory=dict)
 
     def with_relaxation(self, tau_dprime, tau_prime):
-        import dataclasses
-
-        return dataclasses.replace(self, tau_dprime=tau_dprime,
-                                   tau_prime=tau_prime)
+        return replace(self, tau_dprime=tau_dprime, tau_prime=tau_prime)
 
 
 def _window_grid(t_start, t_end, n_points=33):
@@ -498,13 +493,14 @@ def observable_average_change(spec, rho0, obs, t_start, t_end, n_grid=129):
     return float((np.max(traj) - np.min(traj)) / max_norm(obs))
 
 
-def timescales(dyn, t_probe_max=None, value_tol=1e-6):
+def timescales(dyn, t_probe_max=None):
     """First crossings defining the shortest and final relaxation timescales.
 
     The shortest timescale is the first time the distance to the identity
-    reaches 1 - 1/e (scan then bisect; the distance may oscillate). The final
-    relaxation time is the first time the distance to the stationary
-    projection decays to 1/e (monotone, bracket then bisect).
+    reaches 1 - 1/e (first_crossing: a scan, since the distance may
+    oscillate, then Brent). The final relaxation time is the first time the
+    distance to the stationary projection decays to 1/e (monotone: a
+    doubling bracket, then bracketed_root).
     """
     lam = dyn.eigenvalues()
     if dyn.liouvillian_norm() <= 1e-14 or dyn.m_ss >= lam.size:
@@ -513,7 +509,6 @@ def timescales(dyn, t_probe_max=None, value_tol=1e-6):
     target_0 = 1.0 - 1.0 / math.e
     absent = {}
     tau_0 = tau_ss = None
-    bracket_0 = bracket_ss = None
     res_0 = res_ss = None
 
     if dyn.stationary_distance() < target_0 - 1e-12:
@@ -530,14 +525,13 @@ def timescales(dyn, t_probe_max=None, value_tol=1e-6):
         t_top = t_hi
         while t_cross is None and t_top <= 64 * t_hi:
             t_cross = first_crossing(f, target_0, t_max=1.05 * t_top,
-                                     step=step, value_tol=value_tol)
+                                     step=step)
             t_top *= 2
         if t_cross is None:
             absent["tau_0"] = "no crossing of 1 - 1/e located"
         else:
             tau_0 = float(t_cross)
             res_0 = abs(f(tau_0) - target_0)
-            bracket_0 = (max(0.0, tau_0 - step), tau_0 + step)
 
     target_ss = 1.0 / math.e
     t_lo = 0.0
@@ -558,24 +552,11 @@ def timescales(dyn, t_probe_max=None, value_tol=1e-6):
                                 "t = %.3g" % (dyn.distance_to_stationary(t_lo),
                                               t_lo))
         else:
-            a, b = t_lo, t_hi
-            for _ in range(200):
-                mid = (a + b) / 2.0
-                v = dyn.distance_to_stationary(mid)
-                if abs(v - target_ss) <= value_tol \
-                        and (b - a) <= 1e-12 * max(b, 1e-300):
-                    a = b = mid
-                    break
-                if v > target_ss:
-                    a = mid
-                else:
-                    b = mid
-            tau_ss = float((a + b) / 2.0)
+            tau_ss = bracketed_root(
+                lambda t: dyn.distance_to_stationary(t) - target_ss, t_lo, t_hi)
             res_ss = abs(dyn.distance_to_stationary(tau_ss) - target_ss)
-            bracket_ss = (a, b)
 
     return TimescaleReport(tau_0=tau_0, tau_ss=tau_ss,
-                           tau_0_bracket=bracket_0, tau_ss_bracket=bracket_ss,
                            tau_0_residual=res_0, tau_ss_residual=res_ss,
                            absent=absent)
 
@@ -734,13 +715,15 @@ def _merge_run(dyn, run, c_delta_max, n_grid):
             for v in merged]
 
 
-def relaxation_times(dyn, t_start, t_end, c_delta, value_tol=1e-6):
+def relaxation_times(dyn, t_start, t_end, c_delta):
     """Initial relaxation time and the onset time of the long-time dynamics.
 
     The first is the shortest time at which the distance to the window start
     map reaches 1/e - lower threshold; the second the shortest t >= t_start
-    at which it reaches 1 - 1/e - lower threshold. Requires the change
-    measure to be below the relaxation cutoff.
+    at which it reaches 1 - 1/e - lower threshold. The first is found by
+    first_crossing (a scan, then Brent), the second by a geometric bracket
+    and bracketed_root. Requires the change measure to be below the
+    relaxation cutoff.
     """
     if c_delta > CUTOFF_RELAXATION:
         raise ValueError("relaxation times require c_delta <= (1 - 1/e)/e")
@@ -752,38 +735,25 @@ def relaxation_times(dyn, t_start, t_end, c_delta, value_tol=1e-6):
     if dyn.max_imag() > 0:
         step = min(step, 0.35 / dyn.max_imag())
     # distance decreases from ~d_I(t_start) towards 0 at t -> t_start
-    tau_dprime = first_crossing(f, target_d, t_max=t_start, step=step,
-                                value_tol=value_tol)
+    tau_dprime = first_crossing(f, target_d, t_max=t_start, step=step)
 
     target_p = 1.0 - 1.0 / math.e - lower
     # after a metastable window the distance grows essentially monotonically
     # (fast-mode wiggles are bounded by the in-window change), so a geometric
-    # bracket plus bisection locates the crossing
+    # bracket plus bracketed_root locates the crossing
     tau_prime = None
     t_lo, f_lo = t_start, f(t_start) - target_p
     horizon = max(t_end, 2 * t_start)
     for _ in range(80):
         probes = np.geomspace(t_lo, horizon, 24)[1:]
-        bracket = None
         for t_hi in probes:
             f_hi = f(float(t_hi)) - target_p
             if f_lo * f_hi <= 0.0:
-                bracket = (t_lo, float(t_hi), f_lo, f_hi)
+                tau_prime = bracketed_root(lambda t: f(t) - target_p,
+                                           t_lo, float(t_hi))
                 break
             t_lo, f_lo = float(t_hi), f_hi
-        if bracket is not None:
-            a, b, fa, fb = bracket
-            for _ in range(200):
-                mid = (a + b) / 2.0
-                fm = f(mid) - target_p
-                if abs(fm) <= value_tol and (b - a) <= 1e-12 * max(b, 1e-300):
-                    a = b = mid
-                    break
-                if fa * fm <= 0.0:
-                    b, fb = mid, fm
-                else:
-                    a, fa = mid, fm
-            tau_prime = (a + b) / 2.0
+        if tau_prime is not None:
             break
         horizon *= 8.0
         if horizon > 1e9 * t_start:

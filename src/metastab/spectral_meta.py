@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modes import change_thresholds, linear_growth_inverse
+from .modes import change_thresholds, first_crossing, linear_growth_inverse
 from .regimes import (CUTOFF_RELAXATION, change_measure, classify_regime,
                       relaxation_times, scan_metastable, timescales,
                       TrivialDynamicsError, _refined_sup, _window_grid)
@@ -614,14 +614,12 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
 
     # shifted-initial-regime exclusion: windows whose length equals the
     # first-crossing time of the identity distance at a small accuracy
-    from .modes import first_crossing as _first_crossing
-
     for c_acc in (0.05, 0.15):
         step = (1.0 / (-lam.real[-1])) / 40.0
         if dyn.max_imag() > 0:
             step = min(step, 0.35 / dyn.max_imag())
-        span0 = _first_crossing(dyn.distance_to_identity, c_acc,
-                                t_max=2.0 / (-lam.real[-1]), step=step)
+        span0 = first_crossing(dyn.distance_to_identity, c_acc,
+                               t_max=2.0 / (-lam.real[-1]), step=step)
         if span0 is None:
             add(BoundRow("inherited_exclusion", math.nan, math.nan, math.nan,
                          applicable=False,

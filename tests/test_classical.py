@@ -217,3 +217,24 @@ def test_classical_battery_override_leaves_caller_caches_alone():
     assert_caches_untouched(dyn, snapshot)
     assert dyn.stationary_distance() == pytest.approx(4.0 / 3.0)
     assert np.allclose(dyn.stationary_matrix(), np.full((3, 3), 1.0 / 3.0))
+
+
+def test_classical_battery_negative_control_fires():
+    # a wrong stationary projection at l1 distance 0.133 from the true one:
+    # below 1, so rows like change2_ss (ds (1 - ds) <= d) can trip
+    dyn = classical_backend(three_state_double_well())
+    clean = bound_battery(dyn, seed=0)
+    bad = np.outer([0.4, 0.3, 0.3], np.ones(3))
+    assert l1_norm(bad - dyn.stationary_matrix()) == pytest.approx(2.0 / 15.0)
+    grid = [row.t for row in clean.rows if row.id == "change2_all"]
+    rep = bound_battery(dyn, grid=grid, seed=0,
+                        window=clean.context["window2"],
+                        window4=clean.context["window4"],
+                        stationary_override=bad)
+    # criterion 4's stationary-dependent rows (tests/test_acceptance.py)
+    targeted = {"change2_ss", "ss_exp", "change_spectral_ss", "spectral_tau",
+                "tau_order", "tau_prime_ratio", "dist_ss_P", "IPss",
+                "dprime_exp", "prime_lin", "meta_corr", "spectral_tau2",
+                "cdelta_bounded"}
+    failed = set(rep.failed_ids())
+    assert "change2_ss" in failed and failed <= targeted

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import metastab
 from metastab.cli import main
 
 SPIN_ARGS = ["--model", "builtin:spin_half", "--param", "gamma=1",
@@ -239,22 +242,41 @@ RANDOM_D4_ARGS = ["--model", "builtin:random_lindbladian", "--param", "dim=4",
 
 def test_random_detect_norm_calls(norm_calls, capsys):
     # 1 model normalisation + 1 generator norm (reused for the dispersion)
-    # + 97 in timescales (50 ident, 44 stat, 1 ident-stat, 2 warm-start
-    # witnesses) + 24 scan probes, each failing at its first, far-end
-    # distance
+    # + 28 in timescales (16 ident, 9 stat, 1 ident-stat, 2 warm-start
+    # witnesses; each crossing is a scan or doubling bracket, then Brent)
+    # + 24 scan probes, each failing at its first, far-end distance
     code, _, _ = run_cli(["detect"] + RANDOM_D4_ARGS, capsys)
     assert code == 0
-    assert len(norm_calls) == 123
+    assert len(norm_calls) == 54
 
 
 def test_spin_norm_calls(norm_calls, capsys):
-    # detect: 1 generator norm + 88 in timescales + 1,479 in the scan + 153
-    # in relaxation_times; verify-bounds: the battery with its two window
-    # scans, whose probes stop at their first over-budget distance
+    # detect: 1 generator norm + 16 in timescales + 1,479 in the scan + 87
+    # in relaxation_times; verify-bounds: 1 generator norm + 16 in
+    # timescales + 707 in its two window scans, whose probes stop at their
+    # first over-budget distance, + 94 in relaxation_times + 692 in the
+    # other battery rows
     code, _, _ = run_cli(["detect"] + SPIN_ARGS, capsys)
     assert code == 0
-    assert len(norm_calls) == 1721
+    assert len(norm_calls) == 1583
     norm_calls.clear()
     code, _, _ = run_cli(["verify-bounds"] + SPIN_ARGS, capsys)
     assert code == 0
-    assert len(norm_calls) == 1720
+    assert len(norm_calls) == 1510
+
+
+def test_analyses_do_not_import_scipy_optimize():
+    # every root search runs in metastab.modes.bracketed_root; importing
+    # scipy.optimize would add memory and start-up time to every command
+    script = ("import contextlib, io, sys\n"
+              "from metastab.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    assert main(['detect', '--model', 'builtin:spin_half']) == 0\n"
+              "    assert main(['classical-detect', '--model',\n"
+              "                 'builtin:double_well']) == 0\n"
+              "assert 'scipy.optimize' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(metastab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

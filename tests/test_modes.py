@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-from metastab.modes import (E1_DOMAIN_MAX, E2_DOMAIN_MAX, change_thresholds,
-                            first_crossing, inverse_bound,
+from metastab.modes import (E1_DOMAIN_MAX, E2_DOMAIN_MAX, bracketed_root,
+                            change_thresholds, first_crossing, inverse_bound,
                             linear_growth_inverse, mode_regimes)
 
 
@@ -173,3 +174,53 @@ def test_first_crossing_oscillatory():
     t = first_crossing(f, 0.5, t_max=5.0, step=0.01)
     assert t == pytest.approx(math.asin(0.5) / 3.0, abs=1e-9)
     assert first_crossing(f, 2.0, t_max=5.0, step=0.01) is None
+
+
+def _smooth_brackets(seed=0, per_family=80):
+    """Seeded (f, a, b) brackets over smooth functions with a sign change."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(per_family):
+        c = rng.uniform(-1.0, 1.0, 4)
+        w, phase = rng.uniform(0.5, 5.0), rng.uniform(0.0, 3.0)
+        shift, level = rng.uniform(-2.0, 2.0), rng.uniform(0.0, 0.38)
+        slope, x0 = rng.uniform(5.0, 200.0), rng.uniform(-1.0, 1.0)
+        fams = [lambda x, c=c: ((c[0] * x + c[1]) * x + c[2]) * x + c[3],
+                lambda x, w=w, p=phase: math.sin(w * x + p) - 0.3,
+                lambda x, s=shift: math.exp(x) - 1.5 + s,
+                lambda x, v=level: 2.0 * x - math.exp(x) + 1.0 - v,
+                lambda x, k=slope, x0=x0: math.tanh(k * (x - x0))]
+        for f in fams:
+            for a, b in np.sort(rng.uniform(-3.0, 3.0, (3, 2)), axis=1):
+                if f(a) * f(b) < 0.0:
+                    cases.append((f, float(a), float(b)))
+    # the bracket first_crossing's scan hands over for sin(3t) = 0.5
+    cases.append((lambda t: math.sin(3.0 * t) - 0.5, 17 * 0.01, 18 * 0.01))
+    return cases
+
+
+def test_bracketed_root_matches_brentq_bit_for_bit():
+    cases = _smooth_brackets()
+    assert len(cases) > 400
+    for f, a, b in cases:
+        xtol = 1e-12 * max(abs(a), abs(b), 1e-300)
+        want = scipy.optimize.brentq(f, a, b, xtol=xtol,
+                                     rtol=4 * np.finfo(float).eps)
+        assert bracketed_root(f, a, b) == want, (a, b)
+    sin_case = cases[-1]
+    assert first_crossing(lambda t: math.sin(3.0 * t), 0.5, t_max=5.0,
+                          step=0.01) == bracketed_root(*sin_case)
+
+
+def test_bracketed_root_endpoints_sign_and_cap():
+    f = lambda x: x * x - 0.25
+    assert bracketed_root(f, 0.5, 2.0) == 0.5
+    assert bracketed_root(f, 0.0, 0.5) == 0.5
+    with pytest.raises(ValueError):
+        bracketed_root(f, 1.0, 2.0)
+    # (x - 0.3)^9 is so flat at its root that brentq also stops at the cap
+    steep = lambda x: (x - 0.3) ** 9
+    with pytest.raises(RuntimeError):
+        scipy.optimize.brentq(steep, -1.0, 1.0, xtol=1e-12)
+    with pytest.raises(RuntimeError):
+        bracketed_root(steep, -1.0, 1.0)
