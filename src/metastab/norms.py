@@ -15,6 +15,15 @@ whenever any restart reaches the global optimum. _alternating_ascents runs
 the ascent on several maps in lockstep, with the same result for each map as
 a call of its own. induced_trace_norm always runs the ascent, at every
 dimension.
+
+Both coordinate maxima need eigen-information of a Hermitian D x D matrix.
+At D = 3, during the burn-in iterations, where each map runs all its
+restarts, the steps use closed forms evaluated along the whole stack: the
+trigonometric roots of the characteristic cubic, the sign operator from one
+spectral projector and the top eigenvector from a column of a product of
+shifted matrices. A matrix with a near-degenerate pair of eigenvalues goes
+to LAPACK eigh on its own. After burn-in (a few chains per map, where numpy's
+per-call overhead outweighs the saving) and at D >= 4, every step uses eigh.
 """
 import functools
 import math
@@ -87,6 +96,126 @@ def _seed_states(dim, n_restarts, seed, warm=None):
 def _batch_sign_observables(evals, evecs):
     signs = np.where(evals >= 0.0, 1.0, -1.0)
     return np.einsum("rik,rk,rjk->rij", evecs, signs, evecs.conj())
+
+
+def _sign_step(W):
+    """O-step by eigh: sum |lambda| and the sign operator of each W."""
+    evals, evecs = np.linalg.eigh(W)
+    return np.abs(evals).sum(axis=1), _batch_sign_observables(evals, evecs)
+
+
+def _top_eigvec(A):
+    """psi-step by eigh: a unit top eigenvector of each A."""
+    return np.linalg.eigh(A)[1][:, :, -1]
+
+
+# --- closed-form 3 x 3 steps -------------------------------------------------
+#
+# The helpers below work on the entries of a stack of n matrices as length-n
+# rows (the (3, 3, n) view W.transpose(1, 2, 0)), so that every numpy
+# operation runs along the stack. Each operation is elementwise in the matrix
+# index, and sums over entries are written out rather than left to a numpy
+# reduction: a matrix's result does not depend on the other matrices in the
+# stack. A matrix whose closest pair of eigenvalues lies within
+# CLOSED_FORM_MIN_GAP of its spectral norm goes to eigh instead, on its own.
+
+CLOSED_FORM_MIN_GAP = 1e-3
+# p^2 (the squared eigenvalue spread) is 0 for multiples of I and underflows
+# for tiny matrices; below this the cubic is not scaled and eigh takes over
+_CLOSED_FORM_TINY = 1e-200
+# arccos(x) / 3 + angle gives the top, middle and bottom eigenvalue
+_TRIG_ANGLES = np.array([[0.0], [-2.0 * np.pi / 3.0], [2.0 * np.pi / 3.0]])
+_EYE3 = np.eye(3)[:, :, None]
+_UPPER3 = np.array([1, 2, 5])   # W01, W02, W12 in a flattened 3 x 3 matrix
+
+
+def _eigvalsh3(W):
+    """Eigenvalues of a stack of Hermitian 3 x 3 matrices as rows top,
+    middle, bottom, and the mask of the matrices that need eigh.
+
+    Trigonometric solution of the characteristic cubic (Smith 1961; Kopp
+    2008, arXiv:physics/0610206): with m = tr W / 3, B = W - m I,
+    p^2 = tr(B^2) / 6 and x = det(B) / (2 p^3), the eigenvalues are
+    m + 2 p cos(arccos(x) / 3 + angle) for the three _TRIG_ANGLES. Errors
+    stay at round-off times ||W|| except inside a near-degenerate pair, where
+    arccos amplifies them; such matrices are in the mask.
+    """
+    flat = W.reshape(-1, 9)
+    d = flat[:, ::4].T.real
+    off = flat.take(_UPPER3, axis=1).T
+    m = (d[0] + d[1] + d[2]) / 3
+    e = d - m                                   # diagonal of B
+    off2 = off.real ** 2 + off.imag ** 2
+    e2 = e * e
+    p2 = (e2[0] + e2[1] + e2[2]) / 6 + (off2[0] + off2[1] + off2[2]) / 3
+    tiny = p2 < _CLOSED_FORM_TINY
+    p2 = np.maximum(p2, _CLOSED_FORM_TINY)
+    p = np.sqrt(p2)
+    # W01 W12 W20 + its conjugate is the cyclic term of the determinant
+    det = (e[0] * (e[1] * e[2] - off2[2]) - e[1] * off2[1] - e[2] * off2[0]
+           + 2 * (off[0] * off[2] * flat[:, 6]).real)
+    x = np.minimum(np.maximum(det / (2 * p2 * p), -1.0), 1.0)
+    lam = np.cos(np.arccos(x) / 3 + _TRIG_ANGLES) * (2 * p)
+    lam += m
+    top, mid, bot = lam
+    gap = np.minimum(top - mid, mid - bot)
+    return lam, (gap <= CLOSED_FORM_MIN_GAP * np.maximum(top, -bot)) | tiny
+
+
+def _sign_step3(W):
+    """Closed-form O-step at D = 3: sum |lambda| and the sign operator.
+
+    sigma, the sign of the middle eigenvalue, is the majority sign. When the
+    outer eigenvalue on the other side of the middle one (lone) has the
+    opposite sign, sign(W) = sigma (I - 2 P) with its spectral projector
+    P = (W - mid)(W - far) / ((lone - mid)(lone - far)); otherwise
+    sign(W) = sigma I.
+    """
+    lam, needs_eigh = _eigvalsh3(W)
+    top, mid, bot = lam
+    majority = mid >= 0
+    lone = np.where(majority, bot, top)
+    far = np.where(majority, top, bot)
+    sigma = majority * 2.0 - 1.0
+    H = W.transpose(1, 2, 0)
+    B, C = H - _EYE3 * mid, H - _EYE3 * far
+    # 0 / 0 only on degenerate matrices, which eigh redoes below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = ((sigma * ((top >= 0) & (bot < 0)) * -2.0)
+                / ((lone - mid) * (lone - far)))
+        # B @ C as three broadcast outer products
+        obs = (B[:, 0, None] * C[0] + B[:, 1, None] * C[1]
+               + B[:, 2, None] * C[2]) * coef
+    obs += _EYE3 * sigma
+    obs = obs.transpose(2, 0, 1)
+    values = abs(top) + abs(mid) + abs(bot)
+    if needs_eigh.any():
+        values[needs_eigh], obs[needs_eigh] = _sign_step(W[needs_eigh])
+    return values, obs
+
+
+def _top_eigvec3(A):
+    """Closed-form psi-step at D = 3: a unit top eigenvector of each A.
+
+    (A - lam_2)(A - lam_3) = (lam_1 - lam_2)(lam_1 - lam_3) v v^dag, so its
+    column of largest norm, the one with the largest diagonal entry, is v up
+    to scale and phase.
+    """
+    lam, needs_eigh = _eigvalsh3(A)
+    H = A.transpose(1, 2, 0)
+    B = H - _EYE3 * lam[1]
+    C = H - _EYE3 * lam[2]
+    diag = (B * C.conj()).real                  # C is Hermitian
+    col = (diag[:, 0] + diag[:, 1] + diag[:, 2]).argmax(axis=0)
+    terms = B * C[:, col, np.arange(col.size)]
+    v = terms[:, 0] + terms[:, 1] + terms[:, 2]
+    v2 = v.real ** 2 + v.imag ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v /= np.sqrt(v2[0] + v2[1] + v2[2])
+    v = v.T
+    if needs_eigh.any():
+        v[needs_eigh] = _top_eigvec(A[needs_eigh])
+    return v
 
 
 def _induced_norm_matrix(M, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
@@ -209,10 +338,11 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
                          burn_in=25, keep_after_burn_in=4):
     """Alternating ascent on T raw D^2 x D^2 matrices at once.
 
-    The T maps x R restarts advance in lockstep through batched
-    eigendecompositions, at most LOCKSTEP_MAPS maps per pass. Chains are
-    stored map after map, so each map's working chains form one contiguous
-    block, and each block is multiplied by its own matrix in a plain gemm.
+    The T maps x R restarts advance in lockstep through batched coordinate
+    steps (closed forms or eigh), at most LOCKSTEP_MAPS maps per pass. Chains
+    are stored map after map, so each map's working chains form one
+    contiguous block, and each block is multiplied by its own matrix in a
+    plain gemm.
     Every map keeps its own seed states and warm start (warms[k]), its own
     convergence, and its own burn-in cull: after burn_in iterations the
     laggard chains of a map (strictly behind that map's leaders) are frozen
@@ -256,19 +386,20 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
     while it < max_iter and work.size:
         it += 1
         n = work.size
+        # closed forms while maps run all their restarts; the choice rests on
+        # dim and it alone, never on the stack, like each matrix's fallback
+        closed_form = dim == 3 and it <= burn_in
         # coordinate step in O: sign observable of X(psi psi^dag)
         rho = psi[:, :, None] * psi[:, None, :].conj()          # rho[r,i,j]
         rho_vec = rho.transpose(0, 2, 1).reshape(n, dim * dim)  # column stacking
         W = _blockwise_product(rho_vec, Mts, bounds)
         W = W.reshape(n, dim, dim).transpose(0, 2, 1)
         W = (W + W.conj().transpose(0, 2, 1)) / 2
-        evals, evecs = np.linalg.eigh(W)
-        new_values = np.abs(evals).sum(axis=1)
+        new_values, obs = (_sign_step3 if closed_form else _sign_step)(W)
         prev = values_full[work]
         # ascent monotonicity is a structural property; tolerate round-off only
         if np.any(new_values < prev - 1e-9 * np.maximum(1.0, prev)):
             raise AssertionError("alternating ascent objective decreased")
-        obs = _batch_sign_observables(evals, evecs)
         values_full[work] = new_values
         obs_full[work] = obs
         psi_full[work] = psi
@@ -304,8 +435,7 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
         A = _blockwise_product(obs_vec, Mcs, bounds)
         A = A.reshape(n, dim, dim).transpose(0, 2, 1)
         A = (A + A.conj().transpose(0, 2, 1)) / 2
-        a_evals, a_evecs = np.linalg.eigh(A)
-        psi = a_evecs[:, :, -1]
+        psi = (_top_eigvec3 if closed_form else _top_eigvec)(A)
 
     results = []
     for k in range(T):

@@ -55,6 +55,14 @@ def spin_backend(spin_model):
     return QuantumBackend(model=spin_model, seed=0)
 
 
+# battery rows that depend on the stationary projection: a wrong projection
+# may fail these and only these (acceptance criterion 4's negative control)
+CRITERION_4_TARGETED = frozenset({
+    "change2_ss", "ss_exp", "change_spectral_ss", "spectral_tau", "tau_order",
+    "tau_prime_ratio", "dist_ss_P", "IPss", "dprime_exp", "prime_lin",
+    "meta_corr", "spectral_tau2", "cdelta_bounded"})
+
+
 def random_hermitian(rng, dim):
     G = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (G + G.conj().T) / 2

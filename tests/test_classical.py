@@ -17,7 +17,8 @@ from metastab.superop import (DefectiveLiouvillianError, InvalidCutError,
                               Superoperator, build_liouvillian,
                               spectral_decompose)
 
-from conftest import assert_caches_untouched, cache_snapshot
+from conftest import (CRITERION_4_TARGETED, assert_caches_untouched,
+                      cache_snapshot)
 
 
 def symmetric_two_state(a=1.0):
@@ -231,10 +232,5 @@ def test_classical_battery_negative_control_fires():
                         window=clean.context["window2"],
                         window4=clean.context["window4"],
                         stationary_override=bad)
-    # criterion 4's stationary-dependent rows (tests/test_acceptance.py)
-    targeted = {"change2_ss", "ss_exp", "change_spectral_ss", "spectral_tau",
-                "tau_order", "tau_prime_ratio", "dist_ss_P", "IPss",
-                "dprime_exp", "prime_lin", "meta_corr", "spectral_tau2",
-                "cdelta_bounded"}
     failed = set(rep.failed_ids())
-    assert "change2_ss" in failed and failed <= targeted
+    assert "change2_ss" in failed and failed <= CRITERION_4_TARGETED

@@ -5,7 +5,9 @@ import scipy.optimize
 from metastab.models import SPIN_Z, random_lindbladian
 from metastab.models import SPIN_X, SPIN_Y
 from metastab.norms import (LOCKSTEP_MAPS, _alternating_ascent,
-                            _alternating_ascents, _induced_norm_matrix,
+                            _alternating_ascents, _eigvalsh3,
+                            _induced_norm_matrix, _sign_step, _sign_step3,
+                            _top_eigvec, _top_eigvec3,
                             correlator_superop, induced_norm_sampling_oracle,
                             induced_trace_norm, max_norm_induced,
                             measurement_superop_norm)
@@ -243,6 +245,109 @@ def test_lockstep_ascent_equals_single_map_ascent(dim, max_iter):
     if max_iter == 30:
         # the capped runs stop unconverged on some maps
         assert not all(res.converged for res in single)
+
+
+def degenerate_maps(dim):
+    """(matrix, warm) pairs whose X(psi psi^dag) is degenerate for every psi:
+    the zero map, the identity map and rho -> Tr(rho) I / dim."""
+    flat_eye = vec(np.eye(dim))
+    return [(np.zeros((dim * dim, dim * dim), dtype=complex), None),
+            (np.eye(dim * dim, dtype=complex), None),
+            (np.outer(flat_eye, flat_eye.conj()) / dim, None)]
+
+
+def test_lockstep_ascent_with_degenerate_maps_equals_single_map_ascent():
+    # degenerate maps take eigh on every closed-form step at D = 3; mixed
+    # into a stack of ordinary maps, every map still gets its single-map
+    # result bit for bit, in either order
+    stack = degenerate_maps(3) + mixed_map_stack(3)
+    single = [_alternating_ascent(M, 3, warm=warm) for M, warm in stack]
+    assert [res.value for res in single[:3]] == pytest.approx([0.0, 1.0, 1.0],
+                                                              abs=1e-12)
+    for order in (1, -1):
+        Ms = [M for M, _ in stack[::order]]
+        warms = [warm for _, warm in stack[::order]]
+        batch = _alternating_ascents(Ms, 3, warms=warms)
+        for got, want in zip(batch, single[::order]):
+            assert_same_result(got, want)
+
+
+# --- closed-form 3 x 3 steps -------------------------------------------------
+
+def rotated(rng, eigenvalues):
+    """Exactly Hermitian U diag(eigenvalues) U^dag, U random unitary."""
+    G = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    U, _ = np.linalg.qr(G)
+    H = (U * np.asarray(eigenvalues, dtype=float)) @ U.conj().T
+    return (H + H.conj().T) / 2
+
+
+def closed_form_cases():
+    """label -> (stack of Hermitian 3 x 3 matrices, whether they take eigh)."""
+    rng = np.random.default_rng(11)
+    near = []
+    for delta in (1e-8, 1e-10, 1e-12, 1e-14):
+        near += [rotated(rng, [1.0, 1.0 + delta, -0.7]),
+                 rotated(rng, [-2.0, 0.5, 0.5 - delta]),
+                 rotated(rng, [-delta / 2, delta / 2, 1.0])]
+    scales = 10.0 ** rng.uniform(-6, 3, size=200)
+    return {
+        "random": (np.array([random_hermitian(rng, 3) * scale
+                             for scale in scales]), False),
+        "near_degenerate": (np.array(near), True),
+        "degenerate": (np.array(
+            [np.zeros((3, 3)), 2.5 * np.eye(3), -0.3 * np.eye(3),
+             np.diag([0.7, 0.7, -0.2]), np.diag([-1.0, 3.0, -1.0]),
+             rotated(rng, [0.4, -0.9, -0.9])], dtype=complex), True),
+        "same_sign": (np.array([rotated(rng, [0.3, 1.1, 2.0]),
+                                rotated(rng, [-0.5, -1.4, -3.0]),
+                                np.diag([1.0, 2.0, 3.0]).astype(complex)]),
+                      False),
+        "lone_sign_near_zero": (np.array(
+            [rotated(rng, [-1e-9, 0.4, 1.0]), rotated(rng, [1e-9, -0.5, -1.2]),
+             rotated(rng, [-1e-12, 0.3, 0.9]),
+             rotated(rng, [2e-12, -0.6, -1.0])]), False),
+        "underflow": (np.array([random_hermitian(rng, 3) * 1e-120]), True),
+    }
+
+
+@pytest.mark.parametrize("label", list(closed_form_cases()))
+def test_closed_form_steps_match_eigh(label):
+    W, takes_eigh = closed_form_cases()[label]
+    ref = np.linalg.eigvalsh(W)[:, ::-1]
+    scale = np.abs(ref).max(axis=1)
+    lam, needs_eigh = _eigvalsh3(W)
+    assert np.all(needs_eigh == takes_eigh)
+    closed = ~needs_eigh
+    assert np.all(np.abs(lam.T - ref)[closed] <= 1e-12 * scale[closed, None])
+
+    values, obs = _sign_step3(W)
+    ref_values, ref_obs = _sign_step(W)
+    assert np.all(np.abs(values - ref_values) <= 1e-12 * scale)
+    assert np.abs(obs - ref_obs).max() <= 1e-12
+    if label == "same_sign":
+        assert np.array_equal(obs, np.sign(ref[:, :1, None]) * np.eye(3))
+
+    psi = _top_eigvec3(W)
+    assert np.allclose(np.linalg.norm(psi, axis=1), 1.0, rtol=0, atol=1e-14)
+    overlap = np.abs(np.einsum("ri,ri->r", psi.conj(), _top_eigvec(W)))
+    assert np.all(overlap >= 1 - 1e-12)
+
+
+def test_closed_form_steps_do_not_depend_on_the_stack():
+    # what the lockstep ascent relies on: a matrix gets the same bits alone,
+    # in a short stack and in a long one, at any position
+    W = np.concatenate([stack for stack, _ in closed_form_cases().values()])
+    values, obs = _sign_step3(W)
+    psi = _top_eigvec3(W)
+    for k in range(len(W)):
+        for lo, hi in ((k, k + 1), (max(0, k - 2), k + 3)):
+            v, o = _sign_step3(W[lo:hi].copy())
+            p = _top_eigvec3(W[lo:hi].copy())
+            j = k - lo
+            assert v[j].tobytes() == values[k].tobytes()
+            assert o[j].tobytes() == obs[k].tobytes()
+            assert p[j].tobytes() == psi[k].tobytes()
 
 
 # --- exact qubit norm on the backend path ------------------------------------

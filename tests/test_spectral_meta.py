@@ -184,6 +184,7 @@ def test_bound_battery_override_restores_backend_on_error(spin_model):
                                                               abs=1e-12)
 
 
+@pytest.mark.slow
 def test_batched_battery_caches_single_map_values(monkeypatch):
     # at D = 3 the battery's sweeps are prefetched in batches; every cached
     # norm must equal, bit for bit, what a fresh backend computes for that
