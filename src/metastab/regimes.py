@@ -635,8 +635,11 @@ def scan_metastable(dyn, c_delta_max=0.1, ratio=2.0, grid=None, n_grid=33,
     """Slide windows (t, ratio t) over a grid and return Metastable verdicts.
 
     Each window is first probed on a coarse grid: a window with any distance
-    d(t, s) above c_delta_max is dropped without classification, and the
-    probe stops at the first such distance. Windows classified Metastable
+    d(t, s) above c_delta_max is dropped without classification, and its
+    probe stops at the first such distance. The probe runs in rounds across
+    windows, one prefetch (a batched ascent at D >= 3) per round for the
+    next distance of every window still within budget; the windows that
+    pass are then classified in grid order. Windows classified Metastable
     with a change measure above c_delta_max are dropped too. Adjacent
     Metastable windows are merged when the merged span still classifies
     Metastable. Output is ordered by ascending window start.
@@ -658,23 +661,22 @@ def scan_metastable(dyn, c_delta_max=0.1, ratio=2.0, grid=None, n_grid=33,
 
     grid = np.sort(grid)
 
-    def probe(t):
-        # pre-screen: does any coarse-grid distance from t exceed the budget?
-        # Checked far end first, where the distance is usually largest, and
-        # stopped at the first excess. The predicate, hence every verdict, is
-        # the same in any order, and skipping a distance changes no value a
-        # later analysis computes: a distance depends on its arguments alone
-        # (no warm start, fixed restart seeds)
-        probe_ts = _window_grid(t, ratio * t, max(7, n_grid // 2))
-        if any(dyn.distance(t, s) > c_delta_max for s in probe_ts[::-1]):
-            return None
-        return classify_regime(dyn, t, ratio * t, n_grid=n_grid,
-                               with_doubling=False)
-
-    verdicts = [probe(t) for t in grid]
-    hits = [(i, v) for i, v in enumerate(verdicts)
-            if v is not None and v.verdict == "Metastable"
-            and v.c_delta <= c_delta_max]
+    # far end first, where the distance is usually largest. The maps are
+    # those of a window-by-window probe, and a distance depends on its
+    # arguments alone (no warm start, fixed restart seeds), so neither the
+    # batching nor the order changes any value a later analysis computes
+    n_probe = max(7, n_grid // 2)
+    probes = [_window_grid(t, ratio * t, n_probe)[::-1] for t in grid]
+    alive = range(len(grid))
+    for k in range(n_probe):
+        dyn.prefetch([("pair", grid[i], probes[i][k]) for i in alive])
+        alive = [i for i in alive
+                 if not dyn.distance(grid[i], probes[i][k]) > c_delta_max]
+    verdicts = [(i, classify_regime(dyn, grid[i], ratio * grid[i],
+                                    n_grid=n_grid, with_doubling=False))
+                for i in alive]
+    hits = [(i, v) for i, v in verdicts
+            if v.verdict == "Metastable" and v.c_delta <= c_delta_max]
     if not hits:
         return []
     if not merge:

@@ -149,7 +149,8 @@ class BoundRow:
         return self.rhs - self.lhs
 
     def passed(self, tol):
-        return (not self.applicable) or self.slack >= -tol
+        # a Python bool, also for numpy slacks, so JSON writes true / false
+        return bool((not self.applicable) or self.slack >= -tol)
 
 
 @dataclass(frozen=True)
@@ -213,6 +214,7 @@ def spectral_projection_report(dyn, m, t_start, t_end, n_grid=33, tol=1e-8):
             for t in ts]
     keys.append(("drift", m, 2.0 * t_start))
     keys += [("fast", m, n * t) for t in half for n in (2, 3)]
+    keys += [("pnorm", m), ("ipnorm", m), ("pgen", m)]
     if nontrivial_fast and nontrivial_slow:
         keys += [(family, t) for family in ("ident", "stat") for t in ts]
     dyn.prefetch(keys)
@@ -541,10 +543,13 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
         margins = spectrum_change_bound_check(dyn, dyn, t, 2.0 * t)
         add(BoundRow("change_spectral", t, float(-np.min(margins)), 0.0))
 
+    # all four random pairs are drawn first (t1, then t2, pair by pair), so
+    # their distances are prefetched as one batch
     rng = np.random.default_rng([int(seed), 101])
-    for _ in range(4):
-        t1 = float(rng.uniform(grid[0], grid[-1]))
-        t2 = float(rng.uniform(grid[0], grid[-1]))
+    pairs = [(float(rng.uniform(grid[0], grid[-1])),
+              float(rng.uniform(grid[0], grid[-1]))) for _ in range(4)]
+    dyn.prefetch([("pair", t1, t2) for t1, t2 in pairs])
+    for t1, t2 in pairs:
         margins = spectrum_change_bound_check(dyn, dyn, t1, t2)
         add(BoundRow("change_spectral", t1, float(-np.min(margins)), 0.0))
 

@@ -124,6 +124,17 @@ def test_verify_bounds_spin_exits_0(tmp_path, capsys):
     assert all(line.rsplit(",", 1)[1] == "1" for line in lines[2:])
 
 
+def test_verify_bounds_json_pass_is_boolean(capsys):
+    # numpy slacks must not turn "pass" into the string "True" or "False"
+    code, out, err = run_cli(["verify-bounds", "--model",
+                              "builtin:random_lindbladian", "--param", "dim=3",
+                              "--param", "n_jumps=2", "--seed", "0",
+                              "--format", "json"], capsys)
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    assert rows and all(type(row["pass"]) is bool for row in rows)
+
+
 def test_heisenberg_csv(capsys):
     code, out, _ = run_cli(["heisenberg"] + SPIN_ARGS +
                            ["--observable", "sz", "--tmin", "1",
@@ -220,20 +231,36 @@ def test_usage_error_exits_2(capsys):
 
 @pytest.fixture
 def norm_calls(monkeypatch):
-    """Counts induced-norm oracle calls, model normalisation included."""
-    import metastab.models
+    """Counts the maps the induced-norm oracle evaluates, model normalisation
+    included: qubit closed forms and ascent maps, single or batched, each
+    once. "ascents" counts top-level ascent calls, one per single map or
+    batch."""
     import metastab.norms
 
-    calls = []
-    inner = metastab.norms._induced_norm_matrix
+    counts = {"maps": 0, "ascents": 0}
+    depth = [0]
+    ascents = metastab.norms._alternating_ascents
+    qubit = metastab.norms._qubit_induced_norm
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return inner(*args, **kwargs)
+    def counted_ascents(Ms, *args, **kwargs):
+        # batches above LOCKSTEP_MAPS recurse through this name in chunks
+        if not depth[0]:
+            counts["maps"] += len(Ms)
+            counts["ascents"] += 1
+        depth[0] += 1
+        try:
+            return ascents(Ms, *args, **kwargs)
+        finally:
+            depth[0] -= 1
 
-    monkeypatch.setattr(metastab.norms, "_induced_norm_matrix", counted)
-    monkeypatch.setattr(metastab.models, "_induced_norm_matrix", counted)
-    return calls
+    def counted_qubit(M):
+        counts["maps"] += 1
+        return qubit(M)
+
+    monkeypatch.setattr(metastab.norms, "_alternating_ascents",
+                        counted_ascents)
+    monkeypatch.setattr(metastab.norms, "_qubit_induced_norm", counted_qubit)
+    return counts
 
 
 RANDOM_D4_ARGS = ["--model", "builtin:random_lindbladian", "--param", "dim=4",
@@ -244,10 +271,11 @@ def test_random_detect_norm_calls(norm_calls, capsys):
     # 1 model normalisation + 1 generator norm (reused for the dispersion)
     # + 28 in timescales (16 ident, 9 stat, 1 ident-stat, 2 warm-start
     # witnesses; each crossing is a scan or doubling bracket, then Brent)
-    # + 24 scan probes, each failing at its first, far-end distance
+    # + 24 scan probes, each failing at its first, far-end distance: 30
+    # single ascents and one 24-map scan round
     code, _, _ = run_cli(["detect"] + RANDOM_D4_ARGS, capsys)
     assert code == 0
-    assert len(norm_calls) == 54
+    assert norm_calls == {"maps": 54, "ascents": 31}
 
 
 def test_spin_norm_calls(norm_calls, capsys):
@@ -258,11 +286,11 @@ def test_spin_norm_calls(norm_calls, capsys):
     # other battery rows
     code, _, _ = run_cli(["detect"] + SPIN_ARGS, capsys)
     assert code == 0
-    assert len(norm_calls) == 1583
-    norm_calls.clear()
+    assert norm_calls["maps"] == 1583
+    norm_calls["maps"] = 0
     code, _, _ = run_cli(["verify-bounds"] + SPIN_ARGS, capsys)
     assert code == 0
-    assert len(norm_calls) == 1510
+    assert norm_calls["maps"] == 1510
 
 
 def test_analyses_do_not_import_scipy_optimize():

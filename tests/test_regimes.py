@@ -234,6 +234,75 @@ def test_refined_sup_when_the_golden_prediction_fails():
     assert set(visited) - set(predicted)
 
 
+def window_by_window_scan(dyn, grid, c_delta_max, ratio, n_grid):
+    """Reference screen: each window's probe distances far end first,
+    stopping at its first excess, then classify_regime, one window at a
+    time. Returns the verdicts and, per window, the probe maps evaluated."""
+    verdicts, probe_maps = [], []
+    for t in np.sort(grid):
+        probe_ts = _window_grid(t, ratio * t, max(7, n_grid // 2))[::-1]
+        seen = []
+
+        def over(s):
+            seen.append(s)
+            return dyn.distance(t, s) > c_delta_max
+
+        excess = any(over(s) for s in probe_ts)
+        probe_maps.append(sum(1 for s in seen if s != t))
+        if not excess:
+            verdicts.append(classify_regime(dyn, t, ratio * t, n_grid=n_grid,
+                                            with_doubling=False))
+    return verdicts, probe_maps
+
+
+def test_scan_probe_rounds_match_the_window_by_window_probe(monkeypatch):
+    # windows at 0.74 and 2.3 fail their first, far-end probe; the one at
+    # 22.4 fails its fourth; the last three pass all six probe maps
+    import metastab.norms
+    import metastab.regimes
+
+    model = random_lindbladian(3, 2, seed=0)
+    grid = [0.74, 2.3, 22.4, 39.5, 69.7, 123.0]
+    kw = dict(c_delta_max=0.175, ratio=2.0, n_grid=15)
+    ref = QuantumBackend(model=model, seed=0)
+    ref_verdicts, probe_maps = window_by_window_scan(ref, grid, **kw)
+    assert probe_maps == [1, 1, 4, 6, 6, 6]
+
+    ascents = []
+    at_classify = []
+    classified = []
+    inner_ascents = metastab.norms._alternating_ascents
+    inner_classify = metastab.regimes.classify_regime
+
+    def counted_ascents(Ms, *args, **kwargs):
+        ascents.append(len(Ms))
+        return inner_ascents(Ms, *args, **kwargs)
+
+    def recorded_classify(*args, **kwargs):
+        at_classify.append(len(ascents))
+        classified.append(inner_classify(*args, **kwargs))
+        return classified[-1]
+
+    monkeypatch.setattr(metastab.norms, "_alternating_ascents",
+                        counted_ascents)
+    monkeypatch.setattr(metastab.regimes, "classify_regime",
+                        recorded_classify)
+    dyn = QuantumBackend(model=model, seed=0)
+    hits = scan_metastable(dyn, grid=grid, merge=False, **kw)
+
+    assert dyn._norm_cache.keys() == ref._norm_cache.keys()
+    assert all(dyn._norm_cache[key] == ref._norm_cache[key]
+               for key in ref._norm_cache)
+    assert repr(classified) == repr(ref_verdicts)
+    assert repr(hits) == repr([v for v in ref_verdicts
+                               if v.verdict == "Metastable"
+                               and v.c_delta <= kw["c_delta_max"]])
+    # one batched ascent per round, not one per window and probe distance
+    probe_ascents = ascents[:at_classify[0]]
+    assert len(probe_ascents) == max(probe_maps)
+    assert probe_ascents == [6, 4, 4, 4, 3, 3]
+
+
 def test_scan_refuses_trivial():
     Q = np.zeros((3, 3))
     with pytest.raises(TrivialDynamicsError):
