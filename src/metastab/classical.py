@@ -10,12 +10,11 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .norms import InducedNormResult
 from .regimes import DynamicsBackend
-from .superop import (DEFECT_TOL, DefectiveLiouvillianError, SpectralData,
-                      _sort_order)
+from .superop import (DEFECT_TOL, DefectiveLiouvillianError, QuantumModel,
+                      SpectralData, _sort_order)
 
 
 @dataclass(frozen=True)
@@ -42,6 +41,10 @@ class ClassicalGenerator:
 
 def classical_evolution(generator, t):
     """Column-stochastic transition matrix e^{tQ}."""
+    # imported here, so that the quantum commands load no scipy; a repeat
+    # import is a sys.modules lookup
+    import scipy.linalg
+
     if t < 0:
         raise ValueError("the dynamics is a semigroup: t must be >= 0")
     return scipy.linalg.expm(t * generator.rates)
@@ -125,8 +128,6 @@ def classical_backend(generator, zero_tol=None):
 def embed_as_lindbladian(generator):
     """Classical jumps as a dephasing-free quantum model: J_ij = sqrt(Q_ij)
     |i><j| for i != j, zero Hamiltonian."""
-    from .superop import QuantumModel
-
     Q = generator.rates
     n = generator.dim
     jumps = []

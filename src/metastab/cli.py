@@ -21,8 +21,9 @@ from . import __version__
 from .classical import (ClassicalBackend, rate_matrix_from_edges,
                         rate_matrix_from_json)
 from .heisenberg import observable_trajectory
-from .models import ModelSpecifier, build_model
+from .models import SPIN_X, SPIN_Y, SPIN_Z, ModelSpecifier, build_model
 from .modes import change_thresholds
+from .operators import max_norm
 # classify_regime is unused here but stays importable as cli.classify_regime:
 # bench/tracing.py wraps each analysis function where it is looked up
 from .regimes import (QuantumBackend, TimeGrid, TrivialDynamicsError,
@@ -282,6 +283,7 @@ def _cmd_detect(args, dyn, payload):
         raise UsageError("trivial dynamics: %s" % err)
     gen_norm = dyn.liouvillian_norm()
     if hits:
+        # local: bench/tracing.py wraps regimes.relaxation_times, read per call
         from .regimes import CUTOFF_RELAXATION, relaxation_times
 
         best = min(hits, key=lambda v: (v.c_delta, v.t_start))
@@ -372,6 +374,8 @@ def _cmd_project(args, dyn, payload):
 
 
 def _cmd_verify_bounds(args, dyn, payload):
+    if (args.tmin is None) != (args.tmax is None):
+        raise UsageError("--tmin and --tmax must be given together")
     grid = _grid_from_args(args).times() if args.tmin is not None else None
     try:
         report = bound_battery(dyn, grid=grid, tol=args.tol, seed=args.seed)
@@ -409,8 +413,6 @@ def _cmd_heisenberg(args, dyn, payload):
             obs = np.zeros((dim, dim), dtype=complex)
             obs[0, 0] = 1.0
         else:
-            from .models import SPIN_X, SPIN_Y, SPIN_Z
-
             named = {"sx": SPIN_X, "sy": SPIN_Y, "sz": SPIN_Z}
             if args.observable not in named or dim != 2:
                 raise UsageError("observable %r needs a two-level model"
@@ -420,8 +422,6 @@ def _cmd_heisenberg(args, dyn, payload):
         columns = ["t", "distance_to_asymptotic"]
         columns += ["re_%d_%d" % (i, j) for i in range(dim) for j in range(dim)]
         rows = []
-        from .operators import max_norm
-
         for t, O in zip(traj.times, traj.values):
             cells = [_fmt(t), _fmt(max_norm(O - traj.asymptotic))]
             cells += [_fmt(O[i, j].real) for i in range(dim) for j in range(dim)]

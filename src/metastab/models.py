@@ -4,6 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .classical import ClassicalGenerator
 from .norms import _induced_norm_matrix
 from .superop import QuantumModel, build_liouvillian
 
@@ -60,8 +61,6 @@ def random_lindbladian(dim, n_jumps, seed, target_norm=1.0):
 def three_state_double_well(fast=1.0, slow=1e-3):
     """Classical three-state chain: states 1 and 2 exchange at the fast rate,
     state 3 couples to state 2 at the slow rate in both directions."""
-    from .classical import ClassicalGenerator
-
     if not fast > slow > 0:
         raise ValueError("rates must satisfy fast > slow > 0")
     Q = np.zeros((3, 3))
@@ -91,6 +90,16 @@ _BUILTIN_PARAMS = {
 }
 
 
+def _integral_param(params, name, default):
+    """An integer parameter; integral floats (the CLI parses dim=3 as 3.0)
+    pass, others are rejected rather than truncated."""
+    value = float(params.get(name, default))
+    if not value.is_integer():
+        raise ValueError("parameter %r must be an integer, got %r"
+                         % (name, params[name]))
+    return int(value)
+
+
 def build_model(spec):
     """Instantiate a built-in model from a ModelSpecifier.
 
@@ -108,7 +117,7 @@ def build_model(spec):
     if spec.name == "spin_half":
         return spin_half_dephasing(**{k: float(v) for k, v in spec.params.items()})
     if spec.name == "random_lindbladian":
-        dim = int(spec.params.get("dim", 2))
-        n_jumps = int(spec.params.get("n_jumps", 2))
+        dim = _integral_param(spec.params, "dim", 2)
+        n_jumps = _integral_param(spec.params, "n_jumps", 2)
         return random_lindbladian(dim, n_jumps, seed=spec.seed or 0)
     return three_state_double_well(**{k: float(v) for k, v in spec.params.items()})

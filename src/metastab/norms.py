@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import is_hermitian
+from .operators import is_hermitian, max_norm
 from .superop import Superoperator
 
 DEFAULT_MAX_ITER = 200
@@ -535,8 +535,6 @@ def measurement_superop_norm(kind, data):
     its max norm exactly; 'povm' takes (kraus_list, weights) and returns the
     upper bound ||sum |x_n| P_n^dag P_n||_max.
     """
-    from .operators import max_norm
-
     if kind in ("von_neumann", "correlator"):
         A = np.asarray(data, dtype=complex)
         if not is_hermitian(A, rtol=1e-10):

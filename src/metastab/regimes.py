@@ -14,6 +14,7 @@ import numpy as np
 
 from .modes import bracketed_root, change_thresholds, first_crossing
 from . import norms as _norms
+from .operators import max_norm, trace_norm
 from .superop import build_liouvillian, spectral_decompose, vec
 
 # cutoff constants of the verdict logic, with their governing condition
@@ -327,16 +328,12 @@ class QuantumBackend(DynamicsBackend):
             self._norm_cache[key] = res.value
 
     def random_observable(self, rng):
-        from .operators import max_norm
-
         G = rng.normal(size=(self.dim, self.dim)) \
             + 1j * rng.normal(size=(self.dim, self.dim))
         O = (G + G.conj().T) / 2.0
         return O / max_norm(O)
 
     def observable_max_norm(self, obs):
-        from .operators import max_norm
-
         return max_norm(obs)
 
     def correlator_matrix(self, obs):
@@ -474,8 +471,6 @@ def change_measure_doubling(dyn, t_start, t_end, n_grid=33):
 
 def state_change_measure(spec, rho0, t_start, t_end, n_grid=33):
     """Windowed trace-norm change of the trajectory started from rho0."""
-    from .operators import trace_norm
-
     ts = _window_grid(t_start, t_end, n_grid)
     v0 = spec.evolution_matrix(t_start) @ vec(rho0)
     vals = [trace_norm((spec.evolution_matrix(t) @ vec(rho0) - v0)
@@ -485,8 +480,6 @@ def state_change_measure(spec, rho0, t_start, t_end, n_grid=33):
 
 def observable_average_change(spec, rho0, obs, t_start, t_end, n_grid=129):
     """Windowed change of Tr(obs rho_t), normalized by the observable max norm."""
-    from .operators import max_norm
-
     ts = _window_grid(t_start, t_end, n_grid)
     w = vec(obs.conj().T)
     traj = [np.vdot(w, spec.evolution_matrix(t) @ vec(rho0)).real for t in ts]

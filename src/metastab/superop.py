@@ -7,7 +7,6 @@ on column-stacked operators; this is the wire convention.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .operators import is_hermitian
 
@@ -184,10 +183,20 @@ def _hermitianize_block(vecs, dim):
         cands.append(vec((M + M.conj().T) / 2))
         cands.append(vec((M - M.conj().T) / 2j))
     C = np.array(cands).T
-    # pick g independent columns by pivoted QR
-    q, r, piv = scipy.linalg.qr(C, pivoting=True, mode="economic")
-    keep = piv[:g]
-    out = C[:, sorted(keep)]
+    # pick g independent columns by column-pivoted Gram-Schmidt: each step
+    # takes the remaining column with the largest residual norm and swaps it
+    # to the front, as LAPACK geqp3 (pivoted QR) does, so the choice is
+    # geqp3's unless two residual norms tie to rounding
+    R, piv = C.copy(), np.arange(2 * g)
+    for i in range(g):
+        norms = np.linalg.norm(R[:, piv[i:]], axis=0)
+        p = i + int(np.argmax(norms))
+        piv[[i, p]] = piv[[p, i]]
+        if norms[p - i] == 0:
+            break  # rank below g: the check below returns vecs
+        q = R[:, piv[i]] / norms[p - i]
+        R -= np.outer(q, q.conj() @ R)
+    out = C[:, sorted(piv[:g])]
     # fails only if the block is not closed under conjugation, which cannot
     # happen for a Hermiticity-preserving map
     if np.linalg.matrix_rank(out, tol=1e-10 * max(1.0, np.abs(out).max())) < g:
@@ -287,6 +296,8 @@ def evolution(spec, t):
 
 def evolution_expm(liouvillian, t):
     """Scaling-and-squaring matrix exponential; test-side cross check."""
+    import scipy.linalg  # here, so that quantum commands load no scipy
+
     if t < 0:
         raise ValueError("the dynamics is a semigroup: t must be >= 0")
     return Superoperator(liouvillian.dim, scipy.linalg.expm(t * liouvillian.matrix),

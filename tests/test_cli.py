@@ -190,6 +190,19 @@ def test_quantum_model_rejected_by_classical_command(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["verify-bounds",
+                                     "classical-verify-bounds"])
+@pytest.mark.parametrize("flag", [["--tmin", "1"], ["--tmax", "5"]])
+def test_verify_bounds_grid_needs_tmin_and_tmax(command, flag, capsys):
+    # a grid needs both ends; one flag alone is a usage error
+    model = SPIN_ARGS if command == "verify-bounds" \
+        else ["--model", "builtin:double_well"]
+    code, out, err = run_cli([command] + model + flag, capsys)
+    assert code == 2
+    assert out == ""
+    assert "--tmin" in err and "--tmax" in err
+
+
 def test_determinism_same_seed(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -227,6 +240,10 @@ def test_usage_error_exits_2(capsys):
     code, _, err = run_cli(["spectrum", "--model", "builtin:spin_half",
                             "--param", "gamma"], capsys)
     assert code == 2
+    code, out, err = run_cli(["spectrum", "--model",
+                              "builtin:random_lindbladian", "--param",
+                              "dim=2.5"], capsys)
+    assert code == 2 and out == "" and "'dim' must be an integer" in err
 
 
 @pytest.fixture
@@ -293,16 +310,36 @@ def test_spin_norm_calls(norm_calls, capsys):
     assert norm_calls["maps"] == 1510
 
 
-def test_analyses_do_not_import_scipy_optimize():
-    # every root search runs in metastab.modes.bracketed_root; importing
-    # scipy.optimize would add memory and start-up time to every command
+def test_quantum_commands_load_no_scipy(tmp_path):
+    # the quantum analyses run on numpy alone: scipy.linalg would add about
+    # 0.12 s and 24 MB to every command's start-up, scipy.optimize more; the
+    # classical commands load scipy.linalg for expm, never scipy.optimize
+    model = tmp_path / "random_d3.json"
+    model.write_text(json.dumps({"name": "random_lindbladian",
+                                 "params": {"dim": 3, "n_jumps": 2},
+                                 "seed": 0}))
+    grid = "'--tmin', '1', '--tmax', '4', '--points', '3'"
     script = ("import contextlib, io, sys\n"
               "from metastab.cli import main\n"
+              "spin = ['--model', 'builtin:spin_half']\n"
+              "runs = [['detect'] + spin,\n"
+              "        ['verify-bounds', '--format', 'json'] + spin,\n"
+              "        ['spectrum'] + spin, ['project'] + spin,\n"
+              "        ['distances', %s] + spin,\n"
+              "        ['changes', %s] + spin,\n"
+              "        ['heisenberg', %s] + spin,\n"
+              "        ['detect', '--model', 'file:%s']]\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
-              "    assert main(['detect', '--model', 'builtin:spin_half']) == 0\n"
+              "    for argv in runs:\n"
+              "        assert main(argv) == 0, argv\n"
+              "loaded = [m for m in sys.modules\n"
+              "          if m == 'scipy' or m.startswith('scipy.')]\n"
+              "assert not loaded, loaded\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    assert main(['classical-detect', '--model',\n"
               "                 'builtin:double_well']) == 0\n"
-              "assert 'scipy.optimize' not in sys.modules\n")
+              "assert 'scipy.optimize' not in sys.modules\n"
+              % (grid, grid, grid, model))
     src = os.path.dirname(os.path.dirname(metastab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", script], env=env,

@@ -123,3 +123,17 @@ def test_build_model_dispatch():
         build_model(ModelSpecifier("unknown_model"))
     with pytest.raises(ValueError):
         build_model(ModelSpecifier("spin_half", {"bogus": 1.0}))
+
+
+def test_random_lindbladian_rejects_non_integral_sizes():
+    # a size is never truncated: dim=2.5 is not a D = 2 model
+    for params in ({"dim": 2.5}, {"n_jumps": 1.7}, {"dim": 3, "n_jumps": 0.5}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build_model(ModelSpecifier("random_lindbladian", params))
+    # integral floats (the CLI parses dim=3 as 3.0) and ints build the same
+    as_float = build_model(ModelSpecifier("random_lindbladian",
+                                          {"dim": 3.0, "n_jumps": 2.0}, seed=1))
+    as_int = build_model(ModelSpecifier("random_lindbladian",
+                                        {"dim": 3, "n_jumps": 2}, seed=1))
+    assert as_float.dim == 3 and len(as_float.jumps) == 2
+    assert np.array_equal(as_float.hamiltonian, as_int.hamiltonian)

@@ -6,10 +6,11 @@ from metastab.models import SPIN_Z, random_lindbladian, spin_half_dephasing
 from metastab.norms import induced_trace_norm
 from metastab.operators import trace_norm
 from metastab.superop import (DefectiveLiouvillianError, InvalidCutError,
-                              QuantumModel, Superoperator, build_liouvillian,
-                              evolution, evolution_expm, slow_projector,
-                              spectral_decompose, stationary_projector,
-                              superop_flags_residuals, unvec, vec)
+                              QuantumModel, Superoperator, _hermitianize_block,
+                              build_liouvillian, evolution, evolution_expm,
+                              slow_projector, spectral_decompose,
+                              stationary_projector, superop_flags_residuals,
+                              unvec, vec)
 
 from conftest import GAMMA, KAPPA, OMEGA, DECAY_FAST, random_state
 
@@ -108,6 +109,59 @@ def test_trivial_liouvillian_decomposition():
     for k in range(4):
         R = spec.right_mode(k)
         assert np.max(np.abs(R - R.conj().T)) < 1e-10
+
+
+def _hermitian_basis(rng, dim, g):
+    G = rng.normal(size=(g, dim, dim)) + 1j * rng.normal(size=(g, dim, dim))
+    return np.array([vec(H) for H in (G + G.conj().transpose(0, 2, 1)) / 2]).T
+
+
+def _candidates(vecs, dim):
+    # the 2g Hermitian and anti-Hermitian parts _hermitianize_block chooses from
+    cands = []
+    for v in vecs.T:
+        M = unvec(v, dim)
+        cands += [vec((M + M.conj().T) / 2), vec((M - M.conj().T) / 2j)]
+    return np.array(cands).T
+
+
+def _span_projector(A):
+    q, _ = np.linalg.qr(A)
+    return q @ q.conj().T
+
+
+def test_hermitianize_block_keeps_the_columns_of_pivoted_qr():
+    # a real-eigenvalue eigenspace of a Hermiticity-preserving map is the
+    # complex span of Hermitian operators; eig returns a generic basis of it
+    rng = np.random.default_rng(20)
+    for trial in range(1200):
+        dim, g = 2 + trial % 4, 1 + (trial // 4) % 4
+        mix = rng.normal(size=(g, g)) + 1j * rng.normal(size=(g, g))
+        vecs = _hermitian_basis(rng, dim, g) @ mix
+        vecs /= np.linalg.norm(vecs, axis=0)
+        C = _candidates(vecs, dim)
+        piv = scipy.linalg.qr(C, pivoting=True, mode="economic")[2]
+        assert np.array_equal(_hermitianize_block(vecs, dim),
+                              C[:, sorted(piv[:g])]), (dim, g)
+
+
+def test_hermitianize_block_at_exact_ties_spans_the_block():
+    # a mode phase that is a multiple of pi/4 ties (or zeroes) the Hermitian
+    # and anti-Hermitian parts; either column of a tie is a valid choice
+    rng = np.random.default_rng(21)
+    for trial in range(400):
+        dim, g = 2 + trial % 4, 1 + (trial // 4) % 4
+        phases = np.exp(1j * np.pi / 4 * rng.integers(0, 8, size=g))
+        vecs = _hermitian_basis(rng, dim, g) * phases
+        vecs /= np.linalg.norm(vecs, axis=0)
+        out = _hermitianize_block(vecs, dim)
+        assert out.shape == vecs.shape
+        for v in out.T:
+            R = unvec(v, dim)
+            assert np.max(np.abs(R - R.conj().T)) <= 1e-12 * np.abs(R).max()
+        assert np.linalg.matrix_rank(out) == g
+        assert np.max(np.abs(_span_projector(out) - _span_projector(vecs))) \
+            <= 1e-12
 
 
 def test_spectral_reconstruction_random():
