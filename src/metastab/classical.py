@@ -14,7 +14,7 @@ import numpy as np
 from .norms import InducedNormResult
 from .regimes import DynamicsBackend
 from .superop import (DEFECT_TOL, DefectiveLiouvillianError, QuantumModel,
-                      SpectralData, _sort_order)
+                      SpectralData, _sort_order, _zero_tol)
 
 
 @dataclass(frozen=True)
@@ -65,14 +65,13 @@ def l1_induced_distance(generator, t1, t2):
 class ClassicalBackend(DynamicsBackend):
     """Dynamics backend with exact norms; no optimizer error enters."""
 
-    def __init__(self, generator, zero_tol=None):
+    def __init__(self, generator):
         self.generator = generator
         lam, V = np.linalg.eig(generator.rates)
         order = _sort_order(lam)
         lam, V = lam[order], V[:, order]
         cond = float(np.linalg.cond(V))
-        if zero_tol is None:
-            zero_tol = 1e-9 * float(np.max(np.abs(lam))) + 1e-300
+        zero_tol = _zero_tol(lam)
         # a defective chain still evolves; only its projections raise
         defective = not np.isfinite(cond) or cond > DEFECT_TOL
         super().__init__(
@@ -120,9 +119,9 @@ class ClassicalBackend(DynamicsBackend):
         return np.diag(np.asarray(obs, dtype=float))
 
 
-def classical_backend(generator, zero_tol=None):
+def classical_backend(generator):
     """Adapter exposing a rate matrix to the generic regime machinery."""
-    return ClassicalBackend(generator, zero_tol=zero_tol)
+    return ClassicalBackend(generator)
 
 
 def embed_as_lindbladian(generator):

@@ -21,7 +21,8 @@ from . import __version__
 from .classical import (ClassicalBackend, rate_matrix_from_edges,
                         rate_matrix_from_json)
 from .heisenberg import observable_trajectory
-from .models import SPIN_X, SPIN_Y, SPIN_Z, ModelSpecifier, build_model
+from .models import (SPIN_X, SPIN_Y, SPIN_Z, ModelSpecifier, build_model,
+                     _integral_param)
 from .modes import change_thresholds
 from .operators import max_norm
 # classify_regime is unused here but stays importable as cli.classify_regime:
@@ -107,7 +108,10 @@ def _quantum_model_from_json(data, path):
     if not isinstance(data, dict) or "hamiltonian" not in data:
         raise UsageError("%s: quantum model JSON needs 'dim', 'hamiltonian' "
                          "and 'jumps'" % path)
-    dim = int(data.get("dim", 0))
+    try:
+        dim = _integral_param(data, "dim", 0)
+    except ValueError as err:
+        raise UsageError("%s: %s" % (path, err))
     H = _complex_array(data["hamiltonian"], "hamiltonian", path)
     if dim and H.shape[0] != dim:
         raise UsageError("%s: hamiltonian dimension %d does not match dim=%d"
@@ -376,7 +380,15 @@ def _cmd_project(args, dyn, payload):
 def _cmd_verify_bounds(args, dyn, payload):
     if (args.tmin is None) != (args.tmax is None):
         raise UsageError("--tmin and --tmax must be given together")
-    grid = _grid_from_args(args).times() if args.tmin is not None else None
+    grid = None
+    if args.tmin is not None:
+        grid = TimeGrid(t_min=args.tmin, t_max=args.tmax,
+                        n_points=33 if args.points is None else args.points,
+                        spacing=args.spacing or "log").times()
+    elif args.points is not None or args.spacing is not None:
+        # they shape a grid; without one the battery picks its own
+        raise UsageError("--points and --spacing need a grid: give --tmin "
+                         "and --tmax")
     try:
         report = bound_battery(dyn, grid=grid, tol=args.tol, seed=args.seed)
     except TrivialDynamicsError as err:
@@ -446,7 +458,7 @@ def _cmd_heisenberg(args, dyn, payload):
 
 # ---------------------------------------------------------------------------
 
-def _add_common(p, grid_required=True, tmin=1e-3, tmax=1e3):
+def _add_common(p, grid_required=True):
     p.add_argument("--model", required=True,
                    help="builtin:<name> or file:<path>")
     p.add_argument("--param", action="append", metavar="NAME=VALUE",
@@ -456,8 +468,8 @@ def _add_common(p, grid_required=True, tmin=1e-3, tmax=1e3):
                    help="accepted and ignored; analyses run single-threaded")
     p.add_argument("--out", help="output file (default stdout)")
     if grid_required:
-        p.add_argument("--tmin", type=float, default=tmin)
-        p.add_argument("--tmax", type=float, default=tmax)
+        p.add_argument("--tmin", type=float, default=1e-3)
+        p.add_argument("--tmax", type=float, default=1e3)
         p.add_argument("--points", type=int, default=50)
         p.add_argument("--spacing", choices=("log", "linear"), default="log")
 
@@ -510,8 +522,8 @@ def build_parser():
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--tmin", type=float, default=None)
         p.add_argument("--tmax", type=float, default=None)
-        p.add_argument("--points", type=int, default=33)
-        p.add_argument("--spacing", choices=("log", "linear"), default="log")
+        p.add_argument("--points", type=int, default=None)
+        p.add_argument("--spacing", choices=("log", "linear"), default=None)
     register("verify-bounds", _cmd_verify_bounds, grid=False,
              extra=verify_extra)
 

@@ -1,5 +1,6 @@
 """Built-in parameterized models with known ground truth plus reproducible
 random instance generators."""
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,12 +93,17 @@ _BUILTIN_PARAMS = {
 
 def _integral_param(params, name, default):
     """An integer parameter; integral floats (the CLI parses dim=3 as 3.0)
-    pass, others are rejected rather than truncated."""
-    value = float(params.get(name, default))
-    if not value.is_integer():
+    pass, others (2.5, "two", [2], null) are rejected rather than
+    truncated."""
+    value = params.get(name, default)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not number.is_integer():
         raise ValueError("parameter %r must be an integer, got %r"
-                         % (name, params[name]))
-    return int(value)
+                         % (name, value))
+    return int(number)
 
 
 def build_model(spec):

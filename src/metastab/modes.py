@@ -115,18 +115,18 @@ def bracketed_root(f, a, b):
     raise RuntimeError("bracketed_root: no convergence in 100 iterations")
 
 
-def first_crossing(f, target, t_max, step, t_min=0.0):
-    """First t in (t_min, t_max] with f(t) = target: a scan for the first
-    sign change of f - target, then one bracketed_root on that step.
+def first_crossing(f, target, t_max, step):
+    """First t in (0, t_max] with f(t) = target: a scan for the first sign
+    change of f - target from t = 0, then one bracketed_root on that step.
 
     The scan step must resolve oscillations of f; returns None when no sign
     change of f - target is found up to t_max.
     """
-    t_lo = t_min
+    t_lo = 0.0
     f_lo = f(t_lo) - target
-    steps = int(np.ceil((t_max - t_min) / step))
+    steps = int(np.ceil(t_max / step))
     for k in range(1, steps + 1):
-        t_hi = min(t_min + k * step, t_max)
+        t_hi = min(k * step, t_max)
         f_hi = f(t_hi) - target
         if f_lo * f_hi <= 0.0 and (f_hi >= 0.0 or f_lo >= 0.0):
             return bracketed_root(lambda t: f(t) - target, t_lo, t_hi)

@@ -34,8 +34,15 @@ import numpy as np
 from .operators import is_hermitian, max_norm
 from .superop import Superoperator
 
+# ascent settings. Only the kernel (_alternating_ascent, _alternating_ascents)
+# takes restarts, max_iter, burn_in and keep_after_burn_in as parameters, for
+# test references; every other caller runs these defaults, with
+# max(16, 4 D) restarts
 DEFAULT_MAX_ITER = 200
-DEFAULT_REL_TOL = 1e-10
+DEFAULT_BURN_IN = 25
+DEFAULT_KEEP_AFTER_BURN_IN = 4
+# relative change below which a chain counts as converged
+REL_TOL = 1e-10
 # maps per lockstep pass of _alternating_ascents; bounds its working arrays
 LOCKSTEP_MAPS = 32
 
@@ -218,15 +225,13 @@ def _top_eigvec3(A):
     return v
 
 
-def _induced_norm_matrix(M, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
-                         rel_tol=DEFAULT_REL_TOL, seed=0, warm=None):
+def _induced_norm_matrix(M, dim, seed=0, warm=None):
     """Induced trace norm of a raw D^2 x D^2 Hermiticity-preserving matrix:
-    exact at D = 2 (the ascent settings are then unused), the alternating
-    ascent's lower bound at D >= 3."""
+    exact at D = 2 (seed and warm are then unused), the alternating ascent's
+    lower bound at D >= 3."""
     if dim == 2:
         return _qubit_induced_norm(M)
-    return _alternating_ascent(M, dim, restarts=restarts, max_iter=max_iter,
-                               rel_tol=rel_tol, seed=seed, warm=warm)
+    return _alternating_ascent(M, dim, seed=seed, warm=warm)
 
 
 # column-stacked Pauli matrices: _PAULI_VECS[:, k] = vec(sigma_k), sigma_0 = I
@@ -323,19 +328,19 @@ def _qubit_induced_norm(M):
 
 
 def _alternating_ascent(M, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
-                        rel_tol=DEFAULT_REL_TOL, seed=0, warm=None,
-                        burn_in=25, keep_after_burn_in=4):
+                        seed=0, warm=None, burn_in=DEFAULT_BURN_IN,
+                        keep_after_burn_in=DEFAULT_KEEP_AFTER_BURN_IN):
     """Alternating-ascent maximization on a raw D^2 x D^2 matrix: the
     lockstep kernel of _alternating_ascents with a single map (T = 1)."""
     return _alternating_ascents(
-        [M], dim, restarts=restarts, max_iter=max_iter, rel_tol=rel_tol,
-        seed=seed, warms=[warm], burn_in=burn_in,
+        [M], dim, restarts=restarts, max_iter=max_iter, seed=seed,
+        warms=[warm], burn_in=burn_in,
         keep_after_burn_in=keep_after_burn_in)[0]
 
 
 def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
-                         rel_tol=DEFAULT_REL_TOL, seed=0, warms=None,
-                         burn_in=25, keep_after_burn_in=4):
+                         seed=0, warms=None, burn_in=DEFAULT_BURN_IN,
+                         keep_after_burn_in=DEFAULT_KEEP_AFTER_BURN_IN):
     """Alternating ascent on T raw D^2 x D^2 matrices at once.
 
     The T maps x R restarts advance in lockstep through batched coordinate
@@ -359,7 +364,7 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
         return [res for lo in range(0, len(Ms), step)
                 for res in _alternating_ascents(
                     Ms[lo:lo + step], dim, restarts=restarts,
-                    max_iter=max_iter, rel_tol=rel_tol, seed=seed,
+                    max_iter=max_iter, seed=seed,
                     warms=warms[lo:lo + step], burn_in=burn_in,
                     keep_after_burn_in=keep_after_burn_in)]
     if restarts is None:
@@ -405,7 +410,7 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
         psi_full[work] = psi
         iterations_full[work] = it
 
-        done = np.abs(new_values - prev) <= rel_tol * np.maximum(1.0, new_values)
+        done = np.abs(new_values - prev) <= REL_TOL * np.maximum(1.0, new_values)
         converged_full[work[done]] = True
         next_mask = ~done
         # the cull happens once, at the end of burn-in: a map with at most
@@ -466,8 +471,7 @@ def _blockwise_product(vecs, mats, bounds):
     return out
 
 
-def induced_trace_norm(X, restarts=None, max_iter=DEFAULT_MAX_ITER,
-                       rel_tol=DEFAULT_REL_TOL, seed=0, warm=None):
+def induced_trace_norm(X, max_iter=DEFAULT_MAX_ITER, seed=0, warm=None):
     """Trace-norm-induced norm of a Hermiticity-preserving superoperator.
 
     Runs the alternating ascent at every dimension, qubits included. Returns
@@ -479,13 +483,11 @@ def induced_trace_norm(X, restarts=None, max_iter=DEFAULT_MAX_ITER,
     if not X.hermiticity_preserving:
         raise ValueError("induced norm is defined here only for "
                          "hermiticity-preserving superoperators")
-    return _alternating_ascent(X.matrix, X.dim, restarts=restarts,
-                               max_iter=max_iter, rel_tol=rel_tol,
-                               seed=seed, warm=warm)
+    return _alternating_ascent(X.matrix, X.dim, max_iter=max_iter, seed=seed,
+                               warm=warm)
 
 
-def max_norm_induced(X, restarts=None, max_iter=DEFAULT_MAX_ITER,
-                     rel_tol=DEFAULT_REL_TOL, seed=0):
+def max_norm_induced(X):
     """Max-norm-induced norm sup ||X(O)||_max / ||O||_max over Hermitian O.
 
     By duality it is the induced trace norm of the Hilbert-Schmidt adjoint
@@ -497,11 +499,10 @@ def max_norm_induced(X, restarts=None, max_iter=DEFAULT_MAX_ITER,
         raise ValueError("max-norm-induced norm is defined here only for "
                          "hermiticity-preserving superoperators")
     adjoint = Superoperator(X.dim, X.matrix.conj().T, hermiticity_preserving=True)
-    return induced_trace_norm(adjoint, restarts=restarts, max_iter=max_iter,
-                              rel_tol=rel_tol, seed=seed).value
+    return induced_trace_norm(adjoint).value
 
 
-def induced_norm_sampling_oracle(X, n_samples, seed=0, batch=20000):
+def induced_norm_sampling_oracle(X, n_samples, seed=0):
     """Lower bound on the induced norm from Haar-random pure states.
 
     Independent of the alternating optimizer; intended as a cross check at
@@ -515,7 +516,7 @@ def induced_norm_sampling_oracle(X, n_samples, seed=0, batch=20000):
     best = 0.0
     remaining = int(n_samples)
     while remaining > 0:
-        n = min(batch, remaining)
+        n = min(20000, remaining)  # states per batch; bounds the arrays
         remaining -= n
         v = rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim))
         v /= np.linalg.norm(v, axis=1)[:, None]

@@ -25,16 +25,17 @@ def is_hermitian(A, rtol=HERMITICITY_RTOL):
     return np.max(np.abs(A - A.conj().T)) <= rtol * max(scale, 1e-300)
 
 
-def check_density_matrix(rho, trace_atol=1e-10, eig_atol=1e-10):
-    """Validate trace one and positivity of a Hermitian state; raise otherwise."""
+def check_density_matrix(rho):
+    """Validate trace one and positivity of a Hermitian state, each to an
+    absolute 1e-10; raise otherwise."""
     rho = _as_operator(rho)
     if not is_hermitian(rho):
         raise ValueError("density matrix is not Hermitian")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_atol:
+    if abs(tr - 1.0) > 1e-10:
         raise ValueError("density matrix trace %r is not 1" % tr)
     evals = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    if evals.min() < -eig_atol:
+    if evals.min() < -1e-10:
         raise ValueError("density matrix has negative eigenvalue %g" % evals.min())
     return rho
 
@@ -75,7 +76,7 @@ def hermitian_eigensystem(A):
     return evals, vecs
 
 
-def sign_observable(A, zero_to_plus=True):
+def sign_observable(A):
     """Difference of projectors onto nonnegative and negative eigenspaces of A.
 
     The returned reflection O satisfies Tr(O A) = trace_norm(A) and
@@ -83,5 +84,5 @@ def sign_observable(A, zero_to_plus=True):
     output is deterministic.
     """
     evals, vecs = hermitian_eigensystem(A)
-    signs = np.where(evals >= 0, 1.0, -1.0) if zero_to_plus else np.sign(evals)
+    signs = np.where(evals >= 0, 1.0, -1.0)
     return (vecs * signs) @ vecs.conj().T

@@ -255,21 +255,15 @@ class QuantumBackend(DynamicsBackend):
     """Quantum dynamics backend; norms are exact at D = 2 and come from the
     alternating optimizer at D >= 3."""
 
-    def __init__(self, model=None, liouvillian=None, spectral=None,
-                 zero_tol=None, restarts=None, max_iter=_norms.DEFAULT_MAX_ITER,
-                 rel_tol=_norms.DEFAULT_REL_TOL, seed=0):
+    def __init__(self, model=None, liouvillian=None, spectral=None, seed=0):
         if liouvillian is None:
             if model is None:
                 raise ValueError("provide a model or a liouvillian")
             liouvillian = build_liouvillian(model)
-        super().__init__(
-            spectral or spectral_decompose(liouvillian, zero_tol=zero_tol),
-            np.eye(liouvillian.dim ** 2, dtype=complex))
+        super().__init__(spectral or spectral_decompose(liouvillian),
+                         np.eye(liouvillian.dim ** 2, dtype=complex))
         self.model = model
         self.liouvillian = liouvillian
-        self.restarts = restarts
-        self.max_iter = max_iter
-        self.rel_tol = rel_tol
         self.seed = seed
 
     def _family_warm(self, family):
@@ -300,9 +294,8 @@ class QuantumBackend(DynamicsBackend):
         return self.liouvillian.matrix
 
     def norm_result(self, M, warm=None):
-        return _norms._induced_norm_matrix(
-            M, self.dim, restarts=self.restarts, max_iter=self.max_iter,
-            rel_tol=self.rel_tol, seed=self.seed, warm=warm)
+        return _norms._induced_norm_matrix(M, self.dim, seed=self.seed,
+                                           warm=warm)
 
     def prefetch(self, keys):
         # the qubit norm is an exact closed form; the ascent runs at D >= 3
@@ -321,8 +314,7 @@ class QuantumBackend(DynamicsBackend):
             return
         maps = [self._norm_map(key) for key in todo]
         results = _norms._alternating_ascents(
-            [M for M, _ in maps], self.dim, restarts=self.restarts,
-            max_iter=self.max_iter, rel_tol=self.rel_tol, seed=self.seed,
+            [M for M, _ in maps], self.dim, seed=self.seed,
             warms=[warm for _, warm in maps])
         for key, res in zip(todo, results):
             self._norm_cache[key] = res.value
@@ -381,13 +373,13 @@ def _window_grid(t_start, t_end, n_points=33):
         else np.linspace(t_start, t_end, n_points)
 
 
-def _golden_refine(f, a, b, rel_tol=1e-6, max_iter=80):
-    """Golden-section maximization of f on [a, b]."""
+def _golden_refine(f, a, b, rel_tol=1e-6):
+    """Golden-section maximization of f on [a, b], at most 80 steps."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
+    for _ in range(80):
         if (b - a) <= rel_tol * max(abs(a), abs(b), 1e-300):
             break
         if f1 < f2:
@@ -401,7 +393,7 @@ def _golden_refine(f, a, b, rel_tol=1e-6, max_iter=80):
     return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
-def _golden_path(a, b, rel_tol=1e-6, max_iter=80):
+def _golden_path(a, b, rel_tol=1e-6):
     """The points _golden_refine(f, a, b) visits, in order, when f rises
     across them: a replay of its own arithmetic with a rising stand-in f."""
     path = []
@@ -410,11 +402,11 @@ def _golden_path(a, b, rel_tol=1e-6, max_iter=80):
         path.append(t)
         return len(path)
 
-    _golden_refine(rising, a, b, rel_tol=rel_tol, max_iter=max_iter)
+    _golden_refine(rising, a, b, rel_tol=rel_tol)
     return path
 
 
-def _refined_sup(dyn, f, key, ts, rel_tol=1e-6):
+def _refined_sup(dyn, f, key, ts):
     """f on the grid ts, and its golden-section refinement around the grid
     maximum. Returns (grid values, argmax index, refined t, refined value).
 
@@ -431,12 +423,12 @@ def _refined_sup(dyn, f, key, ts, rel_tol=1e-6):
     a = ts[max(0, k - 1)]
     b = ts[min(len(ts) - 1, k + 1)]
     if k == len(ts) - 1:
-        dyn.prefetch([key(t) for t in _golden_path(a, b, rel_tol)])
-    t_ref, v_ref = _golden_refine(f, a, b, rel_tol=rel_tol)
+        dyn.prefetch([key(t) for t in _golden_path(a, b)])
+    t_ref, v_ref = _golden_refine(f, a, b)
     return vals, k, t_ref, v_ref
 
 
-def change_measure(dyn, t_start, t_end, n_grid=33, refine_rel_tol=1e-6):
+def change_measure(dyn, t_start, t_end, n_grid=33):
     """Windowed change sup_{t in [t_start, t_end]} ||e^{t_start L} - e^{t L}||.
 
     Contractivity reduces the pair supremum to distances from the window
@@ -451,7 +443,7 @@ def change_measure(dyn, t_start, t_end, n_grid=33, refine_rel_tol=1e-6):
     ts = _window_grid(t_start, t_end, n_grid)
     vals, k, t_ref, v_ref = _refined_sup(
         dyn, lambda t: dyn.distance(t_start, t),
-        lambda t: ("pair", t_start, t), ts, rel_tol=refine_rel_tol)
+        lambda t: ("pair", t_start, t), ts)
     if v_ref >= vals[k]:
         return float(v_ref), float(t_ref)
     return float(vals[k]), float(ts[k])
@@ -486,7 +478,17 @@ def observable_average_change(spec, rho0, obs, t_start, t_end, n_grid=129):
     return float((np.max(traj) - np.min(traj)) / max_norm(obs))
 
 
-def timescales(dyn, t_probe_max=None):
+def crossing_scan_step(dyn):
+    """Scan step for first crossings of the distance to the identity: 1/40 of
+    the fastest decay time, capped at 0.35 / max |Im lambda| so that the scan
+    resolves the fastest oscillation."""
+    step = (1.0 / dyn.fastest_decay_rate()) / 40.0
+    if dyn.max_imag() > 0:
+        step = min(step, 0.35 / dyn.max_imag())
+    return step
+
+
+def timescales(dyn):
     """First crossings defining the shortest and final relaxation timescales.
 
     The shortest timescale is the first time the distance to the identity
@@ -509,10 +511,8 @@ def timescales(dyn, t_probe_max=None):
                            % dyn.stationary_distance())
     else:
         # guaranteed crossing before 1/(fastest decay rate)
-        t_hi = 1.0 / dyn.fastest_decay_rate() if t_probe_max is None else t_probe_max
-        step = t_hi / 40.0
-        if dyn.max_imag() > 0:
-            step = min(step, 0.35 / dyn.max_imag())
+        t_hi = 1.0 / dyn.fastest_decay_rate()
+        step = crossing_scan_step(dyn)
         f = dyn.distance_to_identity
         t_cross = None
         t_top = t_hi
@@ -554,8 +554,7 @@ def timescales(dyn, t_probe_max=None):
                            absent=absent)
 
 
-def classify_regime(dyn, t_start, t_end, n_grid=33, guard=VERDICT_GUARD,
-                    with_doubling=True):
+def classify_regime(dyn, t_start, t_end, n_grid=33, with_doubling=True):
     """Classify a window as Initial / Final / Metastable / Indeterminate.
 
     The change measure fixes threshold roots (lower, upper); the distance to
@@ -574,11 +573,11 @@ def classify_regime(dyn, t_start, t_end, n_grid=33, guard=VERDICT_GUARD,
     d_stat_end = dyn.distance_to_stationary(t_end)
 
     flags = {
-        "basic_cutoff": c_delta < CUTOFF_BASIC - guard,
-        "initial_tail_cutoff": c_delta < CUTOFF_INITIAL_TAIL - guard,
-        "final_tail_cutoff": c_delta < CUTOFF_FINAL_TAIL - guard,
-        "relaxation_cutoff": c_delta <= CUTOFF_RELAXATION - guard,
-        "linear_growth_cutoff": c_delta <= CUTOFF_LINEAR_GROWTH - guard,
+        "basic_cutoff": c_delta < CUTOFF_BASIC - VERDICT_GUARD,
+        "initial_tail_cutoff": c_delta < CUTOFF_INITIAL_TAIL - VERDICT_GUARD,
+        "final_tail_cutoff": c_delta < CUTOFF_FINAL_TAIL - VERDICT_GUARD,
+        "relaxation_cutoff": c_delta <= CUTOFF_RELAXATION - VERDICT_GUARD,
+        "linear_growth_cutoff": c_delta <= CUTOFF_LINEAR_GROWTH - VERDICT_GUARD,
     }
 
     if not flags["basic_cutoff"]:
@@ -598,10 +597,10 @@ def classify_regime(dyn, t_start, t_end, n_grid=33, guard=VERDICT_GUARD,
     lo_init = np.where(first_half, lower, lower + c_delta)
     up_stat = np.where(first_half, upper, upper - c_delta)
 
-    init_upper_branch = bool(np.all(d_init >= up_init - guard))
-    init_lower_branch = bool(np.all(d_init <= lo_init + guard))
-    stat_upper_branch = bool(np.all(d_stat >= up_stat - guard))
-    stat_lower_branch = bool(np.all(d_stat <= lower + guard))
+    init_upper_branch = bool(np.all(d_init >= up_init - VERDICT_GUARD))
+    init_lower_branch = bool(np.all(d_init <= lo_init + VERDICT_GUARD))
+    stat_upper_branch = bool(np.all(d_stat >= up_stat - VERDICT_GUARD))
+    stat_lower_branch = bool(np.all(d_stat <= lower + VERDICT_GUARD))
 
     if init_lower_branch:
         verdict = "Initial"

@@ -14,8 +14,12 @@ import numpy as np
 
 from .modes import change_thresholds, first_crossing, linear_growth_inverse
 from .regimes import (CUTOFF_RELAXATION, change_measure, classify_regime,
-                      relaxation_times, scan_metastable, timescales,
-                      TrivialDynamicsError, _refined_sup, _window_grid)
+                      crossing_scan_step, relaxation_times, scan_metastable,
+                      timescales, TrivialDynamicsError, _refined_sup,
+                      _window_grid)
+
+# tolerance of the separation branch tests on e^{t Re lambda}
+SEPARATION_GUARD = 1e-9
 
 
 class SeparationInconsistencyError(ValueError):
@@ -64,7 +68,7 @@ class SeparationReport:
     slack_imag: float | None
 
 
-def detect_separation(spec, t_start, t_end, c_delta, guard=1e-9):
+def detect_separation(spec, t_start, t_end, c_delta):
     """Assign every eigenvalue to the initial or final branch of the window.
 
     Initial branch: e^{t_end Re lam} >= upper_threshold(c)^2; final branch:
@@ -79,8 +83,8 @@ def detect_separation(spec, t_start, t_end, c_delta, guard=1e-9):
         raise ValueError("window must satisfy t_end >= 2 t_start > 0")
     lam, m_ss, valid_cuts = _spectrum_of(spec)
     lower, upper = change_thresholds(c_delta)
-    init_ok = np.exp(t_end * lam.real) >= upper ** 2 - guard
-    final_ok = np.exp(t_start * lam.real) <= lower + guard
+    init_ok = np.exp(t_end * lam.real) >= upper ** 2 - SEPARATION_GUARD
+    final_ok = np.exp(t_start * lam.real) <= lower + SEPARATION_GUARD
 
     for k in range(lam.size):
         if not (init_ok[k] or final_ok[k]):
@@ -440,10 +444,9 @@ def gap_cut(dyn):
                                     if m > 0 else -lam.real[m], -m))
 
 
-def default_battery_grid(tau_0, tau_ss, n_points=33):
-    lo = 0.05 * tau_0
-    hi = 2.0 * tau_ss
-    return np.geomspace(lo, hi, n_points)
+def default_battery_grid(tau_0, tau_ss):
+    """33 log-spaced times from tau_0 / 20 to 2 tau_ss."""
+    return np.geomspace(0.05 * tau_0, 2.0 * tau_ss, 33)
 
 
 def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
@@ -619,10 +622,8 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
 
     # shifted-initial-regime exclusion: windows whose length equals the
     # first-crossing time of the identity distance at a small accuracy
+    step = crossing_scan_step(dyn)
     for c_acc in (0.05, 0.15):
-        step = (1.0 / (-lam.real[-1])) / 40.0
-        if dyn.max_imag() > 0:
-            step = min(step, 0.35 / dyn.max_imag())
         span0 = first_crossing(dyn.distance_to_identity, c_acc,
                                t_max=2.0 / (-lam.real[-1]), step=step)
         if span0 is None:

@@ -81,10 +81,6 @@ class Superoperator:
         """Apply the map to an operator (D x D matrix in, D x D matrix out)."""
         return unvec(self.matrix @ vec(A), self.dim)
 
-    def adjoint_apply(self, A):
-        """Apply the Hilbert-Schmidt adjoint of the map to an operator."""
-        return unvec(self.matrix.conj().T @ vec(A), self.dim)
-
 
 def build_liouvillian(model):
     """Assemble the master-equation generator as a D^2 x D^2 matrix.
@@ -173,6 +169,12 @@ def _sort_order(eigenvalues):
     return np.lexsort((np.arange(lam.size), np.abs(lam.imag), -lam.real))
 
 
+def _zero_tol(lam):
+    """Eigenvalues within this of zero are stationary: 1e-9 x the spectral
+    radius."""
+    return 1e-9 * float(np.max(np.abs(lam))) + 1e-300
+
+
 def _hermitianize_block(vecs, dim):
     """Recombine eigenvector columns of a real-eigenvalue block into
     Hermitian-operator vectors spanning the same space."""
@@ -204,12 +206,14 @@ def _hermitianize_block(vecs, dim):
     return out
 
 
-def spectral_decompose(liouvillian, zero_tol=None, defect_tol=DEFECT_TOL):
+def spectral_decompose(liouvillian):
     """Full eigensystem of the generator with canonical mode normalization.
 
     Real-eigenvalue modes are made Hermitian, complex modes come in conjugate
     pairs with conjugated mode operators, and for a unique stationary state the
-    left zero-mode is fixed to the identity operator.
+    left zero-mode is fixed to the identity operator. An eigenvector matrix
+    whose condition number exceeds DEFECT_TOL raises
+    DefectiveLiouvillianError.
     """
     L = liouvillian.matrix
     D = liouvillian.dim
@@ -218,9 +222,8 @@ def spectral_decompose(liouvillian, zero_tol=None, defect_tol=DEFECT_TOL):
     lam = lam[order]
     V = V[:, order]
 
-    scale = max(float(np.max(np.abs(lam))), 0.0)
-    if zero_tol is None:
-        zero_tol = 1e-9 * scale + 1e-300
+    scale = float(np.max(np.abs(lam)))
+    zero_tol = _zero_tol(lam)
     real_tol = max(zero_tol, 1e-10 * max(scale, 1.0))
 
     # enforce Hermitian modes for real eigenvalues, conjugate pairing otherwise
@@ -265,7 +268,7 @@ def spectral_decompose(liouvillian, zero_tol=None, defect_tol=DEFECT_TOL):
     V = V / norms
 
     cond = float(np.linalg.cond(V))
-    if not np.isfinite(cond) or cond > defect_tol:
+    if not np.isfinite(cond) or cond > DEFECT_TOL:
         raise DefectiveLiouvillianError(cond if np.isfinite(cond) else np.inf)
     W = np.linalg.inv(V)
 

@@ -98,6 +98,15 @@ def test_malformed_model_file_exits_2(tmp_path, capsys):
     path2.write_text(json.dumps({"hamiltonian": [[0.0]]}))
     code, _, err = run_cli(["spectrum", "--model", "file:%s" % path2], capsys)
     assert code == 2
+    # a non-integral or non-numeric dim is rejected, not truncated
+    zero = [[0.0, 0.0], [0.0, 0.0]]
+    for dim in (2.5, "two", [2]):
+        path3 = tmp_path / "bad3.json"
+        path3.write_text(json.dumps({"dim": dim, "hamiltonian": [zero, zero]}))
+        code, out, err = run_cli(["spectrum", "--model", "file:%s" % path3],
+                                 capsys)
+        assert code == 2
+        assert out == "" and "dim" in err
 
 
 def test_model_file_quantum_roundtrip(tmp_path, capsys):
@@ -192,9 +201,11 @@ def test_quantum_model_rejected_by_classical_command(capsys):
 
 @pytest.mark.parametrize("command", ["verify-bounds",
                                      "classical-verify-bounds"])
-@pytest.mark.parametrize("flag", [["--tmin", "1"], ["--tmax", "5"]])
+@pytest.mark.parametrize("flag", [["--tmin", "1"], ["--tmax", "5"],
+                                  ["--points", "5"], ["--spacing", "linear"]])
 def test_verify_bounds_grid_needs_tmin_and_tmax(command, flag, capsys):
-    # a grid needs both ends; one flag alone is a usage error
+    # a grid needs both ends; one end alone, or a grid shape without a grid,
+    # is a usage error
     model = SPIN_ARGS if command == "verify-bounds" \
         else ["--model", "builtin:double_well"]
     code, out, err = run_cli([command] + model + flag, capsys)
