@@ -47,7 +47,11 @@ def observable_trajectory(spec, obs, times):
 
 def observable_change(spec, obs, t_start, t_end, n_grid=33):
     """Windowed max-norm change of an observable, normalized by its initial
-    max norm; bounded above by the full change measure of the dynamics."""
+    max norm; bounded above by the full change measure of the dynamics.
+
+    Unlike regimes._refined_sup, this refines a maximum at the grid's first
+    or last point too: an observable's change can oscillate, and there
+    golden section does beat the endpoint grid value."""
     obs = np.asarray(obs, dtype=complex)
     norm0 = max_norm(obs)
     if norm0 == 0.0:

@@ -24,6 +24,8 @@ CUTOFF_FINAL_TAIL = -2.0 + math.sqrt(5.0)             # 0.2360..., d_ss dichotom
 CUTOFF_RELAXATION = (1.0 - 1.0 / math.e) / math.e     # 0.2325..., relaxation-time definitions
 CUTOFF_LINEAR_GROWTH = (3.0 * math.log(1.5) - 1.0) / 2.0  # 0.1082..., growth-inverse domain
 VERDICT_GUARD = 1e-4
+# evolution matrices a backend keeps, least recently used evicted first
+EVO_CACHE_SIZE = 256
 
 
 class TrivialDynamicsError(ValueError):
@@ -63,7 +65,8 @@ class DynamicsBackend:
     from it. Subclasses supply only the dynamics (_evolve, generator_matrix)
     and the norm (norm_result, exact or a lower bound). Evolution matrices
     and norm values are cached, the latter keyed by the matrix expression,
-    so repeated grid sweeps are cheap.
+    so repeated grid sweeps are cheap; the evolution cache keeps the
+    EVO_CACHE_SIZE most recently used times.
     """
 
     def __init__(self, spectral, identity):
@@ -95,9 +98,13 @@ class DynamicsBackend:
 
     # --- spectral primitives ---------------------------------------------------
     def evolution_matrix(self, t):
-        E = self._evo_cache.get(t)
+        cache = self._evo_cache
+        E = cache.pop(t, None)
         if E is None:
-            E = self._evo_cache[t] = self._evolve(t)
+            E = self._evolve(t)
+            if len(cache) >= EVO_CACHE_SIZE:
+                del cache[next(iter(cache))]
+        cache[t] = E
         return E
 
     def identity_matrix(self):
@@ -393,38 +400,20 @@ def _golden_refine(f, a, b, rel_tol=1e-6):
     return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
-def _golden_path(a, b, rel_tol=1e-6):
-    """The points _golden_refine(f, a, b) visits, in order, when f rises
-    across them: a replay of its own arithmetic with a rising stand-in f."""
-    path = []
+def _refined_sup(f, ts):
+    """f on the grid ts, and its golden-section refinement on
+    [t_{k-1}, t_{k+1}] around the grid maximum k. Returns (grid values, k,
+    refined t, refined value).
 
-    def rising(t):
-        path.append(t)
-        return len(path)
-
-    _golden_refine(rising, a, b, rel_tol=rel_tol)
-    return path
-
-
-def _refined_sup(dyn, f, key, ts):
-    """f on the grid ts, and its golden-section refinement around the grid
-    maximum. Returns (grid values, argmax index, refined t, refined value).
-
-    f(t) is the backend norm under the cache key key(t), so the grid is
-    prefetched as one batch. When the grid maximum is the last point, the
-    points the refinement visits if f keeps rising (_golden_path) are
-    prefetched too; the refinement then reads them from the cache and
-    evaluates singly from the first point the prediction missed, so no
-    value depends on the prediction.
+    Only an interior maximum is refined. At the first or last grid point the
+    grid point is its own refinement: golden section never evaluates the
+    bracket's ends, and there it has only ever tied the grid value.
     """
-    dyn.prefetch([key(t) for t in ts])
     vals = [f(t) for t in ts]
     k = int(np.argmax(vals))
-    a = ts[max(0, k - 1)]
-    b = ts[min(len(ts) - 1, k + 1)]
-    if k == len(ts) - 1:
-        dyn.prefetch([key(t) for t in _golden_path(a, b)])
-    t_ref, v_ref = _golden_refine(f, a, b)
+    if k in (0, len(ts) - 1):
+        return vals, k, ts[k], vals[k]
+    t_ref, v_ref = _golden_refine(f, ts[k - 1], ts[k + 1])
     return vals, k, t_ref, v_ref
 
 
@@ -433,17 +422,17 @@ def change_measure(dyn, t_start, t_end, n_grid=33):
 
     Contractivity reduces the pair supremum to distances from the window
     start. Evaluated on a log grid (one batched sweep at D >= 3), then
-    refined by golden section around the grid maximum. Returns (value,
-    argmax time).
+    refined by golden section around an interior grid maximum. Returns
+    (value, argmax time).
     """
     if t_end < t_start:
         raise ValueError("window end before start")
     if t_end == t_start:
         return 0.0, t_start
     ts = _window_grid(t_start, t_end, n_grid)
-    vals, k, t_ref, v_ref = _refined_sup(
-        dyn, lambda t: dyn.distance(t_start, t),
-        lambda t: ("pair", t_start, t), ts)
+    dyn.prefetch([("pair", t_start, t) for t in ts])
+    vals, k, t_ref, v_ref = _refined_sup(lambda t: dyn.distance(t_start, t),
+                                         ts)
     if v_ref >= vals[k]:
         return float(v_ref), float(t_ref)
     return float(vals[k]), float(ts[k])
@@ -455,9 +444,8 @@ def change_measure_doubling(dyn, t_start, t_end, n_grid=33):
     if t_end < 2 * t_start:
         return 0.0
     ts = _window_grid(t_start, t_end / 2.0, n_grid)
-    vals, k, _, v_ref = _refined_sup(
-        dyn, lambda t: dyn.distance(t, 2 * t), lambda t: ("pair", t, 2 * t),
-        ts)
+    dyn.prefetch([("pair", t, 2 * t) for t in ts])
+    vals, k, _, v_ref = _refined_sup(lambda t: dyn.distance(t, 2 * t), ts)
     return float(max(vals[k], v_ref))
 
 

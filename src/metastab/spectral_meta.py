@@ -224,8 +224,7 @@ def spectral_projection_report(dyn, m, t_start, t_end, n_grid=33, tol=1e-8):
     dyn.prefetch(keys)
 
     proj_vals, k, _, v_ref = _refined_sup(
-        dyn, lambda t: dyn.projector_distance(m, t), lambda t: ("proj", m, t),
-        ts)
+        lambda t: dyn.projector_distance(m, t), ts)
     proj_sup = float(max(proj_vals[k], v_ref))
     proj_vals = np.asarray(proj_vals)
     drift_vals = np.asarray([dyn.slow_drift(m, float(t)) for t in ts])

@@ -307,18 +307,18 @@ def test_random_detect_norm_calls(norm_calls, capsys):
 
 
 def test_spin_norm_calls(norm_calls, capsys):
-    # detect: 1 generator norm + 16 in timescales + 1,479 in the scan + 87
+    # detect: 1 generator norm + 16 in timescales + 1,314 in the scan + 87
     # in relaxation_times; verify-bounds: 1 generator norm + 16 in
-    # timescales + 707 in its two window scans, whose probes stop at their
-    # first over-budget distance, + 94 in relaxation_times + 692 in the
+    # timescales + 496 in its two window scans, whose probes stop at their
+    # first over-budget distance, + 94 in relaxation_times + 550 in the
     # other battery rows
     code, _, _ = run_cli(["detect"] + SPIN_ARGS, capsys)
     assert code == 0
-    assert norm_calls["maps"] == 1583
+    assert norm_calls["maps"] == 1418
     norm_calls["maps"] = 0
     code, _, _ = run_cli(["verify-bounds"] + SPIN_ARGS, capsys)
     assert code == 0
-    assert norm_calls["maps"] == 1510
+    assert norm_calls["maps"] == 1157
 
 
 def test_quantum_commands_load_no_scipy(tmp_path):

@@ -9,7 +9,7 @@ from metastab.heisenberg import (asymptotic_observable, evolve_observable,
 from metastab.models import SPIN_X, SPIN_Z, random_lindbladian
 from metastab.norms import max_norm_induced
 from metastab.operators import max_norm
-from metastab.regimes import QuantumBackend, change_measure
+from metastab.regimes import QuantumBackend, change_measure, _window_grid
 from metastab.superop import (QuantumModel, Superoperator, build_liouvillian,
                               spectral_decompose, vec)
 
@@ -108,6 +108,23 @@ def test_nonzero_observable_change():
     O1 = evolve_observable(spec, O, 0.4)
     O2 = evolve_observable(spec, O, 2.9)
     assert max_norm(O1 - O2) > 1e-12
+
+
+def test_observable_change_refines_an_end_maximum():
+    # an observable's change can oscillate: here the grid maximum is the
+    # window's last point, and golden section inside the last grid interval
+    # finds a larger change (0.025524957... against 0.025524913...)
+    spec = spectral_decompose(build_liouvillian(random_lindbladian(3, 2,
+                                                                   seed=1)))
+    rng = np.random.default_rng(103)
+    for _ in range(7):
+        O = random_hermitian(rng, 3)
+    t_start, t_end = 20.0, 40.0
+    o_start = evolve_observable(spec, O, t_start)
+    grid = [max_norm(o_start - evolve_observable(spec, O, t)) / max_norm(O)
+            for t in _window_grid(t_start, t_end)]
+    assert int(np.argmax(grid)) == len(grid) - 1
+    assert observable_change(spec, O, t_start, t_end) > max(grid)
 
 
 def test_quasi_conserved_witness_spin(spin_backend, spin_spectral):

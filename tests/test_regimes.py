@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import metastab.regimes as regimes
 from metastab.classical import ClassicalBackend, ClassicalGenerator
 from metastab.models import random_lindbladian, spin_half_dephasing
 from metastab.modes import change_thresholds
@@ -11,8 +13,9 @@ from metastab.regimes import (CUTOFF_RELAXATION, QuantumBackend, TimeGrid,
                               classify_regime, distinguishability_bounds,
                               observable_average_change, relaxation_times,
                               scan_metastable, state_change_measure,
-                              timescales, _golden_path, _golden_refine,
+                              timescales, _golden_refine,
                               _refined_sup, _window_grid)
+from metastab.spectral_meta import bound_battery
 
 
 
@@ -189,49 +192,26 @@ def recording(f, visited):
     return g
 
 
-@pytest.mark.parametrize("a, b, rel_tol", [(1.875, 2.0, 1e-6),
-                                           (0.3, 7.0, 1e-6),
-                                           (10.0, 10.5, 1e-3)])
-def test_golden_path_is_the_rising_refinement(a, b, rel_tol):
+@pytest.mark.parametrize("g", [lambda t: t, lambda t: -t],
+                         ids=["last", "first"])
+def test_refined_sup_takes_an_end_maximum_from_the_grid(g):
+    ts = np.linspace(1.0, 2.0, 9)
     visited = []
-    _golden_refine(recording(math.exp, visited), a, b, rel_tol=rel_tol)
-    assert _golden_path(a, b, rel_tol=rel_tol) == visited
+    vals, k, t_ref, v_ref = _refined_sup(recording(g, visited), ts)
+    assert k in (0, len(ts) - 1) and vals == [g(t) for t in ts]
+    assert (t_ref, v_ref) == (ts[k], vals[k])
+    assert visited == list(ts)
 
 
-class SweepStub:
-    """Backend stand-in for _refined_sup: norms of a scalar function g, a
-    cache, and a prefetch that fills the cache and records its keys."""
-
-    def __init__(self, g):
-        self.g, self.cache, self.prefetched = g, {}, []
-
-    def prefetch(self, keys):
-        for key in keys:
-            self.prefetched.append(key)
-            self.cache.setdefault(key, self.g(key[1]))
-
-    def value(self, t):
-        return self.cache.setdefault(("x", t), self.g(t))
-
-
-def test_refined_sup_when_the_golden_prediction_fails():
-    # the grid maximum is the last point, so the rising path is prefetched,
-    # but a bump inside the last bracket turns the refinement back; it must
-    # still return golden section's own result
+def test_refined_sup_refines_an_interior_maximum():
     def g(t):
-        return t + 0.5 * math.exp(-((t - 1.96) / 0.01) ** 2)
+        return -(t - 1.31) ** 2
 
     ts = np.linspace(1.0, 2.0, 9)
-    stub = SweepStub(g)
-    vals, k, t_ref, v_ref = _refined_sup(stub, stub.value, lambda t: ("x", t),
-                                         ts)
-    visited = []
-    want = _golden_refine(recording(g, visited), ts[-2], ts[-1])
-    assert k == len(ts) - 1 and vals == [g(t) for t in ts]
-    assert (t_ref, v_ref) == want and v_ref > vals[k]
-    predicted = _golden_path(ts[-2], ts[-1])
-    assert [key[1] for key in stub.prefetched] == list(ts) + predicted
-    assert set(visited) - set(predicted)
+    vals, k, t_ref, v_ref = _refined_sup(g, ts)
+    assert k == 2
+    assert (t_ref, v_ref) == _golden_refine(g, ts[k - 1], ts[k + 1])
+    assert v_ref > vals[k]
 
 
 def window_by_window_scan(dyn, grid, c_delta_max, ratio, n_grid):
@@ -380,3 +360,69 @@ def test_classical_pipeline_matches_closed_form():
         math.exp(-0.8), abs=1e-10)
     c, _ = change_measure(dyn, 0.5, 2.0)
     assert c == pytest.approx(math.exp(-0.5) - math.exp(-2.0), abs=1e-9)
+
+
+def two_cluster_rates(n, seed):
+    """Rate matrix of two equal clusters, uniform(0.5, 1.5) rates inside and
+    1e-3 times that between them (column convention)."""
+    Q = np.random.default_rng(seed).uniform(0.5, 1.5, size=(n, n))
+    half = n // 2
+    inside = np.zeros((n, n), dtype=bool)
+    inside[:half, :half] = inside[half:, half:] = True
+    Q = np.where(inside, Q, 1e-3 * Q)
+    np.fill_diagonal(Q, 0.0)
+    return Q - np.diag(Q.sum(axis=0))
+
+
+def exact_form(x):
+    """x with every float as its hex string and every array as its bytes,
+    so that == compares results bit for bit, NaN included."""
+    if dataclasses.is_dataclass(x):
+        return type(x), [exact_form(getattr(x, f.name))
+                         for f in dataclasses.fields(x)]
+    if isinstance(x, dict):
+        return {k: exact_form(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [exact_form(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return x.dtype, x.shape, x.tobytes()
+    if isinstance(x, float):
+        return x.hex()
+    return x
+
+
+def test_evolution_cache_is_bounded(monkeypatch):
+    model = random_lindbladian(3, 2, seed=0)
+    Q = two_cluster_rates(16, seed=16)
+
+    def run():
+        battery = bound_battery(QuantumBackend(model=model, seed=0), seed=0)
+        hits = scan_metastable(ClassicalBackend(ClassicalGenerator(Q)),
+                               c_delta_max=0.1, ratio=2.0)
+        return battery, hits
+
+    want_battery, want_hits = run()
+    sizes = []
+    evolution_matrix = regimes.DynamicsBackend.evolution_matrix
+
+    def recorded(self, t):
+        E = evolution_matrix(self, t)
+        sizes.append(len(self._evo_cache))
+        return E
+
+    monkeypatch.setattr(regimes, "EVO_CACHE_SIZE", 8)
+    monkeypatch.setattr(regimes.DynamicsBackend, "evolution_matrix", recorded)
+    battery, hits = run()
+    assert max(sizes) == 8
+    assert exact_form(battery) == exact_form(want_battery)
+    assert want_hits and exact_form(hits) == exact_form(want_hits)
+
+
+def test_evolution_cache_evicts_the_least_recently_used(monkeypatch):
+    monkeypatch.setattr(regimes, "EVO_CACHE_SIZE", 2)
+    dyn = two_state_backend()
+    E1 = dyn.evolution_matrix(1.0)
+    dyn.evolution_matrix(2.0)
+    assert dyn.evolution_matrix(1.0) is E1
+    dyn.evolution_matrix(3.0)
+    assert list(dyn._evo_cache) == [1.0, 3.0]
