@@ -94,10 +94,10 @@ class ClassicalBackend(DynamicsBackend):
         # projectors of a real rate matrix are real up to round-off
         return P.real if np.max(np.abs(P.imag)) < 1e-10 else P
 
-    def matrix_norm(self, M, warm=None):
+    def matrix_norm(self, M):
         return l1_norm(M)
 
-    def norm_result(self, M, warm=None):
+    def norm_result(self, M):
         # exact evaluation with a basis-vector witness; the value is
         # l1_norm's, so it equals matrix_norm bit for bit
         value = l1_norm(M)

@@ -74,7 +74,7 @@ def bracketed_root(f, a, b):
     iterations do not converge.
     """
     xtol = 1e-12 * max(abs(a), abs(b), 1e-300)
-    rtol = 4.0 * np.finfo(float).eps
+    rtol = 4.0 * float(np.finfo(float).eps)
     xpre, xcur = float(a), float(b)
     fpre, fcur = float(f(xpre)), float(f(xcur))
     if fpre == 0.0 or fcur == 0.0:

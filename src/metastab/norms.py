@@ -5,16 +5,17 @@ For a Hermiticity-preserving map X the induced norm sup ||X(rho)||_1 over
 states is attained on pure states, so the problem is the bilinear
 maximization of Tr[O X(psi psi^dag)] over unit vectors psi and reflections O.
 
-At D = 2 the backend path (_induced_norm_matrix) is exact: in the Pauli basis
-the problem reduces to a maximization over the Bloch sphere that a secular
-equation solves in closed form. At D >= 3 it runs the alternating ascent:
-both coordinate maxima have closed forms (sign operator of X(psi psi^dag),
-top eigenvector of X^dag(O)), giving a monotone ascent; multiple restarts
+Every norm call is (map, D, seed), and every caller, the public
+induced_trace_norm included, goes through _induced_norm_matrix. At D = 2 it
+is exact: in the Pauli basis the problem reduces to a maximization over the
+Bloch sphere that a secular equation solves in closed form. At D >= 3 it runs
+the alternating ascent: both coordinate maxima have closed forms (sign
+operator of X(psi psi^dag), top eigenvector of X^dag(O)), giving a monotone
+ascent; multiple restarts, from seed states fixed by D and the seed alone,
 guard against local maxima. Ascent values are certified lower bounds, exact
 whenever any restart reaches the global optimum. _alternating_ascents runs
 the ascent on several maps in lockstep, with the same result for each map as
-a call of its own. induced_trace_norm always runs the ascent, at every
-dimension.
+a call of its own.
 
 Both coordinate maxima need eigen-information of a Hermitian D x D matrix.
 At D = 3, during the burn-in iterations, where each map runs all its
@@ -85,12 +86,8 @@ def _deterministic_seed_block(dim, n_random, seed):
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 
-def _seed_states(dim, n_restarts, seed, warm=None):
-    seeds = []
-    if warm is not None:
-        w = np.asarray(warm, dtype=complex).reshape(-1)
-        seeds.append(w / np.linalg.norm(w))
-    seeds.extend(np.eye(dim, dtype=complex))
+def _seed_states(dim, n_restarts, seed):
+    seeds = list(np.eye(dim, dtype=complex))
     if dim == 2:
         seeds.extend(_bloch_grid_states())
     missing = n_restarts - len(seeds)
@@ -225,13 +222,13 @@ def _top_eigvec3(A):
     return v
 
 
-def _induced_norm_matrix(M, dim, seed=0, warm=None):
+def _induced_norm_matrix(M, dim, seed=0):
     """Induced trace norm of a raw D^2 x D^2 Hermiticity-preserving matrix:
-    exact at D = 2 (seed and warm are then unused), the alternating ascent's
-    lower bound at D >= 3."""
+    exact at D = 2 (seed is then unused), the alternating ascent's lower
+    bound at D >= 3."""
     if dim == 2:
         return _qubit_induced_norm(M)
-    return _alternating_ascent(M, dim, seed=seed, warm=warm)
+    return _alternating_ascent(M, dim, seed=seed)
 
 
 # column-stacked Pauli matrices: _PAULI_VECS[:, k] = vec(sigma_k), sigma_0 = I
@@ -328,53 +325,46 @@ def _qubit_induced_norm(M):
 
 
 def _alternating_ascent(M, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
-                        seed=0, warm=None, burn_in=DEFAULT_BURN_IN,
+                        seed=0, burn_in=DEFAULT_BURN_IN,
                         keep_after_burn_in=DEFAULT_KEEP_AFTER_BURN_IN):
     """Alternating-ascent maximization on a raw D^2 x D^2 matrix: the
     lockstep kernel of _alternating_ascents with a single map (T = 1)."""
     return _alternating_ascents(
         [M], dim, restarts=restarts, max_iter=max_iter, seed=seed,
-        warms=[warm], burn_in=burn_in,
-        keep_after_burn_in=keep_after_burn_in)[0]
+        burn_in=burn_in, keep_after_burn_in=keep_after_burn_in)[0]
 
 
 def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
-                         seed=0, warms=None, burn_in=DEFAULT_BURN_IN,
+                         seed=0, burn_in=DEFAULT_BURN_IN,
                          keep_after_burn_in=DEFAULT_KEEP_AFTER_BURN_IN):
     """Alternating ascent on T raw D^2 x D^2 matrices at once.
 
     The T maps x R restarts advance in lockstep through batched coordinate
-    steps (closed forms or eigh), at most LOCKSTEP_MAPS maps per pass. Chains
-    are stored map after map, so each map's working chains form one
-    contiguous block, and each block is multiplied by its own matrix in a
-    plain gemm.
-    Every map keeps its own seed states and warm start (warms[k]), its own
-    convergence, and its own burn-in cull: after burn_in iterations the
-    laggard chains of a map (strictly behind that map's leaders) are frozen
-    and only its keep_after_burn_in leaders iterate to full tolerance; frozen
-    values remain valid lower bounds. A map's result therefore does not
-    depend on the other maps in the pass: it equals, bit for bit, the
-    single-map call _alternating_ascent(Ms[k], dim, warm=warms[k]).
+    steps (closed forms or eigh), at most LOCKSTEP_MAPS maps per pass. Every
+    map starts from the same R seed states, and its chains are stored map
+    after map, so each map's working chains form one contiguous block, and
+    each block is multiplied by its own matrix in a plain gemm.
+    Every map keeps its own convergence and its own burn-in cull: after
+    burn_in iterations the laggard chains of a map (strictly behind that
+    map's leaders) are frozen and only its keep_after_burn_in leaders iterate
+    to full tolerance; frozen values remain valid lower bounds. A map's
+    result therefore does not depend on the other maps in the pass: it
+    equals, bit for bit, the single-map call _alternating_ascent(Ms[k], dim).
     Returns one InducedNormResult per map, in order.
     """
-    if warms is None:
-        warms = [None] * len(Ms)
     if len(Ms) > LOCKSTEP_MAPS:
         step = LOCKSTEP_MAPS
         return [res for lo in range(0, len(Ms), step)
                 for res in _alternating_ascents(
                     Ms[lo:lo + step], dim, restarts=restarts,
-                    max_iter=max_iter, seed=seed,
-                    warms=warms[lo:lo + step], burn_in=burn_in,
+                    max_iter=max_iter, seed=seed, burn_in=burn_in,
                     keep_after_burn_in=keep_after_burn_in)]
     if restarts is None:
         restarts = max(16, 4 * dim)
     T = len(Ms)
-    seeds = [_seed_states(dim, restarts, seed, w) for w in warms]
-    psi_full = np.concatenate(seeds)
-    sizes = [s.shape[0] for s in seeds]
-    owner = np.repeat(np.arange(T), sizes)          # map of each chain
-    first = np.concatenate(([0], np.cumsum(sizes)))  # first chain of each map
+    psi_full = np.tile(_seed_states(dim, restarts, seed), (T, 1))
+    owner = np.repeat(np.arange(T), restarts)       # map of each chain
+    first = np.arange(T + 1) * restarts             # first chain of each map
     Mts = [M.T for M in Ms]
     Mcs = [M.conj() for M in Ms]
 
@@ -471,27 +461,28 @@ def _blockwise_product(vecs, mats, bounds):
     return out
 
 
-def induced_trace_norm(X, max_iter=DEFAULT_MAX_ITER, seed=0, warm=None):
+def induced_trace_norm(X, seed=0):
     """Trace-norm-induced norm of a Hermiticity-preserving superoperator.
 
-    Runs the alternating ascent at every dimension, qubits included. Returns
-    an InducedNormResult whose value is a lower bound on the true norm; the
-    witness state and observable reproduce it exactly.
+    Exact at D = 2 (the Bloch-sphere closed form; seed is then unused), the
+    alternating ascent's lower bound at D >= 3. Returns an InducedNormResult
+    whose exact flag tells the two apart; the witness state and observable
+    reproduce the value.
     """
     if not isinstance(X, Superoperator):
         raise TypeError("induced_trace_norm expects a Superoperator")
     if not X.hermiticity_preserving:
         raise ValueError("induced norm is defined here only for "
                          "hermiticity-preserving superoperators")
-    return _alternating_ascent(X.matrix, X.dim, max_iter=max_iter, seed=seed,
-                               warm=warm)
+    return _induced_norm_matrix(X.matrix, X.dim, seed=seed)
 
 
 def max_norm_induced(X):
     """Max-norm-induced norm sup ||X(O)||_max / ||O||_max over Hermitian O.
 
     By duality it is the induced trace norm of the Hilbert-Schmidt adjoint
-    X^dag, so the value is the alternating ascent's lower bound on that.
+    X^dag, so the value is exact at D = 2 and the alternating ascent's lower
+    bound at D >= 3.
     """
     if not isinstance(X, Superoperator):
         raise TypeError("max_norm_induced expects a Superoperator")

@@ -75,7 +75,6 @@ class DynamicsBackend:
         self._eye = identity
         self._norm_cache = {}
         self._evo_cache = {}
-        self._warm_cache = {}
 
     # --- supplied by subclasses ------------------------------------------------
     def _evolve(self, t):
@@ -84,7 +83,7 @@ class DynamicsBackend:
     def generator_matrix(self):
         raise NotImplementedError
 
-    def norm_result(self, M, warm=None):
+    def norm_result(self, M):
         """InducedNormResult of an arbitrary map matrix."""
         raise NotImplementedError
 
@@ -116,9 +115,9 @@ class DynamicsBackend:
     def slow_projector_matrix(self, m):
         return self.spectral.projector_matrix(m)
 
-    def matrix_norm(self, M, warm=None):
+    def matrix_norm(self, M):
         """Induced norm of an arbitrary map matrix (exact or lower bound)."""
-        return self.norm_result(M, warm=warm).value
+        return self.norm_result(M).value
 
     def eigenvalues(self):
         """Generator eigenvalues sorted by decreasing real part."""
@@ -135,20 +134,16 @@ class DynamicsBackend:
         """Copy of this backend whose stationary projection is P.
 
         The copy shares the spectrum but starts with empty caches, so norms
-        and warm starts computed under P never reach this backend.
+        computed under P never reach this backend.
         """
         view = copy.copy(self)
-        view._norm_cache, view._warm_cache, view._evo_cache = {}, {}, {}
+        view._norm_cache, view._evo_cache = {}, {}
         view.stationary_matrix = lambda: P
         return view
 
     # --- derived quantities ---------------------------------------------------
-    def _family_warm(self, family):
-        """Warm-start witness for a map family, or None."""
-        return None
-
     def _norm_map(self, key):
-        """(matrix, warm start) of the map whose norm the cache key names.
+        """Matrix of the map whose norm the cache key names.
 
         The single getters and prefetch both build their maps here, so a
         cached value does not depend on which of them computed it. A pair
@@ -157,34 +152,33 @@ class DynamicsBackend:
         family, *args = key
         E, I = self.evolution_matrix, self.identity_matrix()
         if family == "pair":
-            return E(args[0]) - E(args[1]), None
+            return E(args[0]) - E(args[1])
         if family == "ident":
-            return E(args[0]) - I, self._family_warm("ident")
+            return E(args[0]) - I
         if family == "stat":
-            return (E(args[0]) - self.stationary_matrix(),
-                    self._family_warm("stat"))
+            return E(args[0]) - self.stationary_matrix()
         if family == "ident-stat":
-            return I - self.stationary_matrix(), None
+            return I - self.stationary_matrix()
         P = self.slow_projector_matrix(args[0])
         if family == "proj":
-            return E(args[1]) - P, None
+            return E(args[1]) - P
         if family == "drift":
-            return P @ (E(args[1]) - I), None
+            return P @ (E(args[1]) - I)
         if family == "fast":
-            return (I - P) @ E(args[1]), None
+            return (I - P) @ E(args[1])
         if family == "pnorm":
-            return P, None
+            return P
         if family == "ipnorm":
-            return I - P, None
+            return I - P
         if family == "pgen":
-            return P @ self.generator_matrix(), None
+            return P @ self.generator_matrix()
         raise KeyError(key)
 
     def _norm_of(self, key):
         value = self._norm_cache.get(key)
         if value is None:
-            M, warm = self._norm_map(key)
-            value = self._norm_cache[key] = self.matrix_norm(M, warm=warm)
+            value = self._norm_cache[key] = self.matrix_norm(
+                self._norm_map(key))
         return value
 
     def prefetch(self, keys):
@@ -273,36 +267,14 @@ class QuantumBackend(DynamicsBackend):
         self.liouvillian = liouvillian
         self.seed = seed
 
-    def _family_warm(self, family):
-        """Reference witness of the identity or stationary family.
-
-        Computed once per family at a time fixed by the spectrum, so every
-        call in the family starts from the same witness whatever the order of
-        calls.
-        """
-        if family not in self._warm_cache:
-            lam = self.spectral.eigenvalues
-            witness = None
-            if self.spectral.m_ss < lam.size:
-                if family == "ident":
-                    t_ref = 1.0 / max(-lam.real[-1], 1e-300)
-                    M = self.evolution_matrix(t_ref) - self._eye
-                else:
-                    t_ref = 1.0 / max(-lam.real[self.spectral.m_ss], 1e-300)
-                    M = self.evolution_matrix(t_ref) - self.stationary_matrix()
-                witness = self.norm_result(M).witness_state
-            self._warm_cache[family] = witness
-        return self._warm_cache[family]
-
     def _evolve(self, t):
         return self.spectral.evolution_matrix(t)
 
     def generator_matrix(self):
         return self.liouvillian.matrix
 
-    def norm_result(self, M, warm=None):
-        return _norms._induced_norm_matrix(M, self.dim, seed=self.seed,
-                                           warm=warm)
+    def norm_result(self, M):
+        return _norms._induced_norm_matrix(M, self.dim, seed=self.seed)
 
     def prefetch(self, keys):
         # the qubit norm is an exact closed form; the ascent runs at D >= 3
@@ -319,10 +291,8 @@ class QuantumBackend(DynamicsBackend):
                 todo[key] = None
         if not todo:
             return
-        maps = [self._norm_map(key) for key in todo]
         results = _norms._alternating_ascents(
-            [M for M, _ in maps], self.dim, seed=self.seed,
-            warms=[warm for _, warm in maps])
+            [self._norm_map(key) for key in todo], self.dim, seed=self.seed)
         for key, res in zip(todo, results):
             self._norm_cache[key] = res.value
 
@@ -643,8 +613,8 @@ def scan_metastable(dyn, c_delta_max=0.1, ratio=2.0, grid=None, n_grid=33,
 
     # far end first, where the distance is usually largest. The maps are
     # those of a window-by-window probe, and a distance depends on its
-    # arguments alone (no warm start, fixed restart seeds), so neither the
-    # batching nor the order changes any value a later analysis computes
+    # arguments alone (fixed restart seeds), so neither the batching nor the
+    # order changes any value a later analysis computes
     n_probe = max(7, n_grid // 2)
     probes = [_window_grid(t, ratio * t, n_probe)[::-1] for t in grid]
     alive = range(len(grid))

@@ -74,7 +74,7 @@ def random_state(rng, dim):
     return np.outer(v, v.conj())
 
 
-BACKEND_CACHES = ("_norm_cache", "_warm_cache", "_evo_cache")
+BACKEND_CACHES = ("_norm_cache", "_evo_cache")
 
 
 def cache_snapshot(dyn):

@@ -297,28 +297,28 @@ RANDOM_D4_ARGS = ["--model", "builtin:random_lindbladian", "--param", "dim=4",
 
 def test_random_detect_norm_calls(norm_calls, capsys):
     # 1 model normalisation + 1 generator norm (reused for the dispersion)
-    # + 28 in timescales (16 ident, 9 stat, 1 ident-stat, 2 warm-start
-    # witnesses; each crossing is a scan or doubling bracket, then Brent)
-    # + 24 scan probes, each failing at its first, far-end distance: 30
-    # single ascents and one 24-map scan round
+    # + 27 in timescales (17 ident, 9 stat, 1 ident-stat; each crossing is
+    # a scan or doubling bracket, then Brent) + 24 scan probes, each failing
+    # at its first, far-end distance: 29 single ascents and one 24-map scan
+    # round
     code, _, _ = run_cli(["detect"] + RANDOM_D4_ARGS, capsys)
     assert code == 0
-    assert norm_calls == {"maps": 54, "ascents": 31}
+    assert norm_calls == {"maps": 53, "ascents": 30}
 
 
 def test_spin_norm_calls(norm_calls, capsys):
-    # detect: 1 generator norm + 16 in timescales + 1,314 in the scan + 87
-    # in relaxation_times; verify-bounds: 1 generator norm + 16 in
+    # detect: 1 generator norm + 14 in timescales + 1,314 in the scan + 87
+    # in relaxation_times; verify-bounds: 1 generator norm + 14 in
     # timescales + 496 in its two window scans, whose probes stop at their
     # first over-budget distance, + 94 in relaxation_times + 550 in the
     # other battery rows
     code, _, _ = run_cli(["detect"] + SPIN_ARGS, capsys)
     assert code == 0
-    assert norm_calls["maps"] == 1418
+    assert norm_calls["maps"] == 1416
     norm_calls["maps"] = 0
     code, _, _ = run_cli(["verify-bounds"] + SPIN_ARGS, capsys)
     assert code == 0
-    assert norm_calls["maps"] == 1157
+    assert norm_calls["maps"] == 1155
 
 
 def test_quantum_commands_load_no_scipy(tmp_path):

@@ -212,6 +212,14 @@ def test_bracketed_root_matches_brentq_bit_for_bit():
                           step=0.01) == bracketed_root(*sin_case)
 
 
+def test_bracketed_root_returns_a_python_float():
+    # a delta-sized last step must not turn the iterate into np.float64
+    c = 3 / 197
+    root = bracketed_root(lambda x: (x - c) ** 3 + (x - c), 0.0, 1.0)
+    assert type(root) is float
+    assert root == 0.015228426395968005
+
+
 def test_bracketed_root_endpoints_sign_and_cap():
     f = lambda x: x * x - 0.25
     assert bracketed_root(f, 0.5, 2.0) == 0.5

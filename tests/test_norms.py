@@ -77,8 +77,7 @@ def test_optimizer_matches_bloch_oracle_on_grid(spin_spectral):
         E = spin_spectral.evolution_matrix(float(t))
         for M in (E - P, E - eye):
             oracle = np.linalg.svd(bloch_map(M), compute_uv=False)[0]
-            res = induced_trace_norm(Superoperator(2, M, True, False),
-                                     max_iter=20000)
+            res = _alternating_ascent(M, 2, max_iter=20000)
             assert abs(res.value - oracle) < 1e-6
 
 
@@ -144,20 +143,10 @@ def test_duality_with_max_norm_optimizer():
         assert dual == pytest.approx(direct, abs=1e-6)
 
 
-def test_warm_start_seeds_first_restart(spin_spectral):
-    E = evolution(spin_spectral, 12.0).matrix
-    P = stationary_projector(spin_spectral).matrix
-    X = Superoperator(2, E - P, hermiticity_preserving=True)
-    cold = induced_trace_norm(X)
-    warm = induced_trace_norm(X, warm=cold.witness_state)
-    assert warm.value == pytest.approx(cold.value, abs=1e-10)
-
-
 def test_nonconvergence_is_flagged_not_raised(spin_spectral):
     E = evolution(spin_spectral, 5.0).matrix
     P = stationary_projector(spin_spectral).matrix
-    X = Superoperator(2, E - P, hermiticity_preserving=True)
-    res = induced_trace_norm(X, max_iter=1)
+    res = _alternating_ascent(E - P, 2, max_iter=1)
     assert res.converged is False
     assert res.value > 0
 
@@ -200,8 +189,8 @@ def test_restart_dispersion_reported(spin_spectral):
 # --- lockstep ascent over several maps ---------------------------------------
 
 def mixed_map_stack(dim):
-    """More than LOCKSTEP_MAPS (matrix, warm) pairs of one random model: pair
-    maps, warm-started ident and stat maps, proj and drift maps."""
+    """More than LOCKSTEP_MAPS map matrices of one random model: pair, ident,
+    stat, proj and drift maps."""
     from metastab.regimes import QuantumBackend
 
     dyn = QuantumBackend(model=random_lindbladian(dim, 2, seed=3), seed=0)
@@ -212,7 +201,6 @@ def mixed_map_stack(dim):
                  ("stat", t), ("proj", m, t), ("drift", m, t)]
     stack = [dyn._norm_map(key) for key in keys]
     assert len(stack) > LOCKSTEP_MAPS
-    assert sum(warm is not None for _, warm in stack) == 16
     return stack
 
 
@@ -233,12 +221,9 @@ def test_lockstep_ascent_equals_single_map_ascent(dim, max_iter):
     # result of its own single-map call, in either stack order: no map's
     # cull, convergence or products see another map's chains
     stack = mixed_map_stack(dim)
-    single = [_alternating_ascent(M, dim, warm=warm, max_iter=max_iter)
-              for M, warm in stack]
+    single = [_alternating_ascent(M, dim, max_iter=max_iter) for M in stack]
     for order in (1, -1):
-        Ms = [M for M, _ in stack[::order]]
-        warms = [warm for _, warm in stack[::order]]
-        batch = _alternating_ascents(Ms, dim, warms=warms, max_iter=max_iter)
+        batch = _alternating_ascents(stack[::order], dim, max_iter=max_iter)
         assert len(batch) == len(stack)
         for got, want in zip(batch, single[::order]):
             assert_same_result(got, want)
@@ -248,12 +233,12 @@ def test_lockstep_ascent_equals_single_map_ascent(dim, max_iter):
 
 
 def degenerate_maps(dim):
-    """(matrix, warm) pairs whose X(psi psi^dag) is degenerate for every psi:
-    the zero map, the identity map and rho -> Tr(rho) I / dim."""
+    """Map matrices whose X(psi psi^dag) is degenerate for every psi: the
+    zero map, the identity map and rho -> Tr(rho) I / dim."""
     flat_eye = vec(np.eye(dim))
-    return [(np.zeros((dim * dim, dim * dim), dtype=complex), None),
-            (np.eye(dim * dim, dtype=complex), None),
-            (np.outer(flat_eye, flat_eye.conj()) / dim, None)]
+    return [np.zeros((dim * dim, dim * dim), dtype=complex),
+            np.eye(dim * dim, dtype=complex),
+            np.outer(flat_eye, flat_eye.conj()) / dim]
 
 
 def test_lockstep_ascent_with_degenerate_maps_equals_single_map_ascent():
@@ -261,13 +246,11 @@ def test_lockstep_ascent_with_degenerate_maps_equals_single_map_ascent():
     # into a stack of ordinary maps, every map still gets its single-map
     # result bit for bit, in either order
     stack = degenerate_maps(3) + mixed_map_stack(3)
-    single = [_alternating_ascent(M, 3, warm=warm) for M, warm in stack]
+    single = [_alternating_ascent(M, 3) for M in stack]
     assert [res.value for res in single[:3]] == pytest.approx([0.0, 1.0, 1.0],
                                                               abs=1e-12)
     for order in (1, -1):
-        Ms = [M for M, _ in stack[::order]]
-        warms = [warm for _, warm in stack[::order]]
-        batch = _alternating_ascents(Ms, 3, warms=warms)
+        batch = _alternating_ascents(stack[::order], 3)
         for got, want in zip(batch, single[::order]):
             assert_same_result(got, want)
 
@@ -490,12 +473,12 @@ def test_qubit_witness_reproduces_value(spin_spectral):
         assert max_norm(res.witness_observable) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_induced_trace_norm_stays_on_ascent_at_d2(spin_spectral):
+def test_induced_trace_norm_is_exact_at_d2(spin_spectral):
+    # the public norm takes the backends' qubit closed form, not the ascent
     X = identity_minus_stationary(spin_spectral)
     res = induced_trace_norm(X)
-    assert not res.exact and res.iterations > 0
-    assert res.value == pytest.approx(
-        _induced_norm_matrix(X.matrix, 2).value, abs=1e-10)
+    assert res.exact is True
+    assert res.value == _induced_norm_matrix(X.matrix, 2).value
 
 
 def test_max_norm_induced_is_the_adjoint_trace_norm():

@@ -8,6 +8,7 @@ import metastab.regimes as regimes
 from metastab.classical import ClassicalBackend, ClassicalGenerator
 from metastab.models import random_lindbladian, spin_half_dephasing
 from metastab.modes import change_thresholds
+from metastab.norms import _alternating_ascent
 from metastab.regimes import (CUTOFF_RELAXATION, QuantumBackend, TimeGrid,
                               TrivialDynamicsError, change_measure,
                               classify_regime, distinguishability_bounds,
@@ -164,16 +165,37 @@ def test_scan_probe_stops_at_first_excess():
 
 
 def test_pair_distances_do_not_depend_on_evaluation_order():
-    # ascent values (D = 3) depend on the arguments (t1, t2) alone: no warm
-    # start, fixed restart seeds, so skipped distances cannot move results
+    # ascent values (D = 3) depend on the map alone: fixed restart seeds and
+    # no state carried between calls, so skipped distances cannot move
+    # results
     model = random_lindbladian(3, 2, seed=0)
     first = QuantumBackend(model=model, seed=0)
     second = QuantumBackend(model=model, seed=0)
     ts = np.geomspace(0.1, 20.0, 6)
-    pairs = [(t1, t2) for t1 in ts for t2 in ts if t1 < t2]
-    forward = {p: first.distance(*p) for p in pairs}
-    backward = {p: second.distance(*p) for p in reversed(pairs)}
+    keys = [("pair", t1, t2) for t1 in ts for t2 in ts if t1 < t2]
+    keys += [(family, t) for family in ("ident", "stat") for t in ts]
+    forward = {key: first._norm_of(key) for key in keys}
+    backward = {key: second._norm_of(key) for key in reversed(keys)}
     assert forward == backward
+
+
+def test_distance_to_stationary_matches_multi_restart_reference():
+    # near tau_ss of this model a warm-started ascent stopped 2.2 % below the
+    # optimum (0.36476), and the root search for tau_ss stopped early with it
+    model = random_lindbladian(3, 2, seed=1)
+    dyn = QuantumBackend(model=model, seed=0)
+
+    def reference(t):
+        M = dyn.evolution_matrix(t) - dyn.stationary_matrix()
+        return _alternating_ascent(M, 3, restarts=64, max_iter=5000,
+                                   keep_after_burn_in=64).value
+
+    t = 11.434924690790359
+    assert reference(t) == pytest.approx(0.37301463602580753, abs=1e-12)
+    assert abs(dyn.distance_to_stationary(t) - reference(t)) <= 1e-9
+    tau_ss = timescales(QuantumBackend(model=model, seed=0)).tau_ss
+    assert type(tau_ss) is float
+    assert abs(reference(tau_ss) - 1.0 / math.e) <= 1e-9
 
 
 def test_pair_distance_does_not_depend_on_argument_order():
