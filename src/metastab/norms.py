@@ -15,7 +15,10 @@ ascent; multiple restarts, from seed states fixed by D and the seed alone,
 guard against local maxima. Ascent values are certified lower bounds, exact
 whenever any restart reaches the global optimum. _alternating_ascents runs
 the ascent on several maps in lockstep, with the same result for each map as
-a call of its own.
+a call of its own, in two phases: burn-in passes of at most LOCKSTEP_MAPS
+maps with all their restarts, then one shared pass of at most
+LOCKSTEP_CHAINS chains for the few leading chains of every map, refilled as
+chains stop.
 
 Both coordinate maxima need eigen-information of a Hermitian D x D matrix.
 At D = 3, during the burn-in iterations, where each map runs all its
@@ -23,8 +26,8 @@ restarts, the steps use closed forms evaluated along the whole stack: the
 trigonometric roots of the characteristic cubic, the sign operator from one
 spectral projector and the top eigenvector from a column of a product of
 shifted matrices. A matrix with a near-degenerate pair of eigenvalues goes
-to LAPACK eigh on its own. After burn-in (a few chains per map, where numpy's
-per-call overhead outweighs the saving) and at D >= 4, every step uses eigh.
+to LAPACK eigh on its own. After burn-in and at D >= 4, every step uses
+eigh.
 """
 import functools
 import math
@@ -44,8 +47,11 @@ DEFAULT_BURN_IN = 25
 DEFAULT_KEEP_AFTER_BURN_IN = 4
 # relative change below which a chain counts as converged
 REL_TOL = 1e-10
-# maps per lockstep pass of _alternating_ascents; bounds its working arrays
+# maps per burn-in pass of _alternating_ascents, and chains per pass after
+# burn-in (the size of a full burn-in pass at R = 16); they bound its working
+# arrays
 LOCKSTEP_MAPS = 32
+LOCKSTEP_CHAINS = 512
 
 
 @dataclass(frozen=True)
@@ -339,125 +345,234 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
                          keep_after_burn_in=DEFAULT_KEEP_AFTER_BURN_IN):
     """Alternating ascent on T raw D^2 x D^2 matrices at once.
 
-    The T maps x R restarts advance in lockstep through batched coordinate
-    steps (closed forms or eigh), at most LOCKSTEP_MAPS maps per pass. Every
-    map starts from the same R seed states, and its chains are stored map
-    after map, so each map's working chains form one contiguous block, and
-    each block is multiplied by its own matrix in a plain gemm.
-    Every map keeps its own convergence and its own burn-in cull: after
-    burn_in iterations the laggard chains of a map (strictly behind that
-    map's leaders) are frozen and only its keep_after_burn_in leaders iterate
-    to full tolerance; frozen values remain valid lower bounds. A map's
-    result therefore does not depend on the other maps in the pass: it
-    equals, bit for bit, the single-map call _alternating_ascent(Ms[k], dim).
-    Returns one InducedNormResult per map, in order.
+    Ms is a sequence of T matrices or one (T, D^2, D^2) stack. Every map
+    starts from the same R seed states, and the chains advance in lockstep
+    through batched coordinate steps (closed forms or eigh) in two phases.
+    Burn-in runs every restart of at most LOCKSTEP_MAPS maps per pass, for
+    burn_in iterations. After it the laggard chains of each map (strictly
+    behind that map's leaders) are frozen, and only its keep_after_burn_in
+    leaders go on to full tolerance; frozen values remain valid lower bounds.
+    The leaders of every map in the call then share one eigh pass of at most
+    LOCKSTEP_CHAINS chains, which takes in the leaders of later maps whenever
+    chains stop. A pass keeps each map's chains in one contiguous block, in
+    restart order, and multiplies the block by its own matrix.
+    Cull and convergence are per map, steps per matrix and products per
+    block, so a map's result does not depend on the other maps in the call:
+    it equals, bit for bit, the single-map call _alternating_ascent(Ms[k],
+    dim). Returns one InducedNormResult per map, in order.
     """
-    if len(Ms) > LOCKSTEP_MAPS:
-        step = LOCKSTEP_MAPS
-        return [res for lo in range(0, len(Ms), step)
-                for res in _alternating_ascents(
-                    Ms[lo:lo + step], dim, restarts=restarts,
-                    max_iter=max_iter, seed=seed, burn_in=burn_in,
-                    keep_after_burn_in=keep_after_burn_in)]
     if restarts is None:
         restarts = max(16, 4 * dim)
+    Ms = np.asarray(Ms, dtype=complex)
     T = len(Ms)
-    psi_full = np.tile(_seed_states(dim, restarts, seed), (T, 1))
-    owner = np.repeat(np.arange(T), restarts)       # map of each chain
-    first = np.arange(T + 1) * restarts             # first chain of each map
-    Mts = [M.T for M in Ms]
-    Mcs = [M.conj() for M in Ms]
+    if not T:
+        return []
+    N = T * restarts
+    seeds = _seed_states(dim, restarts, seed)
+    # the value of each chain's last O-step, written when the chain stops
+    values = np.zeros(N)
+    # per map, its best stopped chain (largest value, then lowest index):
+    # the chain, and the value, state, observable, iteration and convergence
+    # of its last O-step; a map that never stepped keeps its first seed
+    best = np.arange(0, N, restarts)
+    best_value = np.zeros(T)
+    best_state = np.tile(seeds[0], (T, 1))
+    best_obs = np.zeros((T, dim, dim), dtype=complex)
+    best_its = np.zeros(T, dtype=int)
+    best_done = np.zeros(T, dtype=bool)
 
-    N = psi_full.shape[0]
-    values_full = np.zeros(N)
-    obs_full = np.zeros((N, dim, dim), dtype=complex)
-    iterations_full = np.zeros(N, dtype=int)
-    converged_full = np.zeros(N, dtype=bool)
-
-    work = np.arange(N)          # indices of chains still iterating
-    bounds = first               # work[bounds[k]:bounds[k + 1]]: map k's chains
-    psi = psi_full.copy()
-    it = 0
-    while it < max_iter and work.size:
-        it += 1
-        n = work.size
-        # closed forms while maps run all their restarts; the choice rests on
-        # dim and it alone, never on the stack, like each matrix's fallback
-        closed_form = dim == 3 and it <= burn_in
-        # coordinate step in O: sign observable of X(psi psi^dag)
+    def o_step(blocks, psi, prev, closed_form):
+        """Coordinate step in O: the sign observable of X(psi psi^dag) for
+        chains whose maps form blocks, and whether each chain converged."""
+        n = psi.shape[0]
         rho = psi[:, :, None] * psi[:, None, :].conj()          # rho[r,i,j]
         rho_vec = rho.transpose(0, 2, 1).reshape(n, dim * dim)  # column stacking
-        W = _blockwise_product(rho_vec, Mts, bounds)
+        W = _blockwise_product(rho_vec, Ms, blocks, transpose=True)
         W = W.reshape(n, dim, dim).transpose(0, 2, 1)
         W = (W + W.conj().transpose(0, 2, 1)) / 2
-        new_values, obs = (_sign_step3 if closed_form else _sign_step)(W)
-        prev = values_full[work]
+        vals, obs = (_sign_step3 if closed_form else _sign_step)(W)
         # ascent monotonicity is a structural property; tolerate round-off only
-        if np.any(new_values < prev - 1e-9 * np.maximum(1.0, prev)):
+        if np.any(vals < prev - 1e-9 * np.maximum(1.0, prev)):
             raise AssertionError("alternating ascent objective decreased")
-        values_full[work] = new_values
-        obs_full[work] = obs
-        psi_full[work] = psi
-        iterations_full[work] = it
+        done = np.abs(vals - prev) <= REL_TOL * np.maximum(1.0, vals)
+        return vals, obs, done
 
-        done = np.abs(new_values - prev) <= REL_TOL * np.maximum(1.0, new_values)
-        converged_full[work[done]] = True
-        next_mask = ~done
-        # the cull happens once, at the end of burn-in: a map with at most
-        # keep_after_burn_in unconverged chains then never has more later
-        if it == max(burn_in, 1) and next_mask.any():
-            # per map, freeze chains strictly behind the leaders; ties keep
-            # lower index
-            sub = work[next_mask]
-            order = np.lexsort((sub, -values_full[sub], owner[sub]))
-            ranked = owner[sub[order]]
-            rank = np.arange(ranked.size) - np.searchsorted(ranked, ranked)
-            keep = np.empty(ranked.size, dtype=bool)
-            keep[order] = rank < keep_after_burn_in
-            next_mask[np.flatnonzero(next_mask)[~keep]] = False
-        if not next_mask.all():
-            work = work[next_mask]
-            psi = psi[next_mask]
-            obs = obs[next_mask]
+    def psi_step(blocks, obs, closed_form):
+        """Coordinate step in psi: the top eigenvector of X^dag(O), the
+        Hermitian part of vec(O) @ M^* in column stacking. That product is
+        taken as (vec(O)^* @ M)^*, equal bit for bit, so no conjugate copy of
+        a map is made; its outer conjugate is taken in the Hermitian part."""
+        n = obs.shape[0]
+        obs_vec = np.conjugate(obs.transpose(0, 2, 1), order="C")
+        B = _blockwise_product(obs_vec.reshape(n, dim * dim), Ms, blocks)
+        B = B.reshape(n, dim, dim).transpose(0, 2, 1)
+        A = (B.conj() + B.transpose(0, 2, 1)) / 2
+        return (_top_eigvec3 if closed_form else _top_eigvec)(A)
+
+    def stop(work, stopped, psi, obs, vals, its, done):
+        """Record the chains work[stopped], which iterate no more; its is
+        their iteration count, one for all or one per chain of work."""
+        chains, v = work[stopped], vals[stopped]
+        values[chains] = v
+        # each map's best stopping chain (its first maximum: a map's chains
+        # ascend), kept if it beats the map's record
+        maps = chains // restarts
+        if maps[0] == maps[-1]:
+            lead = np.argmax(v, keepdims=True)
+        else:
+            order = np.lexsort((chains, -v, maps))
+            ranked = maps[order]
+            lead = order[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
+        k, c, v = maps[lead], chains[lead], v[lead]
+        wins = (v > best_value[k]) | ((v == best_value[k]) & (c <= best[k]))
+        k, c, v = k[wins], c[wins], v[wins]
+        at = np.flatnonzero(stopped)[lead[wins]]
+        best[k], best_value[k] = c, v
+        best_state[k], best_obs[k], best_done[k] = psi[at], obs[at], done[at]
+        best_its[k] = np.broadcast_to(its, stopped.shape)[at]
+
+    def results():
+        return [InducedNormResult(
+            value=float(best_value[k]),
+            witness_state=best_state[k].copy(),
+            witness_observable=best_obs[k].copy(),
+            iterations=int(best_its[k]),
+            restarts_used=restarts,
+            converged=bool(best_done[k]),
+            restart_values=values[k * restarts:(k + 1) * restarts].copy(),
+        ) for k in range(T)]
+
+    # burn-in, LOCKSTEP_MAPS maps per pass; the cull happens once, at its end,
+    # and a map never has more than keep_after_burn_in chains after it
+    cull_at = max(burn_in, 1)
+    last = min(cull_at, max_iter)
+    leaders = []            # (chains, next states, values) that go on after it
+    for lo in range(0, N, LOCKSTEP_MAPS * restarts):
+        work = np.arange(lo, min(lo + LOCKSTEP_MAPS * restarts, N))
+        blocks = _blocks(work // restarts)
+        psi = np.tile(seeds, (work.size // restarts, 1))
+        vals = np.zeros(work.size)
+        for it in range(1, last + 1):
+            # closed forms while maps run all their restarts; the choice rests
+            # on dim and it alone, never on the stack, like each matrix's
+            # fallback
+            closed_form = dim == 3 and it <= burn_in
+            vals, obs, done = o_step(blocks, psi, vals, closed_form)
+            go_on = ~done
+            if it == last and last == max_iter:
+                go_on[:] = False
+            elif it == cull_at and go_on.any():
+                # per map, freeze chains strictly behind the leaders; ties
+                # keep lower index
+                sub = work[go_on]
+                owner = sub // restarts
+                order = np.lexsort((sub, -vals[go_on], owner))
+                ranked = owner[order]
+                rank = np.arange(ranked.size) - np.searchsorted(ranked, ranked)
+                keep = np.empty(ranked.size, dtype=bool)
+                keep[order] = rank < keep_after_burn_in
+                go_on[np.flatnonzero(go_on)[~keep]] = False
+            if not go_on.all():
+                stop(work, ~go_on, psi, obs, vals, it, done)
+                work, obs, vals = work[go_on], obs[go_on], vals[go_on]
+                if not work.size:
+                    break
+                blocks = _blocks(work // restarts)
+            psi = psi_step(blocks, obs, closed_form)
+        if work.size and cull_at < max_iter:
+            leaders.append((work, psi, vals))
+    if not leaders:
+        return results()
+
+    # after burn-in: the leaders of every map in one eigh pass of at most
+    # LOCKSTEP_CHAINS chains (one map at least), refilled map by map in call
+    # order, so each map's chains stay one block in restart order
+    queue, queue_psi, queue_vals = (np.concatenate(parts)
+                                    for parts in zip(*leaders))
+    owner = queue // restarts
+    # positions in queue where a map's chains start, and its end
+    starts = [0] + (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist() \
+        + [queue.size]
+    k = 0                        # next map of the queue to take in
+    work, psi, vals = queue[:0], queue_psi[:0], queue_vals[:0]
+    # the pass's round at which each chain was taken in; taken in after
+    # cull_at iterations, a chain may run budget more
+    taken = np.zeros(0, dtype=int)
+    budget = max_iter - cull_at
+    rnd = 0
+    while True:
+        end = k
+        while end + 1 < len(starts) and (
+                starts[end + 1] - starts[k] + work.size <= LOCKSTEP_CHAINS
+                or not work.size and end == k):
+            end += 1
+        if end > k:
+            lo, hi = starts[k], starts[end]
+            work = np.concatenate([work, queue[lo:hi]])
+            psi = np.concatenate([psi, queue_psi[lo:hi]])
+            vals = np.concatenate([vals, queue_vals[lo:hi]])
+            taken = np.concatenate([taken, np.full(hi - lo, rnd)])
+            blocks = _blocks(work // restarts)
+            k = end
+        if not work.size:
+            break
+        rnd += 1
+        vals, obs, done = o_step(blocks, psi, vals, False)
+        go_on = ~done
+        if rnd - taken[0] >= budget:          # taken is nondecreasing
+            go_on &= rnd - taken < budget
+        if not go_on.all():
+            stop(work, ~go_on, psi, obs, vals, cull_at + rnd - taken, done)
+            work, obs, vals, taken = (work[go_on], obs[go_on], vals[go_on],
+                                      taken[go_on])
             if not work.size:
-                break
-            if T > 1:
-                bounds = np.searchsorted(owner[work], np.arange(T + 1))
-
-        # coordinate step in psi: top eigenvector of X^dag(O)
-        n = work.size
-        obs_vec = obs.transpose(0, 2, 1).reshape(n, dim * dim)
-        A = _blockwise_product(obs_vec, Mcs, bounds)
-        A = A.reshape(n, dim, dim).transpose(0, 2, 1)
-        A = (A + A.conj().transpose(0, 2, 1)) / 2
-        psi = (_top_eigvec3 if closed_form else _top_eigvec)(A)
-
-    results = []
-    for k in range(T):
-        lo, hi = first[k], first[k + 1]
-        best = lo + int(np.argmax(values_full[lo:hi]))
-        results.append(InducedNormResult(
-            value=float(values_full[best]),
-            witness_state=psi_full[best].copy(),
-            witness_observable=obs_full[best].copy(),
-            iterations=int(iterations_full[best]),
-            restarts_used=int(hi - lo),
-            converged=bool(converged_full[best]),
-            restart_values=values_full[lo:hi].copy(),
-        ))
-    return results
+                psi = psi[:0]
+                continue
+            blocks = _blocks(work // restarts)
+        psi = psi_step(blocks, obs, False)
+    return results()
 
 
-def _blockwise_product(vecs, mats, bounds):
-    """Rows bounds[k]:bounds[k + 1] of vecs times mats[k], one plain gemm per
-    map, so each block's product is exactly the single-map one."""
-    if len(mats) == 1:
-        return vecs @ mats[0]
-    out = np.empty((vecs.shape[0], mats[0].shape[1]), dtype=complex)
-    for k, mat in enumerate(mats):
-        lo, hi = bounds[k], bounds[k + 1]
-        if hi > lo:
-            out[lo:hi] = vecs[lo:hi] @ mat
+def _blocks(owner):
+    """The rows of a pass, grouped for _blockwise_product. owner gives the
+    map of each row and is nondecreasing, so each map's rows form one block.
+    Returns, per distinct block height h, (rows, h, maps): the (G, h) row
+    indices of its G blocks (None when every block has this height) and
+    their maps."""
+    if owner[0] == owner[-1]:
+        return [(None, owner.size, owner[:1])]
+    cut = np.flatnonzero(owner[1:] != owner[:-1]) + 1
+    starts = np.concatenate(([0], cut))
+    heights = np.concatenate((cut, [owner.size])) - starts
+    maps = owner[starts]
+    if heights.min() == heights.max():
+        return [(None, int(heights[0]), maps)]
+    groups = []
+    for h in np.flatnonzero(np.bincount(heights)).tolist():
+        same = heights == h
+        groups.append((starts[same][:, None] + np.arange(h), h, maps[same]))
+    return groups
+
+
+def _blockwise_product(vecs, mats, blocks, transpose=False):
+    """Each block of rows of vecs times the matrix of its map in the stack
+    mats (transposed if asked), for the blocks of _blocks. One stacked
+    matmul per block height: each slice of it equals the plain 2-D product
+    of its block, so every block's product is exactly the single-map one."""
+    def stacked(maps):
+        stack = mats[maps]
+        return stack.transpose(0, 2, 1) if transpose else stack
+
+    rows, h, maps = blocks[0]
+    if rows is None:
+        if maps.size == 1:
+            mat = mats[maps[0]]
+            return vecs @ (mat.T if transpose else mat)
+        return np.matmul(vecs.reshape(-1, h, vecs.shape[1]),
+                         stacked(maps)).reshape(vecs.shape)
+    out = np.empty_like(vecs)
+    for rows, _, maps in blocks:
+        out[rows] = np.matmul(vecs[rows], stacked(maps))
     return out
 
 

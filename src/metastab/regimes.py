@@ -66,7 +66,9 @@ class DynamicsBackend:
     and the norm (norm_result, exact or a lower bound). Evolution matrices
     and norm values are cached, the latter keyed by the matrix expression,
     so repeated grid sweeps are cheap; the evolution cache keeps the
-    EVO_CACHE_SIZE most recently used times.
+    EVO_CACHE_SIZE most recently used times. unconverged_keys holds the
+    cache keys (and ("gen",) for the generator) whose lower bound stopped at
+    the iteration cap before converging.
     """
 
     def __init__(self, spectral, identity):
@@ -75,6 +77,7 @@ class DynamicsBackend:
         self._eye = identity
         self._norm_cache = {}
         self._evo_cache = {}
+        self.unconverged_keys = set()
 
     # --- supplied by subclasses ------------------------------------------------
     def _evolve(self, t):
@@ -138,6 +141,7 @@ class DynamicsBackend:
         """
         view = copy.copy(self)
         view._norm_cache, view._evo_cache = {}, {}
+        view.unconverged_keys = set()
         view.stationary_matrix = lambda: P
         return view
 
@@ -184,9 +188,9 @@ class DynamicsBackend:
     def prefetch(self, keys):
         """Cache hint: evaluate the norms of the uncached keys in one batch.
 
-        keys are norm-cache keys such as ("ident", t), ("proj", m, t) or
-        ("pair", t1, t2), the last in either order (equal times name the
-        zero distance). Each value equals, bit for bit, the one the single
+        keys is an iterable, read at most once, of norm-cache keys such as
+        ("ident", t), ("proj", m, t) or ("pair", t1, t2), the last in either
+        order (equal times name the zero distance). Each value equals, bit for bit, the one the single
         getter would compute, so a prefetch never changes a result; it only
         saves per-call overhead for keys that are evaluated later anyway.
         A no-op here and on every backend with exact norms.
@@ -210,6 +214,8 @@ class DynamicsBackend:
         if result is None:
             result = self._norm_cache[("gen",)] = self.norm_result(
                 self.generator_matrix())
+            if not result.converged:
+                self.unconverged_keys.add(("gen",))
         return result
 
     def liouvillian_norm(self):
@@ -276,6 +282,20 @@ class QuantumBackend(DynamicsBackend):
     def norm_result(self, M):
         return _norms._induced_norm_matrix(M, self.dim, seed=self.seed)
 
+    def _store(self, key, result):
+        """Cache result's value under key; note the key if the ascent
+        stopped before converging."""
+        if not result.converged:
+            self.unconverged_keys.add(key)
+        self._norm_cache[key] = result.value
+        return result.value
+
+    def _norm_of(self, key):
+        value = self._norm_cache.get(key)
+        if value is None:
+            value = self._store(key, self.norm_result(self._norm_map(key)))
+        return value
+
     def prefetch(self, keys):
         # the qubit norm is an exact closed form; the ascent runs at D >= 3
         if self.dim < 3:
@@ -291,10 +311,14 @@ class QuantumBackend(DynamicsBackend):
                 todo[key] = None
         if not todo:
             return
-        results = _norms._alternating_ascents(
-            [self._norm_map(key) for key in todo], self.dim, seed=self.seed)
+        # the maps go straight into one stack, without a list of copies
+        n = self.dim * self.dim
+        Ms = np.empty((len(todo), n, n), dtype=complex)
+        for i, key in enumerate(todo):
+            Ms[i] = self._norm_map(key)
+        results = _norms._alternating_ascents(Ms, self.dim, seed=self.seed)
         for key, res in zip(todo, results):
-            self._norm_cache[key] = res.value
+            self._store(key, res)
 
     def random_observable(self, rng):
         G = rng.normal(size=(self.dim, self.dim)) \
@@ -387,6 +411,54 @@ def _refined_sup(f, ts):
     return vals, k, t_ref, v_ref
 
 
+def change_keys(t_start, t_end, n_grid=33):
+    """Norm-cache keys of the change_measure grid on [t_start, t_end].
+
+    Like every key helper, a generator: the keys are built only when a
+    backend that batches reads them, never on an exact backend."""
+    for t in _window_grid(t_start, t_end, n_grid):
+        yield ("pair", t_start, t)
+
+
+def doubling_keys(t_start, t_end, n_grid=33):
+    """Norm-cache keys of the change_measure_doubling grid; none when the
+    window is shorter than its doubled start."""
+    if t_end >= 2 * t_start:
+        for t in _window_grid(t_start, t_end / 2.0, n_grid):
+            yield ("pair", t, 2 * t)
+
+
+def verdict_keys(t_start, t_end, n_grid=33, with_doubling=True):
+    """Norm-cache keys classify_regime evaluates on every window: the change
+    grids and the two end distances."""
+    yield from change_keys(t_start, t_end, n_grid)
+    if with_doubling:
+        yield from doubling_keys(t_start, t_end, n_grid)
+    yield ("ident", t_start)
+    yield ("stat", t_end)
+
+
+def curve_keys(t_start, t_end, n_grid=33):
+    """Norm-cache keys of the distance curves to the identity and to the
+    stationary projection over the window grid, which classify_regime
+    evaluates when its change measure passes the basic cutoff."""
+    ts = _window_grid(t_start, t_end, n_grid)
+    for family in ("ident", "stat"):
+        for t in ts:
+            yield (family, t)
+
+
+def cutoff_flags(c_delta):
+    """Which cutoffs of the verdict logic a change measure passes."""
+    return {
+        "basic_cutoff": c_delta < CUTOFF_BASIC - VERDICT_GUARD,
+        "initial_tail_cutoff": c_delta < CUTOFF_INITIAL_TAIL - VERDICT_GUARD,
+        "final_tail_cutoff": c_delta < CUTOFF_FINAL_TAIL - VERDICT_GUARD,
+        "relaxation_cutoff": c_delta <= CUTOFF_RELAXATION - VERDICT_GUARD,
+        "linear_growth_cutoff": c_delta <= CUTOFF_LINEAR_GROWTH - VERDICT_GUARD,
+    }
+
+
 def change_measure(dyn, t_start, t_end, n_grid=33):
     """Windowed change sup_{t in [t_start, t_end]} ||e^{t_start L} - e^{t L}||.
 
@@ -400,7 +472,7 @@ def change_measure(dyn, t_start, t_end, n_grid=33):
     if t_end == t_start:
         return 0.0, t_start
     ts = _window_grid(t_start, t_end, n_grid)
-    dyn.prefetch([("pair", t_start, t) for t in ts])
+    dyn.prefetch(change_keys(t_start, t_end, n_grid))
     vals, k, t_ref, v_ref = _refined_sup(lambda t: dyn.distance(t_start, t),
                                          ts)
     if v_ref >= vals[k]:
@@ -414,7 +486,7 @@ def change_measure_doubling(dyn, t_start, t_end, n_grid=33):
     if t_end < 2 * t_start:
         return 0.0
     ts = _window_grid(t_start, t_end / 2.0, n_grid)
-    dyn.prefetch([("pair", t, 2 * t) for t in ts])
+    dyn.prefetch(doubling_keys(t_start, t_end, n_grid))
     vals, k, _, v_ref = _refined_sup(lambda t: dyn.distance(t, 2 * t), ts)
     return float(max(vals[k], v_ref))
 
@@ -519,25 +591,20 @@ def classify_regime(dyn, t_start, t_end, n_grid=33, with_doubling=True):
     the identity and to the stationary projection must stay within one branch
     of their dichotomies across the window, with the upper thresholds relaxed
     by the change measure on the second half of the window. Cutoff constants
-    carry a guard band against discretization of the supremum. The grids of
-    both distances are prefetched as one sweep (batched at D >= 3).
+    carry a guard band against discretization of the supremum. The maps of
+    the change grids and end distances are prefetched as one sweep (batched
+    at D >= 3), and so are those of both distance curves.
     """
     if not t_end >= 2 * t_start > 0:
         raise ValueError("window must satisfy t_end >= 2 t_start > 0")
+    dyn.prefetch(verdict_keys(t_start, t_end, n_grid, with_doubling))
     c_delta, argmax_t = change_measure(dyn, t_start, t_end, n_grid=n_grid)
     c_doubling = change_measure_doubling(dyn, t_start, t_end, n_grid=n_grid) \
         if with_doubling else math.nan
     d_init_start = dyn.distance_to_identity(t_start)
     d_stat_end = dyn.distance_to_stationary(t_end)
 
-    flags = {
-        "basic_cutoff": c_delta < CUTOFF_BASIC - VERDICT_GUARD,
-        "initial_tail_cutoff": c_delta < CUTOFF_INITIAL_TAIL - VERDICT_GUARD,
-        "final_tail_cutoff": c_delta < CUTOFF_FINAL_TAIL - VERDICT_GUARD,
-        "relaxation_cutoff": c_delta <= CUTOFF_RELAXATION - VERDICT_GUARD,
-        "linear_growth_cutoff": c_delta <= CUTOFF_LINEAR_GROWTH - VERDICT_GUARD,
-    }
-
+    flags = cutoff_flags(c_delta)
     if not flags["basic_cutoff"]:
         return RegimeVerdict(t_start, t_end, c_delta, c_doubling, argmax_t,
                              d_init_start, d_stat_end, math.nan, math.nan,
@@ -547,7 +614,7 @@ def classify_regime(dyn, t_start, t_end, n_grid=33, with_doubling=True):
     lower, upper = change_thresholds(c_delta)
     ts = _window_grid(t_start, t_end, n_grid)
     first_half = ts <= t_end / 2.0 + 1e-12 * t_end
-    dyn.prefetch([(family, t) for family in ("ident", "stat") for t in ts])
+    dyn.prefetch(curve_keys(t_start, t_end, n_grid))
     d_init = np.array([dyn.distance_to_identity(t) for t in ts])
     d_stat = np.array([dyn.distance_to_stationary(t) for t in ts])
 

@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .modes import change_thresholds, first_crossing, linear_growth_inverse
-from .regimes import (CUTOFF_RELAXATION, change_measure, classify_regime,
-                      crossing_scan_step, relaxation_times, scan_metastable,
-                      timescales, TrivialDynamicsError, _refined_sup,
-                      _window_grid)
+from .regimes import (CUTOFF_RELAXATION, change_keys, change_measure,
+                      classify_regime, crossing_scan_step, curve_keys,
+                      cutoff_flags, relaxation_times, scan_metastable,
+                      timescales, verdict_keys, TrivialDynamicsError,
+                      _refined_sup, _window_grid)
 
 # tolerance of the separation branch tests on e^{t Re lambda}
 SEPARATION_GUARD = 1e-9
@@ -187,6 +188,34 @@ class SpectralProjectionReport:
         return out
 
 
+def _extended_end(t_start, t_end):
+    """End of the projection report's window: at least 4x its start."""
+    return max(t_end, 4.0 * t_start)
+
+
+def projection_keys(dyn, m, t_start, t_end, n_grid=33):
+    """Norm-cache keys of every map spectral_projection_report evaluates at
+    a time known before it starts: both change grids, the projection,
+    drift and residual curves with their doubled and tripled times, the
+    three operator norms and, when both blocks are nontrivial, the distance
+    curves. A generator, like the key helpers of regimes."""
+    lam, m_ss, _ = _spectrum_of(dyn)
+    t_ext = _extended_end(t_start, t_end)
+    ts = _window_grid(t_start, t_ext, n_grid)
+    yield from change_keys(t_start, t_end, n_grid)
+    yield from change_keys(t_start, t_ext, n_grid)
+    for family in ("proj", "drift", "fast"):
+        for t in ts:
+            yield (family, m, t)
+    yield ("drift", m, 2.0 * t_start)
+    for t in ts[: max(2, len(ts) // 2)]:
+        for n in (2, 3):
+            yield ("fast", m, n * float(t))
+    yield from (("pnorm", m), ("ipnorm", m), ("pgen", m))
+    if m_ss < m < lam.size:
+        yield from curve_keys(t_start, t_ext, n_grid)
+
+
 def spectral_projection_report(dyn, m, t_start, t_end, n_grid=33, tol=1e-8):
     """Slow-mode projection error analysis on a window.
 
@@ -194,13 +223,14 @@ def spectral_projection_report(dyn, m, t_start, t_end, n_grid=33, tol=1e-8):
     measure of the extension is recomputed directly and also bounded by the
     linear-extension estimate). All weighted-dichotomy bounds gate on the
     numerically verified conditions rather than on their loosest a-priori
-    constants. Every grid distance the rows need is prefetched as one sweep
+    constants. Every map of projection_keys is prefetched as one sweep
     (batched at D >= 3).
     """
     lam, m_ss, _ = _spectrum_of(dyn)
     n_modes = lam.size
+    dyn.prefetch(projection_keys(dyn, m, t_start, t_end, n_grid))
     c_orig, _ = change_measure(dyn, t_start, t_end, n_grid=n_grid)
-    t_ext = max(t_end, 4.0 * t_start)
+    t_ext = _extended_end(t_start, t_end)
     if t_ext > t_end:
         n_seg = math.ceil((t_ext - t_start) / (t_end - t_start))
         c_rebound = n_seg * c_orig
@@ -211,18 +241,8 @@ def spectral_projection_report(dyn, m, t_start, t_end, n_grid=33, tol=1e-8):
 
     nontrivial_fast = m < n_modes
     nontrivial_slow = m > m_ss
-    # every distance below on a known time, as one batched sweep
     ts = _window_grid(t_start, t_ext, n_grid)
     half = [float(t) for t in ts[: max(2, len(ts) // 2)]]
-    keys = [(family, m, t) for family in ("proj", "drift", "fast")
-            for t in ts]
-    keys.append(("drift", m, 2.0 * t_start))
-    keys += [("fast", m, n * t) for t in half for n in (2, 3)]
-    keys += [("pnorm", m), ("ipnorm", m), ("pgen", m)]
-    if nontrivial_fast and nontrivial_slow:
-        keys += [(family, t) for family in ("ident", "stat") for t in ts]
-    dyn.prefetch(keys)
-
     proj_vals, k, _, v_ref = _refined_sup(
         lambda t: dyn.projector_distance(m, t), ts)
     proj_sup = float(max(proj_vals[k], v_ref))
@@ -457,9 +477,11 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
     stationary_override substitutes a wrong stationary projection; it exists
     for negative-control tests and taints only the rows built on that
     projection. The battery then runs on dyn.with_stationary(...), a copy
-    with its own caches, so the backend passed in is never changed. The
-    shared curves and subsampled rows are prefetched as one sweep (batched
-    at D >= 3); like every prefetch, this changes no value.
+    with its own caches, so the backend passed in is never changed. Once
+    the windows are known, the maps of the rows are prefetched in two
+    sweeps (batched at D >= 3): those at times known then, and those that
+    wait for the change measures and the ratio-4 cut. Like every prefetch,
+    this changes no value, and each prefetched map is evaluated later.
     """
     if stationary_override is not None:
         dyn = dyn.with_stationary(stationary_override)
@@ -500,18 +522,91 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
         w4_start, w4_end = window4
         w4_found = True
 
+    # every window map whose time is known once the windows and the
+    # exclusion spans are, as one batched sweep: the shared curves over the
+    # grid, the subsampled rows at derived times, the random pairs (all four
+    # drawn first, t1 then t2, pair by pair), the change grids of both
+    # windows and of the projection report's extension, the ratio-2
+    # verdict's doubling grid and end distances, the probe distance, and
+    # the exclusion windows (lengths: first crossings of the identity
+    # distance at a small accuracy)
+    sub = [float(t) for t in grid[:: max(1, len(grid) // 6)]]
+    rng = np.random.default_rng([int(seed), 101])
+    pairs = [(float(rng.uniform(grid[0], grid[-1])),
+              float(rng.uniform(grid[0], grid[-1]))) for _ in range(4)]
+    step = crossing_scan_step(dyn)
+    spans = [(c_acc, first_crossing(dyn.distance_to_identity, c_acc,
+                                    t_max=2.0 / (-lam.real[-1]), step=step))
+             for c_acc in (0.05, 0.15)]
+    exclusion = [(span0, shift * span0) for _, span0 in spans
+                 if span0 is not None for shift in (2.5, 8.0)]
+    t_probe = 0.9 * w2_start
+
+    def known_keys():
+        for family in ("ident", "stat"):
+            for t in grid:
+                yield (family, t)
+        for t in grid:
+            yield ("pair", t, 2.0 * t)
+        for t in sub:
+            yield from (("ident", n * t) for n in (2, 3, 4))
+            yield from (("stat", n * t) for n in (2, 3))
+            yield ("pair", t, t + t / 2.0)
+        for t1, t2 in pairs:
+            yield ("pair", t1, t2)
+        yield from change_keys(w4_start, w4_end, n_grid)
+        yield from change_keys(w4_start, _extended_end(w4_start, w4_end),
+                               n_grid)
+        yield from verdict_keys(w2_start, w2_end, n_grid)
+        yield ("pair", t_probe, w2_start)
+        for span0, t_s in exclusion:
+            yield from change_keys(t_s, t_s + span0, 13)
+            yield ("ident", t_s)
+
+    dyn.prefetch(known_keys())
+
+    # the change measures and the ratio-4 cut fix which rows apply; every
+    # map those rows evaluate at a known time, as a second batched sweep
+    c2, _ = change_measure(dyn, w2_start, w2_end, n_grid=n_grid)
+    c2_ok = c2 < 0.25
+    c4, _ = change_measure(dyn, w4_start, w4_end, n_grid=n_grid)
+    sep = None
+    if c4 < 0.25:
+        try:
+            sep = detect_separation(dyn, w4_start, w4_end, c4)
+        except SeparationInconsistencyError:
+            pass
+    m4 = gap_cut(dyn) if sep is None else sep.m
+    d_probe = dyn.distance(t_probe, w2_start)
+    probe_ns = prime_ts = None
+    if c2_ok and d_probe < 1.0 and abs(w2_start - t_probe) <= w2_end - w2_start:
+        probe_ns = [n for n in (2, 3)
+                    if abs(w2_start - (n - 1) * t_probe) <= w2_end - w2_start
+                    and n * t_probe <= w2_end]
+    if c2_ok:
+        prime_ts = [t for t in (w2_start, 0.5 * (w2_start + w2_end / 2.0))
+                    if not t > w2_end / 2.0]
+
+    def window_keys():
+        yield from projection_keys(dyn, m4, w4_start, w4_end, n_grid)
+        if cutoff_flags(c2)["basic_cutoff"]:
+            yield from curve_keys(w2_start, w2_end, n_grid)
+        for n in probe_ns or ():
+            yield ("pair", n * t_probe, w2_start)
+        for t in prime_ts or ():
+            for n in (1, 2, 3):
+                yield ("pair", n * t, w2_start)
+
+    dyn.prefetch(window_keys())
+    # the ratio-2 verdict and the projection report run here, while the
+    # evolutions of the change grids above are still cached; their rows keep
+    # their place below
+    w2_verdict = classify_regime(dyn, w2_start, w2_end, n_grid=n_grid)
+    proj_report = spectral_projection_report(dyn, m4, w4_start, w4_end,
+                                             n_grid=n_grid, tol=tol)
+
     rows = []
     add = rows.append
-
-    # shared curves over the grid, then subsampled rows that need distances
-    # at derived times: every point is known now, so one batched sweep
-    sub = [float(t) for t in grid[:: max(1, len(grid) // 6)]]
-    dyn.prefetch(
-        [(family, t) for family in ("ident", "stat") for t in grid]
-        + [("pair", t, 2.0 * t) for t in grid]
-        + [("ident", n * t) for t in sub for n in (2, 3, 4)]
-        + [("stat", n * t) for t in sub for n in (2, 3)]
-        + [("pair", t, t + t / 2.0) for t in sub])
     d_init = np.asarray([dyn.distance_to_identity(t) for t in grid])
     d_stat = np.asarray([dyn.distance_to_stationary(t) for t in grid])
     d_doubling = np.asarray([dyn.distance(t, 2.0 * t) for t in grid])
@@ -545,12 +640,6 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
         margins = spectrum_change_bound_check(dyn, dyn, t, 2.0 * t)
         add(BoundRow("change_spectral", t, float(-np.min(margins)), 0.0))
 
-    # all four random pairs are drawn first (t1, then t2, pair by pair), so
-    # their distances are prefetched as one batch
-    rng = np.random.default_rng([int(seed), 101])
-    pairs = [(float(rng.uniform(grid[0], grid[-1])),
-              float(rng.uniform(grid[0], grid[-1]))) for _ in range(4)]
-    dyn.prefetch([("pair", t1, t2) for t1, t2 in pairs])
     for t1, t2 in pairs:
         margins = spectrum_change_bound_check(dyn, dyn, t1, t2)
         add(BoundRow("change_spectral", t1, float(-np.min(margins)), 0.0))
@@ -566,29 +655,20 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
                      tau_ss * (-lam.real[dyn.m_ss])))
 
     # ratio-2 window rows
-    c2, _ = change_measure(dyn, w2_start, w2_end, n_grid=n_grid)
     add(BoundRow("cdelta_bounded", math.nan, c2, 2.0))
-    w2_verdict = classify_regime(dyn, w2_start, w2_end, n_grid=n_grid)
-    c2_ok = c2 < 0.25
 
-    t_probe = 0.9 * w2_start
-    d_probe = dyn.distance(t_probe, w2_start)
-    if c2_ok and d_probe < 1.0 and abs(w2_start - t_probe) <= w2_end - w2_start:
-        for n in (2, 3):
-            if abs(w2_start - (n - 1) * t_probe) <= w2_end - w2_start \
-                    and n * t_probe <= w2_end:
-                rhs = d_probe ** n + 2.0 * c2 / (1.0 - d_probe)
-                add(BoundRow("dprime_exp", n * t_probe,
-                             dyn.distance(n * t_probe, w2_start), rhs))
+    if probe_ns is not None:
+        for n in probe_ns:
+            rhs = d_probe ** n + 2.0 * c2 / (1.0 - d_probe)
+            add(BoundRow("dprime_exp", n * t_probe,
+                         dyn.distance(n * t_probe, w2_start), rhs))
     else:
         add(BoundRow("dprime_exp", math.nan, math.nan, math.nan,
                      applicable=False,
                      note="probe distance not below one or window too short"))
 
-    if c2_ok:
-        for t in (w2_start, 0.5 * (w2_start + w2_end / 2.0)):
-            if t > w2_end / 2.0:
-                continue
+    if prime_ts is not None:
+        for t in prime_ts:
             base = dyn.distance(t, w2_start) + c2
             for n in (2, 3):
                 add(BoundRow("prime_lin", float(n * t),
@@ -621,10 +701,7 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
 
     # shifted-initial-regime exclusion: windows whose length equals the
     # first-crossing time of the identity distance at a small accuracy
-    step = crossing_scan_step(dyn)
-    for c_acc in (0.05, 0.15):
-        span0 = first_crossing(dyn.distance_to_identity, c_acc,
-                               t_max=2.0 / (-lam.real[-1]), step=step)
+    for c_acc, span0 in spans:
         if span0 is None:
             add(BoundRow("inherited_exclusion", math.nan, math.nan, math.nan,
                          applicable=False,
@@ -666,22 +743,9 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
     # separation and slow-mode projection rows on the ratio-4 window; without
     # a consistent separation the unconditional projection bounds still run
     # on the largest-gap cut
-    c4, _ = change_measure(dyn, w4_start, w4_end, n_grid=n_grid)
-    m4 = None
-    separated = False
-    if c4 < 0.25:
-        try:
-            sep = detect_separation(dyn, w4_start, w4_end, c4)
-            m4 = sep.m
-            separated = True
-            add(BoundRow("meta_lambda", math.nan, 0.0, sep.slack_initial))
-            add(BoundRow("meta_lambda", math.nan, 0.0, sep.slack_final))
-        except SeparationInconsistencyError:
-            m4 = None
-    if m4 is None:
-        m4 = gap_cut(dyn)
-    proj_report = spectral_projection_report(dyn, m4, w4_start, w4_end,
-                                             n_grid=n_grid, tol=tol)
+    if sep is not None:
+        add(BoundRow("meta_lambda", math.nan, 0.0, sep.slack_initial))
+        add(BoundRow("meta_lambda", math.nan, 0.0, sep.slack_final))
     rows.extend(proj_report.rows)
 
     # relaxation-time vs spectrum bounds, on the window that defined them
@@ -704,7 +768,7 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
         "window2": (w2_start, w2_end), "window2_scanned": w2_found,
         "c_delta2": c2, "window2_verdict": w2_verdict.verdict,
         "window4": (w4_start, w4_end), "window4_scanned": w4_found,
-        "c_delta4": c4, "m4": m4, "separated": separated,
+        "c_delta4": c4, "m4": m4, "separated": sep is not None,
         "projection": proj_report,
     }
     return BoundBatteryReport(rows=tuple(rows), tol=tol, context=context)

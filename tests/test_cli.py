@@ -266,20 +266,16 @@ def norm_calls(monkeypatch):
     import metastab.norms
 
     counts = {"maps": 0, "ascents": 0}
-    depth = [0]
     ascents = metastab.norms._alternating_ascents
     qubit = metastab.norms._qubit_induced_norm
 
     def counted_ascents(Ms, *args, **kwargs):
-        # batches above LOCKSTEP_MAPS recurse through this name in chunks
-        if not depth[0]:
-            counts["maps"] += len(Ms)
-            counts["ascents"] += 1
-        depth[0] += 1
-        try:
-            return ascents(Ms, *args, **kwargs)
-        finally:
-            depth[0] -= 1
+        # a single map reaches the kernel through _alternating_ascent, a
+        # batch directly; the kernel cuts its passes itself, without calls
+        # through this name
+        counts["maps"] += len(Ms)
+        counts["ascents"] += 1
+        return ascents(Ms, *args, **kwargs)
 
     def counted_qubit(M):
         counts["maps"] += 1
@@ -304,6 +300,20 @@ def test_random_detect_norm_calls(norm_calls, capsys):
     code, _, _ = run_cli(["detect"] + RANDOM_D4_ARGS, capsys)
     assert code == 0
     assert norm_calls == {"maps": 53, "ascents": 30}
+
+
+def test_random_battery_norm_calls(norm_calls, capsys):
+    # the benchmark's D = 3 battery: 529 maps in 41 ascent calls. 37 are
+    # sequential single maps: the model normalisation, the generator, 25 in
+    # timescales and 10 in the Brent steps of the exclusion spans. 4 are
+    # batches: one probe round per window scan (16 maps each; every window
+    # is over budget at its first distance) and the battery's two
+    # prefetches of its window maps (266 and 194 maps)
+    code, _, _ = run_cli(["verify-bounds", "--model",
+                          "builtin:random_lindbladian", "--param", "dim=3",
+                          "--param", "n_jumps=2", "--seed", "0"], capsys)
+    assert code == 0
+    assert norm_calls == {"maps": 529, "ascents": 41}
 
 
 def test_spin_norm_calls(norm_calls, capsys):

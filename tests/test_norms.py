@@ -1,10 +1,15 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.optimize
 
 from metastab.models import SPIN_Z, random_lindbladian
 from metastab.models import SPIN_X, SPIN_Y
-from metastab.norms import (LOCKSTEP_MAPS, _alternating_ascent,
+from metastab import norms
+from metastab.norms import (DEFAULT_BURN_IN, DEFAULT_KEEP_AFTER_BURN_IN,
+                            DEFAULT_MAX_ITER, LOCKSTEP_MAPS,
+                            _alternating_ascent,
                             _alternating_ascents, _eigvalsh3,
                             _induced_norm_matrix, _sign_step, _sign_step3,
                             _top_eigvec, _top_eigvec3,
@@ -188,20 +193,107 @@ def test_restart_dispersion_reported(spin_spectral):
 
 # --- lockstep ascent over several maps ---------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def mixed_map_stack(dim):
-    """More than LOCKSTEP_MAPS map matrices of one random model: pair, ident,
-    stat, proj and drift maps."""
+    """About 2.5 burn-in passes of map matrices of one random model: pair,
+    ident, stat, proj and drift maps, maps that keep 1, 2 or 3 chains after
+    burn-in, and the degenerate maps. Returns a read-only (T, D^2, D^2)
+    stack."""
     from metastab.regimes import QuantumBackend
 
     dyn = QuantumBackend(model=random_lindbladian(dim, 2, seed=3), seed=0)
     m = dyn.valid_cuts()[-2]
     keys = []
-    for t in np.geomspace(0.05, 40.0, 8):
+    for t in np.geomspace(0.05, 40.0, 13):
         keys += [("pair", t, 2.0 * t), ("pair", 0.5 * t, t), ("ident", t),
                  ("stat", t), ("proj", m, t), ("drift", m, t)]
-    stack = [dyn._norm_map(key) for key in keys]
-    assert len(stack) > LOCKSTEP_MAPS
+    ts = np.geomspace(0.01, 100.0, 40)
+    keys += [("stat", ts[k]) for k in (24, 26, 27)]
+    keys += [("pair", ts[38], 2.0 * ts[38]), ("pair", ts[38], 1.5 * ts[38])]
+    stack = np.array(degenerate_maps(dim) + [dyn._norm_map(key) for key in keys])
+    assert 2 * LOCKSTEP_MAPS < len(stack) < 3 * LOCKSTEP_MAPS
+    stack.flags.writeable = False
     return stack
+
+
+@functools.lru_cache(maxsize=None)
+def single_map_ascents(dim, max_iter):
+    return [_alternating_ascent(M, dim, max_iter=max_iter)
+            for M in mixed_map_stack(dim)]
+
+
+def chains_after_burn_in(M, dim, monkeypatch):
+    """Chains of the single-map ascent of M that go on after burn-in: the
+    stack of its first O-step after the cull (0 when none is left)."""
+    sizes, nested = [], []
+    sign_step3, sign_step = norms._sign_step3, norms._sign_step
+
+    def counted3(W):
+        sizes.append(len(W))
+        nested.append(True)
+        try:
+            return sign_step3(W)
+        finally:
+            nested.pop()
+
+    def counted(W):
+        if not nested:
+            sizes.append(len(W))
+        return sign_step(W)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(norms, "_sign_step3", counted3)
+        patch.setattr(norms, "_sign_step", counted)
+        _alternating_ascent(M, dim)
+    return sizes[DEFAULT_BURN_IN] if len(sizes) > DEFAULT_BURN_IN else 0
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_mixed_stack_covers_every_survivor_count(dim, monkeypatch):
+    # the lockstep tests below see maps that stop inside burn-in and maps
+    # that keep each possible number of chains after it
+    counts = {chains_after_burn_in(M, dim, monkeypatch)
+              for M in mixed_map_stack(dim)}
+    assert counts == {0, 1, 2, 3, DEFAULT_KEEP_AFTER_BURN_IN}
+    assert any(res.converged and res.iterations < DEFAULT_BURN_IN
+               for res in single_map_ascents(dim, DEFAULT_MAX_ITER))
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("max_iter", [200, 30, 10])
+def test_lockstep_ascent_equals_single_map_ascent(dim, max_iter):
+    # every map of a stack (across burn-in passes, and through the shared
+    # pass after burn-in) gets, bit for bit, the result of its own
+    # single-map call, in either stack order: no map's cull, convergence or
+    # products see another map's chains. Below burn-in (max_iter 10) no
+    # chain reaches the shared pass
+    stack = mixed_map_stack(dim)
+    single = single_map_ascents(dim, max_iter)
+    for order in (1, -1):
+        batch = _alternating_ascents(stack[::order], dim, max_iter=max_iter)
+        assert len(batch) == len(stack)
+        for got, want in zip(batch, single[::order]):
+            assert_same_result(got, want)
+    if max_iter < DEFAULT_MAX_ITER:
+        # the capped runs stop unconverged on some maps
+        assert not all(res.converged for res in single)
+    if max_iter < DEFAULT_BURN_IN:
+        assert all(res.iterations <= max_iter for res in single)
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_shared_pass_takes_in_maps_as_chains_stop(dim, monkeypatch):
+    # a pass after burn-in far smaller than the call's leaders: maps wait,
+    # and are taken in block by block as chains stop, with the same result
+    monkeypatch.setattr(norms, "LOCKSTEP_CHAINS", 6)
+    stack = mixed_map_stack(dim)
+    single = single_map_ascents(dim, DEFAULT_MAX_ITER)
+    for got, want in zip(_alternating_ascents(stack, dim), single):
+        assert_same_result(got, want)
+
+
+def test_lockstep_ascent_of_no_maps():
+    assert _alternating_ascents([], 3) == []
 
 
 def assert_same_result(a, b):
@@ -214,24 +306,6 @@ def assert_same_result(a, b):
         assert x.tobytes() == y.tobytes(), name
 
 
-@pytest.mark.parametrize("dim", [3, 4])
-@pytest.mark.parametrize("max_iter", [200, 30])
-def test_lockstep_ascent_equals_single_map_ascent(dim, max_iter):
-    # every map of a stack (crossing a chunk boundary) gets, bit for bit, the
-    # result of its own single-map call, in either stack order: no map's
-    # cull, convergence or products see another map's chains
-    stack = mixed_map_stack(dim)
-    single = [_alternating_ascent(M, dim, max_iter=max_iter) for M in stack]
-    for order in (1, -1):
-        batch = _alternating_ascents(stack[::order], dim, max_iter=max_iter)
-        assert len(batch) == len(stack)
-        for got, want in zip(batch, single[::order]):
-            assert_same_result(got, want)
-    if max_iter == 30:
-        # the capped runs stop unconverged on some maps
-        assert not all(res.converged for res in single)
-
-
 def degenerate_maps(dim):
     """Map matrices whose X(psi psi^dag) is degenerate for every psi: the
     zero map, the identity map and rho -> Tr(rho) I / dim."""
@@ -242,17 +316,18 @@ def degenerate_maps(dim):
 
 
 def test_lockstep_ascent_with_degenerate_maps_equals_single_map_ascent():
-    # degenerate maps take eigh on every closed-form step at D = 3; mixed
-    # into a stack of ordinary maps, every map still gets its single-map
-    # result bit for bit, in either order
-    stack = degenerate_maps(3) + mixed_map_stack(3)
-    single = [_alternating_ascent(M, 3) for M in stack]
+    # degenerate maps take eigh on every closed-form step at D = 3; placed
+    # between ordinary maps, every map still gets its single-map result bit
+    # for bit, in either order
+    mixed = mixed_map_stack(3)
+    single = single_map_ascents(3, DEFAULT_MAX_ITER)
     assert [res.value for res in single[:3]] == pytest.approx([0.0, 1.0, 1.0],
                                                               abs=1e-12)
-    for order in (1, -1):
-        batch = _alternating_ascents(stack[::order], 3)
-        for got, want in zip(batch, single[::order]):
-            assert_same_result(got, want)
+    order = [3, 0, 4, 1, 5, 2]
+    for k in (order, order[::-1]):
+        batch = _alternating_ascents(mixed[k], 3)
+        for got, j in zip(batch, k):
+            assert_same_result(got, single[j])
 
 
 # --- closed-form 3 x 3 steps -------------------------------------------------
@@ -331,6 +406,23 @@ def test_closed_form_steps_do_not_depend_on_the_stack():
             assert v[j].tobytes() == values[k].tobytes()
             assert o[j].tobytes() == obs[k].tobytes()
             assert p[j].tobytes() == psi[k].tobytes()
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_stacked_products_equal_the_plain_products(dim):
+    # what the lockstep ascent relies on: a slice of a stacked matmul is the
+    # 2-D product of its block, for every block height, with the map
+    # transposed as a view; and x @ M^* is (x^* @ M)^*, bit for bit
+    rng = np.random.default_rng(5)
+    n = dim * dim
+    mats = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
+    for h in range(1, 17):
+        x = rng.normal(size=(5, h, n)) + 1j * rng.normal(size=(5, h, n))
+        plain = np.matmul(x, mats.transpose(0, 2, 1))
+        conj = np.matmul(x.conj(), mats).conj()
+        for k in range(5):
+            assert plain[k].tobytes() == (x[k] @ mats[k].T).tobytes()
+            assert conj[k].tobytes() == (x[k] @ mats[k].conj()).tobytes()
 
 
 # --- exact qubit norm on the backend path ------------------------------------

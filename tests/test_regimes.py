@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import metastab.norms as norms
 import metastab.regimes as regimes
 from metastab.classical import ClassicalBackend, ClassicalGenerator
 from metastab.models import random_lindbladian, spin_half_dephasing
@@ -177,6 +178,29 @@ def test_pair_distances_do_not_depend_on_evaluation_order():
     forward = {key: first._norm_of(key) for key in keys}
     backward = {key: second._norm_of(key) for key in reversed(keys)}
     assert forward == backward
+
+
+def test_unconverged_keys_are_flagged_on_both_paths(monkeypatch):
+    # with the ascent capped below what some maps need, a prefetch batch and
+    # the single getters flag the same keys as unconverged, with the same
+    # values
+    ascents = norms._alternating_ascents
+
+    def capped(Ms, dim, **kwargs):
+        return ascents(Ms, dim, **{**kwargs, "max_iter": 30})
+
+    monkeypatch.setattr(norms, "_alternating_ascents", capped)
+    model = random_lindbladian(3, 2, seed=0)
+    batched = QuantumBackend(model=model, seed=0)
+    single = QuantumBackend(model=model, seed=0)
+    ts = np.geomspace(0.1, 20.0, 6)
+    keys = [("pair", t, 2.0 * t) for t in ts]
+    keys += [(family, t) for family in ("ident", "stat") for t in ts]
+    batched.prefetch(keys)
+    values = {key: single._norm_of(key) for key in keys}
+    assert batched._norm_cache == values
+    assert single.unconverged_keys == batched.unconverged_keys
+    assert set() < batched.unconverged_keys < set(keys)
 
 
 def test_distance_to_stationary_matches_multi_restart_reference():

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from metastab.models import random_lindbladian
-from metastab.regimes import QuantumBackend, change_measure
+from metastab.regimes import DynamicsBackend, QuantumBackend, change_measure
 from metastab.spectral_meta import (SeparationInconsistencyError, bound_battery,
                                     detect_separation, gap_cut,
                                     spectral_projection_report,
                                     spectrum_change_bound_check)
+from metastab.superop import QuantumModel
 
 from conftest import (DECAY_FAST, KAPPA, assert_caches_untouched,
                       cache_snapshot)
@@ -200,13 +201,59 @@ def test_batched_battery_caches_single_map_values(monkeypatch):
 
     monkeypatch.setattr(QuantumBackend, "prefetch", counted)
     dyn = QuantumBackend(model=model, seed=0)
-    bound_battery(dyn, seed=0, scan_points=8, n_grid=17)
+    report = bound_battery(dyn, seed=0, scan_points=8, n_grid=17)
     assert max(batches) > 32
     fresh = QuantumBackend(model=model, seed=0)
     keys = [key for key in dyn._norm_cache if key != ("gen",)]
     assert len(keys) > sum(batches) > 100
     for key in keys:
         assert fresh._norm_of(key) == dyn._norm_cache[key], key
+
+    # the prefetches add no map of their own: without them, the battery
+    # evaluates the same keys one by one, and reports the same rows
+    class OneByOne(QuantumBackend):
+        prefetch = DynamicsBackend.prefetch
+
+    plain = OneByOne(model=model, seed=0)
+    plain_report = bound_battery(plain, seed=0, scan_points=8, n_grid=17)
+    assert plain._norm_cache.keys() == dyn._norm_cache.keys()
+    assert list(plain_report.csv_rows()) == list(report.csv_rows())
+
+
+def three_level_double_well(slow):
+    """Quantum three-level chain: levels 0 and 1 exchange at rate 1, level 2
+    couples to level 1 at the slow rate in both directions. Its D = 3
+    battery has a metastable ratio-2 window below the relaxation cutoff."""
+    def jump(i, j, rate):
+        L = np.zeros((3, 3), dtype=complex)
+        L[i, j] = math.sqrt(rate)
+        return L
+
+    return QuantumModel(hamiltonian=np.diag([0.0, 0.3, 0.7]).astype(complex),
+                        jumps=(jump(1, 0, 1.0), jump(0, 1, 1.0),
+                               jump(2, 1, slow), jump(1, 2, slow)))
+
+
+@pytest.mark.slow
+def test_battery_prefetches_add_no_map_on_a_metastable_window():
+    # with a metastable window the second prefetch also takes the verdict
+    # curves, the probe and linear-growth distances and the projection maps
+    # of a separated cut; the battery still evaluates the same keys as one
+    # that evaluates them one by one, and reports the same rows
+    class OneByOne(QuantumBackend):
+        prefetch = DynamicsBackend.prefetch
+
+    model = three_level_double_well(0.01)
+    dyn = QuantumBackend(model=model, seed=0)
+    report = bound_battery(dyn, seed=0, scan_points=8, n_grid=17)
+    assert report.context["window2_verdict"] == "Metastable"
+    assert report.context["separated"]
+    assert {"dprime_exp", "prime_lin", "meta_corr",
+            "tau_prime_ratio"} <= set(report.applicable_ids())
+    plain = OneByOne(model=model, seed=0)
+    plain_report = bound_battery(plain, seed=0, scan_points=8, n_grid=17)
+    assert plain._norm_cache.keys() == dyn._norm_cache.keys()
+    assert list(plain_report.csv_rows()) == list(report.csv_rows())
 
 
 def test_battery_csv_rows(spin_backend):
