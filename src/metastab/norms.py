@@ -21,13 +21,12 @@ LOCKSTEP_CHAINS chains for the few leading chains of every map, refilled as
 chains stop.
 
 Both coordinate maxima need eigen-information of a Hermitian D x D matrix.
-At D = 3, during the burn-in iterations, where each map runs all its
-restarts, the steps use closed forms evaluated along the whole stack: the
-trigonometric roots of the characteristic cubic, the sign operator from one
-spectral projector and the top eigenvector from a column of a product of
-shifted matrices. A matrix with a near-degenerate pair of eigenvalues goes
-to LAPACK eigh on its own. After burn-in and at D >= 4, every step uses
-eigh.
+At D = 3 every step, in burn-in and in the shared pass alike, uses closed
+forms evaluated along the whole stack: the trigonometric roots of the
+characteristic cubic, the sign operator from one spectral projector and the
+top eigenvector from a column of a product of shifted matrices. A matrix with
+a near-degenerate pair of eigenvalues goes to LAPACK eigh on its own. At
+D >= 4 every step uses eigh.
 """
 import functools
 import math
@@ -41,15 +40,18 @@ from .superop import Superoperator
 # ascent settings. Only the kernel (_alternating_ascent, _alternating_ascents)
 # takes restarts, max_iter, burn_in and keep_after_burn_in as parameters, for
 # test references; every other caller runs these defaults, with
-# max(16, 4 D) restarts
-DEFAULT_MAX_ITER = 200
+# max(16, 4 D) restarts. A chain stops at REL_TOL or, unconverged, at
+# DEFAULT_MAX_ITER iterations; on the benchmark's random D = 3 battery the
+# longest run takes 224
+DEFAULT_MAX_ITER = 1000
 DEFAULT_BURN_IN = 25
 DEFAULT_KEEP_AFTER_BURN_IN = 4
 # relative change below which a chain counts as converged
 REL_TOL = 1e-10
 # maps per burn-in pass of _alternating_ascents, and chains per pass after
 # burn-in (the size of a full burn-in pass at R = 16); they bound its working
-# arrays
+# arrays. Both passes take the same steps: at D = 3 the closed forms, which
+# beat eigh from a few dozen matrices on and lose to it on a handful
 LOCKSTEP_MAPS = 32
 LOCKSTEP_CHAINS = 512
 
@@ -347,12 +349,13 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
 
     Ms is a sequence of T matrices or one (T, D^2, D^2) stack. Every map
     starts from the same R seed states, and the chains advance in lockstep
-    through batched coordinate steps (closed forms or eigh) in two phases.
+    through batched coordinate steps (closed forms at D = 3, eigh above) in
+    two phases.
     Burn-in runs every restart of at most LOCKSTEP_MAPS maps per pass, for
     burn_in iterations. After it the laggard chains of each map (strictly
     behind that map's leaders) are frozen, and only its keep_after_burn_in
     leaders go on to full tolerance; frozen values remain valid lower bounds.
-    The leaders of every map in the call then share one eigh pass of at most
+    The leaders of every map in the call then share one pass of at most
     LOCKSTEP_CHAINS chains, which takes in the leaders of later maps whenever
     chains stop. A pass keeps each map's chains in one contiguous block, in
     restart order, and multiplies the block by its own matrix.
@@ -381,7 +384,12 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
     best_its = np.zeros(T, dtype=int)
     best_done = np.zeros(T, dtype=bool)
 
-    def o_step(blocks, psi, prev, closed_form):
+    # one step pair per dimension, for every iteration of every pass: it rests
+    # on dim alone, never on the stack, like each matrix's eigh fallback
+    sign_step, top_eigvec = ((_sign_step3, _top_eigvec3) if dim == 3
+                             else (_sign_step, _top_eigvec))
+
+    def o_step(blocks, psi, prev):
         """Coordinate step in O: the sign observable of X(psi psi^dag) for
         chains whose maps form blocks, and whether each chain converged."""
         n = psi.shape[0]
@@ -390,14 +398,14 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
         W = _blockwise_product(rho_vec, Ms, blocks, transpose=True)
         W = W.reshape(n, dim, dim).transpose(0, 2, 1)
         W = (W + W.conj().transpose(0, 2, 1)) / 2
-        vals, obs = (_sign_step3 if closed_form else _sign_step)(W)
+        vals, obs = sign_step(W)
         # ascent monotonicity is a structural property; tolerate round-off only
         if np.any(vals < prev - 1e-9 * np.maximum(1.0, prev)):
             raise AssertionError("alternating ascent objective decreased")
         done = np.abs(vals - prev) <= REL_TOL * np.maximum(1.0, vals)
         return vals, obs, done
 
-    def psi_step(blocks, obs, closed_form):
+    def psi_step(blocks, obs):
         """Coordinate step in psi: the top eigenvector of X^dag(O), the
         Hermitian part of vec(O) @ M^* in column stacking. That product is
         taken as (vec(O)^* @ M)^*, equal bit for bit, so no conjugate copy of
@@ -407,7 +415,7 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
         B = _blockwise_product(obs_vec.reshape(n, dim * dim), Ms, blocks)
         B = B.reshape(n, dim, dim).transpose(0, 2, 1)
         A = (B.conj() + B.transpose(0, 2, 1)) / 2
-        return (_top_eigvec3 if closed_form else _top_eigvec)(A)
+        return top_eigvec(A)
 
     def stop(work, stopped, psi, obs, vals, its, done):
         """Record the chains work[stopped], which iterate no more; its is
@@ -453,11 +461,7 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
         psi = np.tile(seeds, (work.size // restarts, 1))
         vals = np.zeros(work.size)
         for it in range(1, last + 1):
-            # closed forms while maps run all their restarts; the choice rests
-            # on dim and it alone, never on the stack, like each matrix's
-            # fallback
-            closed_form = dim == 3 and it <= burn_in
-            vals, obs, done = o_step(blocks, psi, vals, closed_form)
+            vals, obs, done = o_step(blocks, psi, vals)
             go_on = ~done
             if it == last and last == max_iter:
                 go_on[:] = False
@@ -478,13 +482,13 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
                 if not work.size:
                     break
                 blocks = _blocks(work // restarts)
-            psi = psi_step(blocks, obs, closed_form)
+            psi = psi_step(blocks, obs)
         if work.size and cull_at < max_iter:
             leaders.append((work, psi, vals))
     if not leaders:
         return results()
 
-    # after burn-in: the leaders of every map in one eigh pass of at most
+    # after burn-in: the leaders of every map in one pass of at most
     # LOCKSTEP_CHAINS chains (one map at least), refilled map by map in call
     # order, so each map's chains stay one block in restart order
     queue, queue_psi, queue_vals = (np.concatenate(parts)
@@ -517,7 +521,7 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
         if not work.size:
             break
         rnd += 1
-        vals, obs, done = o_step(blocks, psi, vals, False)
+        vals, obs, done = o_step(blocks, psi, vals)
         go_on = ~done
         if rnd - taken[0] >= budget:          # taken is nondecreasing
             go_on &= rnd - taken < budget
@@ -529,7 +533,7 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
                 psi = psi[:0]
                 continue
             blocks = _blocks(work // restarts)
-        psi = psi_step(blocks, obs, False)
+        psi = psi_step(blocks, obs)
     return results()
 
 

@@ -222,29 +222,47 @@ def single_map_ascents(dim, max_iter):
             for M in mixed_map_stack(dim)]
 
 
+def step_traffic(run, monkeypatch):
+    """The coordinate steps run() takes, in order, as (step, matrices,
+    masked, sent): the name of the step function, the size of its stack,
+    and for a closed-form step the matrices _eigvalsh3 masked in it and
+    those it passed on to eigh (0 and 0 for a step by eigh)."""
+    steps, open_steps = [], []
+    eigvalsh3 = norms._eigvalsh3
+
+    def masked(W):
+        lam, needs_eigh = eigvalsh3(W)
+        open_steps[-1][2] += int(needs_eigh.sum())
+        return lam, needs_eigh
+
+    def counted(name):
+        step = getattr(norms, name)
+
+        def take_step(W):
+            if open_steps:          # the eigh fallback of a closed form
+                open_steps[-1][3] += len(W)
+                return step(W)
+            open_steps.append([name, len(W), 0, 0])
+            try:
+                return step(W)
+            finally:
+                steps.append(tuple(open_steps.pop()))
+        return take_step
+
+    with monkeypatch.context() as patch:
+        patch.setattr(norms, "_eigvalsh3", masked)
+        for name in ("_sign_step3", "_top_eigvec3", "_sign_step",
+                     "_top_eigvec"):
+            patch.setattr(norms, name, counted(name))
+        run()
+    return steps
+
+
 def chains_after_burn_in(M, dim, monkeypatch):
     """Chains of the single-map ascent of M that go on after burn-in: the
     stack of its first O-step after the cull (0 when none is left)."""
-    sizes, nested = [], []
-    sign_step3, sign_step = norms._sign_step3, norms._sign_step
-
-    def counted3(W):
-        sizes.append(len(W))
-        nested.append(True)
-        try:
-            return sign_step3(W)
-        finally:
-            nested.pop()
-
-    def counted(W):
-        if not nested:
-            sizes.append(len(W))
-        return sign_step(W)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(norms, "_sign_step3", counted3)
-        patch.setattr(norms, "_sign_step", counted)
-        _alternating_ascent(M, dim)
+    steps = step_traffic(lambda: _alternating_ascent(M, dim), monkeypatch)
+    sizes = [n for name, n, *_ in steps if name.startswith("_sign_step")]
     return sizes[DEFAULT_BURN_IN] if len(sizes) > DEFAULT_BURN_IN else 0
 
 
@@ -260,7 +278,7 @@ def test_mixed_stack_covers_every_survivor_count(dim, monkeypatch):
 
 
 @pytest.mark.parametrize("dim", [3, 4])
-@pytest.mark.parametrize("max_iter", [200, 30, 10])
+@pytest.mark.parametrize("max_iter", [DEFAULT_MAX_ITER, 30, 10])
 def test_lockstep_ascent_equals_single_map_ascent(dim, max_iter):
     # every map of a stack (across burn-in passes, and through the shared
     # pass after burn-in) gets, bit for bit, the result of its own
@@ -328,6 +346,40 @@ def test_lockstep_ascent_with_degenerate_maps_equals_single_map_ascent():
         batch = _alternating_ascents(mixed[k], 3)
         for got, j in zip(batch, k):
             assert_same_result(got, single[j])
+
+
+def test_d3_ascent_sends_eigh_only_the_masked_matrices(monkeypatch):
+    # at D = 3 every step, in burn-in and after it, is a closed form that
+    # passes to eigh exactly the matrices _eigvalsh3 masks. For the map
+    # I - P of a random model the psi-step matrix is O - Tr(O sigma) I, with
+    # the degenerate spectrum of a sign operator, so every psi-step goes to
+    # eigh, and the ascent runs past burn-in
+    from metastab.regimes import QuantumBackend
+
+    dyn = QuantumBackend(model=random_lindbladian(3, 2, seed=0), seed=0)
+    M = dyn._norm_map(("ident-stat",))
+    steps = step_traffic(lambda: _alternating_ascent(M, 3), monkeypatch)
+    assert all(name.endswith("3") and masked == sent
+               for name, _, masked, sent in steps)
+    # one O-step and one psi-step per iteration; burn-in ends with the
+    # psi-step of its last iteration
+    burn_in = steps[:2 * DEFAULT_BURN_IN]
+    after = steps[2 * DEFAULT_BURN_IN:]
+    assert len(after) > 2
+    assert all(sent for *_, sent in burn_in[1::2] + after[1::2])
+    # in a batch too, degenerate maps included: the shared pass takes the
+    # same steps
+    stack = np.concatenate([mixed_map_stack(3), M[None]])
+    steps = step_traffic(lambda: _alternating_ascents(stack, 3), monkeypatch)
+    assert all(name.endswith("3") and masked == sent
+               for name, _, masked, sent in steps)
+    assert sum(sent for *_, sent in steps) > 0
+
+
+def test_d4_ascent_never_reaches_the_closed_forms(monkeypatch):
+    steps = step_traffic(lambda: _alternating_ascents(mixed_map_stack(4), 4),
+                         monkeypatch)
+    assert steps and not any(name.endswith("3") for name, *_ in steps)
 
 
 # --- closed-form 3 x 3 steps -------------------------------------------------

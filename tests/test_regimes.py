@@ -222,6 +222,33 @@ def test_distance_to_stationary_matches_multi_restart_reference():
     assert abs(reference(tau_ss) - 1.0 / math.e) <= 1e-9
 
 
+def test_battery_maps_unconverged_at_the_old_cap_converge(monkeypatch):
+    # the benchmark's D = 3 battery (model seed 0, seed 0): capped at 200
+    # iterations, the cap before the current one, the ascent stops six of
+    # its maps unconverged, up to 1.3e-9 below the reference. At the default
+    # cap each converges, within 1e-9 of a 64-restart, no-cull, max_iter
+    # 5,000 ascent
+    model = random_lindbladian(3, 2, seed=0)
+    ascents = norms._alternating_ascents
+
+    def capped(Ms, dim, **kwargs):
+        return ascents(Ms, dim, **{**kwargs, "max_iter": 200})
+
+    dyn = QuantumBackend(model=model, seed=0)
+    with monkeypatch.context() as patch:
+        patch.setattr(norms, "_alternating_ascents", capped)
+        bound_battery(dyn, seed=0)
+    assert len(dyn.unconverged_keys) == 6
+    fresh = QuantumBackend(model=model, seed=0)
+    for key in dyn.unconverged_keys:
+        M = fresh._norm_map(key)
+        result = _alternating_ascent(M, 3)
+        reference = _alternating_ascent(M, 3, restarts=64, max_iter=5000,
+                                        keep_after_burn_in=64)
+        assert result.converged and reference.converged
+        assert abs(result.value - reference.value) <= 1e-9
+
+
 def test_pair_distance_does_not_depend_on_argument_order():
     # a pair is always evaluated as E(earlier) - E(later); the ascent's value
     # for the negated map differs in the last bits (here ...4316 vs ...4296)
