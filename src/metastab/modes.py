@@ -1,9 +1,14 @@
 """Closed-form single-mode theory: threshold roots, inverse growth bounds,
-and per-mode regime boundaries for decaying (real or spiraling) modes."""
+and per-mode regime boundaries for decaying (real or spiraling) modes; and
+the root searches behind them and the regime timescales, as generators
+(zeroin, crossing) that regimes.lockstep can run together."""
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# scan points a crossing search hints per request past its certified prefix
+SCAN_AHEAD = 4
 
 
 def change_thresholds(c):
@@ -63,8 +68,24 @@ class ModeRegimes:
     imag_bound: float | None
 
 
-def bracketed_root(f, a, b):
-    """Root of f in the bracket [a, b] by Brent's method (Brent 1973).
+def _run_search(search):
+    """Run a search generator to its end and return its result, dropping its
+    hints."""
+    while True:
+        try:
+            next(search)
+        except StopIteration as stop:
+            return stop.value
+
+
+def zeroin(f, a, b):
+    """Root of f in the bracket [a, b] by Brent's method (Brent 1973), as a
+    search generator.
+
+    A search yields the times it evaluates f at next, as a cache hint for a
+    caller that batches maps (regimes.lockstep), and then evaluates f itself;
+    its result is the generator's return value. zeroin yields [a, b], then
+    each iterate, and evaluates exactly the times it yields.
 
     A step-for-step port of the zeroin variant in scipy.optimize.brentq: it
     returns brentq's float for xtol = 1e-12 * max(|a|, |b|, 1e-300) and
@@ -76,6 +97,7 @@ def bracketed_root(f, a, b):
     xtol = 1e-12 * max(abs(a), abs(b), 1e-300)
     rtol = 4.0 * float(np.finfo(float).eps)
     xpre, xcur = float(a), float(b)
+    yield (xpre, xcur)
     fpre, fcur = float(f(xpre)), float(f(xcur))
     if fpre == 0.0 or fcur == 0.0:
         return xpre if fpre == 0.0 else xcur
@@ -111,27 +133,67 @@ def bracketed_root(f, a, b):
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        yield (xcur,)
         fcur = float(f(xcur))
     raise RuntimeError("bracketed_root: no convergence in 100 iterations")
 
 
+def known_ends_zeroin(f, a, b):
+    """zeroin on a bracket whose ends the caller has evaluated already: its
+    first request, [a, b], is skipped."""
+    search = zeroin(f, a, b)
+    next(search)
+    return search
+
+
+def bracketed_root(f, a, b):
+    """Root of f in the bracket [a, b]: zeroin run to its end."""
+    return _run_search(zeroin(f, a, b))
+
+
+def crossing(f, target, t_max, step, t_sure=0.0):
+    """First t in (0, t_max] with f(t) = target, as a search generator (see
+    zeroin): a scan for the first sign change of f - target from t = 0, then
+    zeroin on that step.
+
+    The scan's first request holds every scan point up to t_sure, where the
+    caller knows f to lie below target, and SCAN_AHEAD points more; each
+    later request holds the next SCAN_AHEAD points. Only the points up to
+    the crossing are evaluated, so past t_sure a request hints at most
+    SCAN_AHEAD - 1 points that the scan never evaluates. The scan step must
+    resolve oscillations of f; returns None when no sign change of
+    f - target is found up to t_max.
+    """
+    steps = max(int(np.ceil(t_max / step)), 0)
+
+    def at(k):
+        return min(k * step, t_max) if k else 0.0
+
+    sure = 1
+    while sure <= steps and at(sure) <= t_sure:
+        sure += 1
+    hinted = 0
+    f_lo = None
+    for k in range(steps + 1):
+        if k == hinted:
+            hinted = min(max(k, sure) + SCAN_AHEAD, steps + 1)
+            yield map(at, range(k, hinted))
+        t_hi = at(k)
+        f_hi = f(t_hi) - target
+        if k and f_lo * f_hi <= 0.0 and (f_hi >= 0.0 or f_lo >= 0.0):
+            return (yield from known_ends_zeroin(lambda t: f(t) - target,
+                                                 at(k - 1), t_hi))
+        f_lo = f_hi
+    return None
+
+
 def first_crossing(f, target, t_max, step):
-    """First t in (0, t_max] with f(t) = target: a scan for the first sign
-    change of f - target from t = 0, then one bracketed_root on that step.
+    """First t in (0, t_max] with f(t) = target: crossing run to its end.
 
     The scan step must resolve oscillations of f; returns None when no sign
     change of f - target is found up to t_max.
     """
-    t_lo = 0.0
-    f_lo = f(t_lo) - target
-    steps = int(np.ceil(t_max / step))
-    for k in range(1, steps + 1):
-        t_hi = min(k * step, t_max)
-        f_hi = f(t_hi) - target
-        if f_lo * f_hi <= 0.0 and (f_hi >= 0.0 or f_lo >= 0.0):
-            return bracketed_root(lambda t: f(t) - target, t_lo, t_hi)
-        t_lo, f_lo = t_hi, f_hi
-    return None
+    return _run_search(crossing(f, target, t_max, step))
 
 
 def mode_regimes(lam, c):

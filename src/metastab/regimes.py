@@ -12,7 +12,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .modes import bracketed_root, change_thresholds, first_crossing
+from .modes import (SCAN_AHEAD, change_thresholds, crossing,
+                    known_ends_zeroin)
 from . import norms as _norms
 from .operators import max_norm, trace_norm
 from .superop import build_liouvillian, spectral_decompose, vec
@@ -122,6 +123,11 @@ class DynamicsBackend:
         """Induced norm of an arbitrary map matrix (exact or lower bound)."""
         return self.norm_result(M).value
 
+    def matrix_norms(self, Ms):
+        """matrix_norm of each matrix in Ms, batched where the norm is an
+        ascent; each value equals matrix_norm's bit for bit."""
+        return [self.matrix_norm(M) for M in Ms]
+
     def eigenvalues(self):
         """Generator eigenvalues sorted by decreasing real part."""
         return self.spectral.eigenvalues
@@ -192,7 +198,10 @@ class DynamicsBackend:
         ("ident", t), ("proj", m, t) or ("pair", t1, t2), the last in either
         order (equal times name the zero distance). Each value equals, bit for bit, the one the single
         getter would compute, so a prefetch never changes a result; it only
-        saves per-call overhead for keys that are evaluated later anyway.
+        saves per-call overhead for keys that are evaluated later anyway,
+        with one exception: the look-ahead of a crossing search (see
+        modes.crossing) may hint up to SCAN_AHEAD - 1 keys past its
+        crossing, which are evaluated and never read.
         A no-op here and on every backend with exact norms.
         """
 
@@ -319,6 +328,12 @@ class QuantumBackend(DynamicsBackend):
         results = _norms._alternating_ascents(Ms, self.dim, seed=self.seed)
         for key, res in zip(todo, results):
             self._store(key, res)
+
+    def matrix_norms(self, Ms):
+        if self.dim < 3:
+            return super().matrix_norms(Ms)
+        return [res.value for res in
+                _norms._alternating_ascents(Ms, self.dim, seed=self.seed)]
 
     def random_observable(self, rng):
         G = rng.normal(size=(self.dim, self.dim)) \
@@ -518,70 +533,113 @@ def crossing_scan_step(dyn):
     return step
 
 
+def identity_sure_time(dyn, target):
+    """A time up to which the distance to the identity lies below target.
+
+    By contractivity ||E(t) - I|| <= t ||L||, and the induced norm ||L||
+    is at most sqrt(D) times the spectral norm of the generator matrix
+    (||x||_2 <= ||x||_1 <= sqrt(D) ||x||_2 on the state space). The factor
+    1 - 1e-6 keeps computed distances clear of round-off."""
+    return (1.0 - 1e-6) * target / (
+        math.sqrt(dyn.dim) * np.linalg.norm(dyn.generator_matrix(), 2))
+
+
+def lockstep(dyn, searches):
+    """Run independent searches together, one prefetch per round.
+
+    searches is a list of (family, search) pairs: search a generator of the
+    kind modes.zeroin describes, which yields the times it evaluates next
+    and then evaluates them itself, and family the key prefix, such as
+    ("ident",) or ("pair", t_start), that makes a time a norm-cache key.
+    Each round advances every unfinished search to its next request and
+    sends the keys of all requests to one prefetch (a batched ascent at
+    D >= 3, nothing on exact backends). Returns the searches' results in
+    order.
+    """
+    results = [None] * len(searches)
+    live = list(enumerate(searches))
+    while live:
+        requests, waiting = [], []
+        for i, (family, search) in live:
+            try:
+                requests.append((family, next(search)))
+                waiting.append((i, (family, search)))
+            except StopIteration as stop:
+                results[i] = stop.value
+        dyn.prefetch(family + (t,) for family, ts in requests for t in ts)
+        live = waiting
+    return results
+
+
+def _tau_0_search(dyn, target):
+    """The shortest timescale as a search: the crossing scan of the
+    distance to the identity up to 1.05 / (fastest decay rate), its range
+    doubled until a crossing is located. Returns (tau_0, residual), or
+    (None, why it is absent)."""
+    f = dyn.distance_to_identity
+    if dyn.stationary_distance() < target - 1e-12:
+        return None, ("distance to identity saturates at %.6g < 1 - 1/e"
+                      % dyn.stationary_distance())
+    # guaranteed crossing before 1/(fastest decay rate)
+    t_hi = 1.0 / dyn.fastest_decay_rate()
+    step = crossing_scan_step(dyn)
+    t_sure = identity_sure_time(dyn, target)
+    t_top = t_hi
+    while t_top <= 64 * t_hi:
+        tau = yield from crossing(f, target, 1.05 * t_top, step, t_sure)
+        if tau is not None:
+            return tau, abs(f(tau) - target)
+        t_top *= 2
+    return None, "no crossing of 1 - 1/e located"
+
+
+def _tau_ss_search(dyn, target):
+    """The final relaxation time as a search: a doubling bracket of the
+    distance to the stationary projection from 1 / (slowest decay rate),
+    then zeroin. Returns (tau_ss, residual), or (None, why it is absent)."""
+    f = dyn.distance_to_stationary
+    t_lo = 0.0
+    if f(t_lo) <= target:
+        return None, "distance to stationary starts at %.6g <= 1/e" % f(t_lo)
+    t_hi = 1.0 / dyn.slowest_decay_rate()
+    for _ in range(40):
+        yield (t_hi,)
+        if f(t_hi) < target:
+            tau = yield from known_ends_zeroin(lambda t: f(t) - target,
+                                               t_lo, t_hi)
+            return tau, abs(f(tau) - target)
+        t_lo = t_hi
+        t_hi *= 2.0
+    return None, ("distance to stationary still %.6g > 1/e at t = %.3g"
+                  % (f(t_lo), t_lo))
+
+
 def timescales(dyn):
     """First crossings defining the shortest and final relaxation timescales.
 
     The shortest timescale is the first time the distance to the identity
-    reaches 1 - 1/e (first_crossing: a scan, since the distance may
-    oscillate, then Brent). The final relaxation time is the first time the
-    distance to the stationary projection decays to 1/e (monotone: a
-    doubling bracket, then bracketed_root).
+    reaches 1 - 1/e (a crossing scan, since the distance may oscillate, then
+    Brent). The final relaxation time is the first time the distance to the
+    stationary projection decays to 1/e (monotone: a doubling bracket, then
+    Brent). The two searches run in lockstep, after one round for the two
+    maps that decide whether they run at all. The scan's first request
+    holds every scan point before identity_sure_time, all of which it
+    evaluates, and each request hints SCAN_AHEAD points past them, so at
+    D >= 3 up to SCAN_AHEAD - 1 maps past the crossing are evaluated and
+    never read.
     """
     lam = dyn.eigenvalues()
     if dyn.liouvillian_norm() <= 1e-14 or dyn.m_ss >= lam.size:
         raise TrivialDynamicsError("timescales require nontrivial dynamics")
-
-    target_0 = 1.0 - 1.0 / math.e
-    absent = {}
-    tau_0 = tau_ss = None
-    res_0 = res_ss = None
-
-    if dyn.stationary_distance() < target_0 - 1e-12:
-        absent["tau_0"] = ("distance to identity saturates at %.6g < 1 - 1/e"
-                           % dyn.stationary_distance())
-    else:
-        # guaranteed crossing before 1/(fastest decay rate)
-        t_hi = 1.0 / dyn.fastest_decay_rate()
-        step = crossing_scan_step(dyn)
-        f = dyn.distance_to_identity
-        t_cross = None
-        t_top = t_hi
-        while t_cross is None and t_top <= 64 * t_hi:
-            t_cross = first_crossing(f, target_0, t_max=1.05 * t_top,
-                                     step=step)
-            t_top *= 2
-        if t_cross is None:
-            absent["tau_0"] = "no crossing of 1 - 1/e located"
-        else:
-            tau_0 = float(t_cross)
-            res_0 = abs(f(tau_0) - target_0)
-
-    target_ss = 1.0 / math.e
-    t_lo = 0.0
-    d_lo = dyn.distance_to_stationary(0.0)
-    if d_lo <= target_ss:
-        absent["tau_ss"] = "distance to stationary starts at %.6g <= 1/e" % d_lo
-    else:
-        t_hi = 1.0 / dyn.slowest_decay_rate()
-        bracketed = False
-        for _ in range(40):
-            if dyn.distance_to_stationary(t_hi) < target_ss:
-                bracketed = True
-                break
-            t_lo = t_hi
-            t_hi *= 2.0
-        if not bracketed:
-            absent["tau_ss"] = ("distance to stationary still %.6g > 1/e at "
-                                "t = %.3g" % (dyn.distance_to_stationary(t_lo),
-                                              t_lo))
-        else:
-            tau_ss = bracketed_root(
-                lambda t: dyn.distance_to_stationary(t) - target_ss, t_lo, t_hi)
-            res_ss = abs(dyn.distance_to_stationary(tau_ss) - target_ss)
-
-    return TimescaleReport(tau_0=tau_0, tau_ss=tau_ss,
-                           tau_0_residual=res_0, tau_ss_residual=res_ss,
-                           absent=absent)
+    dyn.prefetch([("ident-stat",), ("stat", 0.0)])
+    found = lockstep(dyn, [(("ident",), _tau_0_search(dyn, 1.0 - 1.0 / math.e)),
+                           (("stat",), _tau_ss_search(dyn, 1.0 / math.e))])
+    report = {"absent": {}}
+    for name, (tau, residual) in zip(("tau_0", "tau_ss"), found):
+        if tau is None:
+            report["absent"][name], residual = residual, None
+        report[name], report[name + "_residual"] = tau, residual
+    return TimescaleReport(**report)
 
 
 def classify_regime(dyn, t_start, t_end, n_grid=33, with_doubling=True):
@@ -734,53 +792,59 @@ def _merge_run(dyn, run, c_delta_max, n_grid):
             for v in merged]
 
 
-def relaxation_times(dyn, t_start, t_end, c_delta):
-    """Initial relaxation time and the onset time of the long-time dynamics.
+def _onset_search(dyn, t_start, t_end, target):
+    """The onset of the long-time dynamics as a search: a geometric bracket
+    of the distance to the window start map from t_start, its probes hinted
+    SCAN_AHEAD at a time, then zeroin.
 
-    The first is the shortest time at which the distance to the window start
-    map reaches 1/e - lower threshold; the second the shortest t >= t_start
-    at which it reaches 1 - 1/e - lower threshold. The first is found by
-    first_crossing (a scan, then Brent), the second by a geometric bracket
-    and bracketed_root. Requires the change measure to be below the
-    relaxation cutoff.
-    """
-    if c_delta > CUTOFF_RELAXATION:
-        raise ValueError("relaxation times require c_delta <= (1 - 1/e)/e")
-    lower, _ = change_thresholds(c_delta)
-    f = lambda t: dyn.distance(t_start, t)
-
-    target_d = 1.0 / math.e - lower
-    step = t_start / 50.0
-    if dyn.max_imag() > 0:
-        step = min(step, 0.35 / dyn.max_imag())
-    # distance decreases from ~d_I(t_start) towards 0 at t -> t_start
-    tau_dprime = first_crossing(f, target_d, t_max=t_start, step=step)
-
-    target_p = 1.0 - 1.0 / math.e - lower
-    # after a metastable window the distance grows essentially monotonically
-    # (fast-mode wiggles are bounded by the in-window change), so a geometric
-    # bracket plus bracketed_root locates the crossing
-    tau_prime = None
-    t_lo, f_lo = t_start, f(t_start) - target_p
+    After a metastable window the distance grows essentially monotonically
+    (fast-mode wiggles are bounded by the in-window change), so the bracket
+    locates the crossing."""
+    f = lambda t: dyn.distance(t_start, t) - target
+    t_lo, f_lo = t_start, f(t_start)
     horizon = max(t_end, 2 * t_start)
     for _ in range(80):
-        probes = np.geomspace(t_lo, horizon, 24)[1:]
-        for t_hi in probes:
-            f_hi = f(float(t_hi)) - target_p
+        probes = np.geomspace(t_lo, horizon, 24)[1:].tolist()
+        for j, t_hi in enumerate(probes):
+            if j % SCAN_AHEAD == 0:
+                yield probes[j:j + SCAN_AHEAD]
+            f_hi = f(t_hi)
             if f_lo * f_hi <= 0.0:
-                tau_prime = bracketed_root(lambda t: f(t) - target_p,
-                                           t_lo, float(t_hi))
-                break
-            t_lo, f_lo = float(t_hi), f_hi
-        if tau_prime is not None:
-            break
+                return (yield from known_ends_zeroin(f, t_lo, t_hi))
+            t_lo, f_lo = t_hi, f_hi
         horizon *= 8.0
         if horizon > 1e9 * t_start:
             break
         # give up early when the distance can no longer reach the target
         if f_lo < 0 and dyn.distance_to_stationary(t_lo) \
-                + dyn.distance_to_stationary(t_start) < target_p - 1e-9:
+                + dyn.distance_to_stationary(t_start) < target - 1e-9:
             break
+    return None
+
+
+def relaxation_times(dyn, t_start, t_end, c_delta):
+    """Initial relaxation time and the onset time of the long-time dynamics.
+
+    The first is the shortest time at which the distance to the window start
+    map reaches 1/e - lower threshold; the second the shortest t >= t_start
+    at which it reaches 1 - 1/e - lower threshold. The first is found by a
+    crossing scan, then Brent; the second by a geometric bracket, then
+    Brent (_onset_search). The two searches run in lockstep, and both hint
+    SCAN_AHEAD points per request. Requires the change measure to be below
+    the relaxation cutoff.
+    """
+    if c_delta > CUTOFF_RELAXATION:
+        raise ValueError("relaxation times require c_delta <= (1 - 1/e)/e")
+    lower, _ = change_thresholds(c_delta)
+    step = t_start / 50.0
+    if dyn.max_imag() > 0:
+        step = min(step, 0.35 / dyn.max_imag())
+    # distance decreases from ~d_I(t_start) towards 0 at t -> t_start
+    scan = crossing(lambda t: dyn.distance(t_start, t), 1.0 / math.e - lower,
+                    t_max=t_start, step=step)
+    onset = _onset_search(dyn, t_start, t_end, 1.0 - 1.0 / math.e - lower)
+    family = ("pair", t_start)
+    tau_dprime, tau_prime = lockstep(dyn, [(family, scan), (family, onset)])
     return (None if tau_dprime is None else float(tau_dprime),
             None if tau_prime is None else float(tau_prime))
 

@@ -12,12 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modes import change_thresholds, first_crossing, linear_growth_inverse
+from .modes import change_thresholds, crossing, linear_growth_inverse
 from .regimes import (CUTOFF_RELAXATION, change_keys, change_measure,
                       classify_regime, crossing_scan_step, curve_keys,
-                      cutoff_flags, relaxation_times, scan_metastable,
-                      timescales, verdict_keys, TrivialDynamicsError,
-                      _refined_sup, _window_grid)
+                      cutoff_flags, identity_sure_time, lockstep,
+                      relaxation_times, scan_metastable, timescales,
+                      verdict_keys, TrivialDynamicsError, _refined_sup,
+                      _window_grid)
 
 # tolerance of the separation branch tests on e^{t Re lambda}
 SEPARATION_GUARD = 1e-9
@@ -481,7 +482,8 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
     the windows are known, the maps of the rows are prefetched in two
     sweeps (batched at D >= 3): those at times known then, and those that
     wait for the change measures and the ratio-4 cut. Like every prefetch,
-    this changes no value, and each prefetched map is evaluated later.
+    this changes no value, and each prefetched map is evaluated later. The
+    two exclusion-span crossings run in lockstep (regimes.lockstep).
     """
     if stationary_override is not None:
         dyn = dyn.with_stationary(stationary_override)
@@ -535,9 +537,12 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
     pairs = [(float(rng.uniform(grid[0], grid[-1])),
               float(rng.uniform(grid[0], grid[-1]))) for _ in range(4)]
     step = crossing_scan_step(dyn)
-    spans = [(c_acc, first_crossing(dyn.distance_to_identity, c_acc,
-                                    t_max=2.0 / (-lam.real[-1]), step=step))
-             for c_acc in (0.05, 0.15)]
+    accuracies = (0.05, 0.15)
+    spans = list(zip(accuracies, lockstep(dyn, [
+        (("ident",), crossing(dyn.distance_to_identity, c_acc,
+                              2.0 / (-lam.real[-1]), step,
+                              identity_sure_time(dyn, c_acc)))
+        for c_acc in accuracies])))
     exclusion = [(span0, shift * span0) for _, span0 in spans
                  if span0 is not None for shift in (2.5, 8.0)]
     t_probe = 0.9 * w2_start
@@ -685,15 +690,17 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
         C1 = dyn.correlator_matrix(O1)
         C2 = dyn.correlator_matrix(O2)
         span_w = w2_end - w2_start
-        for (n1, n2) in ((1, 1), (1, 2), (2, 1)):
+        multiples = ((1, 1), (1, 2), (2, 1))
+        changes = []
+        for (n1, n2) in multiples:
             t11, t21 = w2_start, w2_start + n1 * span_w
             t12, t22 = w2_start, w2_start + n2 * span_w
             M1 = C2 @ dyn.evolution_matrix(t12) @ C1 @ dyn.evolution_matrix(t11)
             M2 = C2 @ dyn.evolution_matrix(t22) @ C1 @ dyn.evolution_matrix(t21)
-            norm_prod = (dyn.observable_max_norm(O1)
-                         * dyn.observable_max_norm(O2))
-            add(BoundRow("meta_corr", float(n1 + n2),
-                         dyn.matrix_norm(M1 - M2) / norm_prod,
+            changes.append(M1 - M2)
+        norm_prod = dyn.observable_max_norm(O1) * dyn.observable_max_norm(O2)
+        for (n1, n2), value in zip(multiples, dyn.matrix_norms(changes)):
+            add(BoundRow("meta_corr", float(n1 + n2), value / norm_prod,
                          (n1 + n2) * c2))
     else:
         add(BoundRow("meta_corr", math.nan, math.nan, math.nan,

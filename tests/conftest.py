@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from metastab.models import spin_half_dephasing
 from metastab.regimes import QuantumBackend
-from metastab.superop import build_liouvillian, spectral_decompose
+from metastab.superop import QuantumModel, build_liouvillian, spectral_decompose
 
 GAMMA, KAPPA, OMEGA = 1.0, 0.005, 5.025
 DECAY_FAST = (GAMMA + KAPPA) / 2.0  # real decay rate of the oscillating pair
@@ -61,6 +63,20 @@ CRITERION_4_TARGETED = frozenset({
     "change2_ss", "ss_exp", "change_spectral_ss", "spectral_tau", "tau_order",
     "tau_prime_ratio", "dist_ss_P", "IPss", "dprime_exp", "prime_lin",
     "meta_corr", "spectral_tau2", "cdelta_bounded"})
+
+
+def three_level_double_well(slow):
+    """Quantum three-level chain: levels 0 and 1 exchange at rate 1, level 2
+    couples to level 1 at the slow rate in both directions. Its D = 3
+    battery has a metastable ratio-2 window below the relaxation cutoff."""
+    def jump(i, j, rate):
+        L = np.zeros((3, 3), dtype=complex)
+        L[i, j] = math.sqrt(rate)
+        return L
+
+    return QuantumModel(hamiltonian=np.diag([0.0, 0.3, 0.7]).astype(complex),
+                        jumps=(jump(1, 0, 1.0), jump(0, 1, 1.0),
+                               jump(2, 1, slow), jump(1, 2, slow)))
 
 
 def random_hermitian(rng, dim):

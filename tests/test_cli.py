@@ -292,31 +292,39 @@ RANDOM_D4_ARGS = ["--model", "builtin:random_lindbladian", "--param", "dim=4",
 
 
 def test_random_detect_norm_calls(norm_calls, capsys):
-    # 1 model normalisation + 1 generator norm (reused for the dispersion)
-    # + 27 in timescales (17 ident, 9 stat, 1 ident-stat; each crossing is
-    # a scan or doubling bracket, then Brent) + 24 scan probes, each failing
-    # at its first, far-end distance: 29 single ascents and one 24-map scan
-    # round
+    # 1 model normalisation + 1 generator norm (reused for the dispersion),
+    # single maps; then timescales in 9 rounds: the identity-stationary and
+    # t = 0 stationary maps (2), then the tau_0 and tau_ss searches in
+    # lockstep (12, 5, then 2, 2, 2, 2, 2, 1 for the two Brent searches).
+    # The first lockstep round holds the scan's certified prefix (t = 0 and
+    # 6 steps), 4 look-ahead points and the first doubling probe; the second
+    # the next 4 scan points and the next probe. The crossing lies at the
+    # first of those 4, so 3 maps are evaluated and never read. Then one
+    # 24-map scan round: every window fails at its first, far-end distance
     code, _, _ = run_cli(["detect"] + RANDOM_D4_ARGS, capsys)
     assert code == 0
-    assert norm_calls == {"maps": 53, "ascents": 30}
+    assert norm_calls == {"maps": 56, "ascents": 12}
 
 
 def test_random_battery_norm_calls(norm_calls, capsys):
-    # the benchmark's D = 3 battery: 532 maps in 42 ascent calls. 38 are
-    # sequential single maps: the model normalisation, the generator, 26 in
-    # timescales (the tau_0 Brent search takes 6 steps) and 10 in the Brent
-    # steps of the exclusion spans. 4 are batches: one probe round per
-    # window scan (16 maps each; every window is over budget at its first
-    # distance) and the battery's two prefetches of its window maps (266
-    # and 196 maps; the projection window starts at 1.6914440134506559, and
-    # twice that is no time of its grid, so its doubled drift and residual
-    # maps are keys of their own)
+    # the benchmark's D = 3 battery: 532 maps in 19 ascent calls. 2 are
+    # single maps: the model normalisation and the generator. timescales
+    # takes 8: the identity-stationary and t = 0 stationary maps (2), then
+    # the two searches in lockstep (13, 2, 2, 2, 2, 2, 1). The first round
+    # holds the tau_0 scan's certified prefix (t = 0 and 7 steps), 4
+    # look-ahead points, the last of which brackets the crossing, and the
+    # first doubling probe. One probe round per window scan (16 maps each;
+    # every window is over budget at its first distance). The two exclusion
+    # spans run in lockstep: their scan points are cached, so only their
+    # Brent steps are new (5 rounds of 2). Last come the battery's two
+    # prefetches of its window maps (266 and 196 maps; the projection
+    # window starts at 1.6914440134506559, and twice that is no time of its
+    # grid, so its doubled drift and residual maps are keys of their own)
     code, _, _ = run_cli(["verify-bounds", "--model",
                           "builtin:random_lindbladian", "--param", "dim=3",
                           "--param", "n_jumps=2", "--seed", "0"], capsys)
     assert code == 0
-    assert norm_calls == {"maps": 532, "ascents": 42}
+    assert norm_calls == {"maps": 532, "ascents": 19}
 
 
 def test_spin_norm_calls(norm_calls, capsys):

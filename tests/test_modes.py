@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from metastab.modes import (E1_DOMAIN_MAX, E2_DOMAIN_MAX, bracketed_root,
-                            change_thresholds, first_crossing, inverse_bound,
-                            linear_growth_inverse, mode_regimes)
+from metastab.modes import (E1_DOMAIN_MAX, E2_DOMAIN_MAX, SCAN_AHEAD,
+                            bracketed_root, change_thresholds, crossing,
+                            first_crossing, inverse_bound,
+                            linear_growth_inverse, mode_regimes, zeroin)
 
 
 def test_threshold_endpoints():
@@ -210,6 +211,72 @@ def test_bracketed_root_matches_brentq_bit_for_bit():
     sin_case = cases[-1]
     assert first_crossing(lambda t: math.sin(3.0 * t), 0.5, t_max=5.0,
                           step=0.01) == bracketed_root(*sin_case)
+
+
+def drive(search, f):
+    """Run a search one request at a time; returns its result, its requests
+    and the times at which it evaluated f, each tagged with the number of
+    requests made before that evaluation."""
+    requests, evaluated = [], []
+
+    def logged(t):
+        evaluated.append((t, len(requests)))
+        return f(t)
+
+    search = search(logged)
+    while True:
+        try:
+            requests.append(list(next(search)))
+        except StopIteration as stop:
+            return stop.value, requests, evaluated
+
+
+def test_zeroin_requests_exactly_what_it_evaluates():
+    cases = _smooth_brackets()
+    for f, a, b in cases:
+        root, requests, evaluated = drive(lambda g: zeroin(g, a, b), f)
+        assert root == bracketed_root(f, a, b), (a, b)
+        # each request names the times evaluated next, before they are
+        assert [t for ts in requests for t in ts] == [t for t, _ in evaluated]
+        asked = 0
+        for k, ts in enumerate(requests, 1):
+            assert [n for _, n in evaluated[asked:asked + len(ts)]] \
+                == [k] * len(ts)
+            asked += len(ts)
+
+
+@pytest.mark.parametrize("t_sure, n_unread", [(0.0, 2), (0.1, 0), (0.16, 2)])
+def test_crossing_hints_ahead_of_its_scan(t_sure, n_unread):
+    # sin(3t) = 0.5 at t = 0.1745..., in the 18th step of 0.01; the
+    # requests after the first start at max(t_sure steps + 1, 1) + 4k
+    f = lambda t: math.sin(3.0 * t)
+    t_star, requests, evaluated = drive(
+        lambda g: crossing(g, 0.5, 5.0, 0.01, t_sure), f)
+    assert t_star == first_crossing(f, 0.5, t_max=5.0, step=0.01)
+    # every point the scan evaluates was requested before it, and the first
+    # request holds every point up to t_sure
+    seen = set()
+    for t, n in evaluated:
+        assert t in {s for ts in requests[:n] for s in ts}
+        seen.add(t)
+    assert [t for t in requests[0] if t <= t_sure] \
+        == [k * 0.01 if k else 0.0 for k in range(int(t_sure / 0.01) + 1)]
+    unread = {t for ts in requests for t in ts} - seen
+    assert len(unread) == n_unread <= SCAN_AHEAD - 1
+    assert all(t > t_star for t in unread)
+    # past the scan, zeroin's requests are evaluated one by one
+    assert all(len(ts) == 1 for ts in requests[-3:])
+
+
+def test_crossing_without_crossing_requests_every_point_once():
+    f = lambda t: math.sin(3.0 * t)
+    assert drive(lambda g: crossing(g, 2.0, 0.1, 0.01, 0.05), f)[0] is None
+    _, requests, evaluated = drive(
+        lambda g: crossing(g, 2.0, 0.1, 0.01, 0.05), f)
+    flat = [t for ts in requests for t in ts]
+    assert flat == [t for t, _ in evaluated]
+    assert len(flat) == 11 and flat[-1] == 0.1
+    assert [len(ts) for ts in requests] == [10, 1]
 
 
 def test_bracketed_root_returns_a_python_float():

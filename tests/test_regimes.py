@@ -10,14 +10,17 @@ from metastab.classical import ClassicalBackend, ClassicalGenerator
 from metastab.models import random_lindbladian, spin_half_dephasing
 from metastab.modes import change_thresholds
 from metastab.norms import _alternating_ascent
-from metastab.regimes import (CUTOFF_RELAXATION, QuantumBackend, TimeGrid,
-                              TrivialDynamicsError, change_measure,
-                              classify_regime, distinguishability_bounds,
-                              observable_average_change, relaxation_times,
-                              scan_metastable, state_change_measure,
-                              timescales, _golden_refine,
-                              _refined_sup, _window_grid)
+from metastab.regimes import (CUTOFF_RELAXATION, DynamicsBackend,
+                              QuantumBackend, TimeGrid, TrivialDynamicsError,
+                              change_measure, classify_regime,
+                              crossing_scan_step, distinguishability_bounds,
+                              identity_sure_time, observable_average_change,
+                              relaxation_times, scan_metastable,
+                              state_change_measure, timescales,
+                              _golden_refine, _refined_sup, _window_grid)
 from metastab.spectral_meta import bound_battery
+
+from conftest import three_level_double_well
 
 
 
@@ -163,6 +166,83 @@ def test_scan_probe_stops_at_first_excess():
     assert not pair_keys(dyn)
     assert scan_metastable(dyn, c_delta_max=0.1, n_scan=24) == []
     assert len(pair_keys(dyn)) == 24
+
+
+class OneByOne(QuantumBackend):
+    """A quantum backend that evaluates every map on its own."""
+    prefetch = DynamicsBackend.prefetch
+
+
+@pytest.mark.parametrize("dim, n_ahead", [(3, 0), (4, 3)])
+def test_timescales_in_lockstep_match_one_by_one(dim, n_ahead):
+    # the same report and the same cached norms as a backend whose prefetch
+    # does nothing, but for the scan's look-ahead maps past the crossing
+    model = random_lindbladian(dim, 2, seed=0)
+    dyn = QuantumBackend(model=model, seed=0)
+    plain = OneByOne(model=model, seed=0)
+    report = timescales(dyn)
+    assert timescales(plain) == report
+    ahead = dyn._norm_cache.keys() - plain._norm_cache.keys()
+    assert len(ahead) == n_ahead
+    assert all(key[0] == "ident" and key[1] > report.tau_0 for key in ahead)
+    assert dyn.liouvillian_norm() == plain.liouvillian_norm()
+    assert plain._norm_cache.keys() <= dyn._norm_cache.keys()
+    assert all(dyn._norm_cache[key] == value
+               for key, value in plain._norm_cache.items() if key != ("gen",))
+
+
+def test_timescales_absent_paths_in_lockstep():
+    # messages as before the searches ran in lockstep (same model, seed)
+    dyn = QuantumBackend(model=random_lindbladian(3, 2, seed=0), seed=0)
+    I = dyn.identity_matrix()
+    report = timescales(dyn.with_stationary(I))
+    assert (report.tau_0, report.tau_ss) == (None, None)
+    assert list(report.absent) == ["tau_0", "tau_ss"]
+    assert report.absent == {
+        "tau_0": "distance to identity saturates at 0 < 1 - 1/e",
+        "tau_ss": "distance to stationary starts at 7.18861e-16 <= 1/e"}
+    # the distance to the zero map never falls to 1/e: tau_0 is found and
+    # the tau_ss search, left alone after it, runs out of doublings
+    report = timescales(dyn.with_stationary(np.zeros_like(I)))
+    assert report.tau_0 == timescales(dyn).tau_0
+    assert report.tau_ss is None and report.tau_ss_residual is None
+    assert report.absent == {
+        "tau_ss": "distance to stationary still 0.999574 > 1/e at "
+                  "t = 6.88e+12"}
+
+
+def test_matrix_norms_batch_the_single_norms(monkeypatch):
+    # unkeyed maps (the battery's correlator products) in one ascent call,
+    # each value that of matrix_norm on its own
+    dyn = QuantumBackend(model=random_lindbladian(3, 2, seed=0), seed=0)
+    C = dyn.correlator_matrix(dyn.random_observable(np.random.default_rng(1)))
+    E = dyn.evolution_matrix
+    Ms = [C @ E(1.0) - C @ E(3.0), E(0.5) @ C - E(2.0), C @ (E(4.0) - E(9.0))]
+    singles = [dyn.matrix_norm(M) for M in Ms]
+    calls = []
+    ascents = norms._alternating_ascents
+    monkeypatch.setattr(norms, "_alternating_ascents",
+                        lambda Ms, *a, **k: calls.append(len(Ms))
+                        or ascents(Ms, *a, **k))
+    assert dyn.matrix_norms(Ms) == singles
+    assert calls == [3]
+
+
+def test_identity_sure_time_certifies_the_scan_prefix():
+    # every scan point before identity_sure_time has a computed distance to
+    # the identity below the target, at the timescale and exclusion targets
+    models = [random_lindbladian(d, 2, seed=s) for d in (3, 4, 6)
+              for s in range(4)] + [three_level_double_well(0.01)]
+    for model in models:
+        dyn = QuantumBackend(model=model, seed=0)
+        step = crossing_scan_step(dyn)
+        ts = [k * step for k in range(int(identity_sure_time(
+            dyn, 1.0 - 1.0 / math.e) / step) + 1)]
+        assert len(ts) >= 4
+        dyn.prefetch(("ident", t) for t in ts)
+        for target in (1.0 - 1.0 / math.e, 0.15, 0.05):
+            prefix = [t for t in ts if t <= identity_sure_time(dyn, target)]
+            assert all(dyn.distance_to_identity(t) < target for t in prefix)
 
 
 def test_pair_distances_do_not_depend_on_evaluation_order():

@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from metastab import regimes, spectral_meta
 from metastab.models import random_lindbladian
+from metastab.modes import SCAN_AHEAD
 from metastab.regimes import DynamicsBackend, QuantumBackend, change_measure
 from metastab.spectral_meta import (SeparationInconsistencyError, bound_battery,
                                     detect_separation, gap_cut,
                                     spectral_projection_report,
                                     spectrum_change_bound_check)
-from metastab.superop import QuantumModel
 
 from conftest import (DECAY_FAST, KAPPA, assert_caches_untouched,
-                      cache_snapshot)
+                      cache_snapshot, three_level_double_well)
 
 
 def test_spectrum_change_margins_zero_pair(spin_backend, spin_spectral):
@@ -185,6 +186,59 @@ def test_bound_battery_override_restores_backend_on_error(spin_model):
                                                               abs=1e-12)
 
 
+def record_search_requests(monkeypatch):
+    """Patch lockstep so that it records, per search, the result and every
+    (norm-cache key, time) the search requests."""
+    searches = []
+    lockstep = regimes.lockstep
+
+    def recorded(family, search, entry):
+        while True:
+            try:
+                ts = list(next(search))
+            except StopIteration as stop:
+                entry["result"] = stop.value
+                return stop.value
+            for t in ts:
+                key = family + (t,)
+                if key[0] == "pair":
+                    if key[1] == key[2]:
+                        continue
+                    key = ("pair", min(key[1:]), max(key[1:]))
+                entry["requests"].add((key, t))
+            yield ts
+
+    def recording(dyn, pairs):
+        wrapped = []
+        for family, search in pairs:
+            entry = {"requests": set()}
+            searches.append(entry)
+            wrapped.append((family, recorded(family, search, entry)))
+        return lockstep(dyn, wrapped)
+
+    monkeypatch.setattr(regimes, "lockstep", recording)
+    monkeypatch.setattr(spectral_meta, "lockstep", recording)
+    return searches
+
+
+def assert_only_look_ahead_added(searches, keys, plain_keys):
+    """keys, a batching backend's cache, holds plain_keys, those of a backend
+    that evaluates one map at a time, and besides them exactly the keys that
+    the searches requested and never read: at most SCAN_AHEAD - 1 per
+    search, each past the search's result."""
+    assert plain_keys <= keys
+    unread = set()
+    for entry in searches:
+        result = entry["result"]
+        tau = result[0] if isinstance(result, tuple) else result
+        ahead = {(key, t) for key, t in entry["requests"]
+                 if key not in plain_keys}
+        assert len(ahead) <= SCAN_AHEAD - 1
+        assert all(tau is not None and t > tau for _, t in ahead)
+        unread |= {key for key, _ in ahead}
+    assert keys - plain_keys == unread
+
+
 @pytest.mark.slow
 def test_batched_battery_caches_single_map_values(monkeypatch):
     # at D = 3 the battery's sweeps are prefetched in batches; every cached
@@ -200,59 +254,59 @@ def test_batched_battery_caches_single_map_values(monkeypatch):
         batches.append(len(self._norm_cache) - n_cached)
 
     monkeypatch.setattr(QuantumBackend, "prefetch", counted)
+    searches = record_search_requests(monkeypatch)
     dyn = QuantumBackend(model=model, seed=0)
     report = bound_battery(dyn, seed=0, scan_points=8, n_grid=17)
     assert max(batches) > 32
     fresh = QuantumBackend(model=model, seed=0)
     keys = [key for key in dyn._norm_cache if key != ("gen",)]
-    assert len(keys) > sum(batches) > 100
+    # the crossing searches run in prefetched rounds, so every keyed map
+    # of the battery comes through a prefetch
+    assert len(keys) == sum(batches) > 100
     for key in keys:
         assert fresh._norm_of(key) == dyn._norm_cache[key], key
 
-    # the prefetches add no map of their own: without them, the battery
-    # evaluates the same keys one by one, and reports the same rows
+    # the prefetches add no map of their own but the look-ahead of the
+    # crossing searches: without them, the battery evaluates the same keys
+    # one by one, less the look-ahead maps past each crossing, and reports
+    # the same rows
     class OneByOne(QuantumBackend):
         prefetch = DynamicsBackend.prefetch
 
+    dyn_searches = list(searches)
     plain = OneByOne(model=model, seed=0)
     plain_report = bound_battery(plain, seed=0, scan_points=8, n_grid=17)
-    assert plain._norm_cache.keys() == dyn._norm_cache.keys()
+    assert len(dyn_searches) == 4  # tau_0, tau_ss and two exclusion spans
+    assert_only_look_ahead_added(dyn_searches, set(dyn._norm_cache),
+                                 set(plain._norm_cache))
     assert list(plain_report.csv_rows()) == list(report.csv_rows())
 
 
-def three_level_double_well(slow):
-    """Quantum three-level chain: levels 0 and 1 exchange at rate 1, level 2
-    couples to level 1 at the slow rate in both directions. Its D = 3
-    battery has a metastable ratio-2 window below the relaxation cutoff."""
-    def jump(i, j, rate):
-        L = np.zeros((3, 3), dtype=complex)
-        L[i, j] = math.sqrt(rate)
-        return L
-
-    return QuantumModel(hamiltonian=np.diag([0.0, 0.3, 0.7]).astype(complex),
-                        jumps=(jump(1, 0, 1.0), jump(0, 1, 1.0),
-                               jump(2, 1, slow), jump(1, 2, slow)))
-
-
 @pytest.mark.slow
-def test_battery_prefetches_add_no_map_on_a_metastable_window():
+def test_battery_prefetches_add_no_map_on_a_metastable_window(monkeypatch):
     # with a metastable window the second prefetch also takes the verdict
     # curves, the probe and linear-growth distances and the projection maps
-    # of a separated cut; the battery still evaluates the same keys as one
-    # that evaluates them one by one, and reports the same rows
+    # of a separated cut, and relaxation_times runs its two searches in
+    # lockstep; the battery still evaluates the keys of one that evaluates
+    # them one by one, and besides them only the look-ahead maps past each
+    # crossing, and reports the same rows
     class OneByOne(QuantumBackend):
         prefetch = DynamicsBackend.prefetch
 
     model = three_level_double_well(0.01)
+    searches = record_search_requests(monkeypatch)
     dyn = QuantumBackend(model=model, seed=0)
     report = bound_battery(dyn, seed=0, scan_points=8, n_grid=17)
     assert report.context["window2_verdict"] == "Metastable"
     assert report.context["separated"]
     assert {"dprime_exp", "prime_lin", "meta_corr",
             "tau_prime_ratio"} <= set(report.applicable_ids())
+    dyn_searches = list(searches)
+    assert len(dyn_searches) == 6  # and tau_dprime, tau_prime
     plain = OneByOne(model=model, seed=0)
     plain_report = bound_battery(plain, seed=0, scan_points=8, n_grid=17)
-    assert plain._norm_cache.keys() == dyn._norm_cache.keys()
+    assert_only_look_ahead_added(dyn_searches, set(dyn._norm_cache),
+                                 set(plain._norm_cache))
     assert list(plain_report.csv_rows()) == list(report.csv_rows())
 
 
