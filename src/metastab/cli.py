@@ -227,14 +227,15 @@ def _backend(args, model=None, generator=None):
 
 def _cmd_spectrum(args, dyn, payload):
     lam = dyn.eigenvalues()
+    cond = dyn.spectral.eigvec_condition
     out = {
         "eigenvalues": [[float(v.real), float(v.imag)] for v in lam],
         "m_ss": int(dyn.m_ss),
         "model_hash": _model_hash(payload),
         "seed": args.seed,
+        # JSON has no infinity: a singular eigenvector matrix reads null
+        "eigvec_condition": cond if math.isfinite(cond) else None,
     }
-    if isinstance(dyn, QuantumBackend):
-        out["eigvec_condition"] = dyn.spectral.eigvec_condition
     _emit_json(args, out)
     return 0
 

@@ -63,13 +63,14 @@ class DynamicsBackend:
 
     A backend holds the SpectralData of its generator (eigenvalues, mode
     pairs, stationary count, valid cuts) and derives every regime quantity
-    from it. Subclasses supply only the dynamics (_evolve, generator_matrix)
-    and the norm (norm_result, exact or a lower bound). Evolution matrices
-    and norm values are cached, the latter keyed by the matrix expression,
-    so repeated grid sweeps are cheap; the evolution cache keeps the
-    EVO_CACHE_SIZE most recently used times. unconverged_keys holds the
-    cache keys (and ("gen",) for the generator) whose lower bound stopped at
-    the iteration cap before converging.
+    from it, evolutions included: e^{tL} = V diag(e^{t lambda}) V^-1.
+    Subclasses supply the generator matrix and the norm (norm_result, exact
+    or a lower bound). Evolution matrices and norm values are cached, the
+    latter keyed by the matrix expression, so repeated grid sweeps are
+    cheap; the evolution cache keeps the EVO_CACHE_SIZE most recently used
+    times. unconverged_keys holds the cache keys (and ("gen",) for the
+    generator) whose lower bound stopped at the iteration cap before
+    converging.
     """
 
     def __init__(self, spectral, identity):
@@ -80,10 +81,10 @@ class DynamicsBackend:
         self._evo_cache = {}
         self.unconverged_keys = set()
 
-    # --- supplied by subclasses ------------------------------------------------
     def _evolve(self, t):
-        raise NotImplementedError
+        return self.spectral.evolution_matrix(t)
 
+    # --- supplied by subclasses ------------------------------------------------
     def generator_matrix(self):
         raise NotImplementedError
 
@@ -281,9 +282,6 @@ class QuantumBackend(DynamicsBackend):
         self.model = model
         self.liouvillian = liouvillian
         self.seed = seed
-
-    def _evolve(self, t):
-        return self.spectral.evolution_matrix(t)
 
     def generator_matrix(self):
         return self.liouvillian.matrix

@@ -297,16 +297,6 @@ def evolution(spec, t):
                          hermiticity_preserving=True, trace_preserving=True)
 
 
-def evolution_expm(liouvillian, t):
-    """Scaling-and-squaring matrix exponential; test-side cross check."""
-    import scipy.linalg  # here, so that quantum commands load no scipy
-
-    if t < 0:
-        raise ValueError("the dynamics is a semigroup: t must be >= 0")
-    return Superoperator(liouvillian.dim, scipy.linalg.expm(t * liouvillian.matrix),
-                         hermiticity_preserving=True, trace_preserving=True)
-
-
 def stationary_projector(spec):
     """Projection onto the stationary (zero-eigenvalue) modes."""
     return Superoperator(spec.dim, spec.projector_matrix(spec.m_ss),

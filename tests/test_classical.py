@@ -13,9 +13,9 @@ from metastab.norms import induced_trace_norm
 from metastab.operators import trace_norm
 from metastab.regimes import change_measure, scan_metastable, timescales
 from metastab.spectral_meta import bound_battery
-from metastab.superop import (DefectiveLiouvillianError, InvalidCutError,
-                              Superoperator, build_liouvillian,
-                              spectral_decompose)
+from metastab.superop import (DEFECT_TOL, DefectiveLiouvillianError,
+                              InvalidCutError, Superoperator,
+                              build_liouvillian, spectral_decompose)
 
 from conftest import (CRITERION_4_TARGETED, assert_caches_untouched,
                       cache_snapshot)
@@ -25,11 +25,29 @@ def symmetric_two_state(a=1.0):
     return ClassicalGenerator(np.array([[-a, a], [a, -a]]))
 
 
+def sequential_chain(eps):
+    # 0 -> 1 -> 2 -> 3 at rates 1, 1 + eps, 1 + 2 eps: the three decay modes
+    # merge as eps -> 0, and cond(V) grows like 3.3 / eps^2
+    Q = np.zeros((4, 4))
+    for i, rate in enumerate((1.0, 1.0 + eps, 1.0 + 2.0 * eps)):
+        Q[i + 1, i] += rate
+        Q[i, i] -= rate
+    return ClassicalGenerator(Q)
+
+
 def test_generator_validation():
     with pytest.raises(ValueError):
         ClassicalGenerator(np.array([[-1.0, 0.5], [0.5, -0.5]]))
     with pytest.raises(ValueError):
         ClassicalGenerator(np.array([[0.0, -0.2], [0.0, 0.2]]))
+    # the sign and column-sum checks are False on NaN, so NaN needs its own
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ClassicalGenerator(np.array([[-1.0, bad], [1.0, -bad]]))
+    with pytest.raises(ValueError, match="finite"):
+        rate_matrix_from_json("[[-1.0, NaN], [1.0, NaN]]")
+    with pytest.raises(ValueError, match="finite"):
+        rate_matrix_from_edges("0 1 nan\n")
 
 
 def test_evolution_identity_and_negative_time():
@@ -171,6 +189,50 @@ def test_rate_matrix_loaders():
         rate_matrix_from_edges("0 1 -2.0")
     with pytest.raises(ValueError):
         rate_matrix_from_edges("0 1\n")
+    # numpy indexing would wrap -1 to the last state: "-1 0" read as 1 -> 0
+    for line in ("-1 0 0.5", "0 -1 0.5"):
+        with pytest.raises(ValueError, match="line 2: negative state index"):
+            rate_matrix_from_edges("0 1 1.0\n" + line)
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3])
+def test_spectral_evolution_error_grows_with_condition(eps):
+    # the eigenvector method carries about 1e-16 cond(V) of round-off; the
+    # three chains span cond(V) = 3.8e2, 3.3e4 and 3.3e6
+    gen = sequential_chain(eps)
+    dyn = ClassicalBackend(gen)
+    cond = dyn.spectral.eigvec_condition
+    assert dyn.spectral.left_dual is not None and cond < DEFECT_TOL
+    for t in np.geomspace(1e-3, 1e3, 50):
+        gap = l1_norm(dyn.evolution_matrix(t) - classical_evolution(gen, t))
+        assert gap <= 1e-14 * cond, (t, gap, cond)
+
+
+def test_defective_chain_evolves_by_expm():
+    gen = sequential_chain(1e-4)
+    dyn = ClassicalBackend(gen)
+    assert dyn.spectral.eigvec_condition > DEFECT_TOL
+    assert dyn.spectral.left_dual is None
+    for t in np.geomspace(1e-3, 1e3, 50):
+        assert np.array_equal(dyn.evolution_matrix(t),
+                              classical_evolution(gen, t))
+
+
+def test_non_defective_chains_evolve_without_expm(monkeypatch):
+    def expm_called(generator, t):
+        raise AssertionError("expm on a non-defective chain")
+
+    monkeypatch.setattr("metastab.classical.classical_evolution", expm_called)
+    dyn = classical_backend(three_state_double_well())
+    assert timescales(dyn).tau_ss is not None
+    # complex modes: the cached matrix is a real copy, not a view that
+    # would keep the complex product alive
+    cyclic = ClassicalBackend(ClassicalGenerator(
+        np.array([[-1.0, 0.0, 1.0], [1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])))
+    assert np.iscomplexobj(cyclic.spectral.right_vecs)
+    E = cyclic.evolution_matrix(0.7)
+    assert E.dtype == np.float64 and E.flags.owndata
+    assert np.allclose(E.sum(axis=0), 1.0, atol=1e-14)
 
 
 def test_cyclic_chain_cuts_and_real_projection():

@@ -193,6 +193,38 @@ def test_classical_project(capsys):
     assert data["p_norm"] >= 1.0 - 1e-12
 
 
+def test_classical_spectrum_reports_eigvec_condition(tmp_path, capsys):
+    code, out, _ = run_cli(["classical-spectrum", "--model",
+                            "builtin:double_well"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert list(data)[-1] == "eigvec_condition"
+    assert 1.0 <= data["eigvec_condition"] < 1e3
+    # 0 -> 1 -> 2 -> 3 at equal rates: a Jordan block whose eigenvector
+    # matrix is singular; JSON has no Infinity, so the value is null
+    edges = tmp_path / "jordan.edges"
+    edges.write_text("0 1 1.0\n1 2 1.0\n2 3 1.0\n")
+    code, out, _ = run_cli(["classical-spectrum", "--model",
+                            "file:%s" % edges], capsys)
+    assert code == 0
+    assert '"eigvec_condition": null' in out
+    assert json.loads(out)["eigvec_condition"] is None
+
+
+@pytest.mark.parametrize("name,text,message", [
+    ("wrap.edges", "0 1 1.0\n-1 0 0.5\n", "line 2: negative state index"),
+    ("nan.edges", "0 1 nan\n1 0 1.0\n", "rates must be finite"),
+    ("nan.json", "[[-1.0, NaN], [1.0, NaN]]", "rates must be finite")])
+def test_classical_model_file_rejects_bad_input(name, text, message, tmp_path,
+                                                capsys):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run_cli(["classical-spectrum", "--model",
+                              "file:%s" % path], capsys)
+    assert code == 2
+    assert out == "" and message in err
+
+
 def test_quantum_model_rejected_by_classical_command(capsys):
     code, _, err = run_cli(["classical-spectrum", "--model",
                             "builtin:spin_half"], capsys)
@@ -343,13 +375,17 @@ def test_spin_norm_calls(norm_calls, capsys):
 
 
 def test_quantum_commands_load_no_scipy(tmp_path):
-    # the quantum analyses run on numpy alone: scipy.linalg would add about
-    # 0.12 s and 24 MB to every command's start-up, scipy.optimize more; the
-    # classical commands load scipy.linalg for expm, never scipy.optimize
+    # the analyses run on numpy alone: scipy.linalg would add about 0.12 s
+    # and 24 MB to every command's start-up, scipy.optimize more. A chain
+    # evolves on the spectral core as a quantum model does; only a
+    # defective chain (here 0 -> 1 -> 2 at equal rates) loads scipy.linalg
+    # for expm, and no command loads scipy.optimize
     model = tmp_path / "random_d3.json"
     model.write_text(json.dumps({"name": "random_lindbladian",
                                  "params": {"dim": 3, "n_jumps": 2},
                                  "seed": 0}))
+    defective = tmp_path / "jordan.edges"
+    defective.write_text("0 1 1.0\n1 2 1.0\n")
     grid = "'--tmin', '1', '--tmax', '4', '--points', '3'"
     script = ("import contextlib, io, sys\n"
               "from metastab.cli import main\n"
@@ -360,7 +396,10 @@ def test_quantum_commands_load_no_scipy(tmp_path):
               "        ['distances', %s] + spin,\n"
               "        ['changes', %s] + spin,\n"
               "        ['heisenberg', %s] + spin,\n"
-              "        ['detect', '--model', 'file:%s']]\n"
+              "        ['detect', '--model', 'file:%s'],\n"
+              "        ['classical-detect', '--model', 'builtin:double_well'],\n"
+              "        ['classical-verify-bounds', '--model',\n"
+              "         'builtin:double_well']]\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    for argv in runs:\n"
               "        assert main(argv) == 0, argv\n"
@@ -368,10 +407,11 @@ def test_quantum_commands_load_no_scipy(tmp_path):
               "          if m == 'scipy' or m.startswith('scipy.')]\n"
               "assert not loaded, loaded\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
-              "    assert main(['classical-detect', '--model',\n"
-              "                 'builtin:double_well']) == 0\n"
+              "    assert main(['classical-changes', '--model', 'file:%s',\n"
+              "                 %s]) == 0\n"
+              "assert 'scipy.linalg' in sys.modules\n"
               "assert 'scipy.optimize' not in sys.modules\n"
-              % (grid, grid, grid, model))
+              % (grid, grid, grid, model, defective, grid))
     src = os.path.dirname(os.path.dirname(metastab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", script], env=env,
