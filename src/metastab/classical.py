@@ -167,8 +167,12 @@ def rate_matrix_from_edges(text, dim=None):
     """Rate matrix from an edge list, one 'i j rate' triple per line.
 
     Indices are zero-based source -> target; the diagonal is filled so the
-    columns sum to zero. Blank lines and '#' comments are skipped.
+    columns sum to zero. Blank lines and '#' comments are skipped. dim, when
+    given, is the number of states (at least 1), and every index must lie
+    below it; otherwise it is the largest index plus one.
     """
+    if dim is not None and dim < 1:
+        raise ValueError("dim must be at least 1, got %r" % (dim,))
     entries = []
     max_idx = -1
     for ln, line in enumerate(text.splitlines(), 1):
@@ -181,13 +185,16 @@ def rate_matrix_from_edges(text, dim=None):
         i, j, rate = int(parts[0]), int(parts[1]), float(parts[2])
         if i < 0 or j < 0:
             raise ValueError("line %d: negative state index" % ln)
+        if dim is not None and max(i, j) >= dim:
+            raise ValueError("line %d: state index %d out of range for dim %d"
+                             % (ln, i if i >= dim else j, dim))
         if i == j:
             raise ValueError("line %d: self-loops are not allowed" % ln)
         if rate < 0:
             raise ValueError("line %d: negative rate" % ln)
         entries.append((i, j, rate))
         max_idx = max(max_idx, i, j)
-    n = dim or max_idx + 1
+    n = max_idx + 1 if dim is None else dim
     Q = np.zeros((n, n))
     for i, j, rate in entries:
         Q[j, i] += rate  # rate i -> j enters column i, row j

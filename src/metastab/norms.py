@@ -18,15 +18,19 @@ the ascent on several maps in lockstep, with the same result for each map as
 a call of its own, in two phases: burn-in passes of at most LOCKSTEP_MAPS
 maps with all their restarts, then one shared pass of at most
 LOCKSTEP_CHAINS chains for the few leading chains of every map, refilled as
-chains stop.
+chains stop. In the shared pass each chain also tries a Riemannian Newton
+step (_newton_step), kept only if the next O-step finds its value no lower,
+so that chains near a maximum finish quadratically instead of crawling
+through the alternating ascent's linear tail.
 
 Both coordinate maxima need eigen-information of a Hermitian D x D matrix.
-At D = 3 every step, in burn-in and in the shared pass alike, uses closed
-forms evaluated along the whole stack: the trigonometric roots of the
-characteristic cubic, the sign operator from one spectral projector and the
-top eigenvector from a column of a product of shifted matrices. A matrix with
-a near-degenerate pair of eigenvalues goes to LAPACK eigh on its own. At
-D >= 4 every step uses eigh.
+At D = 3 every coordinate step, in burn-in and in the shared pass alike,
+uses closed forms evaluated along the whole stack: the trigonometric roots
+of the characteristic cubic, the sign operator from one spectral projector
+and the top eigenvector from a column of a product of shifted matrices. A
+matrix with a near-degenerate pair of eigenvalues goes to LAPACK eigh on its
+own. At D >= 4 every coordinate step uses eigh. A Newton step takes eigh of
+the O-step matrix of each chain it runs on, at every D.
 """
 import functools
 import math
@@ -42,7 +46,7 @@ from .superop import Superoperator
 # test references; every other caller runs these defaults, with
 # max(16, 4 D) restarts. A chain stops at REL_TOL or, unconverged, at
 # DEFAULT_MAX_ITER iterations; on the benchmark's random D = 3 battery the
-# longest run takes 224
+# longest run takes 51
 DEFAULT_MAX_ITER = 1000
 DEFAULT_BURN_IN = 25
 DEFAULT_KEEP_AFTER_BURN_IN = 4
@@ -50,10 +54,15 @@ DEFAULT_KEEP_AFTER_BURN_IN = 4
 REL_TOL = 1e-10
 # maps per burn-in pass of _alternating_ascents, and chains per pass after
 # burn-in (the size of a full burn-in pass at R = 16); they bound its working
-# arrays. Both passes take the same steps: at D = 3 the closed forms, which
-# beat eigh from a few dozen matrices on and lose to it on a handful
+# arrays. Both passes take the same coordinate steps: at D = 3 the closed
+# forms, which beat eigh from a few dozen matrices on and lose to it on a
+# handful
 LOCKSTEP_MAPS = 32
 LOCKSTEP_CHAINS = 512
+# chains per _newton_step call, in whole maps (a map with more chains takes
+# a call alone): a Newton step holds 2D - 2 matrices per chain, and this
+# bounds its working arrays
+NEWTON_CHAINS = 64
 
 
 @dataclass(frozen=True)
@@ -230,6 +239,91 @@ def _top_eigvec3(A):
     return v
 
 
+# --- Newton polish -----------------------------------------------------------
+#
+# Near its maximum f(psi) = ||W(psi)||_1, W(psi) = Herm X(psi psi^dag), is
+# smooth wherever no eigenvalue of W crosses 0, and the alternating ascent
+# converges only linearly there, slowly when the landscape is flat. The
+# Riemannian Newton step on the unit sphere modulo phase (Absil, Mahony &
+# Sepulchre 2008, ch. 6) converges quadratically. The helpers below work on
+# a stack of n chains; every operation is elementwise in the chain index or
+# a product or LAPACK call per chain, and sums over entries are written out,
+# so a chain's step does not depend on the other chains in the stack.
+
+def _tangent_basis(psi):
+    """Orthonormal bases u_1..u_{D-1} of the complement of each unit psi:
+    columns 2..D of the Householder reflection I - v v^dag / (1 + |psi_1|),
+    v = psi + phase(psi_1) e_1, which maps psi to a multiple of e_1.
+    Returns an (n, D - 1, D) stack of rows u_k."""
+    a = np.abs(psi[:, 0])
+    v = psi.copy()
+    v[:, 0] += np.where(a > 0, psi[:, 0] / np.where(a > 0, a, 1.0), 1.0)
+    scale = psi[:, 1:].conj() / (1.0 + a)[:, None]
+    return np.eye(psi.shape[1])[1:] - scale[:, :, None] * v[:, None, :]
+
+
+def _newton_model(psi, W, A, image):
+    """Gradient and Hessian of f at each state psi, in the real tangent
+    basis b = (u_1, .., u_{D-1}, i u_1, .., i u_{D-1}) of _tangent_basis.
+
+    W = Herm X(psi psi^dag) = V diag(lam) V^dag and A = Herm X^dag(sign W)
+    are the chain's last O-step and psi-step matrices; image(rho) returns
+    Herm X(rho) for an (n (2D - 2), D, D) stack, 2D - 2 rows per chain. With
+    f = sum |lam| and s = sign(lam), along the retraction
+    psi -> normalize(psi + xi),
+        g_l = 2 Re<b_l, A psi>,
+        H_lm = 2 Re<b_l, A b_m> + sum_jk G_jk Re[conj(dW^l_jk) dW^m_jk]
+               - 2 f delta_lm,
+    with dW^m = V^dag Herm X(b_m psi^dag + psi b_m^dag) V and the divided
+    difference of the sign function G_jk = (s_j - s_k) / (lam_j - lam_k),
+    0 where the signs agree (Daleckii-Krein; Bhatia 1997, ch. V). Returns
+    (b, g, H) as (n, 2D - 2, D), (n, 2D - 2) and (n, 2D - 2, 2D - 2).
+    """
+    n, dim = psi.shape
+    U = _tangent_basis(psi)
+    b = np.concatenate([U, 1j * U], axis=1)
+    k = b.shape[1]
+    # 2 Re<b_l, A (psi, b_1, .., b_k)>: the gradient, then the first term
+    first = 2 * ((b.conj() @ A) @ np.concatenate(
+        [psi[:, :, None], b.transpose(0, 2, 1)], axis=2)).real
+    g, H = first[:, :, 0], first[:, :, 1:]
+    lam, V = np.linalg.eigh(W)
+    s = np.where(lam >= 0.0, 1.0, -1.0)
+    ds = s[:, :, None] - s[:, None, :]
+    G = ds / np.where(ds != 0.0, lam[:, :, None] - lam[:, None, :], 1.0)
+    # the stacks below hold 2D - 2 matrices per chain; each is dropped as
+    # soon as the next is made
+    dW = b[:, :, :, None] * psi.conj()[:, None, None, :]
+    dW += dW.conj().transpose(0, 1, 3, 2)
+    dW = image(dW.reshape(n * k, dim, dim)).reshape(n, k, dim, dim)
+    dW = V.conj().transpose(0, 2, 1)[:, None] @ dW
+    dW = dW @ V[:, None]
+    # G >= 0 (the sign function is monotone), so the sum is F F^T
+    dW *= np.sqrt(G)[:, None]
+    F = dW.reshape(n, k, dim * dim)
+    del dW
+    F = np.concatenate([F.real, F.imag], axis=2)
+    H += F @ F.transpose(0, 2, 1)
+    f = sum(abs(lam[:, j]) for j in range(dim))
+    H -= 2 * f[:, None, None] * np.eye(k)
+    return b, g, H
+
+
+def _newton_step(psi, W, A, image):
+    """Riemannian Newton candidates normalize(psi - sum_l (H^-1 g)_l b_l)
+    of _newton_model, and where H is negative definite (elsewhere the
+    candidate is meaningless)."""
+    b, g, H = _newton_model(psi, W, A, image)
+    mu, Q = np.linalg.eigh(-H)
+    definite = mu[:, 0] > 0
+    mu[~definite] = 1.0
+    x = Q @ ((Q.transpose(0, 2, 1) @ g[:, :, None]) / mu[:, :, None])
+    cand = psi + (x.transpose(0, 2, 1) @ b)[:, 0]
+    norm2 = cand.real ** 2 + cand.imag ** 2
+    norm = np.sqrt(sum(norm2[:, j] for j in range(psi.shape[1])))
+    return cand / norm[:, None], definite
+
+
 def _induced_norm_matrix(M, dim, seed=0):
     """Induced trace norm of a raw D^2 x D^2 Hermiticity-preserving matrix:
     exact at D = 2 (seed is then unused), the alternating ascent's lower
@@ -357,12 +451,15 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
     leaders go on to full tolerance; frozen values remain valid lower bounds.
     The leaders of every map in the call then share one pass of at most
     LOCKSTEP_CHAINS chains, which takes in the leaders of later maps whenever
-    chains stop. A pass keeps each map's chains in one contiguous block, in
-    restart order, and multiplies the block by its own matrix.
-    Cull and convergence are per map, steps per matrix and products per
-    block, so a map's result does not depend on the other maps in the call:
-    it equals, bit for bit, the single-map call _alternating_ascent(Ms[k],
-    dim). Returns one InducedNormResult per map, in order.
+    chains stop; there each chain also tries Newton steps, by rules on its
+    own history (see the pass below). A pass keeps each map's chains in one
+    contiguous block, in restart order, and multiplies the block by its own
+    matrix.
+    Cull and convergence are per map, steps per matrix or chain and products
+    per block, so a map's result does not depend on the other maps in the
+    call: it equals, bit for bit, the single-map call
+    _alternating_ascent(Ms[k], dim). Returns one InducedNormResult per map,
+    in order.
     """
     if restarts is None:
         restarts = max(16, 4 * dim)
@@ -389,33 +486,57 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
     sign_step, top_eigvec = ((_sign_step3, _top_eigvec3) if dim == 3
                              else (_sign_step, _top_eigvec))
 
-    def o_step(blocks, psi, prev):
-        """Coordinate step in O: the sign observable of X(psi psi^dag) for
-        chains whose maps form blocks, and whether each chain converged."""
-        n = psi.shape[0]
-        rho = psi[:, :, None] * psi[:, None, :].conj()          # rho[r,i,j]
-        rho_vec = rho.transpose(0, 2, 1).reshape(n, dim * dim)  # column stacking
-        W = _blockwise_product(rho_vec, Ms, blocks, transpose=True)
+    def image(blocks, rho):
+        """Herm X(rho) for a stack of Hermitian rho whose maps form blocks."""
+        n = rho.shape[0]
+        # column stacking
+        W = _blockwise_product(rho.transpose(0, 2, 1).reshape(n, dim * dim),
+                               Ms, blocks, transpose=True)
         W = W.reshape(n, dim, dim).transpose(0, 2, 1)
-        W = (W + W.conj().transpose(0, 2, 1)) / 2
+        return (W + W.conj().transpose(0, 2, 1)) / 2
+
+    def o_step(blocks, psi):
+        """Coordinate step in O: the value and sign observable of
+        W = Herm X(psi psi^dag) for chains whose maps form blocks, and W."""
+        W = image(blocks, psi[:, :, None] * psi[:, None, :].conj())
         vals, obs = sign_step(W)
+        return vals, obs, W
+
+    def converged(vals, prev):
+        """Whether each chain's value moved by less than REL_TOL."""
         # ascent monotonicity is a structural property; tolerate round-off only
         if np.any(vals < prev - 1e-9 * np.maximum(1.0, prev)):
             raise AssertionError("alternating ascent objective decreased")
-        done = np.abs(vals - prev) <= REL_TOL * np.maximum(1.0, vals)
-        return vals, obs, done
+        return np.abs(vals - prev) <= REL_TOL * np.maximum(1.0, vals)
 
     def psi_step(blocks, obs):
-        """Coordinate step in psi: the top eigenvector of X^dag(O), the
-        Hermitian part of vec(O) @ M^* in column stacking. That product is
-        taken as (vec(O)^* @ M)^*, equal bit for bit, so no conjugate copy of
-        a map is made; its outer conjugate is taken in the Hermitian part."""
+        """Coordinate step in psi: the top eigenvector of A = X^dag(O), the
+        Hermitian part of vec(O) @ M^* in column stacking, and A. That product
+        is taken as (vec(O)^* @ M)^*, equal bit for bit, so no conjugate copy
+        of a map is made; its outer conjugate is taken in the Hermitian
+        part."""
         n = obs.shape[0]
         obs_vec = np.conjugate(obs.transpose(0, 2, 1), order="C")
         B = _blockwise_product(obs_vec.reshape(n, dim * dim), Ms, blocks)
         B = B.reshape(n, dim, dim).transpose(0, 2, 1)
         A = (B.conj() + B.transpose(0, 2, 1)) / 2
-        return top_eigvec(A)
+        return top_eigvec(A), A
+
+    def newton_steps(owner, psi, W, A):
+        """_newton_step for chains of the maps owner (nondecreasing), in
+        calls of at most NEWTON_CHAINS chains that split no map."""
+        out, lo = [], 0
+        while lo < owner.size:
+            hi = lo + NEWTON_CHAINS
+            if hi < owner.size:
+                hi = int(np.searchsorted(owner, owner[hi]))
+                if hi == lo:
+                    hi = int(np.searchsorted(owner, owner[lo], "right"))
+            rows = _blocks(np.repeat(owner[lo:hi], 2 * dim - 2))
+            out.append(_newton_step(psi[lo:hi], W[lo:hi], A[lo:hi],
+                                    lambda rho: image(rows, rho)))
+            lo = hi
+        return (np.concatenate(parts) for parts in zip(*out))
 
     def stop(work, stopped, psi, obs, vals, its, done):
         """Record the chains work[stopped], which iterate no more; its is
@@ -461,7 +582,9 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
         psi = np.tile(seeds, (work.size // restarts, 1))
         vals = np.zeros(work.size)
         for it in range(1, last + 1):
-            vals, obs, done = o_step(blocks, psi, vals)
+            new, obs, _ = o_step(blocks, psi)
+            done = converged(new, vals)
+            vals = new
             go_on = ~done
             if it == last and last == max_iter:
                 go_on[:] = False
@@ -482,7 +605,7 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
                 if not work.size:
                     break
                 blocks = _blocks(work // restarts)
-            psi = psi_step(blocks, obs)
+            psi, _ = psi_step(blocks, obs)
         if work.size and cull_at < max_iter:
             leaders.append((work, psi, vals))
     if not leaders:
@@ -490,7 +613,14 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
 
     # after burn-in: the leaders of every map in one pass of at most
     # LOCKSTEP_CHAINS chains (one map at least), refilled map by map in call
-    # order, so each map's chains stay one block in restart order
+    # order, so each map's chains stay one block in restart order. Each chain
+    # also tries the Newton step of _newton_step, on its own history: from a
+    # definite Hessian its next state is the Newton candidate, and it keeps
+    # the plain step in reserve. The next O-step evaluates the candidate; one
+    # below the chain's value is turned back (the round still counts), and
+    # the chain goes on from the plain step it kept. After an indefinite
+    # Hessian or a turned-back candidate the chain waits 1, 2, 4, ... rounds
+    # before it tries again; an accepted candidate resets the back-off
     queue, queue_psi, queue_vals = (np.concatenate(parts)
                                     for parts in zip(*leaders))
     owner = queue // restarts
@@ -498,13 +628,20 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
     starts = [0] + (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist() \
         + [queue.size]
     k = 0                        # next map of the queue to take in
-    work, psi, vals = queue[:0], queue_psi[:0], queue_vals[:0]
-    # the pass's round at which each chain was taken in; taken in after
-    # cull_at iterations, a chain may run budget more
-    taken = np.zeros(0, dtype=int)
+    # per chain: its index, state, value, the pass's round at which it was
+    # taken in (after cull_at iterations it may run budget more), whether
+    # its state is a Newton candidate, the plain step it keeps, the first
+    # round in which it may try Newton again, and its back-off. tries says
+    # whether any state is a candidate (trying is stale when it does not),
+    # and no chain may try before round due
+    chains = (queue[:0], queue_psi[:0], queue_vals[:0], np.zeros(0, dtype=int),
+              np.zeros(0, dtype=bool), queue_psi[:0], np.zeros(0, dtype=int),
+              np.zeros(0, dtype=int))
+    tries, due = False, 0
     budget = max_iter - cull_at
     rnd = 0
     while True:
+        work = chains[0]
         end = k
         while end + 1 < len(starts) and (
                 starts[end + 1] - starts[k] + work.size <= LOCKSTEP_CHAINS
@@ -512,28 +649,66 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
             end += 1
         if end > k:
             lo, hi = starts[k], starts[end]
-            work = np.concatenate([work, queue[lo:hi]])
-            psi = np.concatenate([psi, queue_psi[lo:hi]])
-            vals = np.concatenate([vals, queue_vals[lo:hi]])
-            taken = np.concatenate([taken, np.full(hi - lo, rnd)])
-            blocks = _blocks(work // restarts)
-            k = end
+            fresh = (queue[lo:hi], queue_psi[lo:hi], queue_vals[lo:hi],
+                     np.full(hi - lo, rnd), np.zeros(hi - lo, dtype=bool),
+                     queue_psi[lo:hi], np.zeros(hi - lo, dtype=int),
+                     np.ones(hi - lo, dtype=int))
+            chains = tuple(np.concatenate(pair) for pair in zip(chains, fresh))
+            blocks = _blocks(chains[0] // restarts)
+            k, due = end, 0
+        work, psi, prev, taken, trying, kept, next_try, backoff = chains
         if not work.size:
             break
         rnd += 1
-        vals, obs, done = o_step(blocks, psi, vals)
+        vals, obs, W = o_step(blocks, psi)
+        if tries:
+            rejected = trying & (vals < prev)
+            vals[rejected] = prev[rejected]
+            backoff[trying & ~rejected] = 1
+            trying = rejected
+        done = converged(vals, prev)
+        if tries:
+            done &= ~rejected
         go_on = ~done
         if rnd - taken[0] >= budget:          # taken is nondecreasing
             go_on &= rnd - taken < budget
         if not go_on.all():
             stop(work, ~go_on, psi, obs, vals, cull_at + rnd - taken, done)
-            work, obs, vals, taken = (work[go_on], obs[go_on], vals[go_on],
-                                      taken[go_on])
+            (work, psi, vals, taken, trying, kept, next_try, backoff, obs,
+             W) = (a[go_on] for a in (work, psi, vals, taken, trying, kept,
+                                      next_try, backoff, obs, W))
             if not work.size:
-                psi = psi[:0]
+                chains = (work, psi, vals, taken, trying, kept, next_try,
+                          backoff)
                 continue
             blocks = _blocks(work // restarts)
-        psi = psi_step(blocks, obs)
+        plain, A = psi_step(blocks, obs)
+        nxt = plain
+        if tries and trying.any():           # trying holds the turned back
+            nxt = np.where(trying[:, None], kept, plain)
+            next_try[trying] = rnd + 1 + backoff[trying]
+            backoff[trying] *= 2
+        tries = False
+        if rnd >= due:
+            # a candidate is evaluated in the next round, never past the
+            # budget
+            attempt = next_try <= rnd
+            if rnd + 1 - taken[0] >= budget:
+                attempt &= rnd + 1 - taken < budget
+            if attempt.any():
+                at = np.flatnonzero(attempt)
+                cand, definite = newton_steps(work[at] // restarts, psi[at],
+                                              W[at], A[at])
+                trying = np.zeros_like(attempt)
+                trying[at[definite]] = True
+                tries = bool(definite.any())
+                nxt = nxt.copy() if nxt is plain else nxt
+                nxt[trying] = cand[definite]
+                failed = at[~definite]
+                next_try[failed] = rnd + 1 + backoff[failed]
+                backoff[failed] *= 2
+            due = int(next_try.min())
+        chains = (work, nxt, vals, taken, trying, plain, next_try, backoff)
     return results()
 
 

@@ -195,6 +195,20 @@ def test_rate_matrix_loaders():
             rate_matrix_from_edges("0 1 1.0\n" + line)
 
 
+def test_rate_matrix_from_edges_with_an_explicit_dim():
+    # dim adds states no edge names, and every index must lie below it
+    gen = rate_matrix_from_edges("0 1 1.5\n1 0 0.5", dim=3)
+    assert gen.dim == 3
+    assert not gen.rates[2].any() and not gen.rates[:, 2].any()
+    for line, index in (("0 5 1.0", 5), ("3 1 1.0", 3), ("4 3 1.0", 4)):
+        with pytest.raises(ValueError, match="line 2: state index %d out of "
+                                             "range for dim 3" % index):
+            rate_matrix_from_edges("0 1 1.0\n" + line, dim=3)
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match="dim must be at least 1"):
+            rate_matrix_from_edges("0 1 1.0", dim=dim)
+
+
 @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3])
 def test_spectral_evolution_error_grows_with_condition(eps):
     # the eigenvector method carries about 1e-16 cond(V) of round-off; the

@@ -11,7 +11,9 @@ from metastab.norms import (DEFAULT_BURN_IN, DEFAULT_KEEP_AFTER_BURN_IN,
                             DEFAULT_MAX_ITER, LOCKSTEP_MAPS,
                             _alternating_ascent,
                             _alternating_ascents, _eigvalsh3,
-                            _induced_norm_matrix, _sign_step, _sign_step3,
+                            _induced_norm_matrix, _newton_model,
+                            _newton_step, _sign_step, _sign_step3,
+                            _tangent_basis,
                             _top_eigvec, _top_eigvec3,
                             correlator_superop, induced_norm_sampling_oracle,
                             induced_trace_norm, max_norm_induced,
@@ -223,10 +225,11 @@ def single_map_ascents(dim, max_iter):
 
 
 def step_traffic(run, monkeypatch):
-    """The coordinate steps run() takes, in order, as (step, matrices,
-    masked, sent): the name of the step function, the size of its stack,
-    and for a closed-form step the matrices _eigvalsh3 masked in it and
-    those it passed on to eigh (0 and 0 for a step by eigh)."""
+    """The steps run() takes, in order, as (step, matrices, masked, sent):
+    the name of the step function, the size of its stack, and for a
+    closed-form step the matrices _eigvalsh3 masked in it and those it
+    passed on to eigh (0 and 0 for a step by eigh, and for a Newton step,
+    which takes eigh on every matrix it gets)."""
     steps, open_steps = [], []
     eigvalsh3 = norms._eigvalsh3
 
@@ -238,13 +241,13 @@ def step_traffic(run, monkeypatch):
     def counted(name):
         step = getattr(norms, name)
 
-        def take_step(W):
+        def take_step(W, *args):
             if open_steps:          # the eigh fallback of a closed form
                 open_steps[-1][3] += len(W)
                 return step(W)
             open_steps.append([name, len(W), 0, 0])
             try:
-                return step(W)
+                return step(W, *args)
             finally:
                 steps.append(tuple(open_steps.pop()))
         return take_step
@@ -252,7 +255,7 @@ def step_traffic(run, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(norms, "_eigvalsh3", masked)
         for name in ("_sign_step3", "_top_eigvec3", "_sign_step",
-                     "_top_eigvec"):
+                     "_top_eigvec", "_newton_step"):
             patch.setattr(norms, name, counted(name))
         run()
     return steps
@@ -278,7 +281,7 @@ def test_mixed_stack_covers_every_survivor_count(dim, monkeypatch):
 
 
 @pytest.mark.parametrize("dim", [3, 4])
-@pytest.mark.parametrize("max_iter", [DEFAULT_MAX_ITER, 30, 10])
+@pytest.mark.parametrize("max_iter", [DEFAULT_MAX_ITER, 28, 10])
 def test_lockstep_ascent_equals_single_map_ascent(dim, max_iter):
     # every map of a stack (across burn-in passes, and through the shared
     # pass after burn-in) gets, bit for bit, the result of its own
@@ -302,8 +305,11 @@ def test_lockstep_ascent_equals_single_map_ascent(dim, max_iter):
 @pytest.mark.parametrize("dim", [3, 4])
 def test_shared_pass_takes_in_maps_as_chains_stop(dim, monkeypatch):
     # a pass after burn-in far smaller than the call's leaders: maps wait,
-    # and are taken in block by block as chains stop, with the same result
+    # and are taken in block by block as chains stop, with the same result;
+    # and Newton steps in calls of fewer chains than a map has: each call
+    # then takes one map alone
     monkeypatch.setattr(norms, "LOCKSTEP_CHAINS", 6)
+    monkeypatch.setattr(norms, "NEWTON_CHAINS", 3)
     stack = mixed_map_stack(dim)
     single = single_map_ascents(dim, DEFAULT_MAX_ITER)
     for got, want in zip(_alternating_ascents(stack, dim), single):
@@ -349,37 +355,218 @@ def test_lockstep_ascent_with_degenerate_maps_equals_single_map_ascent():
 
 
 def test_d3_ascent_sends_eigh_only_the_masked_matrices(monkeypatch):
-    # at D = 3 every step, in burn-in and after it, is a closed form that
-    # passes to eigh exactly the matrices _eigvalsh3 masks. For the map
-    # I - P of a random model the psi-step matrix is O - Tr(O sigma) I, with
-    # the degenerate spectrum of a sign operator, so every psi-step goes to
-    # eigh, and the ascent runs past burn-in
+    # at D = 3 every coordinate step, in burn-in and after it, is a closed
+    # form that passes to eigh exactly the matrices _eigvalsh3 masks; after
+    # burn-in the Newton steps come on top, and each takes eigh on the
+    # O-step matrices of the chains it gets. For the map I - P of a random
+    # model the psi-step matrix is O - Tr(O sigma) I, with the degenerate
+    # spectrum of a sign operator, so every psi-step goes to eigh, and the
+    # ascent runs past burn-in
     from metastab.regimes import QuantumBackend
 
     dyn = QuantumBackend(model=random_lindbladian(3, 2, seed=0), seed=0)
     M = dyn._norm_map(("ident-stat",))
     steps = step_traffic(lambda: _alternating_ascent(M, 3), monkeypatch)
+    coordinate = [step for step in steps if step[0] != "_newton_step"]
     assert all(name.endswith("3") and masked == sent
-               for name, _, masked, sent in steps)
+               for name, _, masked, sent in coordinate)
     # one O-step and one psi-step per iteration; burn-in ends with the
-    # psi-step of its last iteration
-    burn_in = steps[:2 * DEFAULT_BURN_IN]
-    after = steps[2 * DEFAULT_BURN_IN:]
+    # psi-step of its last iteration, and the Newton steps follow psi-steps
+    burn_in = coordinate[:2 * DEFAULT_BURN_IN]
+    after = coordinate[2 * DEFAULT_BURN_IN:]
     assert len(after) > 2
     assert all(sent for *_, sent in burn_in[1::2] + after[1::2])
+    assert [name for name, *_ in steps[:2 * DEFAULT_BURN_IN]] == \
+        [name for name, *_ in burn_in]
+    newton = [k for k, step in enumerate(steps) if step[0] == "_newton_step"]
+    assert newton and all(steps[k - 1][0] == "_top_eigvec3" for k in newton)
     # in a batch too, degenerate maps included: the shared pass takes the
     # same steps
     stack = np.concatenate([mixed_map_stack(3), M[None]])
     steps = step_traffic(lambda: _alternating_ascents(stack, 3), monkeypatch)
     assert all(name.endswith("3") and masked == sent
-               for name, _, masked, sent in steps)
+               for name, _, masked, sent in steps
+               if name != "_newton_step")
     assert sum(sent for *_, sent in steps) > 0
+    assert any(name == "_newton_step" for name, *_ in steps)
 
 
 def test_d4_ascent_never_reaches_the_closed_forms(monkeypatch):
     steps = step_traffic(lambda: _alternating_ascents(mixed_map_stack(4), 4),
                          monkeypatch)
     assert steps and not any(name.endswith("3") for name, *_ in steps)
+
+
+# --- Newton polish after burn-in ---------------------------------------------
+
+def herm_image(M, dim):
+    """rho -> Herm X(rho) for a stack of rho, X the map with matrix M."""
+    def image(rho):
+        n = rho.shape[0]
+        W = rho.transpose(0, 2, 1).reshape(n, dim * dim) @ M.T
+        W = W.reshape(n, dim, dim).transpose(0, 2, 1)
+        return (W + W.conj().transpose(0, 2, 1)) / 2
+    return image
+
+
+def trace_norm_values(image, states):
+    """||Herm X(psi psi^dag)||_1 for each row psi of states, by eigvalsh."""
+    rho = states[:, :, None] * states[:, None, :].conj()
+    return np.abs(np.linalg.eigvalsh(image(rho))).sum(axis=1)
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_newton_model_matches_finite_differences(dim):
+    # gradient and Hessian of f(psi) = ||Herm X(psi psi^dag)||_1 in the
+    # tangent basis, against central differences of f along the retraction
+    # normalize(psi + x.b), at random states where no eigenvalue of W lies
+    # within 1e-2 of 0, so that the sign pattern is stable and f smooth
+    spec = spectral_decompose(build_liouvillian(
+        random_lindbladian(dim, 2, seed=3)))
+    M = spec.evolution_matrix(0.5) - spec.evolution_matrix(2.0)
+    image, adjoint = herm_image(M, dim), herm_image(M.conj().T, dim)
+    rng = np.random.default_rng(2)
+    k, h, checked = 2 * dim - 2, 1e-4, 0
+    while checked < 5:
+        psi = rng.normal(size=(1, dim)) + 1j * rng.normal(size=(1, dim))
+        psi /= np.linalg.norm(psi)
+        W = image(psi[:, :, None] * psi[:, None, :].conj())
+        lam, V = np.linalg.eigh(W)
+        if np.abs(lam).min() <= 1e-2:
+            continue
+        checked += 1
+        sign = (V * np.where(lam >= 0, 1.0, -1.0)[:, None, :]) \
+            @ V.conj().transpose(0, 2, 1)
+        b, g, H = _newton_model(psi, W, adjoint(sign), image)
+        # b is an orthonormal real basis of the tangent space at psi
+        assert b.shape == (1, k, dim)
+        assert np.abs((b[0].conj() @ b[0].T).real - np.eye(k)).max() <= 1e-14
+        assert np.abs(b[0].conj() @ psi[0]).max() <= 1e-14
+
+        def f(x):
+            state = psi[0] + x @ b[0]
+            return trace_norm_values(image, state[None] / np.linalg.norm(
+                state))[0]
+
+        E = h * np.eye(k)
+        g_fd = np.array([f(E[l]) - f(-E[l]) for l in range(k)]) / (2 * h)
+        H_fd = np.array([[f(E[l] + E[m]) - f(E[l] - E[m]) - f(E[m] - E[l])
+                          + f(-E[l] - E[m]) for m in range(k)]
+                         for l in range(k)]) / (4 * h * h)
+        assert np.abs(g_fd - g[0]).max() <= 1e-6 * np.abs(g[0]).max()
+        assert np.abs(H_fd - H[0]).max() <= 1e-5 * np.abs(H[0]).max()
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_newton_step_does_not_depend_on_the_stack(dim):
+    # what the lockstep ascent relies on: a chain gets the same candidate
+    # and the same verdict on its Hessian, bit for bit, alone and in a
+    # stack, at any position. Chains at the witnesses of the mixed stack's
+    # maps (mostly definite) alternate with chains at random states
+    maps = mixed_map_stack(dim)[3:43]
+    witnesses = [res.witness_state
+                 for res in single_map_ascents(dim, DEFAULT_MAX_ITER)[3:43]]
+    rng = np.random.default_rng(6)
+    psi = rng.normal(size=(40, dim)) + 1j * rng.normal(size=(40, dim))
+    psi /= np.linalg.norm(psi, axis=1)[:, None]
+    psi[::2] = witnesses[::2]
+    k = 2 * dim - 2
+
+    def per_chain(rho, lo=0):   # each chain's block of rows, by its map
+        return np.concatenate([herm_image(maps[lo + i // k], dim)(
+            rho[i:i + k]) for i in range(0, len(rho), k)])
+
+    def step(lo, hi):
+        rho = psi[lo:hi, :, None] * psi[lo:hi, None, :].conj()
+        W = np.concatenate([herm_image(M, dim)(r[None])
+                            for M, r in zip(maps[lo:hi], rho)])
+        A = np.concatenate([herm_image(M.conj().T, dim)(O[None])
+                            for M, O in zip(maps[lo:hi], _sign_step(W)[1])])
+        return _newton_step(psi[lo:hi].copy(), W, A,
+                            lambda rho: per_chain(rho, lo))
+
+    cand, definite = step(0, len(psi))
+    assert definite[::2].sum() > definite[1::2].sum()
+    for j in range(len(psi)):
+        for lo, hi in ((j, j + 1), (max(0, j - 2), j + 3)):
+            c, d = step(lo, hi)
+            assert c[j - lo].tobytes() == cand[j].tobytes()
+            assert d[j - lo] == definite[j]
+
+
+def test_tangent_basis_where_psi_has_no_first_component():
+    psi = np.array([[0.0, 0.6, 0.8j], [1.0, 0.0, 0.0], [-1j, 0.0, 0.0]])
+    U = _tangent_basis(psi)
+    for u, p in zip(U, psi):
+        assert np.abs(u.conj() @ u.T - np.eye(2)).max() <= 1e-15
+        assert np.abs(u.conj() @ p).max() <= 1e-15
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_newton_polish_takes_every_branch(dim, monkeypatch):
+    # on the mixed stack the shared pass takes Newton candidates that raise
+    # the value (accepted), candidates below the chain's value (turned
+    # back), and indefinite Hessians (the chain backs off): the lockstep
+    # tests above compare each path with the single-map call bit for bit
+    seen = []
+    newton_step = norms._newton_step
+
+    def recorded(psi, W, A, image):
+        cand, definite = newton_step(psi, W, A, image)
+        k = 2 * psi.shape[1] - 2
+
+        def values(states):     # image takes 2D - 2 rows per chain
+            rho = states[:, :, None] * states[:, None, :].conj()
+            out = image(np.repeat(rho, k, axis=0))[::k]
+            return np.abs(np.linalg.eigvalsh(out)).sum(axis=1)
+
+        seen.append((definite, values(psi), values(cand)))
+        return cand, definite
+
+    monkeypatch.setattr(norms, "_newton_step", recorded)
+    _alternating_ascents(mixed_map_stack(dim), dim)
+    definite, before, after = (np.concatenate(x) for x in zip(*seen))
+    gain = ((after - before) / before)[definite]
+    assert (~definite).any()
+    assert (gain > 1e-12).sum() > (gain < -1e-12).sum() > 0
+
+
+def test_newton_back_off_doubles(monkeypatch):
+    # a chain whose Hessian is never definite tries Newton again after
+    # waiting 1, 2, 4, ... rounds: in rounds 1, 3, 6, 11, 20, ... after
+    # burn-in, and never in the round it stops in
+    def indefinite(psi, W, A, image):
+        return psi, np.zeros(len(psi), dtype=bool)
+
+    monkeypatch.setattr(norms, "_newton_step", indefinite)
+    M = mixed_map_stack(3)[65]
+    steps = step_traffic(
+        lambda: _alternating_ascent(M, 3, keep_after_burn_in=1), monkeypatch)
+    after = [name for name, *_ in steps[2 * DEFAULT_BURN_IN:]]
+    rounds = after.count("_sign_step3")
+    tried = [after[:k].count("_sign_step3")
+             for k, name in enumerate(after) if name == "_newton_step"]
+    expected, r, wait = [], 1, 1
+    while r < rounds:
+        expected.append(r)
+        r, wait = r + wait + 1, 2 * wait
+    assert len(expected) >= 7
+    assert tried == expected
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_witness_pairs_reproduce_polished_values(dim):
+    # every reported value, polished or not, is Tr[O X(psi psi^dag)] of its
+    # witness pair, O the sign operator of X(psi psi^dag)
+    for M, res in zip(mixed_map_stack(dim),
+                      single_map_ascents(dim, DEFAULT_MAX_ITER)):
+        psi, O = res.witness_state, res.witness_observable
+        W = herm_image(M, dim)(np.outer(psi, psi.conj())[None])[0]
+        scale = max(1.0, res.value)
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-14)
+        assert abs(np.trace(O @ W).real - res.value) <= 1e-12 * scale
+        assert abs(trace_norm(W) - res.value) <= 1e-12 * scale
+        assert np.abs(O @ O - np.eye(dim)).max() <= 1e-12
 
 
 # --- closed-form 3 x 3 steps -------------------------------------------------
