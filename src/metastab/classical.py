@@ -100,10 +100,10 @@ class ClassicalBackend(DynamicsBackend):
     def generator_matrix(self):
         return self.generator.rates
 
-    def slow_projector_matrix(self, m):
+    def _slow_projector(self, m):
         if self.spectral.left_dual is None:
             raise DefectiveLiouvillianError(np.inf)
-        P = super().slow_projector_matrix(m)
+        P = super()._slow_projector(m)
         # projectors of a real rate matrix are real up to round-off
         return P.real if np.max(np.abs(P.imag)) < 1e-10 else P
 

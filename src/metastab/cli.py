@@ -242,7 +242,7 @@ def _cmd_spectrum(args, dyn, payload):
 
 def _cmd_distances(args, dyn, payload):
     ts = _grid_from_args(args).times()
-    # one batched sweep at D >= 3; the values are those of single calls
+    # one batched sweep; the values are those of single calls
     dyn.prefetch([(family, float(t)) for t in ts
                   for family in ("ident", "stat")])
     rows = [( _fmt(t), _fmt(dyn.distance_to_identity(float(t))),
@@ -459,12 +459,24 @@ def _cmd_heisenberg(args, dyn, payload):
 
 # ---------------------------------------------------------------------------
 
+def _seed(text):
+    """A --seed value: a non-negative integer, as numpy's generators take."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            "must be a non-negative integer, got %r" % text)
+    return seed
+
+
 def _add_common(p, grid_required=True):
     p.add_argument("--model", required=True,
                    help="builtin:<name> or file:<path>")
     p.add_argument("--param", action="append", metavar="NAME=VALUE",
                    help="model parameter (repeatable)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--threads", type=int,
                    help="accepted and ignored; analyses run single-threaded")
     p.add_argument("--out", help="output file (default stdout)")
@@ -543,9 +555,10 @@ def main(argv=None):
     fn, classical = parser._command_specs[args.command]
     if "METASTAB_SEED" in os.environ:
         try:
-            args.seed = int(os.environ["METASTAB_SEED"])
-        except ValueError:
-            print("METASTAB_SEED must be an integer", file=sys.stderr)
+            args.seed = _seed(os.environ["METASTAB_SEED"])
+        except argparse.ArgumentTypeError:
+            print("METASTAB_SEED must be a non-negative integer",
+                  file=sys.stderr)
             return 2
     try:
         if classical:

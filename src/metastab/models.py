@@ -21,6 +21,8 @@ def spin_half_dephasing(gamma=1.0, kappa=0.005, omega=5.025):
     sqrt(kappa/2) (S_x - S_y). Liouvillian eigenvalues are
     {0, -kappa, -(gamma+kappa)/2 +- i omega}.
     """
+    if not all(map(math.isfinite, (gamma, kappa, omega))):
+        raise ValueError("gamma, kappa and omega must be finite")
     if gamma < 0 or kappa < 0:
         raise ValueError("rates must be nonnegative")
     if gamma == 0 and kappa == 0:

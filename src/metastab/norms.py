@@ -5,23 +5,25 @@ For a Hermiticity-preserving map X the induced norm sup ||X(rho)||_1 over
 states is attained on pure states, so the problem is the bilinear
 maximization of Tr[O X(psi psi^dag)] over unit vectors psi and reflections O.
 
-Every norm call is (map, D, seed), and every caller, the public
-induced_trace_norm included, goes through _induced_norm_matrix. At D = 2 it
-is exact: in the Pauli basis the problem reduces to a maximization over the
-Bloch sphere that a secular equation solves in closed form. At D >= 3 it runs
-the alternating ascent: both coordinate maxima have closed forms (sign
-operator of X(psi psi^dag), top eigenvector of X^dag(O)), giving a monotone
-ascent; multiple restarts, from seed states fixed by D and the seed alone,
-guard against local maxima. Ascent values are certified lower bounds, exact
-whenever any restart reaches the global optimum. _alternating_ascents runs
-the ascent on several maps in lockstep, with the same result for each map as
-a call of its own, in two phases: burn-in passes of at most LOCKSTEP_MAPS
-maps with all their restarts, then one shared pass of at most
-LOCKSTEP_CHAINS chains for the few leading chains of every map, refilled as
-chains stop. In the shared pass each chain also tries a Riemannian Newton
-step (_newton_step), kept only if the next O-step finds its value no lower,
-so that chains near a maximum finish quadratically instead of crawling
-through the alternating ascent's linear tail.
+Every norm call is (maps, D, seed), and every caller, the public
+induced_trace_norm included, goes through _induced_norms, a single map as a
+stack of one (_induced_norm_matrix). At D = 2 it is exact: in the Pauli
+basis the problem reduces to a maximization over the Bloch sphere that a
+secular equation solves in closed form, which _qubit_induced_norms evaluates
+along the whole stack. At D >= 3 it runs the alternating ascent: both
+coordinate maxima have closed forms (sign operator of X(psi psi^dag), top
+eigenvector of X^dag(O)), giving a monotone ascent; multiple restarts, from
+seed states fixed by D and the seed alone, guard against local maxima.
+Ascent values are certified lower bounds, exact whenever any restart reaches
+the global optimum. _alternating_ascents runs the ascent on several maps in
+lockstep, with the same result for each map as a call of its own, in two
+phases: burn-in passes of at most LOCKSTEP_MAPS maps with all their
+restarts, then one shared pass of at most LOCKSTEP_CHAINS chains for the few
+leading chains of every map, refilled as chains stop. In the shared pass
+each chain also tries a Riemannian Newton step (_newton_step), kept only if
+the next O-step finds its value no lower, so that chains near a maximum
+finish quadratically instead of crawling through the alternating ascent's
+linear tail.
 
 Both coordinate maxima need eigen-information of a Hermitian D x D matrix.
 At D = 3 every coordinate step, in burn-in and in the shared pass alike,
@@ -324,22 +326,52 @@ def _newton_step(psi, W, A, image):
     return cand / norm[:, None], definite
 
 
-def _induced_norm_matrix(M, dim, seed=0):
-    """Induced trace norm of a raw D^2 x D^2 Hermiticity-preserving matrix:
-    exact at D = 2 (seed is then unused), the alternating ascent's lower
-    bound at D >= 3."""
+def _induced_norms(Ms, dim, seed=0):
+    """Induced trace norm of each raw D^2 x D^2 Hermiticity-preserving
+    matrix in Ms (a sequence or a (T, D^2, D^2) stack): exact at D = 2 (seed
+    is then unused), the alternating ascent's lower bound at D >= 3. Each
+    map's result equals, bit for bit, that of a call with it alone."""
     if dim == 2:
-        return _qubit_induced_norm(M)
-    return _alternating_ascent(M, dim, seed=seed)
+        return _qubit_induced_norms(Ms)
+    return _alternating_ascents(Ms, dim, seed=seed)
+
+
+def _induced_norm_matrix(M, dim, seed=0):
+    """_induced_norms of the single matrix M."""
+    return _induced_norms([M], dim, seed=seed)[0]
 
 
 # column-stacked Pauli matrices: _PAULI_VECS[:, k] = vec(sigma_k), sigma_0 = I
 _PAULI_VECS = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0],
                         [1, 0, 0, -1]], dtype=complex).T
+_PAULI_ROWS = _PAULI_VECS.conj().T
+_EYE2 = np.eye(2)
 
 
+# --- exact qubit norm --------------------------------------------------------
+#
+# The helpers below evaluate the closed form along a stack of T maps, with
+# 3-vectors as (T, 3) arrays. As in the 3 x 3 steps above, every operation is
+# elementwise in the map index or a product or LAPACK call per map, and sums
+# over the 3 components are written out in order, so a map's result does not
+# depend on the other maps in the stack. The length of a 3-vector is
+# math.hypot, per map: numpy has no bit-equal 3-argument form of it. Masked
+# branches divide by zero; their results are discarded.
+
+def _hypot3(v):
+    """math.hypot of each row of a (T, 3) array."""
+    return np.fromiter(map(math.hypot, *v.T.tolist()), float, len(v))
+
+
+def _matvec(A, v):
+    """A_k @ v_k for a stack of matrices and one of vectors, by the BLAS
+    product that a 2-D A @ v takes."""
+    return (A @ v[..., None])[..., 0]
+
+
+@np.errstate(divide="ignore", invalid="ignore")
 def _sphere_argmax(B, c):
-    """Unit vector r maximizing |c + B r| for a real 3 x 3 B.
+    """Unit vectors r maximizing |c + B r|, for a stack of real 3 x 3 B.
 
     Stationary points solve (mu - A) r = g with A = B^T B and g = B^T c; the
     global maximum has mu >= lambda_max(A) (More & Sorensen 1983; Gander,
@@ -347,83 +379,119 @@ def _sphere_argmax(B, c):
     and d_k = lambda_max - lambda_k, |r| = 1 is the secular equation
     sum_k g_k^2 / (s + d_k)^2 = 1. Its left side falls monotonically in s, and
     1/|r(s)| is concave in s (a power mean of exponent -2 of the s + d_k), so
-    Newton's method started left of the root climbs to it monotonically.
-    Hard case: when g has no component on the top eigenvector and the other
-    components alone give |r| <= 1, s = 0 and the top eigenvector fills r up
-    to unit length.
+    Newton's method started left of the root climbs to it monotonically; each
+    map stops on its own step. Hard case: when g has no component on the top
+    eigenvector and the other components alone give |r| <= 1, s = 0 and the
+    top eigenvector fills r up to unit length.
     """
-    lam, V = np.linalg.eigh(B.T @ B)
-    g = (V.T @ (B.T @ c)).tolist()
-    d = (lam[-1] - lam).tolist()
-    g2 = [x * x for x in g]
+    Bt = B.transpose(0, 2, 1)
+    lam, V = np.linalg.eigh(Bt @ B)
+    g = _matvec(V.transpose(0, 2, 1), _matvec(Bt, c))
+    d = lam[:, -1:] - lam
+    nonzero = g != 0
+    # the secular sums leave out the terms of g_k = 0: with d_k raised to 1
+    # there, such a term is 0 / (s + 1)^p = 0, never 0 / 0
+    g2, dz = g * g, np.where(nonzero, d, 1.0)
 
-    def radius(s):
-        return math.sqrt(sum(w / (s + dk) ** 2 for w, dk in zip(g2, d) if w))
+    def radius(s, g2, dz):
+        q = s[:, None] + dz
+        t = g2 / (q * q)
+        return np.sqrt(t[:, 0] + t[:, 1] + t[:, 2])
 
     # left of the root: |r(s)| >= |g_k| / (s + d_k) >= 1 for some k
-    s = max(0.0, max(abs(x) - dk for x, dk in zip(g, d)))
-    n = radius(s)
-    if s == 0.0 and n <= 1.0:
-        # hard case: g_top = 0, and r is filled up along the top eigenvector
-        coeffs = [x / dk if x else 0.0 for x, dk in zip(g, d)]
-        coeffs[-1] = math.sqrt(1.0 - n * n)
-    else:
-        for _ in range(100):
-            slope = sum(w / (s + dk) ** 3 for w, dk in zip(g2, d) if w) / n ** 3
-            step = (1.0 - 1.0 / n) / slope
-            if not step > 4e-16 * s:
+    left = abs(g) - d
+    s = np.maximum(0.0, np.maximum(np.maximum(left[:, 0], left[:, 1]),
+                                   left[:, 2]))
+    n = radius(s, g2, dz)
+    # hard case: g_top = 0, and r is filled up along the top eigenvector
+    hard = (s == 0.0) & (n <= 1.0)
+    # Newton's iteration on the other maps, rows, in arrays that drop each
+    # map as it stops
+    rows = np.flatnonzero(~hard)
+    s_rows, n_rows, g2, dz = s[rows], n[rows], g2[rows], dz[rows]
+    for _ in range(100):
+        if not rows.size:
+            break
+        q = s_rows[:, None] + dz
+        t = g2 / (q * q * q)
+        slope = (t[:, 0] + t[:, 1] + t[:, 2]) / (n_rows * n_rows * n_rows)
+        step = (1.0 - 1.0 / n_rows) / slope
+        climbs = step > 4e-16 * s_rows
+        if not climbs.all():
+            rows, s_rows, step, g2, dz = (
+                v[climbs] for v in (rows, s_rows, step, g2, dz))
+            if not rows.size:
                 break
-            s += step
-            n = radius(s)
-        coeffs = [x / (s + dk) if x else 0.0 for x, dk in zip(g, d)]
-    r = V @ coeffs
-    return r / math.hypot(*r)
+        s_rows = s_rows + step
+        n_rows = radius(s_rows, g2, dz)
+        s[rows], n[rows] = s_rows, n_rows
+    coeffs = np.where(nonzero, g / (s[:, None] + d), 0.0)
+    coeffs[hard, -1] = np.sqrt(1.0 - n[hard] * n[hard])
+    r = _matvec(V, coeffs)
+    return r / _hypot3(r)[:, None]
 
 
-def _qubit_induced_norm(M):
-    """Exact induced trace norm of a Hermiticity-preserving qubit map.
+@np.errstate(divide="ignore", invalid="ignore")
+def _qubit_induced_norms(Ms):
+    """Exact induced trace norm of each Hermiticity-preserving qubit map in
+    Ms, a sequence or a (T, 4, 4) stack; one InducedNormResult per map.
 
     With T = S^dag M S / 2 in the Pauli basis (real part, which matches the
     ascent's Hermitian symmetrization of X(rho)), a pure state
     rho = (I + r.sigma)/2 maps to [(a + b.r) I + (c + B r).sigma]/2, whose
     trace norm is max(|a + b.r|, |c + B r|). The norm is therefore
-    max(|a| + |b|, max_{|r|=1} |c + B r|). The value is evaluated at a unit
-    r, so it never exceeds the true norm.
+    max(|a| + |b|, max_{|r|=1} |c + B r|): the larger of the values at the
+    sphere's maximizer and at the affine one, the first on a tie. It is
+    evaluated at a unit r, so it never exceeds the true norm.
     """
-    T = 0.5 * (_PAULI_VECS.conj().T @ M @ _PAULI_VECS).real
-    a, b, c, B = T[0, 0], T[0, 1:], T[1:, 0], T[1:, 1:]
-    b_norm = math.hypot(*b)
-    # maximizer of |a + b.r|; with b = 0 any unit vector is one
-    r_affine = math.copysign(1.0, a) * b / b_norm if b_norm > 0 \
-        else np.array([0.0, 0.0, 1.0])
-    best = None
-    for r in (_sphere_argmax(B, c), r_affine):
-        alpha = a + b @ r
-        beta = c + B @ r
-        beta_norm = math.hypot(*beta)
-        value = max(abs(alpha), beta_norm)
-        if best is None or value > best[0]:
-            best = (value, r, alpha, beta, beta_norm)
-    value, r, alpha, beta, beta_norm = best
+    Ms = np.asarray(Ms, dtype=complex)
+    if not len(Ms):
+        return []
+    T = 0.5 * (_PAULI_ROWS @ Ms @ _PAULI_VECS).real
+    a, b, c, B = T[:, 0, 0], T[:, 0, 1:], T[:, 1:, 0], T[:, 1:, 1:]
+    b_norm = _hypot3(b)
+    # both candidates at once, as a (2, T) stack: the sphere's maximizer,
+    # then the maximizer of |a + b.r| (with b = 0 any unit vector is one)
+    r = np.empty((2,) + b.shape)
+    r[0] = _sphere_argmax(B, c)
+    np.multiply(np.copysign(1.0, a)[:, None], b, out=r[1])
+    r[1] /= b_norm[:, None]
+    r[1, b_norm == 0] = (0.0, 0.0, 1.0)
+    alpha = a + (b[:, None] @ r[..., None])[..., 0, 0]
+    beta = c + _matvec(B, r)
+    beta_norm = _hypot3(beta.reshape(-1, 3)).reshape(2, -1)
+    value = np.maximum(abs(alpha), beta_norm)
+    # the affine candidate where it is better, the sphere's on a tie
+    affine = value[1] > value[0]
+    pick = (affine.astype(int), np.arange(len(Ms))) if affine.any() else 0
+    value, alpha, beta, beta_norm, r = (
+        v[pick] for v in (value, alpha, beta, beta_norm, r))
 
     # Bloch vector r -> state vector, on the side of the sphere that is stable
-    if r[2] >= 0:
-        psi = np.array([1.0 + r[2], r[0] + 1j * r[1]])
-    else:
-        psi = np.array([r[0] - 1j * r[1], 1.0 - r[2]])
-    psi /= np.linalg.norm(psi)
+    x, y, z = r.T
+    north = z >= 0
+    psi = np.empty((len(Ms), 2), dtype=complex)
+    psi[:, 0] = np.where(north, 1.0 + z, x - 1j * y)
+    psi[:, 1] = np.where(north, x + 1j * y, 1.0 - z)
+    # the squared length as np.linalg.norm takes it: two dot products
+    re, im = psi.real[:, None], psi.imag[:, None]
+    psi /= np.sqrt(re @ re.transpose(0, 2, 1)
+                   + im @ im.transpose(0, 2, 1))[:, 0]
     # sign operator of X(psi psi^dag) = (alpha I + beta.sigma) / 2
-    if alpha >= beta_norm:
-        obs = np.eye(2, dtype=complex)
-    elif alpha + beta_norm < 0:
-        obs = -np.eye(2, dtype=complex)
-    else:
-        nx, ny, nz = beta / beta_norm
-        obs = np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]])
-    return InducedNormResult(
-        value=float(value), witness_state=psi, witness_observable=obs,
-        iterations=0, restarts_used=1, converged=True,
-        restart_values=np.array([float(value)]), exact=True)
+    nx, ny, nz = (beta / beta_norm[:, None]).T
+    obs = np.empty((len(Ms), 2, 2), dtype=complex)
+    obs[:, 0, 0], obs[:, 0, 1] = nz, nx - 1j * ny
+    obs[:, 1, 0], obs[:, 1, 1] = nx + 1j * ny, -nz
+    positive = alpha >= beta_norm
+    negative = ~positive & (alpha + beta_norm < 0)
+    if positive.any():
+        obs[positive] = _EYE2
+    if negative.any():
+        obs[negative] = -_EYE2
+    return [InducedNormResult(
+        value=v, witness_state=p, witness_observable=o, iterations=0,
+        restarts_used=1, converged=True, restart_values=vs, exact=True)
+        for v, p, o, vs in zip(value.tolist(), psi, obs, value[:, None])]
 
 
 def _alternating_ascent(M, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,

@@ -65,12 +65,12 @@ class DynamicsBackend:
     pairs, stationary count, valid cuts) and derives every regime quantity
     from it, evolutions included: e^{tL} = V diag(e^{t lambda}) V^-1.
     Subclasses supply the generator matrix and the norm (norm_result, exact
-    or a lower bound). Evolution matrices and norm values are cached, the
-    latter keyed by the matrix expression, so repeated grid sweeps are
-    cheap; the evolution cache keeps the EVO_CACHE_SIZE most recently used
-    times. unconverged_keys holds the cache keys (and ("gen",) for the
-    generator) whose lower bound stopped at the iteration cap before
-    converging.
+    or a lower bound). Evolution matrices, slow projectors and norm values
+    are cached, the last keyed by the matrix expression, so repeated grid
+    sweeps are cheap; the evolution cache keeps the EVO_CACHE_SIZE most
+    recently used times. unconverged_keys holds the cache keys (and
+    ("gen",) for the generator) whose lower bound stopped at the iteration
+    cap before converging.
     """
 
     def __init__(self, spectral, identity):
@@ -79,6 +79,7 @@ class DynamicsBackend:
         self._eye = identity
         self._norm_cache = {}
         self._evo_cache = {}
+        self._projectors = {}
         self.unconverged_keys = set()
 
     def _evolve(self, t):
@@ -118,6 +119,14 @@ class DynamicsBackend:
         return self.slow_projector_matrix(self.m_ss)
 
     def slow_projector_matrix(self, m):
+        """Projection onto the m slowest modes, built once per cut: at most
+        n_modes + 1 are kept, and an invalid cut raises on every call."""
+        P = self._projectors.get(m)
+        if P is None:
+            P = self._projectors[m] = self._slow_projector(m)
+        return P
+
+    def _slow_projector(self, m):
         return self.spectral.projector_matrix(m)
 
     def matrix_norm(self, M):
@@ -125,8 +134,8 @@ class DynamicsBackend:
         return self.norm_result(M).value
 
     def matrix_norms(self, Ms):
-        """matrix_norm of each matrix in Ms, batched where the norm is an
-        ascent; each value equals matrix_norm's bit for bit."""
+        """matrix_norm of each matrix in Ms, batched on a quantum backend;
+        each value equals matrix_norm's bit for bit."""
         return [self.matrix_norm(M) for M in Ms]
 
     def eigenvalues(self):
@@ -143,8 +152,9 @@ class DynamicsBackend:
     def with_stationary(self, P):
         """Copy of this backend whose stationary projection is P.
 
-        The copy shares the spectrum but starts with empty caches, so norms
-        computed under P never reach this backend.
+        The copy shares the spectrum and the slow projectors, which do not
+        depend on P, but starts with empty norm and evolution caches, so
+        norms computed under P never reach this backend.
         """
         view = copy.copy(self)
         view._norm_cache, view._evo_cache = {}, {}
@@ -203,7 +213,9 @@ class DynamicsBackend:
         with one exception: the look-ahead of a crossing search (see
         modes.crossing) may hint up to SCAN_AHEAD - 1 keys past its
         crossing, which are evaluated and never read.
-        A no-op here and on every backend with exact norms.
+        A no-op here, and so on the classical backend, whose exact l1 norm has
+        no per-call overhead to save; a quantum backend evaluates the keys
+        in one norm call at every D.
         """
 
     def distance(self, t1, t2):
@@ -270,7 +282,8 @@ class DynamicsBackend:
 
 class QuantumBackend(DynamicsBackend):
     """Quantum dynamics backend; norms are exact at D = 2 and come from the
-    alternating optimizer at D >= 3."""
+    alternating optimizer at D >= 3, through one dispatcher
+    (norms._induced_norms) for single maps and prefetched batches alike."""
 
     def __init__(self, model=None, liouvillian=None, spectral=None, seed=0):
         if liouvillian is None:
@@ -304,9 +317,6 @@ class QuantumBackend(DynamicsBackend):
         return value
 
     def prefetch(self, keys):
-        # the qubit norm is an exact closed form; the ascent runs at D >= 3
-        if self.dim < 3:
-            return
         todo = {}
         for key in keys:
             if key[0] == "pair":
@@ -323,15 +333,13 @@ class QuantumBackend(DynamicsBackend):
         Ms = np.empty((len(todo), n, n), dtype=complex)
         for i, key in enumerate(todo):
             Ms[i] = self._norm_map(key)
-        results = _norms._alternating_ascents(Ms, self.dim, seed=self.seed)
+        results = _norms._induced_norms(Ms, self.dim, seed=self.seed)
         for key, res in zip(todo, results):
             self._store(key, res)
 
     def matrix_norms(self, Ms):
-        if self.dim < 3:
-            return super().matrix_norms(Ms)
         return [res.value for res in
-                _norms._alternating_ascents(Ms, self.dim, seed=self.seed)]
+                _norms._induced_norms(Ms, self.dim, seed=self.seed)]
 
     def random_observable(self, rng):
         G = rng.normal(size=(self.dim, self.dim)) \
@@ -476,7 +484,7 @@ def change_measure(dyn, t_start, t_end, n_grid=33):
     """Windowed change sup_{t in [t_start, t_end]} ||e^{t_start L} - e^{t L}||.
 
     Contractivity reduces the pair supremum to distances from the window
-    start. Evaluated on a log grid (one batched sweep at D >= 3), then
+    start. Evaluated on a log grid (one batched sweep), then
     refined by golden section around an interior grid maximum. Returns
     (value, argmax time).
     """
@@ -550,9 +558,9 @@ def lockstep(dyn, searches):
     and then evaluates them itself, and family the key prefix, such as
     ("ident",) or ("pair", t_start), that makes a time a norm-cache key.
     Each round advances every unfinished search to its next request and
-    sends the keys of all requests to one prefetch (a batched ascent at
-    D >= 3, nothing on exact backends). Returns the searches' results in
-    order.
+    sends the keys of all requests to one prefetch (one batched norm call
+    on a quantum backend, nothing on the classical one). Returns the
+    searches' results in order.
     """
     results = [None] * len(searches)
     live = list(enumerate(searches))
@@ -622,9 +630,9 @@ def timescales(dyn):
     Brent). The two searches run in lockstep, after one round for the two
     maps that decide whether they run at all. The scan's first request
     holds every scan point before identity_sure_time, all of which it
-    evaluates, and each request hints SCAN_AHEAD points past them, so at
-    D >= 3 up to SCAN_AHEAD - 1 maps past the crossing are evaluated and
-    never read.
+    evaluates, and each request hints SCAN_AHEAD points past them, so on a
+    quantum backend up to SCAN_AHEAD - 1 maps past the crossing are
+    evaluated and never read.
     """
     lam = dyn.eigenvalues()
     if dyn.liouvillian_norm() <= 1e-14 or dyn.m_ss >= lam.size:
@@ -648,8 +656,8 @@ def classify_regime(dyn, t_start, t_end, n_grid=33, with_doubling=True):
     of their dichotomies across the window, with the upper thresholds relaxed
     by the change measure on the second half of the window. Cutoff constants
     carry a guard band against discretization of the supremum. The maps of
-    the change grids and end distances are prefetched as one sweep (batched
-    at D >= 3), and so are those of both distance curves.
+    the change grids and end distances are prefetched as one sweep, and so
+    are those of both distance curves.
     """
     if not t_end >= 2 * t_start > 0:
         raise ValueError("window must satisfy t_end >= 2 t_start > 0")
@@ -710,7 +718,7 @@ def scan_metastable(dyn, c_delta_max=0.1, ratio=2.0, grid=None, n_grid=33,
     Each window is first probed on a coarse grid: a window with any distance
     d(t, s) above c_delta_max is dropped without classification, and its
     probe stops at the first such distance. The probe runs in rounds across
-    windows, one prefetch (a batched ascent at D >= 3) per round for the
+    windows, one prefetch (a batched norm call) per round for the
     next distance of every window still within budget; the windows that
     pass are then classified in grid order. Windows classified Metastable
     with a change measure above c_delta_max are dropped too. Adjacent

@@ -224,8 +224,8 @@ def spectral_projection_report(dyn, m, t_start, t_end, n_grid=33, tol=1e-8):
     measure of the extension is recomputed directly and also bounded by the
     linear-extension estimate). All weighted-dichotomy bounds gate on the
     numerically verified conditions rather than on their loosest a-priori
-    constants. Every map of projection_keys is prefetched as one sweep
-    (batched at D >= 3).
+    constants. Every map of projection_keys is prefetched as one batched
+    sweep.
     """
     lam, m_ss, _ = _spectrum_of(dyn)
     n_modes = lam.size
@@ -480,7 +480,7 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
     projection. The battery then runs on dyn.with_stationary(...), a copy
     with its own caches, so the backend passed in is never changed. Once
     the windows are known, the maps of the rows are prefetched in two
-    sweeps (batched at D >= 3): those at times known then, and those that
+    batched sweeps: those at times known then, and those that
     wait for the change measures and the ratio-4 cut. Like every prefetch,
     this changes no value, and each prefetched map is evaluated later. The
     two exclusion-span crossings run in lockstep (regimes.lockstep).

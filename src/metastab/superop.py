@@ -53,6 +53,8 @@ class QuantumModel:
         H = np.asarray(self.hamiltonian, dtype=complex)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise ValueError("Hamiltonian must be square")
+        if not np.isfinite(H).all():
+            raise ValueError("Hamiltonian must have finite entries")
         if not is_hermitian(H, rtol=1e-10):
             raise ValueError("Hamiltonian must be Hermitian")
         jumps = tuple(np.asarray(J, dtype=complex) for J in self.jumps)
@@ -60,6 +62,8 @@ class QuantumModel:
             if J.shape != H.shape:
                 raise ValueError("jump operator shape %r does not match dim %d"
                                  % (J.shape, H.shape[0]))
+            if not np.isfinite(J).all():
+                raise ValueError("jump operators must have finite entries")
         object.__setattr__(self, "hamiltonian", H)
         object.__setattr__(self, "jumps", jumps)
 
@@ -134,9 +138,14 @@ class SpectralData:
         return unvec(self.left_dual[k, :], self.dim).T
 
     def evolution_matrix(self, t):
+        """e^{tL}. The m_ss stationary modes evolve with eigenvalue exactly
+        0: their computed eigenvalues are round-off, which e^{t lambda} would
+        turn into a drift at large t."""
         if t < 0:
             raise ValueError("the dynamics is a semigroup: t must be >= 0")
-        return (self.right_vecs * np.exp(t * self.eigenvalues)) @ self.left_dual
+        rates = t * self.eigenvalues
+        rates[:self.m_ss] = 0.0
+        return (self.right_vecs * np.exp(rates)) @ self.left_dual
 
     def adjoint_evolution_matrix(self, t):
         return self.evolution_matrix(t).conj().T

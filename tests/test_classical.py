@@ -264,6 +264,27 @@ def test_cyclic_chain_cuts_and_real_projection():
     assert dyn.slow_projector_matrix(3).dtype == np.float64
 
 
+def test_slow_projectors_are_built_once_per_cut(monkeypatch):
+    dyn = ClassicalBackend(ClassicalGenerator(
+        np.array([[-1.0, 0.0, 1.0], [1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])))
+    calls = []
+    build = type(dyn.spectral).projector_matrix
+    monkeypatch.setattr(type(dyn.spectral), "projector_matrix",
+                        lambda spec, m: calls.append(m) or build(spec, m))
+    P = dyn.slow_projector_matrix(3)
+    assert dyn.slow_projector_matrix(3) is P
+    # the stationary projection is the cut m_ss = 1, shared with views
+    # whose stationary projection is overridden
+    view = dyn.with_stationary(np.zeros((3, 3)))
+    assert view.slow_projector_matrix(1) is dyn.stationary_matrix()
+    assert view.stationary_matrix() is not dyn.stationary_matrix()
+    # an invalid cut is not kept: it raises on every call
+    for _ in range(2):
+        with pytest.raises(InvalidCutError):
+            dyn.slow_projector_matrix(2)
+    assert calls == [3, 1, 2, 2]
+
+
 def test_defective_chain_evolves_but_has_no_projections():
     # irreversible 0 -> 1 -> 2 with equal rates: a Jordan block at -1
     dyn = classical_backend(ClassicalGenerator(

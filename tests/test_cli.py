@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -289,6 +290,52 @@ def test_usage_error_exits_2(capsys):
     assert code == 2 and out == "" and "'dim' must be an integer" in err
 
 
+@pytest.mark.parametrize("param", ["gamma=nan", "omega=inf"])
+def test_non_finite_model_parameter_exits_2(param, capsys):
+    # rejected before any arithmetic on it: inf * 0 in the Hamiltonian
+    # would warn, here an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["detect", "--model", "builtin:spin_half",
+                                  "--param", param], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: gamma, kappa and omega must be finite\n"
+
+
+def test_non_finite_model_file_entry_exits_2(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({
+        "dim": 2, "hamiltonian": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]],
+        "jumps": [[[[0, 0], [1, 0]], [[0, 0], [float("nan"), 0]]]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(["detect", "--model", "file:%s" % path],
+                               capsys)
+    assert code == 2
+    assert err == "error: %s: jump operators must have finite entries\n" % path
+
+
+@pytest.mark.parametrize("command", ["detect", "distances", "verify-bounds",
+                                     "classical-detect"])
+def test_negative_seed_exits_2(command, capsys):
+    # rejected by the parser for every command, whether or not it draws
+    # random numbers
+    model = "builtin:double_well" if command.startswith("classical") \
+        else "builtin:spin_half"
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--model", model, "--seed", "-1"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: must be a non-negative integer, got '-1'" in err
+
+
+def test_negative_seed_in_the_environment_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("METASTAB_SEED", "-1")
+    code, _, err = run_cli(["spectrum"] + SPIN_ARGS, capsys)
+    assert code == 2
+    assert err == "METASTAB_SEED must be a non-negative integer\n"
+
+
 @pytest.fixture
 def norm_calls(monkeypatch):
     """Counts the maps the induced-norm oracle evaluates, model normalisation
@@ -299,23 +346,23 @@ def norm_calls(monkeypatch):
 
     counts = {"maps": 0, "ascents": 0}
     ascents = metastab.norms._alternating_ascents
-    qubit = metastab.norms._qubit_induced_norm
+    qubit = metastab.norms._qubit_induced_norms
 
     def counted_ascents(Ms, *args, **kwargs):
-        # a single map reaches the kernel through _alternating_ascent, a
-        # batch directly; the kernel cuts its passes itself, without calls
-        # through this name
+        # a single map reaches the kernel as a stack of one, a batch
+        # directly; the kernel cuts its passes itself, without calls through
+        # this name
         counts["maps"] += len(Ms)
         counts["ascents"] += 1
         return ascents(Ms, *args, **kwargs)
 
-    def counted_qubit(M):
-        counts["maps"] += 1
-        return qubit(M)
+    def counted_qubit(Ms):
+        counts["maps"] += len(Ms)
+        return qubit(Ms)
 
     monkeypatch.setattr(metastab.norms, "_alternating_ascents",
                         counted_ascents)
-    monkeypatch.setattr(metastab.norms, "_qubit_induced_norm", counted_qubit)
+    monkeypatch.setattr(metastab.norms, "_qubit_induced_norms", counted_qubit)
     return counts
 
 
@@ -339,7 +386,7 @@ def test_random_detect_norm_calls(norm_calls, capsys):
 
 
 def test_random_battery_norm_calls(norm_calls, capsys):
-    # the benchmark's D = 3 battery: 524 maps in 20 ascent calls. 2 are
+    # the benchmark's D = 3 battery: 533 maps in 20 ascent calls. 2 are
     # single maps: the model normalisation and the generator. timescales
     # takes 9: the identity-stationary and t = 0 stationary maps (2), then
     # the two searches in lockstep (13, 2, 2, 2, 2, 1, 1, 1). The first round
@@ -349,31 +396,33 @@ def test_random_battery_norm_calls(norm_calls, capsys):
     # every window is over budget at its first distance). The two exclusion
     # spans run in lockstep: their scan points are cached, so only their
     # Brent steps are new (5 rounds of 2). Last come the battery's two
-    # prefetches of its window maps (264 and 190 maps). Which of their
-    # computed times coincide bit for bit follows the last bits of tau_0
-    # and tau_ss: with the projection window at 1.6914440134008597, 9 of
-    # its residual keys repeat others of the request, and one of its
-    # stationary keys is already cached
+    # prefetches of its window maps (266 and 197 maps). How many of their
+    # keys coincide bit for bit, with others of the request or with cached
+    # ones, follows the last bits of tau_0 and tau_ss (15.376622953871479,
+    # with the projection window at 1.6914440134008595)
     code, _, _ = run_cli(["verify-bounds", "--model",
                           "builtin:random_lindbladian", "--param", "dim=3",
                           "--param", "n_jumps=2", "--seed", "0"], capsys)
     assert code == 0
-    assert norm_calls == {"maps": 524, "ascents": 20}
+    assert norm_calls == {"maps": 533, "ascents": 20}
 
 
 def test_spin_norm_calls(norm_calls, capsys):
-    # detect: 1 generator norm + 14 in timescales + 1,314 in the scan + 87
-    # in relaxation_times; verify-bounds: 1 generator norm + 14 in
+    # detect: 1 generator norm + 16 in timescales + 1,314 in the scan + 91
+    # in relaxation_times; verify-bounds: 1 generator norm + 16 in
     # timescales + 496 in its two window scans, whose probes stop at their
-    # first over-budget distance, + 94 in relaxation_times + 550 in the
-    # other battery rows
+    # first over-budget distance, + 97 in relaxation_times + 550 in the
+    # other battery rows. Prefetches batch the exact qubit norm too, so the
+    # crossing searches' SCAN_AHEAD look-ahead maps past each crossing are
+    # evaluated and never read: 2 in timescales, and 4 (detect) or 3
+    # (verify-bounds) in relaxation_times
     code, _, _ = run_cli(["detect"] + SPIN_ARGS, capsys)
     assert code == 0
-    assert norm_calls["maps"] == 1416
+    assert norm_calls["maps"] == 1422
     norm_calls["maps"] = 0
     code, _, _ = run_cli(["verify-bounds"] + SPIN_ARGS, capsys)
     assert code == 0
-    assert norm_calls["maps"] == 1155
+    assert norm_calls["maps"] == 1160
 
 
 def test_quantum_commands_load_no_scipy(tmp_path):

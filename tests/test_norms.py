@@ -788,6 +788,60 @@ def test_qubit_closed_form_matches_converged_ascent_on_lindblad_maps(
             assert exact <= _alternating_ascent(M, 2, max_iter=20000).value + 1e-8
 
 
+def test_qubit_norms_of_a_mixed_stack_equal_their_stacks_of_one(
+        spin_spectral):
+    # the stacked closed form: each map's value and witnesses equal, bit for
+    # bit, those of the map alone, whichever branch it takes and however
+    # long its secular iteration runs beside the others
+    E = spin_spectral.evolution_matrix
+    P = stationary_projector(spin_spectral).matrix
+    maps = [E(t1) - E(t2)
+            for t1, t2 in ((0.1, 0.4), (2.0, 30.0), (5.0, 800.0))]
+    maps += [E(t) - np.eye(4) for t in (0.05, 3.0)]
+    maps += [E(t) - P for t in (0.3, 35.0)]
+    maps += [M for _, M, _ in random_qubit_maps(4, seed=21)]
+    special = {}
+    for name, a, b, c, B in [
+            ("zero", 0.0, 0.0, 0.0, np.zeros((3, 3))),
+            ("b = 0", 0.4, 0.0, (0.3, -0.2, 0.1), np.diag([0.5, -0.7, 0.2])),
+            # g = B^T c has no component on the doubly degenerate top
+            # eigenvector of B^T B
+            ("hard", 0.0, 0.0, (0.0, 0.0, 0.2), np.diag([1.3, 1.3, 0.5])),
+            ("affine", -0.5, (1.0, 2.0, 0.0), 0.01, 0.01 * np.eye(3)),
+            ("identity", 1.0, 0.0, 0.0, np.diag([0.2, 0.1, 0.3])),
+            ("minus identity", -1.0, 0.0, 0.0, np.diag([0.2, 0.1, 0.3]))]:
+        T = np.zeros((4, 4))
+        T[0, 0], T[0, 1:], T[1:, 0], T[1:, 1:] = a, b, c, B
+        special[name] = len(maps)
+        maps.append(map_of_pauli_transfer(T))
+    stack = np.array(maps)
+    results = norms._induced_norms(stack, 2)
+    assert len(results) == len(maps)
+    for k, res in enumerate(results):
+        one = norms._qubit_induced_norms(stack[k:k + 1])[0]
+        assert res.exact and res.converged and res.iterations == 0
+        assert (np.float64(res.value).tobytes()
+                == np.float64(one.value).tobytes())
+        assert res.witness_state.tobytes() == one.witness_state.tobytes()
+        assert (res.witness_observable.tobytes()
+                == one.witness_observable.tobytes())
+        assert res.restart_values.tolist() == [res.value]
+    value = {name: results[k].value for name, k in special.items()}
+    assert value["zero"] == 0.0
+    assert value["hard"] == pytest.approx(
+        np.sqrt(1.69 + 0.04 + 0.01 / 1.44), abs=1e-12)
+    assert value["affine"] == pytest.approx(0.5 + np.sqrt(5.0), abs=1e-12)
+    assert value["identity"] == value["minus identity"] == 1.0
+    # the sign operator's three branches: I, -I and, on the spin maps
+    # (a = 0, b = 0), a reflection
+    obs = [res.witness_observable for res in results]
+    assert obs[special["identity"]].tolist() == np.eye(2).tolist()
+    assert obs[special["minus identity"]].tolist() == (-np.eye(2)).tolist()
+    assert obs[special["affine"]].tolist() == (-np.eye(2)).tolist()
+    for O in obs[:7]:
+        assert np.linalg.eigvalsh(O) == pytest.approx([-1.0, 1.0], abs=1e-12)
+
+
 def test_qubit_witness_reproduces_value(spin_spectral):
     P = stationary_projector(spin_spectral).matrix
     spin_maps = [spin_spectral.evolution_matrix(t) - P for t in (0.3, 35.0)]

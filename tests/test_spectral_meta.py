@@ -239,12 +239,11 @@ def assert_only_look_ahead_added(searches, keys, plain_keys):
     assert keys - plain_keys == unread
 
 
-@pytest.mark.slow
-def test_batched_battery_caches_single_map_values(monkeypatch):
-    # at D = 3 the battery's sweeps are prefetched in batches; every cached
-    # norm must equal, bit for bit, what a fresh backend computes for that
-    # key alone
-    model = random_lindbladian(3, 2, seed=0)
+def check_batched_battery_caches(monkeypatch, model):
+    """Run the battery with prefetches on a fresh backend of model: every
+    cached norm must equal, bit for bit, what a fresh backend computes for
+    that key alone. Returns the number of keyed maps, the maps each
+    prefetch added and the searches."""
     batches = []
     prefetch = QuantumBackend.prefetch
 
@@ -257,12 +256,8 @@ def test_batched_battery_caches_single_map_values(monkeypatch):
     searches = record_search_requests(monkeypatch)
     dyn = QuantumBackend(model=model, seed=0)
     report = bound_battery(dyn, seed=0, scan_points=8, n_grid=17)
-    assert max(batches) > 32
     fresh = QuantumBackend(model=model, seed=0)
     keys = [key for key in dyn._norm_cache if key != ("gen",)]
-    # the crossing searches run in prefetched rounds, so every keyed map
-    # of the battery comes through a prefetch
-    assert len(keys) == sum(batches) > 100
     for key in keys:
         assert fresh._norm_of(key) == dyn._norm_cache[key], key
 
@@ -276,10 +271,35 @@ def test_batched_battery_caches_single_map_values(monkeypatch):
     dyn_searches = list(searches)
     plain = OneByOne(model=model, seed=0)
     plain_report = bound_battery(plain, seed=0, scan_points=8, n_grid=17)
-    assert len(dyn_searches) == 4  # tau_0, tau_ss and two exclusion spans
     assert_only_look_ahead_added(dyn_searches, set(dyn._norm_cache),
                                  set(plain._norm_cache))
     assert list(plain_report.csv_rows()) == list(report.csv_rows())
+    return len(keys), batches, dyn_searches
+
+
+@pytest.mark.slow
+def test_batched_battery_caches_single_map_values(monkeypatch):
+    # at D = 3 the battery's sweeps are prefetched in batches of ascents;
+    # the crossing searches run in prefetched rounds, so every keyed map
+    # of the battery comes through a prefetch
+    n_keys, batches, searches = check_batched_battery_caches(
+        monkeypatch, random_lindbladian(3, 2, seed=0))
+    assert max(batches) > 32
+    assert n_keys == sum(batches) > 100
+    assert len(searches) == 4  # tau_0, tau_ss and two exclusion spans
+
+
+def test_batched_spin_battery_caches_single_map_values(monkeypatch,
+                                                       spin_model):
+    # at D = 2 they are prefetched in batches of the exact closed form; the
+    # golden-section steps of the change measure's sup are single maps
+    n_keys, batches, searches = check_batched_battery_caches(monkeypatch,
+                                                             spin_model)
+    assert max(batches) > 32
+    assert n_keys > sum(batches) > 500
+    # tau_0, tau_ss, two exclusion spans, and the relaxation times
+    # tau_dprime, tau_prime of the metastable window
+    assert len(searches) == 6
 
 
 @pytest.mark.slow

@@ -65,6 +65,18 @@ def test_dimension_mismatch_rejected():
         QuantumModel(hamiltonian=np.zeros((2, 2)), jumps=(np.zeros((3, 3)),))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
+def test_non_finite_model_entries_rejected(bad):
+    H = np.eye(2, dtype=complex)
+    H[0, 0] = bad
+    with pytest.raises(ValueError, match="Hamiltonian must have finite"):
+        QuantumModel(hamiltonian=H)
+    J = np.zeros((2, 2), dtype=complex)
+    J[0, 1] = bad
+    with pytest.raises(ValueError, match="jump operators must have finite"):
+        QuantumModel(hamiltonian=np.eye(2), jumps=(J,))
+
+
 def test_flags_hold(spin_liouvillian, spin_spectral):
     herm_res, trace_res = superop_flags_residuals(spin_liouvillian, generator=True)
     assert herm_res < 1e-10 and trace_res < 1e-10
@@ -200,6 +212,17 @@ def test_evolution_semigroup(spin_spectral):
     E2 = evolution(spin_spectral, 1.9).matrix
     E12 = evolution(spin_spectral, 2.6).matrix
     assert np.max(np.abs(E1 @ E2 - E12)) < 1e-9
+
+
+def test_stationary_modes_do_not_drift_at_large_t():
+    # the stationary eigenvalue of this model is round-off (8.1e-17), which
+    # e^{t lambda} turned into a drift of 3e-4 at t = 1e13; stationary modes
+    # evolve with eigenvalue exactly 0
+    spec = spectral_decompose(
+        build_liouvillian(random_lindbladian(3, 2, seed=0)))
+    assert spec.m_ss == 1 and spec.eigenvalues[0] != 0
+    P = spec.projector_matrix(spec.m_ss)
+    assert np.max(np.abs(spec.evolution_matrix(1e13) - P)) <= 1e-9
 
 
 def test_evolution_matches_expm():
