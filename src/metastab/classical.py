@@ -11,7 +11,6 @@ V^-1, as a quantum model does. The norms are exact, evaluated on an
 evolution that carries about 1e-16 cond(V) of round-off; a defective chain
 (cond(V) above DEFECT_TOL) evolves through scipy's expm instead.
 """
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,9 +152,9 @@ def embed_as_lindbladian(generator):
                         jumps=tuple(jumps))
 
 
-def rate_matrix_from_json(text):
-    """Dense rate matrix from a JSON array (or {"rates": [[...]]})."""
-    data = json.loads(text)
+def rate_matrix_from_json(data):
+    """Dense rate matrix from decoded JSON: an array of rows, or an object
+    with a "rates" (or "Q") entry holding one."""
     if isinstance(data, dict):
         data = data.get("rates", data.get("Q"))
         if data is None:

@@ -52,45 +52,67 @@ def _parse_params(pairs):
     return params
 
 
-def _load_quantum_model(args):
-    spec = args.model
-    if spec.startswith("builtin:"):
-        name = spec.split(":", 1)[1]
-        ms = ModelSpecifier(name=name, params=_parse_params(args.param),
-                            seed=args.seed)
-        try:
-            model = build_model(ms)
-        except ValueError as err:
-            raise UsageError(str(err))
-        if not isinstance(model, QuantumModel):
-            raise UsageError("model %r is classical; use the classical-* "
-                             "subcommands" % name)
-        return model, _model_payload(ms)
-    if spec.startswith("file:"):
-        path = spec.split(":", 1)[1]
+def _load_model(args, classical):
+    """Backend and hash payload of --model, for both command families.
+
+    builtin:<name> and a file holding a named-model specifier (a JSON object
+    with "name" and optional "params" and "seed") build a built-in model,
+    whose kind must match the command's family. Any other file is a raw
+    model: quantum matrices in JSON, or a classical rate matrix, in JSON
+    when the path ends in .json and as an edge list otherwise.
+    """
+    kind, colon, path = args.model.partition(":")
+    if kind + colon == "builtin:":
+        spec = ModelSpecifier(name=path, params=_parse_params(args.param),
+                              seed=args.seed)
+        where, subject = "", "model %r" % path
+    elif kind + colon == "file:":
+        edges = classical and not path.endswith(".json")
         try:
             with open(path) as fh:
-                data = json.load(fh)
+                data = fh.read() if edges else json.load(fh)
         except FileNotFoundError:
             raise UsageError("model file not found: %s" % path)
+        except OSError as err:
+            raise UsageError("model file %s: %s" % (path, err.strerror))
         except json.JSONDecodeError as err:
             raise UsageError("model file %s: invalid JSON at line %d column %d"
                              % (path, err.lineno, err.colno))
-        if isinstance(data, dict) and "name" in data:
-            # a named-model specifier rather than raw matrices
-            ms = ModelSpecifier(name=data["name"],
-                                params=data.get("params", {}),
-                                seed=data.get("seed", args.seed))
+        if edges or not (isinstance(data, dict) and "name" in data):
+            if not classical:
+                model = _quantum_model_from_json(data, path)
+                return QuantumBackend(model=model, seed=args.seed), data
             try:
-                model = build_model(ms)
-            except ValueError as err:
-                raise UsageError("%s: %s" % (path, err))
-            if not isinstance(model, QuantumModel):
-                raise UsageError("%s: model is classical; use the classical-* "
-                                 "subcommands" % path)
-            return model, _model_payload(ms)
-        return _quantum_model_from_json(data, path), data
-    raise UsageError("--model must be builtin:<name> or file:<path>")
+                gen = rate_matrix_from_edges(data) if edges \
+                    else rate_matrix_from_json(data)
+            except (TypeError, ValueError) as err:
+                raise UsageError("model file %s: %s" % (path, err))
+            return ClassicalBackend(gen), {"rates": gen.rates.tolist()}
+        params = data.get("params", {})
+        if not isinstance(params, dict):
+            raise UsageError("%s: params must be a JSON object" % path)
+        # a seed given here follows the --seed rule, on the JSON value
+        seed = data.get("seed", args.seed)
+        if type(seed) is not int or seed < 0:
+            raise UsageError("%s: seed must be a non-negative integer, got %s"
+                             % (path, json.dumps(seed)))
+        spec = ModelSpecifier(name=data["name"], params=params, seed=seed)
+        where, subject = path + ": ", path + ": model"
+    else:
+        raise UsageError("--model must be builtin:<name> or file:<path>")
+    try:
+        model = build_model(spec)
+    except ValueError as err:
+        raise UsageError(where + str(err))
+    if isinstance(model, QuantumModel) == classical:
+        raise UsageError(subject + (
+            " is quantum; drop the classical- prefix" if classical
+            else " is classical; use the classical-* subcommands"))
+    payload = {"name": spec.name, "params": dict(sorted(spec.params.items())),
+               "seed": spec.seed}
+    if classical:
+        return ClassicalBackend(model), payload
+    return QuantumBackend(model=model, seed=args.seed), payload
 
 
 def _complex_array(entries, what, path):
@@ -122,43 +144,6 @@ def _quantum_model_from_json(data, path):
         return QuantumModel(hamiltonian=H, jumps=jumps)
     except ValueError as err:
         raise UsageError("%s: %s" % (path, err))
-
-
-def _load_classical_generator(args):
-    spec = args.model
-    if spec.startswith("builtin:"):
-        name = spec.split(":", 1)[1]
-        ms = ModelSpecifier(name=name, params=_parse_params(args.param),
-                            seed=args.seed)
-        try:
-            gen = build_model(ms)
-        except ValueError as err:
-            raise UsageError(str(err))
-        if isinstance(gen, QuantumModel):
-            raise UsageError("model %r is quantum; drop the classical- prefix"
-                             % name)
-        return gen, _model_payload(ms)
-    if spec.startswith("file:"):
-        path = spec.split(":", 1)[1]
-        try:
-            with open(path) as fh:
-                text = fh.read()
-        except FileNotFoundError:
-            raise UsageError("model file not found: %s" % path)
-        try:
-            if path.endswith(".json"):
-                gen = rate_matrix_from_json(text)
-            else:
-                gen = rate_matrix_from_edges(text)
-        except (ValueError, json.JSONDecodeError) as err:
-            raise UsageError("model file %s: %s" % (path, err))
-        return gen, {"rates": gen.rates.tolist()}
-    raise UsageError("--model must be builtin:<name> or file:<path>")
-
-
-def _model_payload(ms):
-    return {"name": ms.name, "params": dict(sorted(ms.params.items())),
-            "seed": ms.seed}
 
 
 def _model_hash(payload):
@@ -214,12 +199,6 @@ def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     return str(obj)
-
-
-def _backend(args, model=None, generator=None):
-    if generator is not None:
-        return ClassicalBackend(generator)
-    return QuantumBackend(model=model, seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -459,16 +438,25 @@ def _cmd_heisenberg(args, dyn, payload):
 
 # ---------------------------------------------------------------------------
 
-def _seed(text):
-    """A --seed value: a non-negative integer, as numpy's generators take."""
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(
-            "must be a non-negative integer, got %r" % text)
-    return seed
+def _checked(parse, holds, what):
+    """argparse type: the value parse reads from the text, if holds(value)."""
+    def convert(text):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not holds(value):
+            raise argparse.ArgumentTypeError("must be %s, got %r"
+                                             % (what, text))
+        return value
+    return convert
+
+
+# --seed: numpy's generators take non-negative integers; nan and +-inf are
+# no times, ratios or tolerances
+_seed = _checked(int, lambda n: n >= 0, "a non-negative integer")
+_positive = _checked(int, lambda n: n >= 1, "a positive integer")
+_finite = _checked(float, math.isfinite, "a finite number")
 
 
 def _add_common(p, grid_required=True):
@@ -481,8 +469,8 @@ def _add_common(p, grid_required=True):
                    help="accepted and ignored; analyses run single-threaded")
     p.add_argument("--out", help="output file (default stdout)")
     if grid_required:
-        p.add_argument("--tmin", type=float, default=1e-3)
-        p.add_argument("--tmax", type=float, default=1e3)
+        p.add_argument("--tmin", type=_finite, default=1e-3)
+        p.add_argument("--tmax", type=_finite, default=1e3)
         p.add_argument("--points", type=int, default=50)
         p.add_argument("--spacing", choices=("log", "linear"), default="log")
 
@@ -509,32 +497,33 @@ def build_parser():
     register("distances", _cmd_distances)
 
     def changes_extra(p):
-        p.add_argument("--ratio", type=float, default=2.0)
+        p.add_argument("--ratio", type=_finite, default=2.0)
     register("changes", _cmd_changes, extra=changes_extra)
 
     def detect_extra(p):
-        p.add_argument("--cdelta-max", type=float, default=0.1,
+        p.add_argument("--cdelta-max", type=_finite, default=0.1,
                        dest="cdelta_max")
-        p.add_argument("--ratio", type=float, default=2.0)
-        p.add_argument("--scan-points", type=int, default=24,
+        p.add_argument("--ratio", type=_finite, default=2.0)
+        p.add_argument("--scan-points", type=_positive, default=24,
                        dest="scan_points")
     register("detect", _cmd_detect, grid=False, extra=detect_extra)
 
     def project_extra(p):
-        p.add_argument("--window", type=float, nargs=2, metavar=("T1", "T2"))
+        p.add_argument("--window", type=_finite, nargs=2,
+                       metavar=("T1", "T2"))
         p.add_argument("--m", type=int)
-        p.add_argument("--cdelta-max", type=float, default=0.1,
+        p.add_argument("--cdelta-max", type=_finite, default=0.1,
                        dest="cdelta_max")
-        p.add_argument("--ratio", type=float, default=2.0)
-        p.add_argument("--scan-points", type=int, default=24,
+        p.add_argument("--ratio", type=_finite, default=2.0)
+        p.add_argument("--scan-points", type=_positive, default=24,
                        dest="scan_points")
     register("project", _cmd_project, grid=False, extra=project_extra)
 
     def verify_extra(p):
-        p.add_argument("--tol", type=float, default=1e-8)
+        p.add_argument("--tol", type=_finite, default=1e-8)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--tmin", type=float, default=None)
-        p.add_argument("--tmax", type=float, default=None)
+        p.add_argument("--tmin", type=_finite, default=None)
+        p.add_argument("--tmax", type=_finite, default=None)
         p.add_argument("--points", type=int, default=None)
         p.add_argument("--spacing", choices=("log", "linear"), default=None)
     register("verify-bounds", _cmd_verify_bounds, grid=False,
@@ -561,12 +550,7 @@ def main(argv=None):
                   file=sys.stderr)
             return 2
     try:
-        if classical:
-            generator, payload = _load_classical_generator(args)
-            dyn = _backend(args, generator=generator)
-        else:
-            model, payload = _load_quantum_model(args)
-            dyn = _backend(args, model=model)
+        dyn, payload = _load_model(args, classical)
         return fn(args, dyn, payload)
     except (UsageError, ValueError) as err:
         # ValueError: invalid windows, cuts, parameter domains or defective

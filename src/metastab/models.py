@@ -1,6 +1,7 @@
 """Built-in parameterized models with known ground truth plus reproducible
 random instance generators."""
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,11 +96,11 @@ _BUILTIN_PARAMS = {
 
 def _integral_param(params, name, default):
     """An integer parameter; integral floats (the CLI parses dim=3 as 3.0)
-    pass, others (2.5, "two", [2], null) are rejected rather than
-    truncated."""
+    pass, others (2.5, "two", [2], null, true) are rejected rather than
+    truncated or read as 1."""
     value = params.get(name, default)
     try:
-        number = float(value)
+        number = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         number = math.nan
     if not number.is_integer():
@@ -108,13 +109,22 @@ def _integral_param(params, name, default):
     return int(number)
 
 
+def _real_param(name, value):
+    """A real parameter as a float: numbers and numeric text pass; null,
+    booleans and containers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (numbers.Real, str)):
+        raise ValueError("parameter %r must be a number, got %r"
+                         % (name, value))
+    return float(value)
+
+
 def build_model(spec):
     """Instantiate a built-in model from a ModelSpecifier.
 
-    Returns a QuantumModel or a ClassicalGenerator; unknown names and unknown
-    parameters are rejected.
+    Returns a QuantumModel or a ClassicalGenerator; unknown names, unknown
+    parameters and boolean parameter values are rejected.
     """
-    if spec.name not in _BUILTIN_PARAMS:
+    if not isinstance(spec.name, str) or spec.name not in _BUILTIN_PARAMS:
         raise ValueError("unknown model %r (known: %s)"
                          % (spec.name, ", ".join(sorted(_BUILTIN_PARAMS))))
     allowed = _BUILTIN_PARAMS[spec.name]
@@ -122,10 +132,10 @@ def build_model(spec):
     if unknown:
         raise ValueError("unknown parameters %s for model %r"
                          % (sorted(unknown), spec.name))
-    if spec.name == "spin_half":
-        return spin_half_dephasing(**{k: float(v) for k, v in spec.params.items()})
     if spec.name == "random_lindbladian":
         dim = _integral_param(spec.params, "dim", 2)
         n_jumps = _integral_param(spec.params, "n_jumps", 2)
         return random_lindbladian(dim, n_jumps, seed=spec.seed or 0)
-    return three_state_double_well(**{k: float(v) for k, v in spec.params.items()})
+    builder = spin_half_dephasing if spec.name == "spin_half" \
+        else three_state_double_well
+    return builder(**{k: _real_param(k, v) for k, v in spec.params.items()})

@@ -27,6 +27,8 @@ CUTOFF_LINEAR_GROWTH = (3.0 * math.log(1.5) - 1.0) / 2.0  # 0.1082..., growth-in
 VERDICT_GUARD = 1e-4
 # evolution matrices a backend keeps, least recently used evicted first
 EVO_CACHE_SIZE = 256
+# relative bracket width at which a golden-section refinement stops
+GOLDEN_REL_TOL = 1e-6
 
 
 class TrivialDynamicsError(ValueError):
@@ -68,9 +70,10 @@ class DynamicsBackend:
     or a lower bound). Evolution matrices, slow projectors and norm values
     are cached, the last keyed by the matrix expression, so repeated grid
     sweeps are cheap; the evolution cache keeps the EVO_CACHE_SIZE most
-    recently used times. unconverged_keys holds the cache keys (and
-    ("gen",) for the generator) whose lower bound stopped at the iteration
-    cap before converging.
+    recently used times. The generator's InducedNormResult is kept apart,
+    computed once. unconverged_keys holds the cache keys (and ("gen",) for
+    the generator) whose lower bound stopped at the iteration cap before
+    converging.
     """
 
     def __init__(self, spectral, identity):
@@ -78,6 +81,7 @@ class DynamicsBackend:
         self.dim = spectral.dim
         self._eye = identity
         self._norm_cache = {}
+        self._generator_norm = None
         self._evo_cache = {}
         self._projectors = {}
         self.unconverged_keys = set()
@@ -152,13 +156,13 @@ class DynamicsBackend:
     def with_stationary(self, P):
         """Copy of this backend whose stationary projection is P.
 
-        The copy shares the spectrum and the slow projectors, which do not
-        depend on P, but starts with empty norm and evolution caches, so
-        norms computed under P never reach this backend.
+        The copy shares the spectrum, the slow projectors and the generator
+        norm, which do not depend on P, but starts with empty norm and
+        evolution caches, so norms computed under P never reach this backend.
         """
         view = copy.copy(self)
         view._norm_cache, view._evo_cache = {}, {}
-        view.unconverged_keys = set()
+        view.unconverged_keys = self.unconverged_keys & {("gen",)}
         view.stationary_matrix = lambda: P
         return view
 
@@ -232,13 +236,11 @@ class DynamicsBackend:
 
     def generator_norm_result(self):
         """InducedNormResult of the generator, computed once."""
-        result = self._norm_cache.get(("gen",))
-        if result is None:
-            result = self._norm_cache[("gen",)] = self.norm_result(
-                self.generator_matrix())
-            if not result.converged:
+        if self._generator_norm is None:
+            self._generator_norm = self.norm_result(self.generator_matrix())
+            if not self._generator_norm.converged:
                 self.unconverged_keys.add(("gen",))
-        return result
+        return self._generator_norm
 
     def liouvillian_norm(self):
         return self.generator_norm_result().value
@@ -395,14 +397,15 @@ def _window_grid(t_start, t_end, n_points=33):
         else np.linspace(t_start, t_end, n_points)
 
 
-def _golden_refine(f, a, b, rel_tol=1e-6):
-    """Golden-section maximization of f on [a, b], at most 80 steps."""
+def _golden_refine(f, a, b):
+    """Golden-section maximization of f on [a, b], at most 80 steps or down
+    to a bracket of GOLDEN_REL_TOL relative width."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = f(x1), f(x2)
     for _ in range(80):
-        if (b - a) <= rel_tol * max(abs(a), abs(b), 1e-300):
+        if (b - a) <= GOLDEN_REL_TOL * max(abs(a), abs(b), 1e-300):
             break
         if f1 < f2:
             a, x1, f1 = x1, x2, f2

@@ -435,14 +435,12 @@ class BoundBatteryReport:
                    "1" if row.passed(self.tol) else "0")
 
 
-def _select_window(dyn, ratio, c_max, n_grid, n_scan, fallback_span,
-                   scan_grid=None):
+def _select_window(dyn, ratio, c_max, n_grid, fallback_span, scan_grid):
     """Best (smallest-change) metastable window at the given ratio, or a
     deterministic fallback window centered between the timescales."""
     try:
         hits = scan_metastable(dyn, c_delta_max=c_max, ratio=ratio,
-                               n_grid=n_grid, n_scan=n_scan, grid=scan_grid,
-                               merge=False)
+                               n_grid=n_grid, grid=scan_grid, merge=False)
     except TrivialDynamicsError:
         hits = []
     if hits:
@@ -470,23 +468,17 @@ def default_battery_grid(tau_0, tau_ss):
 
 
 def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
-                  n_grid=33, scan_points=16, stationary_override=None):
+                  n_grid=33, scan_points=16):
     """Evaluate the full inequality battery on one dynamics backend.
 
     Emits one row per (inequality, evaluation point); a row passes when its
     slack is >= -tol or its hypotheses do not hold (marked inapplicable).
-    stationary_override substitutes a wrong stationary projection; it exists
-    for negative-control tests and taints only the rows built on that
-    projection. The battery then runs on dyn.with_stationary(...), a copy
-    with its own caches, so the backend passed in is never changed. Once
-    the windows are known, the maps of the rows are prefetched in two
-    batched sweeps: those at times known then, and those that
-    wait for the change measures and the ratio-4 cut. Like every prefetch,
-    this changes no value, and each prefetched map is evaluated later. The
-    two exclusion-span crossings run in lockstep (regimes.lockstep).
+    Once the windows are known, the maps of the rows are prefetched in two
+    batched sweeps: those at times known then, and those that wait for the
+    change measures and the ratio-4 cut. Like every prefetch, this changes
+    no value, and each prefetched map is evaluated later. The two
+    exclusion-span crossings run in lockstep (regimes.lockstep).
     """
-    if stationary_override is not None:
-        dyn = dyn.with_stationary(stationary_override)
     lam = dyn.eigenvalues()
     gen_norm = dyn.liouvillian_norm()
     if gen_norm <= 1e-14:
@@ -511,15 +503,13 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
         scan2 = scan4 = np.geomspace(grid[0], grid[-1] / 4.0, scan_points)
     if window is None:
         w2_start, w2_end, w2_found = _select_window(
-            dyn, 2.0, CUTOFF_RELAXATION, max(9, n_grid // 3), scan_points,
-            span, scan_grid=scan2)
+            dyn, 2.0, CUTOFF_RELAXATION, max(9, n_grid // 3), span, scan2)
     else:
         w2_start, w2_end = window
         w2_found = True
     if window4 is None:
         w4_start, w4_end, w4_found = _select_window(
-            dyn, 4.0, 0.24, max(9, n_grid // 3), scan_points, span,
-            scan_grid=scan4)
+            dyn, 4.0, 0.24, max(9, n_grid // 3), span, scan4)
     else:
         w4_start, w4_end = window4
         w4_found = True

@@ -121,10 +121,9 @@ def test_criterion_4_bound_battery(spin_backend):
     grid = np.array([row.t for row in rep.rows if row.id == "change2_all"])
     bad_state = np.eye(2) / 2 + 0.3 * np.diag([1.0, -1.0])
     bad = np.outer(vec(bad_state), vec(np.eye(2)).conj())
-    control = bound_battery(spin_backend, grid=grid, seed=0,
-                            window=rep.context["window2"],
-                            window4=rep.context["window4"],
-                            stationary_override=bad)
+    control = bound_battery(spin_backend.with_stationary(bad), grid=grid,
+                            seed=0, window=rep.context["window2"],
+                            window4=rep.context["window4"])
     failed = set(control.failed_ids())
     ok = ok and "change2_ss" in failed and failed <= CRITERION_4_TARGETED
     elapsed = time.monotonic() - start

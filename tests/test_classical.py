@@ -45,7 +45,7 @@ def test_generator_validation():
         with pytest.raises(ValueError, match="finite"):
             ClassicalGenerator(np.array([[-1.0, bad], [1.0, -bad]]))
     with pytest.raises(ValueError, match="finite"):
-        rate_matrix_from_json("[[-1.0, NaN], [1.0, NaN]]")
+        rate_matrix_from_json([[-1.0, math.nan], [1.0, math.nan]])
     with pytest.raises(ValueError, match="finite"):
         rate_matrix_from_edges("0 1 nan\n")
 
@@ -176,7 +176,7 @@ def test_embedding_consistency():
 
 
 def test_rate_matrix_loaders():
-    gen = rate_matrix_from_json('{"rates": [[-1.0, 2.0], [1.0, -2.0]]}')
+    gen = rate_matrix_from_json({"rates": [[-1.0, 2.0], [1.0, -2.0]]})
     assert gen.dim == 2
     text = "0 1 1.5\n1 0 0.5\n# comment\n\n"
     gen = rate_matrix_from_edges(text)
@@ -305,10 +305,9 @@ def test_classical_battery_override_leaves_caller_caches_alone():
     snapshot = cache_snapshot(dyn)
     bad = np.outer([1.0, 0.0, 0.0], np.ones(3))
     grid = [row.t for row in clean.rows if row.id == "change2_all"]
-    rep = bound_battery(dyn, grid=grid, seed=0,
+    rep = bound_battery(dyn.with_stationary(bad), grid=grid, seed=0,
                         window=clean.context["window2"],
-                        window4=clean.context["window4"],
-                        stationary_override=bad)
+                        window4=clean.context["window4"])
     # ||I - P|| is 4/3 for the true projection and 2 for the override
     ipss = [r.lhs for r in rep.rows if r.id == "IPss" and r.t == 1.0]
     assert ipss == [pytest.approx(2.0)]
@@ -325,9 +324,8 @@ def test_classical_battery_negative_control_fires():
     bad = np.outer([0.4, 0.3, 0.3], np.ones(3))
     assert l1_norm(bad - dyn.stationary_matrix()) == pytest.approx(2.0 / 15.0)
     grid = [row.t for row in clean.rows if row.id == "change2_all"]
-    rep = bound_battery(dyn, grid=grid, seed=0,
+    rep = bound_battery(dyn.with_stationary(bad), grid=grid, seed=0,
                         window=clean.context["window2"],
-                        window4=clean.context["window4"],
-                        stationary_override=bad)
+                        window4=clean.context["window4"])
     failed = set(rep.failed_ids())
     assert "change2_ss" in failed and failed <= CRITERION_4_TARGETED

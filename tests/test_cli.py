@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 import metastab
-from metastab.cli import main
+import metastab.cli
+from metastab.cli import build_parser, main
 
 SPIN_ARGS = ["--model", "builtin:spin_half", "--param", "gamma=1",
              "--param", "kappa=0.005", "--param", "omega=5.025"]
@@ -215,7 +217,8 @@ def test_classical_spectrum_reports_eigvec_condition(tmp_path, capsys):
 @pytest.mark.parametrize("name,text,message", [
     ("wrap.edges", "0 1 1.0\n-1 0 0.5\n", "line 2: negative state index"),
     ("nan.edges", "0 1 nan\n1 0 1.0\n", "rates must be finite"),
-    ("nan.json", "[[-1.0, NaN], [1.0, NaN]]", "rates must be finite")])
+    ("nan.json", "[[-1.0, NaN], [1.0, NaN]]", "rates must be finite"),
+    ("dict.json", '{"rates": {"0": 1.0}}', "not 'dict'")])
 def test_classical_model_file_rejects_bad_input(name, text, message, tmp_path,
                                                 capsys):
     path = tmp_path / name
@@ -334,6 +337,179 @@ def test_negative_seed_in_the_environment_exits_2(capsys, monkeypatch):
     code, _, err = run_cli(["spectrum"] + SPIN_ARGS, capsys)
     assert code == 2
     assert err == "METASTAB_SEED must be a non-negative integer\n"
+
+
+# every float option of every subcommand, quantum and classical alike
+FLOAT_OPTIONS = {
+    "distances": ("--tmin", "--tmax"),
+    "changes": ("--tmin", "--tmax", "--ratio"),
+    "detect": ("--cdelta-max", "--ratio"),
+    "project": ("--window", "--cdelta-max", "--ratio"),
+    "verify-bounds": ("--tol", "--tmin", "--tmax"),
+    "heisenberg": ("--tmin", "--tmax"),
+}
+
+
+def test_float_options_are_the_finite_ones():
+    parser = build_parser()
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    for command, sub in subparsers.choices.items():
+        finite = {action.option_strings[0] for action in sub._actions
+                  if action.type is metastab.cli._finite}
+        floats = {action.option_strings[0] for action in sub._actions
+                  if action.type is float}
+        assert not floats, command
+        assert finite == set(FLOAT_OPTIONS.get(
+            command.replace("classical-", ""), ())), command
+
+
+@pytest.mark.parametrize("command,option", [
+    (prefix + command, option) for command, options in FLOAT_OPTIONS.items()
+    for option in options for prefix in ("", "classical-")])
+def test_non_finite_float_option_exits_2(command, option, capsys):
+    # rejected by the parser: nan and inf are no times, ratios or tolerances
+    model = "builtin:double_well" if command.startswith("classical") \
+        else "builtin:spin_half"
+    for value in ("nan", "inf", "-inf"):
+        if option == "--window":
+            if value == "-inf":
+                continue  # argparse reads a leading '-' as an option
+            tail = [option, "1", value]
+        else:
+            tail = [option + "=" + value]
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--model", model] + tail)
+        assert exit_.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("error: argument %s: must be a finite number, "
+                            "got %r\n" % (option, value)), err
+
+
+@pytest.mark.parametrize("command", ["detect", "project", "classical-detect",
+                                     "classical-project"])
+def test_scan_points_below_one_exits_2(command, capsys):
+    model = "builtin:double_well" if command.startswith("classical") \
+        else "builtin:spin_half"
+    for value in ("0", "-3"):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--model", model, "--scan-points=" + value])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert ("argument --scan-points: must be a positive integer, got %r"
+                % value) in err
+
+
+def write_json(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return "file:%s" % path, str(path)
+
+
+def test_classical_specifier_file_matches_builtin(tmp_path, capsys):
+    # a named-model file loads for classical commands too, with the same
+    # payload and so the same model hash as the builtin
+    model, _ = write_json(tmp_path, "dw.json", {
+        "name": "double_well", "params": {"fast": 1.0, "slow": 0.001}})
+    runs = [run_cli(["classical-detect", "--model", model], capsys),
+            run_cli(["classical-detect", "--model", "builtin:double_well",
+                     "--param", "fast=1", "--param", "slow=0.001"], capsys)]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and json.loads(runs[0][1])["metastable_windows"]
+
+
+@pytest.mark.parametrize("command,name,kind", [
+    ("spectrum", "double_well", "classical; use the classical-* subcommands"),
+    ("classical-spectrum", "spin_half", "quantum; drop the classical- prefix")])
+def test_specifier_of_the_other_kind_exits_2(command, name, kind, tmp_path,
+                                             capsys):
+    model, path = write_json(tmp_path, "m.json", {"name": name})
+    code, out, err = run_cli([command, "--model", model], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: %s: model is %s\n" % (path, kind)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "classical-spectrum"])
+def test_model_path_that_is_a_directory_exits_2(command, tmp_path, capsys):
+    code, out, err = run_cli([command, "--model", "file:%s" % tmp_path],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: model file %s: Is a directory\n" % tmp_path
+
+
+def test_invalid_json_message_is_shared(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"rates": [[0.0,\n  oops]]}')
+    errs = set()
+    for command in ("spectrum", "classical-spectrum"):
+        code, out, err = run_cli([command, "--model", "file:%s" % path],
+                                 capsys)
+        assert (code, out) == (2, "")
+        errs.add(err)
+    assert errs == {"error: model file %s: invalid JSON at line 2 column 3\n"
+                    % path}
+
+
+@pytest.mark.parametrize("seed", [1.5, 7.0, True, -1, "7", None])
+def test_specifier_seed_must_be_a_non_negative_integer(seed, tmp_path,
+                                                       capsys):
+    # the rule --seed applies to its text, on the JSON value: an integral
+    # float, a boolean, a string or null is no seed
+    model, path = write_json(tmp_path, "r.json", {
+        "name": "random_lindbladian", "params": {"dim": 2, "n_jumps": 1},
+        "seed": seed})
+    code, out, err = run_cli(["spectrum", "--model", model, "--seed", "7"],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: %s: seed must be a non-negative integer, got %s\n"
+                   % (path, json.dumps(seed)))
+
+
+def test_specifier_seed_builds_the_seeded_model(tmp_path, capsys):
+    model, _ = write_json(tmp_path, "r.json", {
+        "name": "random_lindbladian", "params": {"dim": 3, "n_jumps": 2},
+        "seed": 7})
+    code, out, _ = run_cli(["spectrum", "--model", model], capsys)
+    assert code == 0
+    from_file = json.loads(out)
+    code, out, _ = run_cli(["spectrum", "--model",
+                            "builtin:random_lindbladian", "--param", "dim=3",
+                            "--param", "n_jumps=2", "--seed", "7"], capsys)
+    assert code == 0
+    assert from_file["eigenvalues"] == json.loads(out)["eigenvalues"]
+    assert from_file["seed"] == 0  # the CLI seed still drives the analyses
+
+
+@pytest.mark.parametrize("command,name,param,kind", [
+    ("spectrum", "random_lindbladian", "n_jumps", "an integer"),
+    ("spectrum", "spin_half", "gamma", "a number"),
+    ("classical-spectrum", "double_well", "slow", "a number")])
+def test_boolean_specifier_parameter_exits_2(command, name, param, kind,
+                                             tmp_path, capsys):
+    # JSON true is not read as 1
+    model, path = write_json(tmp_path, "b.json",
+                             {"name": name, "params": {param: True}})
+    code, out, err = run_cli([command, "--model", model], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: %s: parameter %r must be %s, got True\n"
+                   % (path, param, kind))
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"name": "random_lindbladian", "params": None},
+     "params must be a JSON object"),
+    ({"name": "random_lindbladian", "params": [["dim", 3]]},
+     "params must be a JSON object"),
+    ({"name": "spin_half", "params": {"gamma": None}},
+     "parameter 'gamma' must be a number, got None"),
+    ({"name": ["spin_half"]}, "unknown model ['spin_half']")])
+def test_malformed_specifier_exits_2(spec, message, tmp_path, capsys):
+    # each of these raised a TypeError out of the CLI
+    model, path = write_json(tmp_path, "p.json", spec)
+    code, out, err = run_cli(["spectrum", "--model", model], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: %s: %s" % (path, message)), err
 
 
 @pytest.fixture

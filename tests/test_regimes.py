@@ -188,7 +188,7 @@ def test_timescales_in_lockstep_match_one_by_one(dim, n_ahead):
     assert dyn.liouvillian_norm() == plain.liouvillian_norm()
     assert plain._norm_cache.keys() <= dyn._norm_cache.keys()
     assert all(dyn._norm_cache[key] == value
-               for key, value in plain._norm_cache.items() if key != ("gen",))
+               for key, value in plain._norm_cache.items())
 
 
 def test_timescales_absent_paths_in_lockstep():
@@ -281,6 +281,31 @@ def test_unconverged_keys_are_flagged_on_both_paths(monkeypatch):
     assert batched._norm_cache == values
     assert single.unconverged_keys == batched.unconverged_keys
     assert set() < batched.unconverged_keys < set(keys)
+
+
+def test_generator_norm_stays_out_of_the_norm_cache(monkeypatch):
+    # the norm cache holds floats only; the generator's InducedNormResult is
+    # kept apart, and a stationary view shares it, because the generator
+    # norm does not depend on P, with its unconverged flag
+    model = random_lindbladian(3, 2, seed=0)
+    ascents = norms._alternating_ascents
+
+    def capped(Ms, dim, **kwargs):
+        return ascents(Ms, dim, **{**kwargs, "max_iter": 1})
+
+    monkeypatch.setattr(norms, "_alternating_ascents", capped)
+    dyn = QuantumBackend(model=model, seed=0)
+    result = dyn.generator_norm_result()
+    assert not result.converged
+    dyn.distance_to_identity(1.0)
+    assert dyn.unconverged_keys == {("gen",), ("ident", 1.0)}
+    assert list(dyn._norm_cache) == [("ident", 1.0)]
+    assert all(isinstance(v, float) for v in dyn._norm_cache.values())
+    view = dyn.with_stationary(dyn.identity_matrix())
+    assert view.generator_norm_result() is result
+    assert view.unconverged_keys == {("gen",)}
+    assert view._norm_cache == {}
+    assert dyn.generator_norm_result() is result
 
 
 def test_distance_to_stationary_matches_multi_restart_reference():

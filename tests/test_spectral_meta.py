@@ -158,10 +158,9 @@ def test_bound_battery_corrupted_stationary_control(spin_backend):
     from metastab.superop import vec
 
     bad = np.outer(vec(bad_state), vec(np.eye(2)).conj())
-    rep = bound_battery(spin_backend, grid=grid, seed=0,
+    rep = bound_battery(spin_backend.with_stationary(bad), grid=grid, seed=0,
                         window=clean.context["window2"],
-                        window4=clean.context["window4"],
-                        stationary_override=bad)
+                        window4=clean.context["window4"])
     failed = set(rep.failed_ids())
     assert "change2_ss" in failed
     stationary_dependent = {"change2_ss", "ss_exp", "change_spectral_ss",
@@ -180,7 +179,7 @@ def test_bound_battery_override_restores_backend_on_error(spin_model):
     dyn = QuantumBackend(model=spin_model, seed=0)
     with pytest.raises(ValueError):
         # a 9 x 9 projection cannot be combined with 4 x 4 qubit maps
-        bound_battery(dyn, stationary_override=np.eye(9))
+        bound_battery(dyn.with_stationary(np.eye(9)))
     assert "stationary_matrix" not in vars(dyn)
     assert dyn.distance_to_stationary(200.0) == pytest.approx(math.exp(-1.0),
                                                               abs=1e-12)
@@ -257,7 +256,7 @@ def check_batched_battery_caches(monkeypatch, model):
     dyn = QuantumBackend(model=model, seed=0)
     report = bound_battery(dyn, seed=0, scan_points=8, n_grid=17)
     fresh = QuantumBackend(model=model, seed=0)
-    keys = [key for key in dyn._norm_cache if key != ("gen",)]
+    keys = list(dyn._norm_cache)
     for key in keys:
         assert fresh._norm_of(key) == dyn._norm_cache[key], key
 
@@ -347,10 +346,9 @@ def test_bound_battery_override_leaves_caller_caches_alone(spin_model):
 
     bad = np.outer(vec(bad_state), vec(np.eye(2)).conj())
     grid = [row.t for row in clean.rows if row.id == "change2_all"]
-    rep = bound_battery(dyn, grid=grid, seed=0,
+    rep = bound_battery(dyn.with_stationary(bad), grid=grid, seed=0,
                         window=clean.context["window2"],
-                        window4=clean.context["window4"],
-                        stationary_override=bad)
+                        window4=clean.context["window4"])
     assert "change2_ss" in rep.failed_ids()
     assert_caches_untouched(dyn, snapshot)
     assert dyn.distance_to_stationary(200.0) == pytest.approx(math.exp(-1.0),
