@@ -69,12 +69,16 @@ def _load_model(args, classical):
     elif kind + colon == "file:":
         edges = classical and not path.endswith(".json")
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 data = fh.read() if edges else json.load(fh)
         except FileNotFoundError:
             raise UsageError("model file not found: %s" % path)
         except OSError as err:
             raise UsageError("model file %s: %s" % (path, err.strerror))
+        except UnicodeDecodeError as err:
+            raise UsageError("model file %s: not UTF-8 text (byte 0x%02x at "
+                             "position %d)" % (path, err.object[err.start],
+                                               err.start))
         except json.JSONDecodeError as err:
             raise UsageError("model file %s: invalid JSON at line %d column %d"
                              % (path, err.lineno, err.colno))

@@ -25,17 +25,27 @@ the next O-step finds its value no lower, so that chains near a maximum
 finish quadratically instead of crawling through the alternating ascent's
 linear tail.
 
+The ascent holds its chains in real Hermitian coordinates: a stack of
+Hermitian matrices as D^2 contiguous real rows (the diagonal, then Re and Im
+of the upper triangle), a stack of states as 2D rows (Re psi, then Im psi),
+one column per chain. Each map becomes two real D^2 x D^2 matrices once per
+call, R for Herm X and R_dual for Herm X^dag (_coordinate_maps), and every
+product is a real block product, one block per map.
+
 Both coordinate maxima need eigen-information of a Hermitian D x D matrix.
 At D = 3 every coordinate step, in burn-in and in the shared pass alike,
-uses closed forms evaluated along the whole stack: the trigonometric roots
-of the characteristic cubic, the sign operator from one spectral projector
-and the top eigenvector from a column of a product of shifted matrices. A
-matrix with a near-degenerate pair of eigenvalues goes to LAPACK eigh on its
-own. At D >= 4 every coordinate step uses eigh. A Newton step takes eigh of
-the O-step matrix of each chain it runs on, at every D.
+uses closed forms on the coordinate rows along the whole stack: the
+trigonometric roots of the characteristic cubic, the sign operator from one
+spectral projector and the top eigenvector from a column of a product of
+shifted matrices. A matrix with a near-degenerate pair of eigenvalues goes
+to LAPACK eigh on its own, rebuilt from its coordinates. At D >= 4 every
+coordinate step rebuilds the complex matrices and uses eigh. A Newton step
+rebuilds the complex states, matrices and image of the chains it runs on,
+and takes eigh of each O-step matrix, at every D.
 """
 import functools
 import math
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,11 +65,15 @@ DEFAULT_KEEP_AFTER_BURN_IN = 4
 # relative change below which a chain counts as converged
 REL_TOL = 1e-10
 # maps per burn-in pass of _alternating_ascents, and chains per pass after
-# burn-in (the size of a full burn-in pass at R = 16); they bound its working
-# arrays. Both passes take the same coordinate steps: at D = 3 the closed
-# forms, which beat eigh from a few dozen matrices on and lose to it on a
-# handful
-LOCKSTEP_MAPS = 32
+# burn-in; they bound its working arrays. At D = 3 a full burn-in pass steps
+# 2,048 chains, 16 KB per coordinate row. Per chain the closed forms cost
+# about the same from a few hundred chains on, while every pass pays its
+# own per-call overhead: on the benchmark's random D = 3 battery
+# verify-bounds took 865, 811, 749 and 742 ms of CPU at 32, 64, 128 and 256
+# maps per pass (in process, medians of 8), and its 266-map prefetch peaked
+# at 1.3, 1.3, 2.1 and 3.8 MB of traced arrays at 32, 64, 128 and 266. Both
+# passes take the same coordinate steps
+LOCKSTEP_MAPS = 128
 LOCKSTEP_CHAINS = 512
 # chains per _newton_step call, in whole maps (a map with more chains takes
 # a call alone): a Newton step holds 2D - 2 matrices per chain, and this
@@ -132,61 +146,241 @@ def _top_eigvec(A):
     return np.linalg.eigh(A)[1][:, :, -1]
 
 
+# --- real Hermitian coordinates ----------------------------------------------
+#
+# The ascent holds its chains in real coordinates, one column per chain: a
+# stack of n Hermitian D x D matrices is a (D^2, n) array whose rows are the
+# diagonal, then Re and then Im of the upper triangle (row by row), and a
+# stack of n states psi is a (2D, n) array of Re psi, then Im psi. Each row
+# is contiguous along the stack, so the closed forms below run along it
+# without strides, and a map acts on coordinates as one real D^2 x D^2
+# matrix (_coordinate_maps).
+
+@functools.lru_cache(maxsize=None)
+def _layout(dim):
+    """Index tables of the coordinates at dimension D: the row-major entries
+    whose Re and Im parts are coordinates (re_flat, im_flat); for each
+    row-major entry the coordinate of its Re part (re_src) and of its Im
+    part up to a sign (im_src, im_sign, 0 on the diagonal); the state rows
+    whose products give pure-state coordinates (state_left, state_right,
+    state_sign, see _pure_state_coords); S and P of _coordinate_maps; and
+    the scale of R^T in R_dual."""
+    j, k = np.triu_indices(dim, 1)
+    u = j.size
+    diag = np.arange(dim)
+    re_pair, im_pair = dim + np.arange(u), dim + u + np.arange(u)
+    # row-major flat indices of the entries (j, j), (j, k) and (k, j); in
+    # column stacking (vec) low indexes (j, k) and up (k, j)
+    dd, up, low = diag * (dim + 1), j * dim + k, k * dim + j
+    re_src = np.empty(dim * dim, dtype=int)
+    im_src = np.zeros(dim * dim, dtype=int)
+    im_sign = np.zeros(dim * dim)
+    re_src[dd] = diag
+    re_src[up] = re_src[low] = re_pair
+    im_src[up] = im_src[low] = im_pair
+    im_sign[up], im_sign[low] = 1.0, -1.0
+    # rho = psi psi^dag: |psi_j|^2 = re_j re_j + im_j im_j, and for j < k
+    # Re rho_jk = re_j re_k + im_j im_k, Im rho_jk = im_j re_k - re_j im_k
+    jj, kk = np.concatenate([diag, j]), np.concatenate([diag, k])
+    left = np.concatenate([jj, j + dim, jj + dim, j])
+    right = np.concatenate([kk, k, kk + dim, k + dim])
+    sign = np.ones((dim * dim, 1))
+    sign[dim + u:] = -1.0
+    # vec(rho) = S coords(rho) and coords(Herm W) = Re(P vec(W)), both in
+    # column stacking: entry (r, s) is vec index s D + r
+    S = np.zeros((dim * dim, dim * dim), dtype=complex)
+    P = np.zeros((dim * dim, dim * dim), dtype=complex)
+    S[dd, diag] = P[diag, dd] = 1.0
+    S[low, re_pair] = S[up, re_pair] = 1.0          # rho_jk, rho_kj
+    S[low, im_pair], S[up, im_pair] = 1j, -1j
+    P[re_pair, low] = P[re_pair, up] = 0.5
+    P[im_pair, low], P[im_pair, up] = -0.5j, 0.5j
+    # Tr(O Y) = coords(O) . G coords(Y) with G = diag(1 (D times), 2, .., 2)
+    g = np.where(np.arange(dim * dim) < dim, 1.0, 2.0)
+    return types.SimpleNamespace(
+        re_flat=np.concatenate([dd, up]), im_flat=up, re_src=re_src,
+        im_src=im_src, im_sign=im_sign[:, None], state_left=left,
+        state_right=right, state_sign=sign, vec_of_coords=S,
+        coords_of_vec=P, dual_scale=g[None, :] / g[:, None])
+
+
+def _coords(H):
+    """Coordinate rows (D^2, n) of a stack of n Hermitian D x D matrices."""
+    n, dim = H.shape[0], H.shape[-1]
+    lay = _layout(dim)
+    flat = H.reshape(n, dim * dim)
+    c = np.empty((dim * dim, n))
+    c[:lay.re_flat.size] = flat.real[:, lay.re_flat].T
+    c[lay.re_flat.size:] = flat.imag[:, lay.im_flat].T
+    return c
+
+
+def _matrices(c):
+    """The stack of n Hermitian matrices with coordinate rows c (D^2, n)."""
+    dim = math.isqrt(c.shape[0])
+    lay = _layout(dim)
+    H = np.empty(c.shape, dtype=complex)
+    H.real = c[lay.re_src]
+    H.imag = c[lay.im_src] * lay.im_sign
+    return H.T.reshape(-1, dim, dim)
+
+
+def _state_rows(psi):
+    """State rows (2D, n), Re then Im, of a stack of n states (n, D)."""
+    n, dim = psi.shape
+    rows = np.empty((2 * dim, n))
+    rows[:dim], rows[dim:] = psi.real.T, psi.imag.T
+    return rows
+
+
+def _states(rows):
+    """The stack of n complex states (n, D) with state rows (2D, n)."""
+    dim = rows.shape[0] // 2
+    psi = np.empty((rows.shape[1], dim), dtype=complex)
+    psi.real, psi.imag = rows[:dim].T, rows[dim:].T
+    return psi
+
+
+def _pure_state_coords(psi):
+    """Coordinate rows of psi psi^dag for state rows psi, from two gathered
+    products of rows."""
+    lay = _layout(psi.shape[0] // 2)
+    prod = psi[lay.state_left] * psi[lay.state_right]
+    half = prod.shape[0] // 2
+    out = prod[half:] * lay.state_sign
+    out += prod[:half]
+    return out
+
+
+def _coordinate_maps(Ms):
+    """The real matrices R and R_dual of each map X in the (T, D^2, D^2)
+    stack Ms: coords(Herm X(rho)) = R coords(rho) and
+    coords(Herm X^dag(O)) = R_dual coords(O). R is Re(P M S) (see _layout),
+    one column-stacked product per map; with G the coordinate metric of
+    Tr(O Y), R_dual = G^-1 R^T G, whose scaling by powers of 2 is exact."""
+    lay = _layout(math.isqrt(Ms.shape[-1]))
+    R = np.ascontiguousarray((lay.coords_of_vec @ Ms @ lay.vec_of_coords).real)
+    return R, R.transpose(0, 2, 1) * lay.dual_scale
+
+
 # --- closed-form 3 x 3 steps -------------------------------------------------
 #
-# The helpers below work on the entries of a stack of n matrices as length-n
-# rows (the (3, 3, n) view W.transpose(1, 2, 0)), so that every numpy
-# operation runs along the stack. Each operation is elementwise in the matrix
-# index, and sums over entries are written out rather than left to a numpy
-# reduction: a matrix's result does not depend on the other matrices in the
-# stack. A matrix whose closest pair of eigenvalues lies within
-# CLOSED_FORM_MIN_GAP of its spectral norm goes to eigh instead, on its own.
+# The helpers below take the coordinate rows of a stack of n Hermitian 3 x 3
+# matrices: d_j, then a_p = Re W_p and b_p = Im W_p for the pairs
+# p = 01, 02, 12. Every operation is elementwise along the rows, and sums
+# over entries are written out rather than left to a numpy reduction: a
+# matrix's result does not depend on the other matrices in the stack. A
+# matrix whose closest pair of eigenvalues lies within CLOSED_FORM_MIN_GAP of
+# its spectral norm goes to eigh instead, on its own.
 
 CLOSED_FORM_MIN_GAP = 1e-3
 # p^2 (the squared eigenvalue spread) is 0 for multiples of I and underflows
 # for tiny matrices; below this the cubic is not scaled and eigh takes over
 _CLOSED_FORM_TINY = 1e-200
-# arccos(x) / 3 + angle gives the top, middle and bottom eigenvalue
-_TRIG_ANGLES = np.array([[0.0], [-2.0 * np.pi / 3.0], [2.0 * np.pi / 3.0]])
-_EYE3 = np.eye(3)[:, :, None]
-_UPPER3 = np.array([1, 2, 5])   # W01, W02, W12 in a flattened 3 x 3 matrix
+_SQRT3 = math.sqrt(3.0)
+# rows of (a_01, a_02, a_12, b_01, b_02, b_12, -b_01, -b_02, -b_12) that
+# hold (Re u, Im u), (Re v, -Im v) and (Im v, Re v) in _quadratics3
+_CROSS_U = np.array([1, 0, 0, 4, 3, 6])
+_CROSS_V = np.array([2, 2, 1, 5, 8, 7])
+_CROSS_V_SWAP = np.array([8, 5, 4, 2, 2, 1])
+# columns 0, 1 and 2 of a Hermitian matrix as state rows (Re, then Im, of
+# their entries 0, 1, 2) from its coordinate rows: the coordinate of each
+# entry, and the sign of its Im part (0 on the diagonal, - below it)
+_COLUMN_ROWS = np.array([0, 3, 4, 0, 6, 7, 3, 1, 5, 6, 1, 8,
+                         4, 5, 2, 7, 8, 2])
+_COLUMN_SIGNS = np.array([1, 1, 1, 0, -1, -1, 1, 1, 1, 1, 0, -1,
+                          1, 1, 1, 1, 1, 0], dtype=float)[:, None]
 
 
-def _eigvalsh3(W):
-    """Eigenvalues of a stack of Hermitian 3 x 3 matrices as rows top,
-    middle, bottom, and the mask of the matrices that need eigh.
+def _quadratics3(c):
+    """The quadratic terms of W^2 for a stack of Hermitian 3 x 3 W with
+    coordinate rows c: the rows |W_p|^2 for the pairs p = 01, 02, 12, and
+    the rows (Re, Im) of W_jl W_lk for p = jk, l the third index. These are
+    W02 conj(W12), W01 W12 and conj(W01) W02, that is u v with
+    u = (W02, W01, conj W01) and v = (conj W12, W12, W02)."""
+    sq = c[3:] * c[3:]
+    ext = np.empty_like(c)
+    ext[:6] = c[3:]
+    np.negative(c[6:], out=ext[6:])
+    u = ext[_CROSS_U]
+    prod = u * ext[_CROSS_V]                    # Re u Re v, -Im u Im v
+    cross = np.empty((6, c.shape[1]))
+    np.add(prod[:3], prod[3:], out=cross[:3])
+    prod = u * ext[_CROSS_V_SWAP]               # Re u Im v, Im u Re v
+    np.add(prod[:3], prod[3:], out=cross[3:])
+    return sq[:3] + sq[3:], cross
+
+
+def _eigvalsh3(c, quad=None):
+    """Eigenvalues of a stack of Hermitian 3 x 3 matrices with coordinate
+    rows c, as rows top, middle, bottom, and the mask of the matrices that
+    need eigh; quad is _quadratics3(c), computed here if not given.
 
     Trigonometric solution of the characteristic cubic (Smith 1961; Kopp
     2008, arXiv:physics/0610206): with m = tr W / 3, B = W - m I,
-    p^2 = tr(B^2) / 6 and x = det(B) / (2 p^3), the eigenvalues are
-    m + 2 p cos(arccos(x) / 3 + angle) for the three _TRIG_ANGLES. Errors
-    stay at round-off times ||W|| except inside a near-degenerate pair, where
-    arccos amplifies them; such matrices are in the mask.
+    p^2 = tr(B^2) / 6, x = det(B) / (2 p^3) and theta = arccos(x) / 3, the
+    eigenvalues are m + 2 p cos(theta + angle) for the angles 0, -2 pi / 3
+    and 2 pi / 3, that is m + 2 p cos(theta) and
+    m - p cos(theta) +- sqrt(3) p sin(theta). Errors stay at round-off times
+    ||W|| except inside a near-degenerate pair, where arccos amplifies them;
+    such matrices are in the mask.
     """
-    flat = W.reshape(-1, 9)
-    d = flat[:, ::4].T.real
-    off = flat.take(_UPPER3, axis=1).T
+    off2, cross = _quadratics3(c) if quad is None else quad
+    d = c[:3]
     m = (d[0] + d[1] + d[2]) / 3
     e = d - m                                   # diagonal of B
-    off2 = off.real ** 2 + off.imag ** 2
-    e2 = e * e
-    p2 = (e2[0] + e2[1] + e2[2]) / 6 + (off2[0] + off2[1] + off2[2]) / 3
+    q = e * e
+    q += off2
+    q += off2
+    p2 = (q[0] + q[1] + q[2]) / 6
     tiny = p2 < _CLOSED_FORM_TINY
     p2 = np.maximum(p2, _CLOSED_FORM_TINY)
     p = np.sqrt(p2)
-    # W01 W12 W20 + its conjugate is the cyclic term of the determinant
-    det = (e[0] * (e[1] * e[2] - off2[2]) - e[1] * off2[1] - e[2] * off2[0]
-           + 2 * (off[0] * off[2] * flat[:, 6]).real)
-    x = np.minimum(np.maximum(det / (2 * p2 * p), -1.0), 1.0)
-    lam = np.cos(np.arccos(x) / 3 + _TRIG_ANGLES) * (2 * p)
-    lam += m
-    top, mid, bot = lam
-    gap = np.minimum(top - mid, mid - bot)
-    return lam, (gap <= CLOSED_FORM_MIN_GAP * np.maximum(top, -bot)) | tiny
+    # det(B) / 2 = (e0 e1 e2 - sum_j e_j |W_kl|^2) / 2 + Re(W01 W12 W20),
+    # kl the pair without j, and W01 W12 W20 = (W01 W12) conj(W02)
+    eo = e * off2[::-1]
+    cyc = cross[1] * c[4] + cross[4] * c[7]
+    half_det = (e[0] * e[1] * e[2] - eo[0] - eo[1] - eo[2]) * 0.5 + cyc
+    x = np.minimum(np.maximum(half_det / (p2 * p), -1.0), 1.0)
+    # theta = arccos(x) / 3 lies in [0, pi / 3], where cos(theta) >= 1 / 2
+    # follows from the sine without cancellation
+    sin = np.sin(np.arccos(x) / 3)
+    pc = p * np.sqrt(1.0 - sin * sin)
+    ps = (_SQRT3 * p) * sin
+    lam = np.empty((3,) + m.shape)
+    np.add(m, pc + pc, out=lam[0])
+    m -= pc
+    np.add(m, ps, out=lam[1])
+    np.subtract(m, ps, out=lam[2])
+    gap = lam[:2] - lam[1:]
+    bound = np.maximum(lam[0], -lam[2])
+    bound *= CLOSED_FORM_MIN_GAP
+    return lam, (np.minimum(gap[0], gap[1]) <= bound) | tiny
 
 
-def _sign_step3(W):
-    """Closed-form O-step at D = 3: sum |lambda| and the sign operator.
+def _shifted_product3(c, quad, x, y):
+    """Coordinate rows of (W - x)(W - y) for a stack of Hermitian 3 x 3 W
+    with coordinate rows c, quad = _quadratics3(c) and rows of shifts x, y:
+    on the diagonal (d_j - x)(d_j - y) + sum_{k != j} |W_jk|^2, above it
+    (d_j + d_k - x - y) W_jk + W_jl W_lk, l the third index."""
+    off2, cross = quad
+    n = c.shape[1]
+    out = np.empty_like(c)
+    d = c[:3]
+    np.multiply(d - x, d - y, out=out[:3])
+    # the pair without j runs in reverse over the pairs, as does the third
+    # index l of each pair
+    out[:3] += off2[0] + off2[1] + off2[2]
+    out[:3] -= off2[::-1]
+    shift = (d[0] + d[1] + d[2]) - (x + y) - d[::-1]
+    np.multiply(c[3:].reshape(2, 3, n), shift, out=out[3:].reshape(2, 3, n))
+    out[3:] += cross
+    return out
+
+
+def _sign_step3(c):
+    """Closed-form O-step at D = 3 on coordinate rows: sum |lambda| and the
+    coordinate rows of the sign operator.
 
     sigma, the sign of the middle eigenvalue, is the majority sign. When the
     outer eigenvalue on the other side of the middle one (lone) has the
@@ -194,50 +388,56 @@ def _sign_step3(W):
     P = (W - mid)(W - far) / ((lone - mid)(lone - far)); otherwise
     sign(W) = sigma I.
     """
-    lam, needs_eigh = _eigvalsh3(W)
-    top, mid, bot = lam
+    quad = _quadratics3(c)
+    lam, needs_eigh = _eigvalsh3(c, quad)
+    mid = lam[1]
     majority = mid >= 0
-    lone = np.where(majority, bot, top)
-    far = np.where(majority, top, bot)
-    sigma = majority * 2.0 - 1.0
-    H = W.transpose(1, 2, 0)
-    B, C = H - _EYE3 * mid, H - _EYE3 * far
-    # 0 / 0 only on degenerate matrices, which eigh redoes below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coef = ((sigma * ((top >= 0) & (bot < 0)) * -2.0)
-                / ((lone - mid) * (lone - far)))
-        # B @ C as three broadcast outer products
-        obs = (B[:, 0, None] * C[0] + B[:, 1, None] * C[1]
-               + B[:, 2, None] * C[2]) * coef
-    obs += _EYE3 * sigma
-    obs = obs.transpose(2, 0, 1)
-    values = abs(top) + abs(mid) + abs(bot)
-    if needs_eigh.any():
-        values[needs_eigh], obs[needs_eigh] = _sign_step(W[needs_eigh])
+    # (bot, top) or (top, bot)
+    lone, far = np.where(majority, lam[::-2], lam[::2])
+    sigma = np.where(majority, 1.0, -1.0)
+    obs = _shifted_product3(c, quad, mid, far)
+    # -2 sigma P where lone has the sign opposite to sigma
+    scale = ((lone < 0) == majority) * sigma
+    den = (lone - mid) * (far - lone)
+    masked = needs_eigh.any()
+    if masked:
+        den[needs_eigh] = 1.0     # 0 on degenerate matrices, redone below
+    scale /= den
+    obs *= scale + scale
+    obs[:3] += sigma
+    values = abs(lam)
+    values = values[0] + values[1] + values[2]
+    if masked:
+        values[needs_eigh], o = _sign_step(_matrices(c[:, needs_eigh]))
+        obs[:, needs_eigh] = _coords(o)
     return values, obs
 
 
-def _top_eigvec3(A):
-    """Closed-form psi-step at D = 3: a unit top eigenvector of each A.
+def _top_eigvec3(c):
+    """Closed-form psi-step at D = 3 on coordinate rows: the state rows of a
+    unit top eigenvector of each A.
 
     (A - lam_2)(A - lam_3) = (lam_1 - lam_2)(lam_1 - lam_3) v v^dag, so its
     column of largest norm, the one with the largest diagonal entry, is v up
     to scale and phase.
     """
-    lam, needs_eigh = _eigvalsh3(A)
-    H = A.transpose(1, 2, 0)
-    B = H - _EYE3 * lam[1]
-    C = H - _EYE3 * lam[2]
-    diag = (B * C.conj()).real                  # C is Hermitian
-    col = (diag[:, 0] + diag[:, 1] + diag[:, 2]).argmax(axis=0)
-    terms = B * C[:, col, np.arange(col.size)]
-    v = terms[:, 0] + terms[:, 1] + terms[:, 2]
-    v2 = v.real ** 2 + v.imag ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v /= np.sqrt(v2[0] + v2[1] + v2[2])
-    v = v.T
-    if needs_eigh.any():
-        v[needs_eigh] = _top_eigvec(A[needs_eigh])
+    quad = _quadratics3(c)
+    lam, needs_eigh = _eigvalsh3(c, quad)
+    prod = _shifted_product3(c, quad, lam[1], lam[2])
+    # the column of the first largest diagonal entry, as argmax finds it
+    d0, d1, d2 = prod[:3]
+    cols = prod[_COLUMN_ROWS] * _COLUMN_SIGNS
+    v = np.where(d2 > np.maximum(d0, d1), cols[12:],
+                 np.where(d1 > d0, cols[6:12], cols[:6]))
+    sq = v * v
+    sq = sq[:3] + sq[3:]
+    norm = np.sqrt(sq[0] + sq[1] + sq[2])
+    masked = needs_eigh.any()
+    if masked:
+        norm[needs_eigh] = 1.0    # 0 on degenerate matrices, redone below
+    v /= norm
+    if masked:
+        v[:, needs_eigh] = _state_rows(_top_eigvec(_matrices(c[:, needs_eigh])))
     return v
 
 
@@ -520,9 +720,10 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
     The leaders of every map in the call then share one pass of at most
     LOCKSTEP_CHAINS chains, which takes in the leaders of later maps whenever
     chains stop; there each chain also tries Newton steps, by rules on its
-    own history (see the pass below). A pass keeps each map's chains in one
-    contiguous block, in restart order, and multiplies the block by its own
-    matrix.
+    own history (see the pass below). A pass holds its chains as real
+    coordinate rows, one column per chain, keeps each map's chains in one
+    contiguous block of columns, in restart order, and multiplies the block
+    by its map's real coordinate matrix (_coordinate_maps).
     Cull and convergence are per map, steps per matrix or chain and products
     per block, so a map's result does not depend on the other maps in the
     call: it equals, bit for bit, the single-map call
@@ -548,51 +749,46 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
     best_obs = np.zeros((T, dim, dim), dtype=complex)
     best_its = np.zeros(T, dtype=int)
     best_done = np.zeros(T, dtype=bool)
+    R, R_dual = _coordinate_maps(Ms)
 
     # one step pair per dimension, for every iteration of every pass: it rests
     # on dim alone, never on the stack, like each matrix's eigh fallback
-    sign_step, top_eigvec = ((_sign_step3, _top_eigvec3) if dim == 3
-                             else (_sign_step, _top_eigvec))
+    if dim == 3:
+        sign_step, top_eigvec = _sign_step3, _top_eigvec3
+    else:
+        def sign_step(W):
+            vals, obs = _sign_step(_matrices(W))
+            return vals, _coords(obs)
 
-    def image(blocks, rho):
-        """Herm X(rho) for a stack of Hermitian rho whose maps form blocks."""
-        n = rho.shape[0]
-        # column stacking
-        W = _blockwise_product(rho.transpose(0, 2, 1).reshape(n, dim * dim),
-                               Ms, blocks, transpose=True)
-        W = W.reshape(n, dim, dim).transpose(0, 2, 1)
-        return (W + W.conj().transpose(0, 2, 1)) / 2
+        def top_eigvec(A):
+            return _state_rows(_top_eigvec(_matrices(A)))
 
     def o_step(blocks, psi):
         """Coordinate step in O: the value and sign observable of
-        W = Herm X(psi psi^dag) for chains whose maps form blocks, and W."""
-        W = image(blocks, psi[:, :, None] * psi[:, None, :].conj())
+        W = Herm X(psi psi^dag) for chains whose maps form blocks, and W,
+        all as coordinate rows."""
+        W = _blockwise_product(R, _pure_state_coords(psi), blocks)
         vals, obs = sign_step(W)
         return vals, obs, W
 
     def converged(vals, prev):
         """Whether each chain's value moved by less than REL_TOL."""
         # ascent monotonicity is a structural property; tolerate round-off only
-        if np.any(vals < prev - 1e-9 * np.maximum(1.0, prev)):
+        if (vals < prev - 1e-9 * np.maximum(1.0, prev)).any():
             raise AssertionError("alternating ascent objective decreased")
         return np.abs(vals - prev) <= REL_TOL * np.maximum(1.0, vals)
 
     def psi_step(blocks, obs):
-        """Coordinate step in psi: the top eigenvector of A = X^dag(O), the
-        Hermitian part of vec(O) @ M^* in column stacking, and A. That product
-        is taken as (vec(O)^* @ M)^*, equal bit for bit, so no conjugate copy
-        of a map is made; its outer conjugate is taken in the Hermitian
-        part."""
-        n = obs.shape[0]
-        obs_vec = np.conjugate(obs.transpose(0, 2, 1), order="C")
-        B = _blockwise_product(obs_vec.reshape(n, dim * dim), Ms, blocks)
-        B = B.reshape(n, dim, dim).transpose(0, 2, 1)
-        A = (B.conj() + B.transpose(0, 2, 1)) / 2
+        """Coordinate step in psi: the top eigenvector of
+        A = Herm X^dag(O), as state rows, and A."""
+        A = _blockwise_product(R_dual, obs, blocks)
         return top_eigvec(A), A
 
     def newton_steps(owner, psi, W, A):
         """_newton_step for chains of the maps owner (nondecreasing), in
-        calls of at most NEWTON_CHAINS chains that split no map."""
+        calls of at most NEWTON_CHAINS chains that split no map. Each call
+        gets the complex states and matrices of its chains, and Herm X as
+        the product of coordinates."""
         out, lo = [], 0
         while lo < owner.size:
             hi = lo + NEWTON_CHAINS
@@ -601,10 +797,14 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
                 if hi == lo:
                     hi = int(np.searchsorted(owner, owner[lo], "right"))
             rows = _blocks(np.repeat(owner[lo:hi], 2 * dim - 2))
-            out.append(_newton_step(psi[lo:hi], W[lo:hi], A[lo:hi],
-                                    lambda rho: image(rows, rho)))
+            cand, definite = _newton_step(
+                _states(psi[:, lo:hi]), _matrices(W[:, lo:hi]),
+                _matrices(A[:, lo:hi]),
+                lambda rho: _matrices(_blockwise_product(R, _coords(rho),
+                                                         rows)))
+            out.append((_state_rows(cand), definite))
             lo = hi
-        return (np.concatenate(parts) for parts in zip(*out))
+        return (np.concatenate(parts, axis=-1) for parts in zip(*out))
 
     def stop(work, stopped, psi, obs, vals, its, done):
         """Record the chains work[stopped], which iterate no more; its is
@@ -625,7 +825,8 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
         k, c, v = k[wins], c[wins], v[wins]
         at = np.flatnonzero(stopped)[lead[wins]]
         best[k], best_value[k] = c, v
-        best_state[k], best_obs[k], best_done[k] = psi[at], obs[at], done[at]
+        best_state[k], best_obs[k] = _states(psi[:, at]), _matrices(obs[:, at])
+        best_done[k] = done[at]
         best_its[k] = np.broadcast_to(its, stopped.shape)[at]
 
     def results():
@@ -643,11 +844,12 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
     # and a map never has more than keep_after_burn_in chains after it
     cull_at = max(burn_in, 1)
     last = min(cull_at, max_iter)
+    seed_rows = _state_rows(seeds)
     leaders = []            # (chains, next states, values) that go on after it
     for lo in range(0, N, LOCKSTEP_MAPS * restarts):
         work = np.arange(lo, min(lo + LOCKSTEP_MAPS * restarts, N))
         blocks = _blocks(work // restarts)
-        psi = np.tile(seeds, (work.size // restarts, 1))
+        psi = np.tile(seed_rows, (1, work.size // restarts))
         vals = np.zeros(work.size)
         for it in range(1, last + 1):
             new, obs, _ = o_step(blocks, psi)
@@ -669,7 +871,7 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
                 go_on[np.flatnonzero(go_on)[~keep]] = False
             if not go_on.all():
                 stop(work, ~go_on, psi, obs, vals, it, done)
-                work, obs, vals = work[go_on], obs[go_on], vals[go_on]
+                work, obs, vals = work[go_on], obs[:, go_on], vals[go_on]
                 if not work.size:
                     break
                 blocks = _blocks(work // restarts)
@@ -688,8 +890,10 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
     # below the chain's value is turned back (the round still counts), and
     # the chain goes on from the plain step it kept. After an indefinite
     # Hessian or a turned-back candidate the chain waits 1, 2, 4, ... rounds
-    # before it tries again; an accepted candidate resets the back-off
-    queue, queue_psi, queue_vals = (np.concatenate(parts)
+    # before it tries again; an accepted candidate resets the back-off.
+    # Per-chain arrays are indexed on their last axis: state rows hold one
+    # column per chain
+    queue, queue_psi, queue_vals = (np.concatenate(parts, axis=-1)
                                     for parts in zip(*leaders))
     owner = queue // restarts
     # positions in queue where a map's chains start, and its end
@@ -702,8 +906,9 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
     # round in which it may try Newton again, and its back-off. tries says
     # whether any state is a candidate (trying is stale when it does not),
     # and no chain may try before round due
-    chains = (queue[:0], queue_psi[:0], queue_vals[:0], np.zeros(0, dtype=int),
-              np.zeros(0, dtype=bool), queue_psi[:0], np.zeros(0, dtype=int),
+    chains = (queue[:0], queue_psi[:, :0], queue_vals[:0],
+              np.zeros(0, dtype=int), np.zeros(0, dtype=bool),
+              queue_psi[:, :0], np.zeros(0, dtype=int),
               np.zeros(0, dtype=int))
     tries, due = False, 0
     budget = max_iter - cull_at
@@ -717,11 +922,12 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
             end += 1
         if end > k:
             lo, hi = starts[k], starts[end]
-            fresh = (queue[lo:hi], queue_psi[lo:hi], queue_vals[lo:hi],
+            fresh = (queue[lo:hi], queue_psi[:, lo:hi], queue_vals[lo:hi],
                      np.full(hi - lo, rnd), np.zeros(hi - lo, dtype=bool),
-                     queue_psi[lo:hi], np.zeros(hi - lo, dtype=int),
+                     queue_psi[:, lo:hi], np.zeros(hi - lo, dtype=int),
                      np.ones(hi - lo, dtype=int))
-            chains = tuple(np.concatenate(pair) for pair in zip(chains, fresh))
+            chains = tuple(np.concatenate(pair, axis=-1)
+                           for pair in zip(chains, fresh))
             blocks = _blocks(chains[0] // restarts)
             k, due = end, 0
         work, psi, prev, taken, trying, kept, next_try, backoff = chains
@@ -743,8 +949,8 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
         if not go_on.all():
             stop(work, ~go_on, psi, obs, vals, cull_at + rnd - taken, done)
             (work, psi, vals, taken, trying, kept, next_try, backoff, obs,
-             W) = (a[go_on] for a in (work, psi, vals, taken, trying, kept,
-                                      next_try, backoff, obs, W))
+             W) = (a[..., go_on] for a in (work, psi, vals, taken, trying,
+                                           kept, next_try, backoff, obs, W))
             if not work.size:
                 chains = (work, psi, vals, taken, trying, kept, next_try,
                           backoff)
@@ -753,7 +959,7 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
         plain, A = psi_step(blocks, obs)
         nxt = plain
         if tries and trying.any():           # trying holds the turned back
-            nxt = np.where(trying[:, None], kept, plain)
+            nxt = np.where(trying, kept, plain)
             next_try[trying] = rnd + 1 + backoff[trying]
             backoff[trying] *= 2
         tries = False
@@ -765,13 +971,13 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
                 attempt &= rnd + 1 - taken < budget
             if attempt.any():
                 at = np.flatnonzero(attempt)
-                cand, definite = newton_steps(work[at] // restarts, psi[at],
-                                              W[at], A[at])
+                cand, definite = newton_steps(work[at] // restarts,
+                                              psi[:, at], W[:, at], A[:, at])
                 trying = np.zeros_like(attempt)
                 trying[at[definite]] = True
                 tries = bool(definite.any())
                 nxt = nxt.copy() if nxt is plain else nxt
-                nxt[trying] = cand[definite]
+                nxt[:, trying] = cand[:, definite]
                 failed = at[~definite]
                 next_try[failed] = rnd + 1 + backoff[failed]
                 backoff[failed] *= 2
@@ -781,11 +987,11 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
 
 
 def _blocks(owner):
-    """The rows of a pass, grouped for _blockwise_product. owner gives the
-    map of each row and is nondecreasing, so each map's rows form one block.
-    Returns, per distinct block height h, (rows, h, maps): the (G, h) row
-    indices of its G blocks (None when every block has this height) and
-    their maps."""
+    """The chains of a pass, grouped for _blockwise_product. owner gives the
+    map of each chain and is nondecreasing, so each map's chains form one
+    block. Returns, per distinct block height h, (cols, h, maps): the (G, h)
+    chain indices of its G blocks (None when every block has this height)
+    and their maps."""
     if owner[0] == owner[-1]:
         return [(None, owner.size, owner[:1])]
     cut = np.flatnonzero(owner[1:] != owner[:-1]) + 1
@@ -801,25 +1007,26 @@ def _blocks(owner):
     return groups
 
 
-def _blockwise_product(vecs, mats, blocks, transpose=False):
-    """Each block of rows of vecs times the matrix of its map in the stack
-    mats (transposed if asked), for the blocks of _blocks. One stacked
-    matmul per block height: each slice of it equals the plain 2-D product
-    of its block, so every block's product is exactly the single-map one."""
-    def stacked(maps):
-        stack = mats[maps]
-        return stack.transpose(0, 2, 1) if transpose else stack
-
-    rows, h, maps = blocks[0]
-    if rows is None:
-        if maps.size == 1:
-            mat = mats[maps[0]]
-            return vecs @ (mat.T if transpose else mat)
-        return np.matmul(vecs.reshape(-1, h, vecs.shape[1]),
-                         stacked(maps)).reshape(vecs.shape)
-    out = np.empty_like(vecs)
-    for rows, _, maps in blocks:
-        out[rows] = np.matmul(vecs[rows], stacked(maps))
+def _blockwise_product(mats, x, blocks):
+    """Each map's matrix in the stack mats times its block of columns of x
+    (coordinate rows, one column per chain), for the blocks of _blocks. One
+    stacked matmul per block height, on the blocks gathered into a
+    contiguous (G, rows, h) stack: each slice of it equals the plain 2-D
+    product of its block, so every block's product is exactly the
+    single-map one."""
+    cols, h, maps = blocks[0]
+    if cols is None and maps.size == 1:
+        return mats[maps[0]] @ np.ascontiguousarray(x)
+    m = x.shape[0]
+    out = np.empty(x.shape)
+    if cols is None:
+        out.reshape(m, -1, h)[...] = np.matmul(
+            mats[maps], np.ascontiguousarray(x).reshape(m, -1, h)
+            .transpose(1, 0, 2).copy()).transpose(1, 0, 2)
+        return out
+    for cols, h, maps in blocks:
+        out[:, cols] = np.matmul(
+            mats[maps], x[:, cols].transpose(1, 0, 2).copy()).transpose(1, 0, 2)
     return out
 
 

@@ -730,6 +730,9 @@ def scan_metastable(dyn, c_delta_max=0.1, ratio=2.0, grid=None, n_grid=33,
     """
     if ratio < 2.0:
         raise ValueError("ratio must be at least 2 (pronounced time regime)")
+    if not 0.0 <= c_delta_max <= 2.0:
+        raise ValueError("c_delta_max must lie in [0, 2], the range of a "
+                         "change measure, got %r" % (c_delta_max,))
     if grid is None:
         scales = timescales(dyn)
         if scales.tau_0 is None or scales.tau_ss is None:

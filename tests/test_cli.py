@@ -401,6 +401,33 @@ def test_scan_points_below_one_exits_2(command, capsys):
                 % value) in err
 
 
+@pytest.mark.parametrize("command", ["detect", "project", "classical-detect",
+                                     "classical-project"])
+def test_cdelta_max_outside_the_change_range_exits_2(command, capsys):
+    # a change measure lies in [0, 2]; a budget outside it exits before any
+    # window is scanned
+    model = "builtin:double_well" if command.startswith("classical") \
+        else "builtin:spin_half"
+    for value in ("-1", "-0.001", "2.5"):
+        code, out, err = run_cli([command, "--model", model,
+                                  "--cdelta-max=" + value], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: c_delta_max must lie in [0, 2], the range of "
+                       "a change measure, got %r\n" % float(value))
+
+
+@pytest.mark.parametrize("command,name", [
+    ("spectrum", "bin.json"), ("classical-spectrum", "bin.json"),
+    ("classical-spectrum", "bin.txt")])
+def test_model_file_that_is_not_utf8_exits_2(command, name, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli([command, "--model", "file:%s" % path], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: model file %s: not UTF-8 text (byte 0xff at "
+                   "position 0)\n" % path)
+
+
 def write_json(tmp_path, name, data):
     path = tmp_path / name
     path.write_text(json.dumps(data))

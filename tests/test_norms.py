@@ -8,13 +8,13 @@ from metastab.models import SPIN_Z, random_lindbladian
 from metastab.models import SPIN_X, SPIN_Y
 from metastab import norms
 from metastab.norms import (DEFAULT_BURN_IN, DEFAULT_KEEP_AFTER_BURN_IN,
-                            DEFAULT_MAX_ITER, LOCKSTEP_MAPS,
-                            _alternating_ascent,
-                            _alternating_ascents, _eigvalsh3,
-                            _induced_norm_matrix, _newton_model,
-                            _newton_step, _sign_step, _sign_step3,
-                            _tangent_basis,
-                            _top_eigvec, _top_eigvec3,
+                            DEFAULT_MAX_ITER, _alternating_ascent,
+                            _alternating_ascents, _blocks, _blockwise_product,
+                            _coordinate_maps, _coords, _eigvalsh3,
+                            _induced_norm_matrix, _matrices, _newton_model,
+                            _newton_step, _pure_state_coords, _sign_step,
+                            _sign_step3, _state_rows, _states,
+                            _tangent_basis, _top_eigvec, _top_eigvec3,
                             correlator_superop, induced_norm_sampling_oracle,
                             induced_trace_norm, max_norm_induced,
                             measurement_superop_norm)
@@ -195,6 +195,16 @@ def test_restart_dispersion_reported(spin_spectral):
 
 # --- lockstep ascent over several maps ---------------------------------------
 
+# maps per burn-in pass in the tests of this module: the mixed stack below
+# spans two to three passes of this size, fewer maps than the module's bound
+MIXED_STACK_PASS_MAPS = 32
+
+
+@pytest.fixture(autouse=True)
+def mixed_stack_passes(monkeypatch):
+    monkeypatch.setattr(norms, "LOCKSTEP_MAPS", MIXED_STACK_PASS_MAPS)
+
+
 @functools.lru_cache(maxsize=None)
 def mixed_map_stack(dim):
     """About 2.5 burn-in passes of map matrices of one random model: pair,
@@ -213,7 +223,7 @@ def mixed_map_stack(dim):
     keys += [("stat", ts[k]) for k in (24, 26, 27)]
     keys += [("pair", ts[38], 2.0 * ts[38]), ("pair", ts[38], 1.5 * ts[38])]
     stack = np.array(degenerate_maps(dim) + [dyn._norm_map(key) for key in keys])
-    assert 2 * LOCKSTEP_MAPS < len(stack) < 3 * LOCKSTEP_MAPS
+    assert 2 * norms.LOCKSTEP_MAPS < len(stack) < 3 * norms.LOCKSTEP_MAPS
     stack.flags.writeable = False
     return stack
 
@@ -222,6 +232,12 @@ def mixed_map_stack(dim):
 def single_map_ascents(dim, max_iter):
     return [_alternating_ascent(M, dim, max_iter=max_iter)
             for M in mixed_map_stack(dim)]
+
+
+def stack_size(W):
+    """Matrices (or chains) in a step's stack: complex stacks hold one per
+    leading index, real coordinate rows one per column."""
+    return len(W) if np.iscomplexobj(W) else W.shape[1]
 
 
 def step_traffic(run, monkeypatch):
@@ -233,8 +249,8 @@ def step_traffic(run, monkeypatch):
     steps, open_steps = [], []
     eigvalsh3 = norms._eigvalsh3
 
-    def masked(W):
-        lam, needs_eigh = eigvalsh3(W)
+    def masked(W, *args):
+        lam, needs_eigh = eigvalsh3(W, *args)
         open_steps[-1][2] += int(needs_eigh.sum())
         return lam, needs_eigh
 
@@ -243,9 +259,9 @@ def step_traffic(run, monkeypatch):
 
         def take_step(W, *args):
             if open_steps:          # the eigh fallback of a closed form
-                open_steps[-1][3] += len(W)
+                open_steps[-1][3] += stack_size(W)
                 return step(W)
-            open_steps.append([name, len(W), 0, 0])
+            open_steps.append([name, stack_size(W), 0, 0])
             try:
                 return step(W, *args)
             finally:
@@ -611,21 +627,24 @@ def closed_form_cases():
 @pytest.mark.parametrize("label", list(closed_form_cases()))
 def test_closed_form_steps_match_eigh(label):
     W, takes_eigh = closed_form_cases()[label]
+    c = _coords(W)
     ref = np.linalg.eigvalsh(W)[:, ::-1]
     scale = np.abs(ref).max(axis=1)
-    lam, needs_eigh = _eigvalsh3(W)
+    lam, needs_eigh = _eigvalsh3(c)
     assert np.all(needs_eigh == takes_eigh)
     closed = ~needs_eigh
     assert np.all(np.abs(lam.T - ref)[closed] <= 1e-12 * scale[closed, None])
 
-    values, obs = _sign_step3(W)
+    values, obs = _sign_step3(c)
     ref_values, ref_obs = _sign_step(W)
+    assert obs.shape == c.shape
     assert np.all(np.abs(values - ref_values) <= 1e-12 * scale)
-    assert np.abs(obs - ref_obs).max() <= 1e-12
+    assert np.abs(_matrices(obs) - ref_obs).max() <= 1e-12
     if label == "same_sign":
-        assert np.array_equal(obs, np.sign(ref[:, :1, None]) * np.eye(3))
+        assert np.array_equal(_matrices(obs),
+                              np.sign(ref[:, :1, None]) * np.eye(3))
 
-    psi = _top_eigvec3(W)
+    psi = _states(_top_eigvec3(c))
     assert np.allclose(np.linalg.norm(psi, axis=1), 1.0, rtol=0, atol=1e-14)
     overlap = np.abs(np.einsum("ri,ri->r", psi.conj(), _top_eigvec(W)))
     assert np.all(overlap >= 1 - 1e-12)
@@ -634,34 +653,83 @@ def test_closed_form_steps_match_eigh(label):
 def test_closed_form_steps_do_not_depend_on_the_stack():
     # what the lockstep ascent relies on: a matrix gets the same bits alone,
     # in a short stack and in a long one, at any position
-    W = np.concatenate([stack for stack, _ in closed_form_cases().values()])
-    values, obs = _sign_step3(W)
-    psi = _top_eigvec3(W)
-    for k in range(len(W)):
+    c = _coords(np.concatenate([stack for stack, _ in
+                                closed_form_cases().values()]))
+    values, obs = _sign_step3(c)
+    psi = _top_eigvec3(c)
+    for k in range(c.shape[1]):
         for lo, hi in ((k, k + 1), (max(0, k - 2), k + 3)):
-            v, o = _sign_step3(W[lo:hi].copy())
-            p = _top_eigvec3(W[lo:hi].copy())
+            v, o = _sign_step3(c[:, lo:hi].copy())
+            p = _top_eigvec3(c[:, lo:hi].copy())
             j = k - lo
             assert v[j].tobytes() == values[k].tobytes()
-            assert o[j].tobytes() == obs[k].tobytes()
-            assert p[j].tobytes() == psi[k].tobytes()
+            assert o[:, j].tobytes() == obs[:, k].tobytes()
+            assert p[:, j].tobytes() == psi[:, k].tobytes()
+
+
+# --- real Hermitian coordinates ----------------------------------------------
+
+def herm_adjoint_image(M, dim):
+    """O -> Herm X^dag(O) for a stack of O, X^dag the map with matrix M^dag
+    in column stacking."""
+    return herm_image(M.conj().T, dim)
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_coordinate_maps_reproduce_the_complex_products(dim):
+    # R and R_dual act on coordinates as Herm X and Herm X^dag act on
+    # Hermitian matrices, for maps that need not preserve Hermiticity
+    rng = np.random.default_rng(4)
+    n = dim * dim
+    Ms = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
+    R, R_dual = _coordinate_maps(Ms)
+    assert R.shape == R_dual.shape == (5, n, n) and R.dtype == float
+    H = np.array([random_hermitian(rng, dim) for _ in range(7)])
+    for M, r, r_dual in zip(Ms, R, R_dual):
+        scale = np.abs(M).max()
+        got = _matrices(r @ _coords(H))
+        assert np.abs(got - herm_image(M, dim)(H)).max() <= 1e-13 * scale
+        got = _matrices(r_dual @ _coords(H))
+        assert np.abs(got - herm_adjoint_image(M, dim)(H)).max() \
+            <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("dim", [3, 4, 6])
+def test_coordinates_round_trip(dim):
+    rng = np.random.default_rng(9)
+    H = np.array([random_hermitian(rng, dim) for _ in range(5)])
+    c = _coords(H)
+    assert c.shape == (dim * dim, 5) and c.flags.c_contiguous
+    assert np.array_equal(_matrices(c), H)
+    psi = rng.normal(size=(5, dim)) + 1j * rng.normal(size=(5, dim))
+    rows = _state_rows(psi)
+    assert rows.shape == (2 * dim, 5) and rows.flags.c_contiguous
+    assert np.array_equal(_states(rows), psi)
+    rho = psi[:, :, None] * psi[:, None, :].conj()
+    assert np.abs(_matrices(_pure_state_coords(rows)) - rho).max() <= 1e-14 \
+        * np.abs(rho).max()
 
 
 @pytest.mark.parametrize("dim", [3, 4])
 def test_stacked_products_equal_the_plain_products(dim):
-    # what the lockstep ascent relies on: a slice of a stacked matmul is the
-    # 2-D product of its block, for every block height, with the map
-    # transposed as a view; and x @ M^* is (x^* @ M)^*, bit for bit
+    # what the lockstep ascent relies on: each map's block of columns, in a
+    # pass of blocks of one height or of several, gets exactly the plain
+    # 2-D product of its map with the block alone
     rng = np.random.default_rng(5)
-    n = dim * dim
-    mats = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
-    for h in range(1, 17):
-        x = rng.normal(size=(5, h, n)) + 1j * rng.normal(size=(5, h, n))
-        plain = np.matmul(x, mats.transpose(0, 2, 1))
-        conj = np.matmul(x.conj(), mats).conj()
-        for k in range(5):
-            assert plain[k].tobytes() == (x[k] @ mats[k].T).tobytes()
-            assert conj[k].tobytes() == (x[k] @ mats[k].conj()).tobytes()
+    m = dim * dim
+    mats = rng.normal(size=(6, m, m))
+    for heights in ([16] * 6, [3] * 6, [1] * 6, [16, 4, 1, 16, 9, 2],
+                    [12, 11, 10, 3, 2, 1], [16]):
+        owner = np.repeat(np.arange(len(heights)), heights)
+        x = rng.normal(size=(m, owner.size))
+        if len(heights) == 1:       # a single map, on rows in any layout
+            x = np.asfortranarray(x)
+        out = _blockwise_product(mats, x, _blocks(owner))
+        lo = 0
+        for k, h in enumerate(heights):
+            alone = mats[k] @ x[:, lo:lo + h].copy()
+            assert out[:, lo:lo + h].copy().tobytes() == alone.tobytes()
+            lo += h
 
 
 # --- exact qubit norm on the backend path ------------------------------------
