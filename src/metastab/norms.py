@@ -25,6 +25,13 @@ the next O-step finds its value no lower, so that chains near a maximum
 finish quadratically instead of crawling through the alternating ascent's
 linear tail.
 
+Some callers only ask whether a norm exceeds a threshold (the scan's probe,
+regimes.QuantumBackend.exceeds). For them _induced_norms takes above: every
+O-step value is a certified lower bound, so the ascent stops a map at its
+first value above the threshold and returns that value, which settles the
+question, instead of the map's full lower bound. Maps that never exceed it
+run in full, with the same result as without above.
+
 The ascent holds its chains in real Hermitian coordinates: a stack of
 Hermitian matrices as D^2 contiguous real rows (the diagonal, then Re and Im
 of the upper triangle), a stack of states as 2D rows (Re psi, then Im psi),
@@ -526,14 +533,16 @@ def _newton_step(psi, W, A, image):
     return cand / norm[:, None], definite
 
 
-def _induced_norms(Ms, dim, seed=0):
+def _induced_norms(Ms, dim, seed=0, above=None):
     """Induced trace norm of each raw D^2 x D^2 Hermiticity-preserving
     matrix in Ms (a sequence or a (T, D^2, D^2) stack): exact at D = 2 (seed
-    is then unused), the alternating ascent's lower bound at D >= 3. Each
-    map's result equals, bit for bit, that of a call with it alone."""
+    and above are then unused), the alternating ascent's lower bound at
+    D >= 3. With above set, the ascent stops a map at its first value above
+    it (see _alternating_ascents). Each map's result equals, bit for bit,
+    that of a call with it alone."""
     if dim == 2:
         return _qubit_induced_norms(Ms)
-    return _alternating_ascents(Ms, dim, seed=seed)
+    return _alternating_ascents(Ms, dim, seed=seed, above=above)
 
 
 def _induced_norm_matrix(M, dim, seed=0):
@@ -706,7 +715,8 @@ def _alternating_ascent(M, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
 
 def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
                          seed=0, burn_in=DEFAULT_BURN_IN,
-                         keep_after_burn_in=DEFAULT_KEEP_AFTER_BURN_IN):
+                         keep_after_burn_in=DEFAULT_KEEP_AFTER_BURN_IN,
+                         above=None):
     """Alternating ascent on T raw D^2 x D^2 matrices at once.
 
     Ms is a sequence of T matrices or one (T, D^2, D^2) stack. Every map
@@ -729,6 +739,16 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
     call: it equals, bit for bit, the single-map call
     _alternating_ascent(Ms[k], dim). Returns one InducedNormResult per map,
     in order.
+
+    above, when set, answers "is the norm above it?" for each map. Every
+    O-step value is a lower bound on the norm, so after each O-step, in
+    burn-in and in the shared pass alike, a map with a chain whose value
+    exceeds above stops all its chains; its result is that round's best
+    value, a certificate, with converged=False. A map whose chains never
+    exceed above runs exactly as without it. The ascent is monotone (a
+    culled or frozen chain and a turned-back Newton candidate keep an
+    earlier value), so the full value exceeds above iff some O-step of the
+    full run does, up to round-off.
     """
     if restarts is None:
         restarts = max(16, 4 * dim)
@@ -770,6 +790,22 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
         W = _blockwise_product(R, _pure_state_coords(psi), blocks)
         vals, obs = sign_step(W)
         return vals, obs, W
+
+    def going_on(work, vals, done):
+        """Which chains of work go on after an O-step: those not done, less
+        every chain of a map with a chain above `above`. Those maps stop
+        with a certificate, so their chains' done is cleared in place."""
+        go_on = ~done
+        if above is not None:
+            over = vals > above
+            if over.any():
+                owner = work // restarts
+                hit = np.zeros(T, dtype=bool)
+                hit[owner[over]] = True
+                certified = hit[owner]
+                done &= ~certified
+                go_on &= ~certified
+        return go_on
 
     def converged(vals, prev):
         """Whether each chain's value moved by less than REL_TOL."""
@@ -855,7 +891,7 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
             new, obs, _ = o_step(blocks, psi)
             done = converged(new, vals)
             vals = new
-            go_on = ~done
+            go_on = going_on(work, vals, done)
             if it == last and last == max_iter:
                 go_on[:] = False
             elif it == cull_at and go_on.any():
@@ -943,7 +979,7 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
         done = converged(vals, prev)
         if tries:
             done &= ~rejected
-        go_on = ~done
+        go_on = going_on(work, vals, done)
         if rnd - taken[0] >= budget:          # taken is nondecreasing
             go_on &= rnd - taken < budget
         if not go_on.all():

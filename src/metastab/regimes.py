@@ -216,11 +216,22 @@ class DynamicsBackend:
         saves per-call overhead for keys that are evaluated later anyway,
         with one exception: the look-ahead of a crossing search (see
         modes.crossing) may hint up to SCAN_AHEAD - 1 keys past its
-        crossing, which are evaluated and never read.
+        crossing, which are evaluated and never read. A caller that only
+        compares distances with a threshold asks exceeds instead.
         A no-op here, and so on the classical backend, whose exact l1 norm has
         no per-call overhead to save; a quantum backend evaluates the keys
         in one norm call at every D.
         """
+
+    def exceeds(self, pairs, threshold):
+        """Whether distance(t1, t2) > threshold, for each (t1, t2) of pairs.
+
+        The answer is always that comparison. Here, and so on the classical
+        backend, it is made on the distances themselves; a quantum backend
+        evaluates the uncached pairs in one norm call that may stop a map
+        early, once a lower bound on its norm settles the answer.
+        """
+        return [self.distance(t1, t2) > threshold for t1, t2 in pairs]
 
     def distance(self, t1, t2):
         """Induced-norm distance between the evolution maps at two times."""
@@ -318,7 +329,10 @@ class QuantumBackend(DynamicsBackend):
             value = self._store(key, self.norm_result(self._norm_map(key)))
         return value
 
-    def prefetch(self, keys):
+    def _evaluate(self, keys, above=None):
+        """(key, InducedNormResult) for each uncached key of keys, each
+        once, pairs in canonical order and the zero distance left out, from
+        one norm call; above is passed on to norms._induced_norms."""
         todo = {}
         for key in keys:
             if key[0] == "pair":
@@ -329,15 +343,35 @@ class QuantumBackend(DynamicsBackend):
             if key not in self._norm_cache:
                 todo[key] = None
         if not todo:
-            return
+            return []
         # the maps go straight into one stack, without a list of copies
         n = self.dim * self.dim
         Ms = np.empty((len(todo), n, n), dtype=complex)
         for i, key in enumerate(todo):
             Ms[i] = self._norm_map(key)
-        results = _norms._induced_norms(Ms, self.dim, seed=self.seed)
-        for key, res in zip(todo, results):
+        return zip(todo, _norms._induced_norms(Ms, self.dim, seed=self.seed,
+                                               above=above))
+
+    def prefetch(self, keys):
+        for key, res in self._evaluate(keys):
             self._store(key, res)
+
+    def exceeds(self, pairs, threshold):
+        # a lower bound above the threshold settles its pair without being
+        # the pair's distance: it is neither cached nor flagged, and a later
+        # distance() evaluates the map in full. Exact values (D = 2) and
+        # values at or below the threshold, full ascents, are cached as a
+        # prefetch caches them
+        pairs = [(min(t1, t2), max(t1, t2)) for t1, t2 in pairs]
+        certified = set()
+        for key, res in self._evaluate(
+                [("pair",) + pair for pair in pairs], above=threshold):
+            if res.value > threshold and not res.exact:
+                certified.add(key[1:])
+            else:
+                self._store(key, res)
+        return [pair in certified or self.distance(*pair) > threshold
+                for pair in pairs]
 
     def matrix_norms(self, Ms):
         return [res.value for res in
@@ -721,8 +755,10 @@ def scan_metastable(dyn, c_delta_max=0.1, ratio=2.0, grid=None, n_grid=33,
     Each window is first probed on a coarse grid: a window with any distance
     d(t, s) above c_delta_max is dropped without classification, and its
     probe stops at the first such distance. The probe runs in rounds across
-    windows, one prefetch (a batched norm call) per round for the
-    next distance of every window still within budget; the windows that
+    windows, one dyn.exceeds call (a batched norm call) per round for the
+    next distance of every window still within budget. It needs only the
+    comparison, so a quantum backend stops each probe map's ascent once a
+    lower bound exceeds c_delta_max and caches no such map. The windows that
     pass are then classified in grid order. Windows classified Metastable
     with a change measure above c_delta_max are dropped too. Adjacent
     Metastable windows are merged when the merged span still classifies
@@ -756,9 +792,9 @@ def scan_metastable(dyn, c_delta_max=0.1, ratio=2.0, grid=None, n_grid=33,
     probes = [_window_grid(t, ratio * t, n_probe)[::-1] for t in grid]
     alive = range(len(grid))
     for k in range(n_probe):
-        dyn.prefetch([("pair", grid[i], probes[i][k]) for i in alive])
-        alive = [i for i in alive
-                 if not dyn.distance(grid[i], probes[i][k]) > c_delta_max]
+        over = dyn.exceeds([(grid[i], probes[i][k]) for i in alive],
+                           c_delta_max)
+        alive = [i for i, out in zip(alive, over) if not out]
     verdicts = [(i, classify_regime(dyn, grid[i], ratio * grid[i],
                                     n_grid=n_grid, with_doubling=False))
                 for i in alive]

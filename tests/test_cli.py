@@ -573,7 +573,7 @@ RANDOM_D4_ARGS = ["--model", "builtin:random_lindbladian", "--param", "dim=4",
                   "--param", "n_jumps=2", "--seed", "0"]
 
 
-def test_random_detect_norm_calls(norm_calls, capsys):
+def test_random_detect_norm_calls(norm_calls, monkeypatch, capsys):
     # 1 model normalisation + 1 generator norm (reused for the dispersion),
     # single maps; then timescales in 9 rounds: the identity-stationary and
     # t = 0 stationary maps (2), then the tau_0 and tau_ss searches in
@@ -582,10 +582,28 @@ def test_random_detect_norm_calls(norm_calls, capsys):
     # 6 steps), 4 look-ahead points and the first doubling probe; the second
     # the next 4 scan points and the next probe. The crossing lies at the
     # first of those 4, so 3 maps are evaluated and never read. Then one
-    # 24-map scan round: every window fails at its first, far-end distance
+    # 24-map scan round: every window fails at its first, far-end distance,
+    # and each of the 24 maps is certified over the budget at its first
+    # O-step, which stops its ascent
+    import metastab.norms
+
+    probes = []
+    ascents = metastab.norms._alternating_ascents
+
+    def recorded(Ms, *args, above=None, **kwargs):
+        results = ascents(Ms, *args, above=above, **kwargs)
+        if above is not None:
+            probes.append((above, results))
+        return results
+
+    monkeypatch.setattr(metastab.norms, "_alternating_ascents", recorded)
     code, _, _ = run_cli(["detect"] + RANDOM_D4_ARGS, capsys)
     assert code == 0
     assert norm_calls == {"maps": 56, "ascents": 12}
+    [(above, results)] = probes
+    assert above == 0.1 and len(results) == 24
+    assert all(res.iterations == 1 and res.value > above
+               and not res.converged for res in results)
 
 
 def test_random_battery_norm_calls(norm_calls, capsys):
@@ -596,7 +614,8 @@ def test_random_battery_norm_calls(norm_calls, capsys):
     # holds the tau_0 scan's certified prefix (t = 0 and 7 steps), 4
     # look-ahead points, the last of which brackets the crossing, and the
     # first doubling probe. One probe round per window scan (16 maps each;
-    # every window is over budget at its first distance). The two exclusion
+    # every window is over budget at its first distance, which its first
+    # O-step certifies; none of these maps is cached). The two exclusion
     # spans run in lockstep: their scan points are cached, so only their
     # Brent steps are new (5 rounds of 2). Last come the battery's two
     # prefetches of its window maps (266 and 197 maps). How many of their

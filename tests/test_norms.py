@@ -332,6 +332,42 @@ def test_shared_pass_takes_in_maps_as_chains_stop(dim, monkeypatch):
         assert_same_result(got, want)
 
 
+@pytest.mark.parametrize("dim", [3, 4])
+def test_ascent_above_a_threshold_certifies_and_leaves_other_maps_alone(dim):
+    # with above, a map stops at its first O-step value above it, in burn-in
+    # (here at the first O-step too) or in the shared pass: a lower bound
+    # above the threshold, unconverged, the same in the stack as alone. The
+    # full value exceeds the threshold iff the map is certified, and every
+    # other map gets its single-map result bit for bit
+    stack = mixed_map_stack(dim)
+    single = single_map_ascents(dim, DEFAULT_MAX_ITER)
+    values = np.array([res.value for res in single])
+    slowest = max(range(len(single)), key=lambda k: single[k].iterations)
+    certified_at = set()
+    for above in (float(np.median(values)), values[slowest] * (1 - 1e-6)):
+        for order in (1, -1):
+            batch = _alternating_ascents(stack[::order], dim, above=above)
+            for M, got, want in zip(stack[::order], batch, single[::order]):
+                if want.value <= above:
+                    assert_same_result(got, want)
+                    continue
+                assert above < got.value <= want.value + 1e-12
+                assert not got.converged
+                assert got.iterations <= want.iterations
+                certified_at.add(got.iterations)
+                if order == 1:
+                    assert_same_result(
+                        got, _alternating_ascents([M], dim, above=above)[0])
+    assert 1 in certified_at
+    assert max(certified_at) > DEFAULT_BURN_IN
+
+
+def test_ascent_above_a_threshold_leaves_the_qubit_norm_exact(spin_spectral):
+    M = identity_minus_stationary(spin_spectral).matrix
+    exact = norms._induced_norms([M], 2)[0]
+    assert_same_result(norms._induced_norms([M], 2, above=0.0)[0], exact)
+
+
 def test_lockstep_ascent_of_no_maps():
     assert _alternating_ascents([], 3) == []
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -158,19 +159,128 @@ def test_scan_lazy_probe_matches_exhaustive_probe(spin_model):
     assert probed - pair_keys(lazy)
 
 
-def test_scan_probe_stops_at_first_excess():
+def test_scan_probe_stops_at_first_excess(monkeypatch):
     # on this D = 4 model every window fails its probe at the far end, so
-    # the scan evaluates exactly one pair distance per window
+    # the scan evaluates exactly one pair distance per window, all in one
+    # ascent call. Each is certified over budget, and so never cached
     dyn = QuantumBackend(model=random_lindbladian(4, 2, seed=0), seed=0)
     timescales(dyn)
     assert not pair_keys(dyn)
+    calls = []
+    ascents = norms._alternating_ascents
+
+    def counted(Ms, *args, **kwargs):
+        calls.append(len(Ms))
+        return ascents(Ms, *args, **kwargs)
+
+    monkeypatch.setattr(norms, "_alternating_ascents", counted)
     assert scan_metastable(dyn, c_delta_max=0.1, n_scan=24) == []
-    assert len(pair_keys(dyn)) == 24
+    assert calls == [24]
+    assert not pair_keys(dyn)
 
 
 class OneByOne(QuantumBackend):
     """A quantum backend that evaluates every map on its own."""
     prefetch = DynamicsBackend.prefetch
+
+
+class FullProbe(QuantumBackend):
+    """A quantum backend whose exceeds evaluates every distance in full."""
+    exceeds = DynamicsBackend.exceeds
+
+
+def symmetric_chain():
+    return ClassicalBackend(ClassicalGenerator(np.array(
+        [[-1.0, 1.0, 0.0], [1.0, -1.01, 0.01], [0.0, 0.01, -0.01]])))
+
+
+EXCEEDS_MODELS = {
+    "spin": lambda: QuantumBackend(model=spin_half_dephasing(1.0, 0.005,
+                                                             5.025), seed=0),
+    "random-d3": lambda: QuantumBackend(model=random_lindbladian(3, 2, seed=0),
+                                        seed=0),
+    "random-d4": lambda: QuantumBackend(model=random_lindbladian(4, 2, seed=0),
+                                        seed=0),
+    "three-level": lambda: QuantumBackend(model=three_level_double_well(0.01),
+                                          seed=0),
+    "classical": symmetric_chain,
+}
+
+
+@pytest.mark.parametrize("model", EXCEEDS_MODELS)
+def test_exceeds_answers_the_distance_comparison(model):
+    # every pair of times, in either order and equal, against the full
+    # distances of another backend, from thresholds 0 (every pair of
+    # distinct times) to 2 (none)
+    make = EXCEEDS_MODELS[model]
+    pairs = list(itertools.product((0.0, 0.5, 2.0, 8.0, 30.0), repeat=2))
+    ref = make()
+    distances = [ref.distance(t1, t2) for t1, t2 in pairs]
+    for threshold in (0.0, 0.1, 0.5, 1.0, 2.0):
+        assert make().exceeds(pairs, threshold) == [
+            d > threshold for d in distances]
+    assert make().exceeds(pairs, 0.0) == [t1 != t2 for t1, t2 in pairs]
+    assert not any(make().exceeds(pairs, 2.0))
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_exceeds_caches_full_values_and_no_certificate(dim, monkeypatch):
+    # a pair over the threshold is certified: neither cached nor flagged
+    # unconverged, and a later distance() evaluates it in full. A pair at or
+    # below it is cached with its single-map ascent value. Cached pairs are
+    # read, never evaluated again
+    dyn = QuantumBackend(model=random_lindbladian(dim, 2, seed=0), seed=0)
+    ref = QuantumBackend(model=random_lindbladian(dim, 2, seed=0), seed=0)
+    pairs = [(t, 1.5 * t) for t in (0.2, 1.0, 4.0, 16.0, 64.0)]
+    pairs += [(2.0, 2.0), (96.0, 64.0)]
+    over = dyn.exceeds(pairs, 0.1)
+    assert True in over and False in over[:5]
+    for (t1, t2), out in zip(pairs, over):
+        key = ("pair", min(t1, t2), max(t1, t2))
+        if out:
+            assert key not in dyn._norm_cache
+        elif t1 != t2:
+            value = _alternating_ascent(dyn._norm_map(key), dim).value
+            assert dyn._norm_cache[key] == value == ref.distance(t1, t2)
+    assert not dyn.unconverged_keys
+    cached = dict(dyn._norm_cache)
+
+    def evaluated(*args, **kwargs):
+        raise AssertionError("a cached pair was evaluated")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(norms, "_induced_norms", evaluated)
+        assert dyn.exceeds([p for p, out in zip(pairs, over) if not out],
+                           0.1) == [False] * over.count(False)
+    for (t1, t2), out in zip(pairs, over):
+        if out:
+            assert dyn.distance(t1, t2) == ref.distance(t1, t2) > 0.1
+    assert dyn.exceeds(pairs, 0.1) == over
+    assert dyn._norm_cache.keys() - cached.keys() == {
+        ("pair", min(p), max(p)) for p, out in zip(pairs, over) if out}
+
+
+@pytest.mark.parametrize("model, kw", [
+    ("spin", {}),
+    ("random-d3", dict(grid=[0.74, 2.3, 22.4, 39.5, 69.7, 123.0],
+                       c_delta_max=0.175, n_grid=15)),
+    ("three-level", {})])
+def test_scan_verdicts_do_not_depend_on_certified_probes(model, kw):
+    # the same windows as a scan whose probe evaluates every distance in
+    # full, which caches the same maps and, at D >= 3, the over-budget
+    # probe maps besides (at D = 2 they are exact, and cached by both)
+    dyn = EXCEEDS_MODELS[model]()
+    full = FullProbe(model=dyn.model, seed=0)
+    hits = scan_metastable(dyn, **kw)
+    assert repr(hits) == repr(scan_metastable(full, **kw))
+    assert all(full._norm_cache[key] == value
+               for key, value in dyn._norm_cache.items())
+    certified = full._norm_cache.keys() - dyn._norm_cache.keys()
+    assert bool(certified) == (dyn.dim > 2)
+    budget = kw.get("c_delta_max", 0.1)
+    assert all(key[0] == "pair" and full._norm_cache[key] > budget
+               for key in certified)
+    assert hits or model == "random-d3"
 
 
 @pytest.mark.parametrize("dim, n_ahead", [(3, 0), (4, 3)])
@@ -331,9 +441,12 @@ def test_battery_maps_unconverged_at_the_old_cap_converge(monkeypatch):
     # the benchmark's D = 3 battery (model seed 0, seed 0): capped at 200
     # iterations, the cap before the current one, the plain ascent (every
     # Newton step refused as indefinite) stops six of its maps unconverged,
-    # up to 1.3e-9 below the reference. With the Newton polish no map stops
-    # unconverged at that cap, and at the default cap each of the six
-    # converges within 1e-9 of a 64-restart, no-cull, max_iter 5,000 ascent
+    # up to 1.3e-9 below the reference, when the scan's probe maps are
+    # evaluated in full; one of the six is a probe map, which the scan
+    # certifies over budget, so the battery itself leaves five. With the
+    # Newton polish no map stops unconverged at that cap, and at the default
+    # cap each of the six converges within 1e-9 of a 64-restart, no-cull,
+    # max_iter 5,000 ascent
     model = random_lindbladian(3, 2, seed=0)
     ascents = norms._alternating_ascents
 
@@ -344,16 +457,22 @@ def test_battery_maps_unconverged_at_the_old_cap_converge(monkeypatch):
         return psi, np.zeros(len(psi), dtype=bool)
 
     plain = QuantumBackend(model=model, seed=0)
+    full_probe = FullProbe(model=model, seed=0)
     polished = QuantumBackend(model=model, seed=0)
     with monkeypatch.context() as patch:
         patch.setattr(norms, "_alternating_ascents", capped)
         bound_battery(polished, seed=0)
         patch.setattr(norms, "_newton_step", indefinite)
         bound_battery(plain, seed=0)
-    assert len(plain.unconverged_keys) == 6
+        bound_battery(full_probe, seed=0)
+    assert len(full_probe.unconverged_keys) == 6
+    probe_maps = full_probe.unconverged_keys - plain.unconverged_keys
+    assert len(probe_maps) == 1 and next(iter(probe_maps))[0] == "pair"
+    assert plain.unconverged_keys < full_probe.unconverged_keys
+    assert len(plain.unconverged_keys) == 5
     assert not polished.unconverged_keys
     fresh = QuantumBackend(model=model, seed=0)
-    for key in plain.unconverged_keys:
+    for key in full_probe.unconverged_keys:
         M = fresh._norm_map(key)
         result = _alternating_ascent(M, 3)
         reference = _alternating_ascent(M, 3, restarts=64, max_iter=5000,
@@ -403,8 +522,9 @@ def test_refined_sup_refines_an_interior_maximum():
 def window_by_window_scan(dyn, grid, c_delta_max, ratio, n_grid):
     """Reference screen: each window's probe distances far end first,
     stopping at its first excess, then classify_regime, one window at a
-    time. Returns the verdicts and, per window, the probe maps evaluated."""
-    verdicts, probe_maps = [], []
+    time. Returns the verdicts, per window the probe maps evaluated, and the
+    keys of the over-budget probe distances."""
+    verdicts, probe_maps, over_keys = [], [], set()
     for t in np.sort(grid):
         probe_ts = _window_grid(t, ratio * t, max(7, n_grid // 2))[::-1]
         seen = []
@@ -415,10 +535,12 @@ def window_by_window_scan(dyn, grid, c_delta_max, ratio, n_grid):
 
         excess = any(over(s) for s in probe_ts)
         probe_maps.append(sum(1 for s in seen if s != t))
-        if not excess:
+        if excess:
+            over_keys.add(("pair", min(t, seen[-1]), max(t, seen[-1])))
+        else:
             verdicts.append(classify_regime(dyn, t, ratio * t, n_grid=n_grid,
                                             with_doubling=False))
-    return verdicts, probe_maps
+    return verdicts, probe_maps, over_keys
 
 
 def test_scan_probe_rounds_match_the_window_by_window_probe(monkeypatch):
@@ -431,8 +553,10 @@ def test_scan_probe_rounds_match_the_window_by_window_probe(monkeypatch):
     grid = [0.74, 2.3, 22.4, 39.5, 69.7, 123.0]
     kw = dict(c_delta_max=0.175, ratio=2.0, n_grid=15)
     ref = QuantumBackend(model=model, seed=0)
-    ref_verdicts, probe_maps = window_by_window_scan(ref, grid, **kw)
+    ref_verdicts, probe_maps, over_keys = window_by_window_scan(ref, grid,
+                                                                **kw)
     assert probe_maps == [1, 1, 4, 6, 6, 6]
+    assert len(over_keys) == 3
 
     ascents = []
     at_classify = []
@@ -456,9 +580,11 @@ def test_scan_probe_rounds_match_the_window_by_window_probe(monkeypatch):
     dyn = QuantumBackend(model=model, seed=0)
     hits = scan_metastable(dyn, grid=grid, merge=False, **kw)
 
-    assert dyn._norm_cache.keys() == ref._norm_cache.keys()
+    # the over-budget probe maps are certified, not cached; every other map
+    # is cached with the reference's value
+    assert dyn._norm_cache.keys() == ref._norm_cache.keys() - over_keys
     assert all(dyn._norm_cache[key] == ref._norm_cache[key]
-               for key in ref._norm_cache)
+               for key in dyn._norm_cache)
     assert repr(classified) == repr(ref_verdicts)
     assert repr(hits) == repr([v for v in ref_verdicts
                                if v.verdict == "Metastable"
