@@ -405,15 +405,15 @@ def _cmd_heisenberg(args, dyn, payload):
     if isinstance(dyn, QuantumBackend):
         spec = dyn.spectral
         dim = spec.dim
-        if args.observable == "basis":
+        observable = args.observable or "sz"
+        if observable == "basis":
             obs = np.zeros((dim, dim), dtype=complex)
             obs[0, 0] = 1.0
         else:
-            named = {"sx": SPIN_X, "sy": SPIN_Y, "sz": SPIN_Z}
-            if args.observable not in named or dim != 2:
+            if dim != 2:
                 raise UsageError("observable %r needs a two-level model"
-                                 % args.observable)
-            obs = named[args.observable]
+                                 % observable)
+            obs = {"sx": SPIN_X, "sy": SPIN_Y, "sz": SPIN_Z}[observable]
         traj = observable_trajectory(spec, obs, ts)
         columns = ["t", "distance_to_asymptotic"]
         columns += ["re_%d_%d" % (i, j) for i in range(dim) for j in range(dim)]
@@ -423,6 +423,9 @@ def _cmd_heisenberg(args, dyn, payload):
             cells += [_fmt(O[i, j].real) for i in range(dim) for j in range(dim)]
             rows.append(tuple(cells))
     else:
+        if args.observable not in (None, "basis"):
+            raise UsageError("observable %r needs a quantum model; classical "
+                             "chains take basis" % args.observable)
         n = dyn.dim
         f = np.zeros(n)
         f[0] = 1.0
@@ -534,8 +537,9 @@ def build_parser():
              extra=verify_extra)
 
     def heisenberg_extra(p):
-        p.add_argument("--observable", default="sz",
-                       help="sz, sx, sy (two-level models) or basis")
+        p.add_argument("--observable", choices=("sz", "sx", "sy", "basis"),
+                       help="sz (the quantum default), sx, sy (two-level "
+                            "models) or basis (the classical default)")
     register("heisenberg", _cmd_heisenberg, extra=heisenberg_extra)
 
     parser._command_specs = specs

@@ -37,7 +37,9 @@ Hermitian matrices as D^2 contiguous real rows (the diagonal, then Re and Im
 of the upper triangle), a stack of states as 2D rows (Re psi, then Im psi),
 one column per chain. Each map becomes two real D^2 x D^2 matrices once per
 call, R for Herm X and R_dual for Herm X^dag (_coordinate_maps), and every
-product is a real block product, one block per map.
+product is a real block product (_block_product) on blocks of one height that
+the phase alone fixes: all restarts of a map in burn-in, one chain in the
+shared pass, one chain's 2D - 2 tangent rows in the Newton image.
 
 Both coordinate maxima need eigen-information of a Hermitian D x D matrix.
 At D = 3 every coordinate step, in burn-in and in the shared pass alike,
@@ -82,9 +84,8 @@ REL_TOL = 1e-10
 # passes take the same coordinate steps
 LOCKSTEP_MAPS = 128
 LOCKSTEP_CHAINS = 512
-# chains per _newton_step call, in whole maps (a map with more chains takes
-# a call alone): a Newton step holds 2D - 2 matrices per chain, and this
-# bounds its working arrays
+# chains per _newton_step call: a Newton step holds 2D - 2 matrices per
+# chain, and this bounds its working arrays
 NEWTON_CHAINS = 64
 
 
@@ -731,9 +732,10 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
     LOCKSTEP_CHAINS chains, which takes in the leaders of later maps whenever
     chains stop; there each chain also tries Newton steps, by rules on its
     own history (see the pass below). A pass holds its chains as real
-    coordinate rows, one column per chain, keeps each map's chains in one
-    contiguous block of columns, in restart order, and multiplies the block
-    by its map's real coordinate matrix (_coordinate_maps).
+    coordinate rows, one column per chain, in blocks of one height, and
+    multiplies each block by its map's real coordinate matrix
+    (_coordinate_maps, _block_product): in burn-in a block is all restarts
+    of one map, chains that have stopped included, and after it one chain.
     Cull and convergence are per map, steps per matrix or chain and products
     per block, so a map's result does not depend on the other maps in the
     call: it equals, bit for bit, the single-map call
@@ -783,11 +785,11 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
         def top_eigvec(A):
             return _state_rows(_top_eigvec(_matrices(A)))
 
-    def o_step(blocks, psi):
+    def o_step(maps, psi):
         """Coordinate step in O: the value and sign observable of
-        W = Herm X(psi psi^dag) for chains whose maps form blocks, and W,
-        all as coordinate rows."""
-        W = _blockwise_product(R, _pure_state_coords(psi), blocks)
+        W = Herm X(psi psi^dag) for chains in blocks of one height, block g
+        of map maps[g], and W, all as coordinate rows."""
+        W = _block_product(R, _pure_state_coords(psi), maps)
         vals, obs = sign_step(W)
         return vals, obs, W
 
@@ -814,38 +816,32 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
             raise AssertionError("alternating ascent objective decreased")
         return np.abs(vals - prev) <= REL_TOL * np.maximum(1.0, vals)
 
-    def psi_step(blocks, obs):
+    def psi_step(maps, obs):
         """Coordinate step in psi: the top eigenvector of
         A = Herm X^dag(O), as state rows, and A."""
-        A = _blockwise_product(R_dual, obs, blocks)
+        A = _block_product(R_dual, obs, maps)
         return top_eigvec(A), A
 
-    def newton_steps(owner, psi, W, A):
-        """_newton_step for chains of the maps owner (nondecreasing), in
-        calls of at most NEWTON_CHAINS chains that split no map. Each call
-        gets the complex states and matrices of its chains, and Herm X as
-        the product of coordinates."""
-        out, lo = [], 0
-        while lo < owner.size:
-            hi = lo + NEWTON_CHAINS
-            if hi < owner.size:
-                hi = int(np.searchsorted(owner, owner[hi]))
-                if hi == lo:
-                    hi = int(np.searchsorted(owner, owner[lo], "right"))
-            rows = _blocks(np.repeat(owner[lo:hi], 2 * dim - 2))
+    def newton_steps(maps, psi, W, A):
+        """_newton_step for chains of the maps `maps`, in calls of at most
+        NEWTON_CHAINS chains. Each call gets the complex states and matrices
+        of its chains, and Herm X as the product of coordinates, one block
+        of 2D - 2 tangent rows per chain."""
+        out = []
+        for lo in range(0, maps.size, NEWTON_CHAINS):
+            part = slice(lo, lo + NEWTON_CHAINS)
             cand, definite = _newton_step(
-                _states(psi[:, lo:hi]), _matrices(W[:, lo:hi]),
-                _matrices(A[:, lo:hi]),
-                lambda rho: _matrices(_blockwise_product(R, _coords(rho),
-                                                         rows)))
+                _states(psi[:, part]), _matrices(W[:, part]),
+                _matrices(A[:, part]),
+                lambda rho: _matrices(_block_product(R, _coords(rho),
+                                                     maps[part])))
             out.append((_state_rows(cand), definite))
-            lo = hi
         return (np.concatenate(parts, axis=-1) for parts in zip(*out))
 
-    def stop(work, stopped, psi, obs, vals, its, done):
-        """Record the chains work[stopped], which iterate no more; its is
-        their iteration count, one for all or one per chain of work."""
-        chains, v = work[stopped], vals[stopped]
+    def stop(work, at, psi, obs, vals, its, done):
+        """Record the chains work[at], which iterate no more; its is their
+        iteration count, one for all or one per chain of work."""
+        chains, v = work[at], vals[at]
         values[chains] = v
         # each map's best stopping chain (its first maximum: a map's chains
         # ascend), kept if it beats the map's record
@@ -859,11 +855,11 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
         k, c, v = maps[lead], chains[lead], v[lead]
         wins = (v > best_value[k]) | ((v == best_value[k]) & (c <= best[k]))
         k, c, v = k[wins], c[wins], v[wins]
-        at = np.flatnonzero(stopped)[lead[wins]]
+        at = at[lead[wins]]
         best[k], best_value[k] = c, v
         best_state[k], best_obs[k] = _states(psi[:, at]), _matrices(obs[:, at])
         best_done[k] = done[at]
-        best_its[k] = np.broadcast_to(its, stopped.shape)[at]
+        best_its[k] = np.broadcast_to(its, work.shape)[at]
 
     def results():
         return [InducedNormResult(
@@ -876,19 +872,25 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
             restart_values=values[k * restarts:(k + 1) * restarts].copy(),
         ) for k in range(T)]
 
-    # burn-in, LOCKSTEP_MAPS maps per pass; the cull happens once, at its end,
-    # and a map never has more than keep_after_burn_in chains after it
+    # burn-in, LOCKSTEP_MAPS maps per pass, each map one block of all its
+    # restarts; the cull happens once, at its end, and a map never has more
+    # than keep_after_burn_in chains after it. A chain that stops before the
+    # cull stays in its block as an inert column: it keeps its recorded
+    # value, so it passes the monotonicity check as done and never goes on
+    # or stops again. A map leaves the pass once it has no live chain
     cull_at = max(burn_in, 1)
     last = min(cull_at, max_iter)
     seed_rows = _state_rows(seeds)
     leaders = []            # (chains, next states, values) that go on after it
-    for lo in range(0, N, LOCKSTEP_MAPS * restarts):
-        work = np.arange(lo, min(lo + LOCKSTEP_MAPS * restarts, N))
-        blocks = _blocks(work // restarts)
-        psi = np.tile(seed_rows, (1, work.size // restarts))
+    for lo in range(0, T, LOCKSTEP_MAPS):
+        maps = np.arange(lo, min(lo + LOCKSTEP_MAPS, T))
+        work = np.arange(lo * restarts, (maps[-1] + 1) * restarts)
+        live = np.ones(work.size, dtype=bool)
+        psi = np.tile(seed_rows, (1, maps.size))
         vals = np.zeros(work.size)
         for it in range(1, last + 1):
-            new, obs, _ = o_step(blocks, psi)
+            new, obs, _ = o_step(maps, psi)
+            np.copyto(new, vals, where=~live)
             done = converged(new, vals)
             vals = new
             go_on = going_on(work, vals, done)
@@ -905,37 +907,38 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
                 keep = np.empty(ranked.size, dtype=bool)
                 keep[order] = rank < keep_after_burn_in
                 go_on[np.flatnonzero(go_on)[~keep]] = False
-            if not go_on.all():
-                stop(work, ~go_on, psi, obs, vals, it, done)
-                work, obs, vals = work[go_on], obs[:, go_on], vals[go_on]
-                if not work.size:
-                    break
-                blocks = _blocks(work // restarts)
-            psi, _ = psi_step(blocks, obs)
-        if work.size and cull_at < max_iter:
-            leaders.append((work, psi, vals))
+            stopped = np.flatnonzero(live & ~go_on)
+            if stopped.size:
+                stop(work, stopped, psi, obs, vals, it, done)
+                live = go_on
+                alive = live.reshape(-1, restarts).any(axis=1)
+                if not alive.all():
+                    maps = maps[alive]
+                    if not maps.size:
+                        break
+                    cols = np.repeat(alive, restarts)
+                    work, obs, vals, live = (
+                        work[cols], obs[:, cols], vals[cols], live[cols])
+            psi, _ = psi_step(maps, obs)
+        if maps.size and cull_at < max_iter:
+            leaders.append((work[live], psi[:, live], vals[live]))
     if not leaders:
         return results()
 
     # after burn-in: the leaders of every map in one pass of at most
-    # LOCKSTEP_CHAINS chains (one map at least), refilled map by map in call
-    # order, so each map's chains stay one block in restart order. Each chain
-    # also tries the Newton step of _newton_step, on its own history: from a
-    # definite Hessian its next state is the Newton candidate, and it keeps
-    # the plain step in reserve. The next O-step evaluates the candidate; one
-    # below the chain's value is turned back (the round still counts), and
-    # the chain goes on from the plain step it kept. After an indefinite
-    # Hessian or a turned-back candidate the chain waits 1, 2, 4, ... rounds
-    # before it tries again; an accepted candidate resets the back-off.
-    # Per-chain arrays are indexed on their last axis: state rows hold one
-    # column per chain
+    # LOCKSTEP_CHAINS chains, refilled in call order as chains stop, each
+    # chain a block of its own. Each chain also tries the Newton step of
+    # _newton_step, on its own history: from a definite Hessian its next
+    # state is the Newton candidate, and it keeps the plain step in reserve.
+    # The next O-step evaluates the candidate; one below the chain's value is
+    # turned back (the round still counts), and the chain goes on from the
+    # plain step it kept. After an indefinite Hessian or a turned-back
+    # candidate the chain waits 1, 2, 4, ... rounds before it tries again; an
+    # accepted candidate resets the back-off. Per-chain arrays are indexed on
+    # their last axis: state rows hold one column per chain
     queue, queue_psi, queue_vals = (np.concatenate(parts, axis=-1)
                                     for parts in zip(*leaders))
-    owner = queue // restarts
-    # positions in queue where a map's chains start, and its end
-    starts = [0] + (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist() \
-        + [queue.size]
-    k = 0                        # next map of the queue to take in
+    k = 0                        # next chain of the queue to take in
     # per chain: its index, state, value, the pass's round at which it was
     # taken in (after cull_at iterations it may run budget more), whether
     # its state is a Newton candidate, the plain step it keeps, the first
@@ -950,27 +953,21 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
     budget = max_iter - cull_at
     rnd = 0
     while True:
-        work = chains[0]
-        end = k
-        while end + 1 < len(starts) and (
-                starts[end + 1] - starts[k] + work.size <= LOCKSTEP_CHAINS
-                or not work.size and end == k):
-            end += 1
-        if end > k:
-            lo, hi = starts[k], starts[end]
+        free = min(LOCKSTEP_CHAINS - chains[0].size, queue.size - k)
+        if free > 0:
+            lo, hi = k, k + free
             fresh = (queue[lo:hi], queue_psi[:, lo:hi], queue_vals[lo:hi],
-                     np.full(hi - lo, rnd), np.zeros(hi - lo, dtype=bool),
-                     queue_psi[:, lo:hi], np.zeros(hi - lo, dtype=int),
-                     np.ones(hi - lo, dtype=int))
+                     np.full(free, rnd), np.zeros(free, dtype=bool),
+                     queue_psi[:, lo:hi], np.zeros(free, dtype=int),
+                     np.ones(free, dtype=int))
             chains = tuple(np.concatenate(pair, axis=-1)
                            for pair in zip(chains, fresh))
-            blocks = _blocks(chains[0] // restarts)
-            k, due = end, 0
+            k, due = hi, 0
         work, psi, prev, taken, trying, kept, next_try, backoff = chains
         if not work.size:
             break
         rnd += 1
-        vals, obs, W = o_step(blocks, psi)
+        vals, obs, W = o_step(work // restarts, psi)
         if tries:
             rejected = trying & (vals < prev)
             vals[rejected] = prev[rejected]
@@ -983,7 +980,8 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
         if rnd - taken[0] >= budget:          # taken is nondecreasing
             go_on &= rnd - taken < budget
         if not go_on.all():
-            stop(work, ~go_on, psi, obs, vals, cull_at + rnd - taken, done)
+            stop(work, np.flatnonzero(~go_on), psi, obs, vals,
+                 cull_at + rnd - taken, done)
             (work, psi, vals, taken, trying, kept, next_try, backoff, obs,
              W) = (a[..., go_on] for a in (work, psi, vals, taken, trying,
                                            kept, next_try, backoff, obs, W))
@@ -991,8 +989,8 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
                 chains = (work, psi, vals, taken, trying, kept, next_try,
                           backoff)
                 continue
-            blocks = _blocks(work // restarts)
-        plain, A = psi_step(blocks, obs)
+        maps = work // restarts
+        plain, A = psi_step(maps, obs)
         nxt = plain
         if tries and trying.any():           # trying holds the turned back
             nxt = np.where(trying, kept, plain)
@@ -1007,8 +1005,8 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
                 attempt &= rnd + 1 - taken < budget
             if attempt.any():
                 at = np.flatnonzero(attempt)
-                cand, definite = newton_steps(work[at] // restarts,
-                                              psi[:, at], W[:, at], A[:, at])
+                cand, definite = newton_steps(maps[at], psi[:, at], W[:, at],
+                                              A[:, at])
                 trying = np.zeros_like(attempt)
                 trying[at[definite]] = True
                 tries = bool(definite.any())
@@ -1022,48 +1020,16 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
     return results()
 
 
-def _blocks(owner):
-    """The chains of a pass, grouped for _blockwise_product. owner gives the
-    map of each chain and is nondecreasing, so each map's chains form one
-    block. Returns, per distinct block height h, (cols, h, maps): the (G, h)
-    chain indices of its G blocks (None when every block has this height)
-    and their maps."""
-    if owner[0] == owner[-1]:
-        return [(None, owner.size, owner[:1])]
-    cut = np.flatnonzero(owner[1:] != owner[:-1]) + 1
-    starts = np.concatenate(([0], cut))
-    heights = np.concatenate((cut, [owner.size])) - starts
-    maps = owner[starts]
-    if heights.min() == heights.max():
-        return [(None, int(heights[0]), maps)]
-    groups = []
-    for h in np.flatnonzero(np.bincount(heights)).tolist():
-        same = heights == h
-        groups.append((starts[same][:, None] + np.arange(h), h, maps[same]))
-    return groups
-
-
-def _blockwise_product(mats, x, blocks):
-    """Each map's matrix in the stack mats times its block of columns of x
-    (coordinate rows, one column per chain), for the blocks of _blocks. One
-    stacked matmul per block height, on the blocks gathered into a
-    contiguous (G, rows, h) stack: each slice of it equals the plain 2-D
-    product of its block, so every block's product is exactly the
-    single-map one."""
-    cols, h, maps = blocks[0]
-    if cols is None and maps.size == 1:
-        return mats[maps[0]] @ np.ascontiguousarray(x)
-    m = x.shape[0]
-    out = np.empty(x.shape)
-    if cols is None:
-        out.reshape(m, -1, h)[...] = np.matmul(
-            mats[maps], np.ascontiguousarray(x).reshape(m, -1, h)
-            .transpose(1, 0, 2).copy()).transpose(1, 0, 2)
-        return out
-    for cols, h, maps in blocks:
-        out[:, cols] = np.matmul(
-            mats[maps], x[:, cols].transpose(1, 0, 2).copy()).transpose(1, 0, 2)
-    return out
+def _block_product(mats, x, maps):
+    """mats[maps[g]] times block g of the columns of x (coordinate rows, one
+    column per chain), for x cut into maps.size blocks of one height: one
+    stacked matmul on the blocks gathered into a contiguous (G, rows, h)
+    stack. Each slice of it equals the plain 2-D product of its block, so a
+    block's product never depends on the other blocks."""
+    m, n = x.shape
+    blocks = x.reshape(m, maps.size, -1).transpose(1, 0, 2).copy()
+    return np.ascontiguousarray(
+        np.matmul(mats[maps], blocks).transpose(1, 0, 2).reshape(m, n))
 
 
 def induced_trace_norm(X, seed=0):

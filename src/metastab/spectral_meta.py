@@ -479,6 +479,8 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
     no value, and each prefetched map is evaluated later. The two
     exclusion-span crossings run in lockstep (regimes.lockstep).
     """
+    if not tol >= 0:
+        raise ValueError("tol must be non-negative, got %r" % (tol,))
     lam = dyn.eigenvalues()
     gen_norm = dyn.liouvillian_norm()
     if gen_norm <= 1e-14:

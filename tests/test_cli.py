@@ -416,6 +416,57 @@ def test_cdelta_max_outside_the_change_range_exits_2(command, capsys):
                        "a change measure, got %r\n" % float(value))
 
 
+@pytest.mark.parametrize("command", ["verify-bounds",
+                                     "classical-verify-bounds"])
+def test_negative_tol_exits_2(command, capsys):
+    # a usage error, not a battery whose every row fails
+    model = "builtin:double_well" if command.startswith("classical") \
+        else "builtin:spin_half"
+    code, out, err = run_cli([command, "--model", model, "--tol", "-1"],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: tol must be non-negative, got -1.0\n"
+
+
+@pytest.mark.parametrize("command", ["heisenberg", "classical-heisenberg"])
+def test_observable_outside_its_choices_exits_2(command, capsys):
+    model = "builtin:double_well" if command.startswith("classical") \
+        else "builtin:spin_half"
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--model", model, "--observable", "garbage"])
+    assert exit_.value.code == 2
+    assert "argument --observable: invalid choice: 'garbage'" in \
+        capsys.readouterr().err
+
+
+def test_observable_defaults_to_sz_on_quantum_models(capsys):
+    grid = ["--tmin", "1", "--tmax", "10", "--points", "3"]
+    code, default, _ = run_cli(["heisenberg"] + SPIN_ARGS + grid, capsys)
+    assert code == 0
+    code, sz, _ = run_cli(["heisenberg"] + SPIN_ARGS + grid +
+                          ["--observable", "sz"], capsys)
+    assert code == 0 and default == sz
+    code, out, err = run_cli(["heisenberg", "--model",
+                              "builtin:random_lindbladian", "--param",
+                              "dim=3"] + grid, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: observable 'sz' needs a two-level model\n"
+
+
+def test_classical_observable_is_the_basis_trajectory(capsys):
+    args = ["classical-heisenberg", "--model", "builtin:double_well",
+            "--tmin", "1", "--tmax", "10", "--points", "3"]
+    code, default, _ = run_cli(args, capsys)
+    assert code == 0
+    code, basis, _ = run_cli(args + ["--observable", "basis"], capsys)
+    assert code == 0 and default == basis
+    for name in ("sz", "sx", "sy"):
+        code, out, err = run_cli(args + ["--observable", name], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: observable %r needs a quantum model; "
+                       "classical chains take basis\n" % name)
+
+
 @pytest.mark.parametrize("command,name", [
     ("spectrum", "bin.json"), ("classical-spectrum", "bin.json"),
     ("classical-spectrum", "bin.txt")])
@@ -607,26 +658,27 @@ def test_random_detect_norm_calls(norm_calls, monkeypatch, capsys):
 
 
 def test_random_battery_norm_calls(norm_calls, capsys):
-    # the benchmark's D = 3 battery: 533 maps in 20 ascent calls. 2 are
+    # the benchmark's D = 3 battery: 534 maps in 20 ascent calls. 2 are
     # single maps: the model normalisation and the generator. timescales
     # takes 9: the identity-stationary and t = 0 stationary maps (2), then
-    # the two searches in lockstep (13, 2, 2, 2, 2, 1, 1, 1). The first round
-    # holds the tau_0 scan's certified prefix (t = 0 and 7 steps), 4
-    # look-ahead points, the last of which brackets the crossing, and the
-    # first doubling probe. One probe round per window scan (16 maps each;
-    # every window is over budget at its first distance, which its first
-    # O-step certifies; none of these maps is cached). The two exclusion
-    # spans run in lockstep: their scan points are cached, so only their
-    # Brent steps are new (5 rounds of 2). Last come the battery's two
-    # prefetches of its window maps (266 and 197 maps). How many of their
-    # keys coincide bit for bit, with others of the request or with cached
-    # ones, follows the last bits of tau_0 and tau_ss (15.376622953871479,
-    # with the projection window at 1.6914440134008595)
+    # the two searches in lockstep (13, 2, 2, 2, 2, 2, 1, 1). Their rounds
+    # follow the last bits of the generator norm and of tau_0
+    # (0.7442421808877813). The first round holds the tau_0 scan's certified
+    # prefix (t = 0 and 7 steps), 4 look-ahead points, the last of which
+    # brackets the crossing, and the first doubling probe. One probe round
+    # per window scan (16 maps each; every window is over budget at its
+    # first distance, which its first O-step certifies; none of these maps
+    # is cached). The two exclusion spans run in lockstep: their scan points
+    # are cached, so only their Brent steps are new (5 rounds of 2). Last
+    # come the battery's two prefetches of its window maps (266 and 197
+    # maps). How many of their keys coincide bit for bit, with others of the
+    # request or with cached ones, follows the last bits of tau_0 and tau_ss
+    # (15.376622953871479, with the projection window at 1.6914440134008595)
     code, _, _ = run_cli(["verify-bounds", "--model",
                           "builtin:random_lindbladian", "--param", "dim=3",
                           "--param", "n_jumps=2", "--seed", "0"], capsys)
     assert code == 0
-    assert norm_calls == {"maps": 533, "ascents": 20}
+    assert norm_calls == {"maps": 534, "ascents": 20}
 
 
 def test_spin_norm_calls(norm_calls, capsys):

@@ -9,7 +9,7 @@ from metastab.models import SPIN_X, SPIN_Y
 from metastab import norms
 from metastab.norms import (DEFAULT_BURN_IN, DEFAULT_KEEP_AFTER_BURN_IN,
                             DEFAULT_MAX_ITER, _alternating_ascent,
-                            _alternating_ascents, _blocks, _blockwise_product,
+                            _alternating_ascents, _block_product,
                             _coordinate_maps, _coords, _eigvalsh3,
                             _induced_norm_matrix, _matrices, _newton_model,
                             _newton_step, _pure_state_coords, _sign_step,
@@ -285,15 +285,39 @@ def chains_after_burn_in(M, dim, monkeypatch):
     return sizes[DEFAULT_BURN_IN] if len(sizes) > DEFAULT_BURN_IN else 0
 
 
+def burn_in_stops(M, dim, monkeypatch):
+    """The distinct iterations at which restarts of the single-map ascent of
+    M converge inside burn-in. A burn-in block keeps all restarts of its
+    map, one column each, so column j of every burn-in O-step is restart j."""
+    name = "_sign_step3" if dim == 3 else "_sign_step"
+    step, rows = getattr(norms, name), []
+
+    def recorded(W):
+        vals, obs = step(W)
+        rows.append(vals)
+        return vals, obs
+
+    with monkeypatch.context() as patch:
+        patch.setattr(norms, name, recorded)
+        _alternating_ascent(M, dim)
+    vals = np.array(rows[:DEFAULT_BURN_IN - 1])
+    prev = np.vstack([np.zeros(vals.shape[1]), vals[:-1]])
+    still = np.abs(vals - prev) > norms.REL_TOL * np.maximum(1.0, vals)
+    return set(np.argmin(still, axis=0)[~still.all(axis=0)] + 1)
+
+
 @pytest.mark.parametrize("dim", [3, 4])
 def test_mixed_stack_covers_every_survivor_count(dim, monkeypatch):
     # the lockstep tests below see maps that stop inside burn-in and maps
-    # that keep each possible number of chains after it
-    counts = {chains_after_burn_in(M, dim, monkeypatch)
-              for M in mixed_map_stack(dim)}
+    # that keep each possible number of chains after it, and maps whose
+    # restarts converge at two or more burn-in iterations, so that a block
+    # steps on with inert columns
+    stack = mixed_map_stack(dim)
+    counts = {chains_after_burn_in(M, dim, monkeypatch) for M in stack}
     assert counts == {0, 1, 2, 3, DEFAULT_KEEP_AFTER_BURN_IN}
     assert any(res.converged and res.iterations < DEFAULT_BURN_IN
                for res in single_map_ascents(dim, DEFAULT_MAX_ITER))
+    assert any(len(burn_in_stops(M, dim, monkeypatch)) >= 2 for M in stack)
 
 
 @pytest.mark.parametrize("dim", [3, 4])
@@ -318,18 +342,57 @@ def test_lockstep_ascent_equals_single_map_ascent(dim, max_iter):
         assert all(res.iterations <= max_iter for res in single)
 
 
+def newton_call_maps(run, dim, monkeypatch):
+    """The _newton_step calls run() makes, in order, as (O-steps before the
+    call, the map of each of its chains, from the Newton image's blocks)."""
+    name = "_sign_step3" if dim == 3 else "_sign_step"
+    sign_step, newton_step = getattr(norms, name), norms._newton_step
+    block_product = norms._block_product
+    o_steps, calls, open_calls = [0], [], []
+
+    def counted(W):
+        o_steps[0] += 1
+        return sign_step(W)
+
+    def newton(*args):
+        open_calls.append([])
+        try:
+            return newton_step(*args)
+        finally:
+            calls.append((o_steps[0], open_calls.pop()))
+
+    def product(mats, x, maps):
+        if open_calls:
+            open_calls[-1].extend(maps.tolist())
+        return block_product(mats, x, maps)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(norms, name, counted)
+        patch.setattr(norms, "_newton_step", newton)
+        patch.setattr(norms, "_block_product", product)
+        run()
+    return calls
+
+
 @pytest.mark.parametrize("dim", [3, 4])
 def test_shared_pass_takes_in_maps_as_chains_stop(dim, monkeypatch):
-    # a pass after burn-in far smaller than the call's leaders: maps wait,
-    # and are taken in block by block as chains stop, with the same result;
-    # and Newton steps in calls of fewer chains than a map has: each call
-    # then takes one map alone
+    # a pass after burn-in far smaller than the call's leaders: chains wait,
+    # and are taken in as others stop, with the same result; and Newton
+    # steps in calls of fewer chains than a map has: a map's chains then
+    # split across two calls of one round
     monkeypatch.setattr(norms, "LOCKSTEP_CHAINS", 6)
     monkeypatch.setattr(norms, "NEWTON_CHAINS", 3)
     stack = mixed_map_stack(dim)
     single = single_map_ascents(dim, DEFAULT_MAX_ITER)
-    for got, want in zip(_alternating_ascents(stack, dim), single):
+    batch = []
+    calls = newton_call_maps(
+        lambda: batch.extend(_alternating_ascents(stack, dim)), dim,
+        monkeypatch)
+    for got, want in zip(batch, single):
         assert_same_result(got, want)
+    assert any(round_a == round_b and maps_a[-1] == maps_b[0]
+               for (round_a, maps_a), (round_b, maps_b)
+               in zip(calls, calls[1:]))
 
 
 @pytest.mark.parametrize("dim", [3, 4])
@@ -748,24 +811,26 @@ def test_coordinates_round_trip(dim):
 
 @pytest.mark.parametrize("dim", [3, 4])
 def test_stacked_products_equal_the_plain_products(dim):
-    # what the lockstep ascent relies on: each map's block of columns, in a
-    # pass of blocks of one height or of several, gets exactly the plain
-    # 2-D product of its map with the block alone
+    # what the lockstep ascent relies on: each block of columns, of the
+    # height of a burn-in block (restarts), a shared-pass chain (1) or a
+    # Newton image (2D - 2 tangent rows), gets exactly the plain 2-D product
+    # of its map with the block alone, whatever the other blocks and maps
     rng = np.random.default_rng(5)
     m = dim * dim
     mats = rng.normal(size=(6, m, m))
-    for heights in ([16] * 6, [3] * 6, [1] * 6, [16, 4, 1, 16, 9, 2],
-                    [12, 11, 10, 3, 2, 1], [16]):
-        owner = np.repeat(np.arange(len(heights)), heights)
-        x = rng.normal(size=(m, owner.size))
-        if len(heights) == 1:       # a single map, on rows in any layout
-            x = np.asfortranarray(x)
-        out = _blockwise_product(mats, x, _blocks(owner))
-        lo = 0
-        for k, h in enumerate(heights):
-            alone = mats[k] @ x[:, lo:lo + h].copy()
-            assert out[:, lo:lo + h].copy().tobytes() == alone.tobytes()
-            lo += h
+    for h in (max(16, 4 * dim), 1, 2 * dim - 2):
+        for maps in ([0, 3, 1, 3, 5, 2], [4], [2]):
+            maps = np.array(maps)
+            x = rng.normal(size=(m, maps.size * h))
+            if maps.size == 1:      # a single block, on rows in any layout
+                x = np.asfortranarray(x)
+            out = _block_product(mats, x, maps)
+            assert out.shape == x.shape and out.flags.c_contiguous
+            for g, k in enumerate(maps):
+                block = x[:, g * h:(g + 1) * h]
+                alone = mats[k] @ block.copy()
+                assert out[:, g * h:(g + 1) * h].copy().tobytes() == \
+                    alone.tobytes()
 
 
 # --- exact qubit norm on the backend path ------------------------------------
