@@ -48,9 +48,13 @@ trigonometric roots of the characteristic cubic, the sign operator from one
 spectral projector and the top eigenvector from a column of a product of
 shifted matrices. A matrix with a near-degenerate pair of eigenvalues goes
 to LAPACK eigh on its own, rebuilt from its coordinates. At D >= 4 every
-coordinate step rebuilds the complex matrices and uses eigh. A Newton step
-rebuilds the complex states, matrices and image of the chains it runs on,
-and takes eigh of each O-step matrix, at every D.
+coordinate step rebuilds the complex matrices and uses eigh. The Newton step
+at D = 3 also runs on the coordinate rows from closed forms, with no LAPACK
+call: its Daleckii-Krein term comes from the sign operator's lone spectral
+projector, and an LDL^T elimination of the Hessian tests definiteness and
+solves for the step. At D >= 4 a Newton step rebuilds the complex states,
+matrices and image of the chains it runs on, and takes eigh of each O-step
+matrix and of each Hessian.
 """
 import functools
 import math
@@ -67,7 +71,7 @@ from .superop import Superoperator
 # test references; every other caller runs these defaults, with
 # max(16, 4 D) restarts. A chain stops at REL_TOL or, unconverged, at
 # DEFAULT_MAX_ITER iterations; on the benchmark's random D = 3 battery the
-# longest run takes 51
+# longest run takes 42
 DEFAULT_MAX_ITER = 1000
 DEFAULT_BURN_IN = 25
 DEFAULT_KEEP_AFTER_BURN_IN = 4
@@ -449,6 +453,48 @@ def _top_eigvec3(c):
     return v
 
 
+@functools.lru_cache(maxsize=None)
+def _tables3():
+    """Index tables of three real linear maps at D = 3, each as the
+    position of every entry of its matrix in the rows it is built from and
+    its factor (0 where the entry is 0): the 6 x 6 matrix
+    [[Re H, -Im H], [Im H, Re H]] from the coordinate rows of a Hermitian
+    H, which acts on state rows as H acts on states (embed_rows,
+    embed_signs); the same product H p as a 6 x 9 matrix from the state
+    rows of p, which acts on the coordinates of H (apply_rows,
+    apply_signs); and coords(x p^dag + p x^dag) as a 9 x 6 matrix from the
+    state rows of p, which acts on the state rows of x (pair_rows,
+    pair_factors; the products of _pure_state_coords, see _layout)."""
+    lay = _layout(3)
+    re, im = lay.re_src.reshape(3, 3), lay.im_src.reshape(3, 3)
+    sign = lay.im_sign.reshape(3, 3)
+    rows = np.block([[re, im], [im, re]]).ravel()
+    signs = np.block([[np.ones((3, 3)), -sign], [sign, np.ones((3, 3))]])
+    signs = signs.ravel()
+    apply_rows, apply_signs = np.zeros((6, 9), dtype=int), np.zeros((6, 9))
+    for k in np.flatnonzero(signs):
+        apply_rows[k // 6, rows[k]] = k % 6
+        apply_signs[k // 6, rows[k]] = signs[k]
+    pair_rows, pair_factors = np.zeros((9, 6), dtype=int), np.zeros((9, 6))
+    for t, (left, right) in enumerate(zip(lay.state_left, lay.state_right)):
+        c, factor = t % 9, (lay.state_sign[t - 9, 0] if t >= 9 else 1.0)
+        for x_row, p_row in ((left, right), (right, left)):
+            pair_rows[c, x_row] = p_row
+            pair_factors[c, x_row] += factor
+    return types.SimpleNamespace(
+        embed_rows=rows, embed_signs=signs, apply_rows=apply_rows.ravel(),
+        apply_signs=apply_signs.ravel(), pair_rows=pair_rows.ravel(),
+        pair_factors=pair_factors.ravel())
+
+
+def _embed3(c):
+    """The real 6 x 6 matrix of each Hermitian 3 x 3 H with coordinate rows
+    c (9, n), as an (n, 6, 6) stack: it maps the state rows of x to those
+    of H x."""
+    tab = _tables3()
+    return (c.T[:, tab.embed_rows] * tab.embed_signs).reshape(-1, 6, 6)
+
+
 # --- Newton polish -----------------------------------------------------------
 #
 # Near its maximum f(psi) = ||W(psi)||_1, W(psi) = Herm X(psi psi^dag), is
@@ -458,7 +504,14 @@ def _top_eigvec3(c):
 # Sepulchre 2008, ch. 6) converges quadratically. The helpers below work on
 # a stack of n chains; every operation is elementwise in the chain index or
 # a product or LAPACK call per chain, and sums over entries are written out,
-# so a chain's step does not depend on the other chains in the stack.
+# so a chain's step does not depend on the other chains in the stack. At
+# D >= 4 the step (_newton_model, _newton_step) rebuilds the complex states
+# and matrices and takes eigh of W and of -H. At D = 3 it (_newton_model3,
+# _newton_step3) runs on the coordinate rows: the Daleckii-Krein term from
+# the sign operator's lone projector and a linear polynomial in W, the
+# products as one chain's real 6 x 6 matrices (_embed3), and the
+# definiteness test and the solve by an LDL^T elimination (_ldl_solve), with
+# no LAPACK call.
 
 def _tangent_basis(psi):
     """Orthonormal bases u_1..u_{D-1} of the complement of each unit psi:
@@ -532,6 +585,143 @@ def _newton_step(psi, W, A, image):
     norm2 = cand.real ** 2 + cand.imag ** 2
     norm = np.sqrt(sum(norm2[:, j] for j in range(psi.shape[1])))
     return cand / norm[:, None], definite
+
+
+def _newton_model3(psi, W, O, A, image):
+    """_newton_model at D = 3 on coordinate rows, from closed forms alone.
+
+    psi are state rows (6, n); W, O = sign W and A = Herm X^dag(O) the
+    chain's last O-step and psi-step matrices as coordinate rows (9, n);
+    image(x) returns the coordinate rows of Herm X for coordinate rows x
+    (9, 4 n), a block of 4 columns per chain. The Daleckii-Krein term comes
+    from the sign operator: with sigma = sign(tr O), P = (I - sigma O) / 2 is
+    the spectral projector of the lone eigenvalue lam (the one of sign
+    -sigma), 0 when there is none (O = sigma I), and the term is
+    2 Re Tr(P dW^l R dW^m), where R takes the value G = 2 / |lam - mu| at
+    each other eigenvalue mu and 0 on P. R is linear in W there: with
+    s = mu_1 + mu_2 - lam = sigma f and e2 = (mu_1 - lam)(mu_2 - lam),
+    R = 2 sigma (s - W)(I - P) / e2, whose slope -2 sigma / e2, the divided
+    difference of G over the pair, needs no difference of the pair; and
+    (s - W)(I - P) = s - W - (s - lam) P. With p the column of P of
+    largest diagonal P_jj, P = p p^dag / P_jj and the term is
+    2 Re<dW^l p, R dW^m p> / P_jj. Contractions are products of one chain's
+    small real matrices in one stacked matmul, each slice of which is the
+    plain product of its chain's matrices (as in _block_product). Returns
+    (b, g, H): the basis as state rows (4, 6, n), g (4, n) and
+    H (4, 4, n)."""
+    n = psi.shape[1]
+    # the Householder basis of _tangent_basis: u_k = e_k - s_k v with
+    # v = psi + phase(psi_1) e_1 and s_k = conj(psi_k) / (1 + |psi_1|), that
+    # is u_k = e_k - conj(psi_k) w with
+    # w = (phase(psi_1), psi_2 / (1 + |psi_1|), psi_3 / (1 + |psi_1|));
+    # b = (u_1, u_2, i u_1, i u_2)
+    a = np.hypot(psi[0], psi[3])
+    some = a > 0
+    safe = np.where(some, a, 1.0)
+    # w, i w and -w
+    w = np.empty((3, 6, n))
+    np.divide(psi, 1.0 + a, out=w[0])
+    w[0, 0] = np.where(some, psi[0] / safe, 1.0)
+    w[0, 3] = psi[3] / safe
+    np.negative(w[0], out=w[2])
+    w[1, :3], w[1, 3:] = w[2, 3:], w[0, :3]
+    # X = (psi, b_1, .., b_4): u_k = e_k + Im(psi_k) i w - Re(psi_k) w and
+    # i u_k = i e_k - Im(psi_k) w - Re(psi_k) i w
+    X = np.empty((5, 6, n))
+    X[0] = psi
+    re, im = psi[1:3, None], psi[4:, None]
+    np.multiply(im, w[1], out=X[1:3])
+    X[1:3] -= re * w[0]
+    np.multiply(im, w[2], out=X[3:])
+    X[3:] -= re * w[1]
+    flat = X.reshape(30, n)
+    flat[7:15:7] += 1.0             # e_2 and e_3 in u_1 and u_2
+    flat[22:30:7] += 1.0            # i e_2 and i e_3 in i u_1 and i u_2
+    # 2 Re<b_l, A (psi, b_1, .., b_4)>: the gradient, then the first term
+    Xc = np.ascontiguousarray(X.T)
+    first = Xc[:, :, 1:].transpose(0, 2, 1) @ (_embed3(A) @ Xc)
+    # dW^m = Herm X(b_m psi^dag + psi b_m^dag), on a block of 4 columns per
+    # chain: the coordinates of b_m psi^dag + psi b_m^dag are one matrix of
+    # the entries of psi per chain times b
+    tab = _tables3()
+    rho = (psi.T[:, tab.pair_rows] * tab.pair_factors).reshape(n, 9, 6) \
+        @ Xc[:, :, 1:]
+    dW = image(rho.transpose(1, 0, 2).reshape(9, 4 * n))
+    dW = np.ascontiguousarray(dW.reshape(9, n, 4).transpose(1, 0, 2))
+    # f = Tr(O W) = sum |lambda|, s = sigma f and lam = Tr(P W)
+    tr_O = O[0] + O[1] + O[2]
+    sigma = np.sign(tr_O)
+    OW = O * W
+    t = OW[3:6] + OW[6:]
+    t += t
+    t += OW[:3]
+    f = t[0] + t[1] + t[2]
+    s = sigma * f
+    lam = (W[0] + W[1] + W[2] - s) * 0.5
+    # e2, the sum of the principal 2 x 2 minors of W - lam
+    e = W[:3] - lam
+    sq = W[3:] * W[3:]
+    sq = sq[:3] + sq[3:]
+    e2 = e[0] * (e[1] + e[2]) + e[1] * e[2] - sq[0] - sq[1] - sq[2]
+    P = O * (-0.5 * sigma)
+    P[:3] += 0.5
+    # p = P e_j, j the first largest diagonal entry P_jj, as argmax finds it
+    cols = P[_COLUMN_ROWS] * _COLUMN_SIGNS
+    d0, d1, d2 = P[:3]
+    top = np.maximum(d0, d1)
+    p = np.where(d2 > top, cols[12:], np.where(d1 > d0, cols[6:12], cols[:6]))
+    # 2 sigma (s - W)(I - P) / (e2 P_jj) = R / P_jj, 0 where no eigenvalue
+    # is lone
+    scale = np.zeros(n)
+    np.divide(sigma + sigma, e2 * np.maximum(top, d2), out=scale,
+              where=abs(tr_O) < 2)
+    R = P * (lam - s)
+    R -= W
+    R[:3] += s
+    R *= scale
+    # y_l = dW^l p, by one matrix of the entries of p per chain; then all
+    # terms but the last take their factor 2
+    y = (p.T[:, tab.apply_rows] * tab.apply_signs).reshape(n, 6, 9) @ dW
+    first[:, :, 1:] += y.transpose(0, 2, 1) @ (_embed3(R) @ y)
+    first += first
+    H = np.ascontiguousarray(first[:, :, 1:].transpose(1, 2, 0))
+    H.reshape(16, n)[::5] -= f + f
+    return X[1:], first[:, :, 0].T, H
+
+
+def _ldl_solve(K, g):
+    """x with K x = g for a stack of symmetric k x k K (k, k, n) and
+    g (k, n), by LDL^T elimination without pivoting, elementwise along the
+    stack, and whether every pivot is positive and finite, that is whether
+    K is positive definite. Where it is not, x is 0."""
+    k = len(g)
+    M = np.empty((k, k + 1) + g.shape[1:])
+    M[:, :k], M[:, k] = K, g
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(k):
+            M[j, j + 1:] /= M[j, j]
+            if j + 1 < k:
+                M[j + 1:, j + 1:] -= M[j + 1:, j, None] * M[j, j + 1:]
+        d = M.reshape(k * (k + 1), -1)[::k + 2]
+        definite = ((0 < d) & (d < np.inf)).all(axis=0)
+        x = M[:, k]
+        for j in range(k - 1, 0, -1):
+            x[:j] -= M[:j, j] * x[j]
+    return np.where(definite, x, 0.0), definite
+
+
+def _newton_step3(psi, W, O, A, image):
+    """_newton_step at D = 3 on coordinate rows, with the model of
+    _newton_model3: the candidates as state rows (6, n), and where H is
+    negative definite, from the pivots of the LDL^T elimination of -H."""
+    b, g, H = _newton_model3(psi, W, O, A, image)
+    x, definite = _ldl_solve(-H, g)
+    step = b * x[:, None]
+    step = step[:2] + step[2:]
+    cand = psi + step[0] + step[1]
+    sq = cand * cand
+    sq = sq[:3] + sq[3:]
+    return cand / np.sqrt(sq[0] + sq[1] + sq[2]), definite
 
 
 def _induced_norms(Ms, dim, seed=0, above=None):
@@ -773,10 +963,12 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
     best_done = np.zeros(T, dtype=bool)
     R, R_dual = _coordinate_maps(Ms)
 
-    # one step pair per dimension, for every iteration of every pass: it rests
-    # on dim alone, never on the stack, like each matrix's eigh fallback
+    # one O-step, psi-step and Newton step per dimension, for every iteration
+    # of every pass: they rest on dim alone, never on the stack, like each
+    # matrix's eigh fallback
     if dim == 3:
         sign_step, top_eigvec = _sign_step3, _top_eigvec3
+        newton_step = _newton_step3
     else:
         def sign_step(W):
             vals, obs = _sign_step(_matrices(W))
@@ -784,6 +976,12 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
 
         def top_eigvec(A):
             return _state_rows(_top_eigvec(_matrices(A)))
+
+        def newton_step(psi, W, O, A, image):
+            cand, definite = _newton_step(
+                _states(psi), _matrices(W), _matrices(A),
+                lambda rho: _matrices(image(_coords(rho))))
+            return _state_rows(cand), definite
 
     def o_step(maps, psi):
         """Coordinate step in O: the value and sign observable of
@@ -822,20 +1020,20 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
         A = _block_product(R_dual, obs, maps)
         return top_eigvec(A), A
 
-    def newton_steps(maps, psi, W, A):
-        """_newton_step for chains of the maps `maps`, in calls of at most
-        NEWTON_CHAINS chains. Each call gets the complex states and matrices
-        of its chains, and Herm X as the product of coordinates, one block
-        of 2D - 2 tangent rows per chain."""
+    def newton_steps(maps, psi, W, O, A):
+        """The Newton step for chains of the maps `maps`, in calls of at
+        most NEWTON_CHAINS chains. Each call gets the state rows and the
+        coordinate rows of W, O and A of its chains, and Herm X as the
+        product of coordinates, one block of 2D - 2 tangent columns per
+        chain. At D = 3 the step (_newton_step3) runs on these rows from
+        closed forms; at D >= 4 newton_step rebuilds the complex states and
+        matrices for _newton_step, which takes eigh."""
         out = []
         for lo in range(0, maps.size, NEWTON_CHAINS):
             part = slice(lo, lo + NEWTON_CHAINS)
-            cand, definite = _newton_step(
-                _states(psi[:, part]), _matrices(W[:, part]),
-                _matrices(A[:, part]),
-                lambda rho: _matrices(_block_product(R, _coords(rho),
-                                                     maps[part])))
-            out.append((_state_rows(cand), definite))
+            out.append(newton_step(
+                psi[:, part], W[:, part], O[:, part], A[:, part],
+                lambda x: _block_product(R, x, maps[part])))
         return (np.concatenate(parts, axis=-1) for parts in zip(*out))
 
     def stop(work, at, psi, obs, vals, its, done):
@@ -1006,7 +1204,7 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
             if attempt.any():
                 at = np.flatnonzero(attempt)
                 cand, definite = newton_steps(maps[at], psi[:, at], W[:, at],
-                                              A[:, at])
+                                              obs[:, at], A[:, at])
                 trying = np.zeros_like(attempt)
                 trying[at[definite]] = True
                 tries = bool(definite.any())

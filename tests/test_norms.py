@@ -12,8 +12,9 @@ from metastab.norms import (DEFAULT_BURN_IN, DEFAULT_KEEP_AFTER_BURN_IN,
                             _alternating_ascents, _block_product,
                             _coordinate_maps, _coords, _eigvalsh3,
                             _induced_norm_matrix, _matrices, _newton_model,
-                            _newton_step, _pure_state_coords, _sign_step,
-                            _sign_step3, _state_rows, _states,
+                            _newton_model3, _newton_step, _newton_step3,
+                            _pure_state_coords, _sign_step, _sign_step3,
+                            _state_rows, _states,
                             _tangent_basis, _top_eigvec, _top_eigvec3,
                             correlator_superop, induced_norm_sampling_oracle,
                             induced_trace_norm, max_norm_induced,
@@ -242,25 +243,28 @@ def stack_size(W):
 
 def step_traffic(run, monkeypatch):
     """The steps run() takes, in order, as (step, matrices, masked, sent):
-    the name of the step function, the size of its stack, and for a
-    closed-form step the matrices _eigvalsh3 masked in it and those it
-    passed on to eigh (0 and 0 for a step by eigh, and for a Newton step,
-    which takes eigh on every matrix it gets)."""
+    the name of the step function, the size of its stack, the matrices
+    _eigvalsh3 masked in it (closed forms only) and the matrices it sent to
+    np.linalg.eigh (for a closed form, those of its fallback)."""
     steps, open_steps = [], []
-    eigvalsh3 = norms._eigvalsh3
+    eigvalsh3, eigh = norms._eigvalsh3, np.linalg.eigh
 
     def masked(W, *args):
         lam, needs_eigh = eigvalsh3(W, *args)
         open_steps[-1][2] += int(needs_eigh.sum())
         return lam, needs_eigh
 
+    def counted_eigh(H):
+        if open_steps:
+            open_steps[-1][3] += len(H)
+        return eigh(H)
+
     def counted(name):
         step = getattr(norms, name)
 
         def take_step(W, *args):
             if open_steps:          # the eigh fallback of a closed form
-                open_steps[-1][3] += stack_size(W)
-                return step(W)
+                return step(W, *args)
             open_steps.append([name, stack_size(W), 0, 0])
             try:
                 return step(W, *args)
@@ -270,8 +274,9 @@ def step_traffic(run, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(norms, "_eigvalsh3", masked)
+        patch.setattr(np.linalg, "eigh", counted_eigh)
         for name in ("_sign_step3", "_top_eigvec3", "_sign_step",
-                     "_top_eigvec", "_newton_step"):
+                     "_top_eigvec", "_newton_step", "_newton_step3"):
             patch.setattr(norms, name, counted(name))
         run()
     return steps
@@ -342,11 +347,17 @@ def test_lockstep_ascent_equals_single_map_ascent(dim, max_iter):
         assert all(res.iterations <= max_iter for res in single)
 
 
+def newton_step_name(dim):
+    """The Newton step the ascent takes at dimension D."""
+    return "_newton_step3" if dim == 3 else "_newton_step"
+
+
 def newton_call_maps(run, dim, monkeypatch):
-    """The _newton_step calls run() makes, in order, as (O-steps before the
+    """The Newton step calls run() makes, in order, as (O-steps before the
     call, the map of each of its chains, from the Newton image's blocks)."""
     name = "_sign_step3" if dim == 3 else "_sign_step"
-    sign_step, newton_step = getattr(norms, name), norms._newton_step
+    newton_name = newton_step_name(dim)
+    sign_step, newton_step = getattr(norms, name), getattr(norms, newton_name)
     block_product = norms._block_product
     o_steps, calls, open_calls = [0], [], []
 
@@ -368,7 +379,7 @@ def newton_call_maps(run, dim, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(norms, name, counted)
-        patch.setattr(norms, "_newton_step", newton)
+        patch.setattr(norms, newton_name, newton)
         patch.setattr(norms, "_block_product", product)
         run()
     return calls
@@ -472,17 +483,16 @@ def test_lockstep_ascent_with_degenerate_maps_equals_single_map_ascent():
 def test_d3_ascent_sends_eigh_only_the_masked_matrices(monkeypatch):
     # at D = 3 every coordinate step, in burn-in and after it, is a closed
     # form that passes to eigh exactly the matrices _eigvalsh3 masks; after
-    # burn-in the Newton steps come on top, and each takes eigh on the
-    # O-step matrices of the chains it gets. For the map I - P of a random
-    # model the psi-step matrix is O - Tr(O sigma) I, with the degenerate
-    # spectrum of a sign operator, so every psi-step goes to eigh, and the
-    # ascent runs past burn-in
+    # burn-in the Newton steps come on top, and they send eigh nothing. For
+    # the map I - P of a random model the psi-step matrix is
+    # O - Tr(O sigma) I, with the degenerate spectrum of a sign operator, so
+    # every psi-step goes to eigh, and the ascent runs past burn-in
     from metastab.regimes import QuantumBackend
 
     dyn = QuantumBackend(model=random_lindbladian(3, 2, seed=0), seed=0)
     M = dyn._norm_map(("ident-stat",))
     steps = step_traffic(lambda: _alternating_ascent(M, 3), monkeypatch)
-    coordinate = [step for step in steps if step[0] != "_newton_step"]
+    coordinate = [step for step in steps if step[0] != "_newton_step3"]
     assert all(name.endswith("3") and masked == sent
                for name, _, masked, sent in coordinate)
     # one O-step and one psi-step per iteration; burn-in ends with the
@@ -493,17 +503,19 @@ def test_d3_ascent_sends_eigh_only_the_masked_matrices(monkeypatch):
     assert all(sent for *_, sent in burn_in[1::2] + after[1::2])
     assert [name for name, *_ in steps[:2 * DEFAULT_BURN_IN]] == \
         [name for name, *_ in burn_in]
-    newton = [k for k, step in enumerate(steps) if step[0] == "_newton_step"]
+    newton = [k for k, step in enumerate(steps) if step[0] == "_newton_step3"]
     assert newton and all(steps[k - 1][0] == "_top_eigvec3" for k in newton)
+    assert all(steps[k][3] == 0 for k in newton)
     # in a batch too, degenerate maps included: the shared pass takes the
     # same steps
     stack = np.concatenate([mixed_map_stack(3), M[None]])
     steps = step_traffic(lambda: _alternating_ascents(stack, 3), monkeypatch)
     assert all(name.endswith("3") and masked == sent
                for name, _, masked, sent in steps
-               if name != "_newton_step")
+               if name != "_newton_step3")
     assert sum(sent for *_, sent in steps) > 0
-    assert any(name == "_newton_step" for name, *_ in steps)
+    newton = [sent for name, _, _, sent in steps if name == "_newton_step3"]
+    assert newton and not any(newton)
 
 
 def test_d4_ascent_never_reaches_the_closed_forms(monkeypatch):
@@ -530,6 +542,26 @@ def trace_norm_values(image, states):
     return np.abs(np.linalg.eigvalsh(image(rho))).sum(axis=1)
 
 
+def newton_model(M, dim, psi):
+    """(b, g, H) of the Newton model of the map M at the unit states psi
+    (n, D), on the path the ascent takes: _newton_model3 on coordinate rows
+    at D = 3, with O from the closed-form sign step, and _newton_model with
+    O from eigh at D >= 4. Returned as (n, 2D - 2, D), (n, 2D - 2) and
+    (n, 2D - 2, 2D - 2) arrays."""
+    if dim == 3:
+        R, R_dual = _coordinate_maps(M[None])
+        rows = _state_rows(psi)
+        W = R[0] @ _pure_state_coords(rows)
+        O = _sign_step3(W)[1]
+        b, g, H = _newton_model3(rows, W, O, R_dual[0] @ O,
+                                 lambda x: R[0] @ x)
+        return ((b[:, :3] + 1j * b[:, 3:]).transpose(2, 0, 1), g.T,
+                H.transpose(2, 0, 1))
+    image, adjoint = herm_image(M, dim), herm_image(M.conj().T, dim)
+    W = image(psi[:, :, None] * psi[:, None, :].conj())
+    return _newton_model(psi, W, adjoint(_sign_step(W)[1]), image)
+
+
 @pytest.mark.parametrize("dim", [3, 4])
 def test_newton_model_matches_finite_differences(dim):
     # gradient and Hessian of f(psi) = ||Herm X(psi psi^dag)||_1 in the
@@ -539,20 +571,17 @@ def test_newton_model_matches_finite_differences(dim):
     spec = spectral_decompose(build_liouvillian(
         random_lindbladian(dim, 2, seed=3)))
     M = spec.evolution_matrix(0.5) - spec.evolution_matrix(2.0)
-    image, adjoint = herm_image(M, dim), herm_image(M.conj().T, dim)
+    image = herm_image(M, dim)
     rng = np.random.default_rng(2)
     k, h, checked = 2 * dim - 2, 1e-4, 0
     while checked < 5:
         psi = rng.normal(size=(1, dim)) + 1j * rng.normal(size=(1, dim))
         psi /= np.linalg.norm(psi)
-        W = image(psi[:, :, None] * psi[:, None, :].conj())
-        lam, V = np.linalg.eigh(W)
+        lam = np.linalg.eigvalsh(image(psi[:, :, None] * psi[:, None, :].conj()))
         if np.abs(lam).min() <= 1e-2:
             continue
         checked += 1
-        sign = (V * np.where(lam >= 0, 1.0, -1.0)[:, None, :]) \
-            @ V.conj().transpose(0, 2, 1)
-        b, g, H = _newton_model(psi, W, adjoint(sign), image)
+        b, g, H = newton_model(M, dim, psi)
         # b is an orthonormal real basis of the tangent space at psi
         assert b.shape == (1, k, dim)
         assert np.abs((b[0].conj() @ b[0].T).real - np.eye(k)).max() <= 1e-14
@@ -572,6 +601,102 @@ def test_newton_model_matches_finite_differences(dim):
         assert np.abs(H_fd - H[0]).max() <= 1e-5 * np.abs(H[0]).max()
 
 
+def closed_form_newton_cases():
+    """label -> (states (n, 3), O-step matrices W (n, 3, 3), psi-step
+    matrices A (n, 3, 3), real 9 x 9 coordinate image). The model takes W,
+    A and the image as given, so W and A need not come from the image.
+    "stable": states near the witness of a random model's map and random
+    states, with no eigenvalue of W within 1e-2 ||W|| of 0, and W, A and
+    the image of that map, as in the ascent; the others are random states
+    with W of a given spectrum, random A and a random image: "same_sign"
+    (the Daleckii-Krein term is 0), "near_pair" (a lone eigenvalue and a
+    same-sign pair within 1e-2 or less, the flat maps' (-2/3, 1/3, 1/3)
+    among them, masked or not) and "masked" (matrices that _eigvalsh3
+    passes to eigh, the zero matrix and multiples of I included)."""
+    rng = np.random.default_rng(8)
+
+    def random_states(n):
+        psi = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+        return psi / np.linalg.norm(psi, axis=1)[:, None]
+
+    spec = spectral_decompose(build_liouvillian(
+        random_lindbladian(3, 2, seed=3)))
+    M = spec.evolution_matrix(0.5) - spec.evolution_matrix(2.0)
+    R, R_dual = _coordinate_maps(M[None])
+    witness = _alternating_ascent(M, 3).witness_state
+    psi = np.concatenate([witness + 1e-2 * random_states(30),
+                          random_states(30)])
+    psi /= np.linalg.norm(psi, axis=1)[:, None]
+    W = R[0] @ _pure_state_coords(_state_rows(psi))
+    lam = np.linalg.eigvalsh(_matrices(W))
+    stable = np.abs(lam).min(axis=1) > 1e-2 * np.abs(lam).max(axis=1)
+    O = _sign_step3(W)[1]
+    cases = {"stable": (psi[stable], _matrices(W[:, stable]),
+                        _matrices(R_dual[0] @ O[:, stable]), R[0])}
+    spectra = {
+        "same_sign": [[0.3, 1.1, 2.0], [-0.5, -1.4, -3.0], [1.0, 2.0, 3.0]],
+        "near_pair": [[-2 / 3, 1 / 3, 1 / 3], [-2 / 3, 1 / 3, 1 / 3 + 1e-12],
+                      [-2 / 3, 1 / 3, 1 / 3 + 2e-3], [1.0, 1.0 + 1e-8, -0.7],
+                      [1.0, 1.0 + 1e-2, -0.7], [-2.0, 0.5, 0.5 - 1e-4],
+                      [0.4, -0.9, -0.9]],
+        "masked": [[0.0, 0.0, 0.0], [2.5, 2.5, 2.5], [-0.3, -0.3, -0.3],
+                   [0.7, 0.7, -0.2], [-1.0, 3.0, -1.0],
+                   [1.0, 1.0 + 1e-10, -0.7], [-2.0, 0.5, 0.5 - 1e-12]],
+    }
+    for label, values in spectra.items():
+        n = len(values)
+        W = np.array([rotated(rng, v) for v in values])
+        A = np.array([random_hermitian(rng, 3) for _ in range(n)])
+        cases[label] = (random_states(n), W, A, rng.normal(size=(9, 9)))
+    return cases
+
+
+@pytest.mark.parametrize("label", ["stable", "same_sign", "near_pair",
+                                   "masked"])
+def test_closed_form_newton_model_matches_newton_model(label):
+    # _newton_model3, from the coordinate rows and the sign operator alone,
+    # against _newton_model, which takes eigh of W: the same basis, and g
+    # and H within 1e-12 of the size of their terms; and _newton_step3's
+    # verdict on H (the pivots of -H) equals eigh's wherever the smallest
+    # eigenvalue of -H lies more than 1e-12 ||H|| from 0
+    psi, W, A, R = closed_form_newton_cases()[label]
+    n = len(psi)
+    rows, Wc, Ac = _state_rows(psi), _coords(W), _coords(A)
+
+    def image(x):
+        return R @ x
+
+    masked = _eigvalsh3(Wc)[1]
+    if label == "masked":
+        assert masked.all()
+    elif label == "near_pair":
+        assert masked.any() and not masked.all()
+    O = _sign_step3(Wc)[1]
+    b3, g3, H3 = _newton_model3(rows, Wc, O, Ac, image)
+    _, definite = _newton_step3(rows, Wc, O, Ac, image)
+    b, g, H = _newton_model(psi, W, A, lambda rho: _matrices(image(
+        _coords(rho))))
+    assert np.abs((b3[:, :3] + 1j * b3[:, 3:]).transpose(2, 0, 1) - b).max() \
+        <= 1e-15
+    g3, H3 = g3.T, H3.transpose(2, 0, 1)
+    g_scale = 2 * np.abs(A).max(axis=(1, 2))
+    H_scale = np.abs(H).max(axis=(1, 2))
+    assert np.all(np.abs(g3 - g).max(axis=1) <= 1e-12 * g_scale)
+    assert np.all(np.abs(H3 - H).max(axis=(1, 2)) <= 1e-12 * H_scale)
+    mu = np.linalg.eigvalsh(-H)[:, 0]
+    clear = np.abs(mu) > 1e-12 * H_scale
+    assert np.array_equal(definite[clear], mu[clear] > 0)
+    if label == "stable":
+        assert n >= 40 and clear.all()
+        assert 0 < definite.sum() < n
+    if label == "same_sign":
+        # no lone eigenvalue: H is 2 Re<b_l, A b_m> - 2 f I alone
+        f = np.abs(np.linalg.eigvalsh(W)).sum(axis=1)
+        first = 2 * (b.conj() @ A @ b.transpose(0, 2, 1)).real
+        assert np.all(np.abs(H3 + 2 * f[:, None, None] * np.eye(4) - first)
+                      .max(axis=(1, 2)) <= 1e-12 * H_scale)
+
+
 @pytest.mark.parametrize("dim", [3, 4])
 def test_newton_step_does_not_depend_on_the_stack(dim):
     # what the lockstep ascent relies on: a chain gets the same candidate
@@ -586,26 +711,39 @@ def test_newton_step_does_not_depend_on_the_stack(dim):
     psi /= np.linalg.norm(psi, axis=1)[:, None]
     psi[::2] = witnesses[::2]
     k = 2 * dim - 2
+    R, R_dual = _coordinate_maps(maps)
 
-    def per_chain(rho, lo=0):   # each chain's block of rows, by its map
-        return np.concatenate([herm_image(maps[lo + i // k], dim)(
-            rho[i:i + k]) for i in range(0, len(rho), k)])
+    def per_chain(mats, x):     # one plain product per chain's block
+        h = x.shape[1] // len(mats)
+        return np.concatenate([m @ x[:, i * h:(i + 1) * h]
+                               for i, m in enumerate(mats)], axis=1)
 
     def step(lo, hi):
+        if dim == 3:
+            rows = _state_rows(psi[lo:hi])
+            W = per_chain(R[lo:hi], _pure_state_coords(rows))
+            O = _sign_step3(W)[1]
+            return _newton_step3(rows, W, O, per_chain(R_dual[lo:hi], O),
+                                 lambda x: per_chain(R[lo:hi], x))
+
+        def image(rho):         # each chain's block of rows, by its map
+            return np.concatenate([herm_image(maps[lo + i // k], dim)(
+                rho[i:i + k]) for i in range(0, len(rho), k)])
+
         rho = psi[lo:hi, :, None] * psi[lo:hi, None, :].conj()
         W = np.concatenate([herm_image(M, dim)(r[None])
                             for M, r in zip(maps[lo:hi], rho)])
         A = np.concatenate([herm_image(M.conj().T, dim)(O[None])
                             for M, O in zip(maps[lo:hi], _sign_step(W)[1])])
-        return _newton_step(psi[lo:hi].copy(), W, A,
-                            lambda rho: per_chain(rho, lo))
+        cand, definite = _newton_step(psi[lo:hi].copy(), W, A, image)
+        return cand.T, definite
 
     cand, definite = step(0, len(psi))
     assert definite[::2].sum() > definite[1::2].sum()
     for j in range(len(psi)):
         for lo, hi in ((j, j + 1), (max(0, j - 2), j + 3)):
             c, d = step(lo, hi)
-            assert c[j - lo].tobytes() == cand[j].tobytes()
+            assert c[:, j - lo].tobytes() == cand[:, j].tobytes()
             assert d[j - lo] == definite[j]
 
 
@@ -624,21 +762,27 @@ def test_newton_polish_takes_every_branch(dim, monkeypatch):
     # back), and indefinite Hessians (the chain backs off): the lockstep
     # tests above compare each path with the single-map call bit for bit
     seen = []
-    newton_step = norms._newton_step
+    name = newton_step_name(dim)
+    newton_step = getattr(norms, name)
 
-    def recorded(psi, W, A, image):
-        cand, definite = newton_step(psi, W, A, image)
-        k = 2 * psi.shape[1] - 2
+    def recorded(*args):
+        cand, definite = newton_step(*args)
+        psi, image = args[0], args[-1]
+        k = 2 * dim - 2
 
         def values(states):     # image takes 2D - 2 rows per chain
-            rho = states[:, :, None] * states[:, None, :].conj()
-            out = image(np.repeat(rho, k, axis=0))[::k]
+            if dim == 3:
+                x = np.repeat(_pure_state_coords(states), k, axis=1)
+                out = _matrices(image(x)[:, ::k])
+            else:
+                rho = states[:, :, None] * states[:, None, :].conj()
+                out = image(np.repeat(rho, k, axis=0))[::k]
             return np.abs(np.linalg.eigvalsh(out)).sum(axis=1)
 
         seen.append((definite, values(psi), values(cand)))
         return cand, definite
 
-    monkeypatch.setattr(norms, "_newton_step", recorded)
+    monkeypatch.setattr(norms, name, recorded)
     _alternating_ascents(mixed_map_stack(dim), dim)
     definite, before, after = (np.concatenate(x) for x in zip(*seen))
     gain = ((after - before) / before)[definite]
@@ -650,17 +794,17 @@ def test_newton_back_off_doubles(monkeypatch):
     # a chain whose Hessian is never definite tries Newton again after
     # waiting 1, 2, 4, ... rounds: in rounds 1, 3, 6, 11, 20, ... after
     # burn-in, and never in the round it stops in
-    def indefinite(psi, W, A, image):
-        return psi, np.zeros(len(psi), dtype=bool)
+    def indefinite(psi, W, O, A, image):
+        return psi, np.zeros(psi.shape[1], dtype=bool)
 
-    monkeypatch.setattr(norms, "_newton_step", indefinite)
+    monkeypatch.setattr(norms, "_newton_step3", indefinite)
     M = mixed_map_stack(3)[65]
     steps = step_traffic(
         lambda: _alternating_ascent(M, 3, keep_after_burn_in=1), monkeypatch)
     after = [name for name, *_ in steps[2 * DEFAULT_BURN_IN:]]
     rounds = after.count("_sign_step3")
     tried = [after[:k].count("_sign_step3")
-             for k, name in enumerate(after) if name == "_newton_step"]
+             for k, name in enumerate(after) if name == "_newton_step3"]
     expected, r, wait = [], 1, 1
     while r < rounds:
         expected.append(r)
