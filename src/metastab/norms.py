@@ -18,12 +18,11 @@ Ascent values are certified lower bounds, exact whenever any restart reaches
 the global optimum. _alternating_ascents runs the ascent on several maps in
 lockstep, with the same result for each map as a call of its own, in two
 phases: burn-in passes of at most LOCKSTEP_MAPS maps with all their
-restarts, then one shared pass of at most LOCKSTEP_CHAINS chains for the few
-leading chains of every map, refilled as chains stop. In the shared pass
-each chain also tries a Riemannian Newton step (_newton_step), kept only if
-the next O-step finds its value no lower, so that chains near a maximum
-finish quadratically instead of crawling through the alternating ascent's
-linear tail.
+restarts, then one shared pass for the few leading chains of every map in
+the call. In the shared pass each chain also tries a Riemannian Newton step
+(_newton_step), kept only if the next O-step finds its value no lower, so
+that chains near a maximum finish quadratically instead of crawling through
+the alternating ascent's linear tail.
 
 Some callers only ask whether a norm exceeds a threshold (the scan's probe,
 regimes.QuantumBackend.exceeds). For them _induced_norms takes above: every
@@ -67,7 +66,7 @@ from .operators import is_hermitian, max_norm
 from .superop import Superoperator
 
 # ascent settings. Only the kernel (_alternating_ascent, _alternating_ascents)
-# takes restarts, max_iter, burn_in and keep_after_burn_in as parameters, for
+# takes restarts, max_iter and keep_after_burn_in as parameters, for
 # test references; every other caller runs these defaults, with
 # max(16, 4 D) restarts. A chain stops at REL_TOL or, unconverged, at
 # DEFAULT_MAX_ITER iterations; on the benchmark's random D = 3 battery the
@@ -77,20 +76,19 @@ DEFAULT_BURN_IN = 25
 DEFAULT_KEEP_AFTER_BURN_IN = 4
 # relative change below which a chain counts as converged
 REL_TOL = 1e-10
-# maps per burn-in pass of _alternating_ascents, and chains per pass after
-# burn-in; they bound its working arrays. At D = 3 a full burn-in pass steps
-# 2,048 chains, 16 KB per coordinate row. Per chain the closed forms cost
-# about the same from a few hundred chains on, while every pass pays its
-# own per-call overhead: on the benchmark's random D = 3 battery
-# verify-bounds took 865, 811, 749 and 742 ms of CPU at 32, 64, 128 and 256
-# maps per pass (in process, medians of 8), and its 266-map prefetch peaked
-# at 1.3, 1.3, 2.1 and 3.8 MB of traced arrays at 32, 64, 128 and 266. Both
-# passes take the same coordinate steps
+# maps per burn-in pass of _alternating_ascents; it bounds the working
+# arrays of burn-in, which holds max(16, 4 D) chains per map. At D = 3 a
+# full burn-in pass steps 2,048 chains, 16 KB per coordinate row. Per chain
+# the closed forms cost about the same from a few hundred chains on, while
+# every pass pays its own per-call overhead: on the benchmark's random
+# D = 3 battery verify-bounds took 865, 811, 749 and 742 ms of CPU at 32,
+# 64, 128 and 256 maps per pass (in process, medians of 8), and its 266-map
+# prefetch peaked at 1.3, 1.3, 2.1 and 3.8 MB of traced arrays at 32, 64,
+# 128 and 266. The pass after burn-in is not split: it holds at most
+# DEFAULT_KEEP_AFTER_BURN_IN chains per map of the call, so its per-chain
+# gather of the real coordinate maps is at most that many copies of each
+# map's, the same order as the stacks the call already holds for its maps
 LOCKSTEP_MAPS = 128
-LOCKSTEP_CHAINS = 512
-# chains per _newton_step call: a Newton step holds 2D - 2 matrices per
-# chain, and this bounds its working arrays
-NEWTON_CHAINS = 64
 
 
 @dataclass(frozen=True)
@@ -895,18 +893,16 @@ def _qubit_induced_norms(Ms):
 
 
 def _alternating_ascent(M, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
-                        seed=0, burn_in=DEFAULT_BURN_IN,
-                        keep_after_burn_in=DEFAULT_KEEP_AFTER_BURN_IN):
+                        seed=0, keep_after_burn_in=DEFAULT_KEEP_AFTER_BURN_IN):
     """Alternating-ascent maximization on a raw D^2 x D^2 matrix: the
     lockstep kernel of _alternating_ascents with a single map (T = 1)."""
     return _alternating_ascents(
         [M], dim, restarts=restarts, max_iter=max_iter, seed=seed,
-        burn_in=burn_in, keep_after_burn_in=keep_after_burn_in)[0]
+        keep_after_burn_in=keep_after_burn_in)[0]
 
 
 def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
-                         seed=0, burn_in=DEFAULT_BURN_IN,
-                         keep_after_burn_in=DEFAULT_KEEP_AFTER_BURN_IN,
+                         seed=0, keep_after_burn_in=DEFAULT_KEEP_AFTER_BURN_IN,
                          above=None):
     """Alternating ascent on T raw D^2 x D^2 matrices at once.
 
@@ -915,17 +911,18 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
     through batched coordinate steps (closed forms at D = 3, eigh above) in
     two phases.
     Burn-in runs every restart of at most LOCKSTEP_MAPS maps per pass, for
-    burn_in iterations. After it the laggard chains of each map (strictly
-    behind that map's leaders) are frozen, and only its keep_after_burn_in
-    leaders go on to full tolerance; frozen values remain valid lower bounds.
-    The leaders of every map in the call then share one pass of at most
-    LOCKSTEP_CHAINS chains, which takes in the leaders of later maps whenever
-    chains stop; there each chain also tries Newton steps, by rules on its
-    own history (see the pass below). A pass holds its chains as real
-    coordinate rows, one column per chain, in blocks of one height, and
-    multiplies each block by its map's real coordinate matrix
-    (_coordinate_maps, _block_product): in burn-in a block is all restarts
-    of one map, chains that have stopped included, and after it one chain.
+    DEFAULT_BURN_IN iterations. After it the laggard chains of each map
+    (strictly behind that map's leaders) are frozen, and only its
+    keep_after_burn_in leaders go on to full tolerance; frozen values remain
+    valid lower bounds. The leaders of every map in the call then share one
+    pass from its first round, for at most max_iter - DEFAULT_BURN_IN
+    rounds; there each chain also tries Newton steps, by rules on its own
+    history (see the pass below), and each round makes one Newton call on
+    the chains that try. A pass holds its chains as real coordinate rows,
+    one column per chain, in blocks of one height, and multiplies each block
+    by its map's real coordinate matrix (_coordinate_maps, _block_product):
+    in burn-in a block is all restarts of one map, chains that have stopped
+    included, and after it one chain.
     Cull and convergence are per map, steps per matrix or chain and products
     per block, so a map's result does not depend on the other maps in the
     call: it equals, bit for bit, the single-map call
@@ -1020,22 +1017,6 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
         A = _block_product(R_dual, obs, maps)
         return top_eigvec(A), A
 
-    def newton_steps(maps, psi, W, O, A):
-        """The Newton step for chains of the maps `maps`, in calls of at
-        most NEWTON_CHAINS chains. Each call gets the state rows and the
-        coordinate rows of W, O and A of its chains, and Herm X as the
-        product of coordinates, one block of 2D - 2 tangent columns per
-        chain. At D = 3 the step (_newton_step3) runs on these rows from
-        closed forms; at D >= 4 newton_step rebuilds the complex states and
-        matrices for _newton_step, which takes eigh."""
-        out = []
-        for lo in range(0, maps.size, NEWTON_CHAINS):
-            part = slice(lo, lo + NEWTON_CHAINS)
-            out.append(newton_step(
-                psi[:, part], W[:, part], O[:, part], A[:, part],
-                lambda x: _block_product(R, x, maps[part])))
-        return (np.concatenate(parts, axis=-1) for parts in zip(*out))
-
     def stop(work, at, psi, obs, vals, its, done):
         """Record the chains work[at], which iterate no more; its is their
         iteration count, one for all or one per chain of work."""
@@ -1076,7 +1057,7 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
     # cull stays in its block as an inert column: it keeps its recorded
     # value, so it passes the monotonicity check as done and never goes on
     # or stops again. A map leaves the pass once it has no live chain
-    cull_at = max(burn_in, 1)
+    cull_at = DEFAULT_BURN_IN
     last = min(cull_at, max_iter)
     seed_rows = _state_rows(seeds)
     leaders = []            # (chains, next states, values) that go on after it
@@ -1123,48 +1104,30 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
     if not leaders:
         return results()
 
-    # after burn-in: the leaders of every map in one pass of at most
-    # LOCKSTEP_CHAINS chains, refilled in call order as chains stop, each
-    # chain a block of its own. Each chain also tries the Newton step of
-    # _newton_step, on its own history: from a definite Hessian its next
-    # state is the Newton candidate, and it keeps the plain step in reserve.
-    # The next O-step evaluates the candidate; one below the chain's value is
-    # turned back (the round still counts), and the chain goes on from the
-    # plain step it kept. After an indefinite Hessian or a turned-back
-    # candidate the chain waits 1, 2, 4, ... rounds before it tries again; an
-    # accepted candidate resets the back-off. Per-chain arrays are indexed on
-    # their last axis: state rows hold one column per chain
-    queue, queue_psi, queue_vals = (np.concatenate(parts, axis=-1)
-                                    for parts in zip(*leaders))
-    k = 0                        # next chain of the queue to take in
-    # per chain: its index, state, value, the pass's round at which it was
-    # taken in (after cull_at iterations it may run budget more), whether
-    # its state is a Newton candidate, the plain step it keeps, the first
-    # round in which it may try Newton again, and its back-off. tries says
-    # whether any state is a candidate (trying is stale when it does not),
-    # and no chain may try before round due
-    chains = (queue[:0], queue_psi[:, :0], queue_vals[:0],
-              np.zeros(0, dtype=int), np.zeros(0, dtype=bool),
-              queue_psi[:, :0], np.zeros(0, dtype=int),
-              np.zeros(0, dtype=int))
+    # after burn-in: the leaders of every map in the call in one pass, each
+    # chain a block of its own, for at most budget rounds. Each chain also
+    # tries the Newton step of _newton_step, on its own history: from a
+    # definite Hessian its next state is the Newton candidate, and it keeps
+    # the plain step in reserve. The next O-step evaluates the candidate; one
+    # below the chain's value is turned back (the round still counts), and
+    # the chain goes on from the plain step it kept. After an indefinite
+    # Hessian or a turned-back candidate the chain waits 1, 2, 4, ... rounds
+    # before it tries again; an accepted candidate resets the back-off.
+    # Per-chain arrays are indexed on their last axis: state rows hold one
+    # column per chain. Per chain: its index, state and value, whether its
+    # state is a Newton candidate, the plain step it keeps, the first round
+    # in which it may try Newton again, and its back-off. tries says whether
+    # any state is a candidate (trying is stale when it does not), and no
+    # chain may try before round due
+    work, psi, vals = (np.concatenate(parts, axis=-1)
+                       for parts in zip(*leaders))
+    trying, kept = np.zeros(work.size, dtype=bool), psi
+    next_try = np.zeros(work.size, dtype=int)
+    backoff = np.ones(work.size, dtype=int)
     tries, due = False, 0
     budget = max_iter - cull_at
-    rnd = 0
-    while True:
-        free = min(LOCKSTEP_CHAINS - chains[0].size, queue.size - k)
-        if free > 0:
-            lo, hi = k, k + free
-            fresh = (queue[lo:hi], queue_psi[:, lo:hi], queue_vals[lo:hi],
-                     np.full(free, rnd), np.zeros(free, dtype=bool),
-                     queue_psi[:, lo:hi], np.zeros(free, dtype=int),
-                     np.ones(free, dtype=int))
-            chains = tuple(np.concatenate(pair, axis=-1)
-                           for pair in zip(chains, fresh))
-            k, due = hi, 0
-        work, psi, prev, taken, trying, kept, next_try, backoff = chains
-        if not work.size:
-            break
-        rnd += 1
+    for rnd in range(1, budget + 1):
+        prev = vals
         vals, obs, W = o_step(work // restarts, psi)
         if tries:
             rejected = trying & (vals < prev)
@@ -1175,18 +1138,16 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
         if tries:
             done &= ~rejected
         go_on = going_on(work, vals, done)
-        if rnd - taken[0] >= budget:          # taken is nondecreasing
-            go_on &= rnd - taken < budget
+        if rnd == budget:
+            go_on[:] = False
         if not go_on.all():
-            stop(work, np.flatnonzero(~go_on), psi, obs, vals,
-                 cull_at + rnd - taken, done)
-            (work, psi, vals, taken, trying, kept, next_try, backoff, obs,
-             W) = (a[..., go_on] for a in (work, psi, vals, taken, trying,
-                                           kept, next_try, backoff, obs, W))
+            stop(work, np.flatnonzero(~go_on), psi, obs, vals, cull_at + rnd,
+                 done)
+            (work, psi, vals, trying, kept, next_try, backoff, obs, W) = (
+                a[..., go_on] for a in (work, psi, vals, trying, kept,
+                                        next_try, backoff, obs, W))
             if not work.size:
-                chains = (work, psi, vals, taken, trying, kept, next_try,
-                          backoff)
-                continue
+                break
         maps = work // restarts
         plain, A = psi_step(maps, obs)
         nxt = plain
@@ -1195,16 +1156,14 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
             next_try[trying] = rnd + 1 + backoff[trying]
             backoff[trying] *= 2
         tries = False
-        if rnd >= due:
-            # a candidate is evaluated in the next round, never past the
-            # budget
+        # a candidate is evaluated in the next round, never past the budget
+        if rnd >= due and rnd + 1 < budget:
             attempt = next_try <= rnd
-            if rnd + 1 - taken[0] >= budget:
-                attempt &= rnd + 1 - taken < budget
             if attempt.any():
                 at = np.flatnonzero(attempt)
-                cand, definite = newton_steps(maps[at], psi[:, at], W[:, at],
-                                              obs[:, at], A[:, at])
+                cand, definite = newton_step(
+                    psi[:, at], W[:, at], obs[:, at], A[:, at],
+                    lambda x: _block_product(R, x, maps[at]))
                 trying = np.zeros_like(attempt)
                 trying[at[definite]] = True
                 tries = bool(definite.any())
@@ -1214,7 +1173,7 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
                 next_try[failed] = rnd + 1 + backoff[failed]
                 backoff[failed] *= 2
             due = int(next_try.min())
-        chains = (work, nxt, vals, taken, trying, plain, next_try, backoff)
+        psi, kept = nxt, plain
     return results()
 
 

@@ -386,24 +386,32 @@ def newton_call_maps(run, dim, monkeypatch):
 
 
 @pytest.mark.parametrize("dim", [3, 4])
-def test_shared_pass_takes_in_maps_as_chains_stop(dim, monkeypatch):
-    # a pass after burn-in far smaller than the call's leaders: chains wait,
-    # and are taken in as others stop, with the same result; and Newton
-    # steps in calls of fewer chains than a map has: a map's chains then
-    # split across two calls of one round
-    monkeypatch.setattr(norms, "LOCKSTEP_CHAINS", 6)
-    monkeypatch.setattr(norms, "NEWTON_CHAINS", 3)
+def test_shared_pass_holds_every_leader_with_one_newton_call_per_round(
+        dim, monkeypatch):
+    # after burn-in the leaders of every map in the call share one pass from
+    # its first round, and each round makes one Newton call on all the
+    # chains that try, with the same result as each map's own call
     stack = mixed_map_stack(dim)
     single = single_map_ascents(dim, DEFAULT_MAX_ITER)
+    leaders = sum(chains_after_burn_in(M, dim, monkeypatch) for M in stack)
+    block_product, shared_products = norms._block_product, []
+
+    def product(mats, x, maps):
+        if x.shape[1] == maps.size:     # one chain per block: the shared pass
+            shared_products.append(maps.size)
+        return block_product(mats, x, maps)
+
+    monkeypatch.setattr(norms, "_block_product", product)
     batch = []
     calls = newton_call_maps(
         lambda: batch.extend(_alternating_ascents(stack, dim)), dim,
         monkeypatch)
+    assert len(batch) == len(stack)
     for got, want in zip(batch, single):
         assert_same_result(got, want)
-    assert any(round_a == round_b and maps_a[-1] == maps_b[0]
-               for (round_a, maps_a), (round_b, maps_b)
-               in zip(calls, calls[1:]))
+    rounds = [o_steps for o_steps, _ in calls]
+    assert rounds and len(set(rounds)) == len(rounds)
+    assert shared_products[0] == leaders
 
 
 @pytest.mark.parametrize("dim", [3, 4])
