@@ -31,6 +31,8 @@ class ClassicalGenerator:
         Q = np.asarray(self.rates, dtype=float)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ValueError("rate matrix must be square")
+        if not Q.size:
+            raise ValueError("a chain needs at least one state")
         if not np.all(np.isfinite(Q)):
             raise ValueError("rates must be finite")
         off = Q - np.diag(np.diag(Q))

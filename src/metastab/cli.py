@@ -171,8 +171,10 @@ def _output(args):
 
 
 def _emit_json(args, out):
+    """Standard JSON (RFC 8259): a non-finite number reads null."""
     with _output(args) as fh:
-        json.dump(out, fh, indent=2, default=_json_default)
+        json.dump(_json_ready(out), fh, indent=2, default=str,
+                  allow_nan=False)
         fh.write("\n")
 
 
@@ -197,12 +199,20 @@ def _fmt(x):
     return "%.12g" % x
 
 
-def _json_default(obj):
+def _json_ready(obj):
+    """obj with numpy arrays and scalars as Python values and every
+    non-finite float as None, since JSON has no NaN or Infinity."""
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_ready(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return str(obj)
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +220,12 @@ def _json_default(obj):
 
 def _cmd_spectrum(args, dyn, payload):
     lam = dyn.eigenvalues()
-    cond = dyn.spectral.eigvec_condition
     out = {
         "eigenvalues": [[float(v.real), float(v.imag)] for v in lam],
         "m_ss": int(dyn.m_ss),
         "model_hash": _model_hash(payload),
         "seed": args.seed,
-        # JSON has no infinity: a singular eigenvector matrix reads null
-        "eigvec_condition": cond if math.isfinite(cond) else None,
+        "eigvec_condition": dyn.spectral.eigvec_condition,
     }
     _emit_json(args, out)
     return 0

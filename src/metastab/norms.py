@@ -923,6 +923,10 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
     by its map's real coordinate matrix (_coordinate_maps, _block_product):
     in burn-in a block is all restarts of one map, chains that have stopped
     included, and after it one chain.
+    Each chain writes one record when it stops: the value, state, observable,
+    iteration and convergence of its last O-step. At the end a map's result
+    is the record of its first chain of largest value (the lowest restart on
+    ties), and only these T records become complex.
     Cull and convergence are per map, steps per matrix or chain and products
     per block, so a map's result does not depend on the other maps in the
     call: it equals, bit for bit, the single-map call
@@ -946,18 +950,15 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
     if not T:
         return []
     N = T * restarts
-    seeds = _seed_states(dim, restarts, seed)
-    # the value of each chain's last O-step, written when the chain stops
+    seed_rows = _state_rows(_seed_states(dim, restarts, seed))
+    # one record per chain, written when it stops: the value, state rows,
+    # observable rows, iteration and convergence of its last O-step; a chain
+    # that never stepped keeps its seed, value 0 and a zero observable
     values = np.zeros(N)
-    # per map, its best stopped chain (largest value, then lowest index):
-    # the chain, and the value, state, observable, iteration and convergence
-    # of its last O-step; a map that never stepped keeps its first seed
-    best = np.arange(0, N, restarts)
-    best_value = np.zeros(T)
-    best_state = np.tile(seeds[0], (T, 1))
-    best_obs = np.zeros((T, dim, dim), dtype=complex)
-    best_its = np.zeros(T, dtype=int)
-    best_done = np.zeros(T, dtype=bool)
+    states = np.tile(seed_rows, (1, T))
+    observables = np.zeros((dim * dim, N))
+    iterations = np.zeros(N, dtype=int)
+    finished = np.zeros(N, dtype=bool)
     R, R_dual = _coordinate_maps(Ms)
 
     # one O-step, psi-step and Newton step per dimension, for every iteration
@@ -1018,38 +1019,26 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
         return top_eigvec(A), A
 
     def stop(work, at, psi, obs, vals, its, done):
-        """Record the chains work[at], which iterate no more; its is their
-        iteration count, one for all or one per chain of work."""
-        chains, v = work[at], vals[at]
-        values[chains] = v
-        # each map's best stopping chain (its first maximum: a map's chains
-        # ascend), kept if it beats the map's record
-        maps = chains // restarts
-        if maps[0] == maps[-1]:
-            lead = np.argmax(v, keepdims=True)
-        else:
-            order = np.lexsort((chains, -v, maps))
-            ranked = maps[order]
-            lead = order[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
-        k, c, v = maps[lead], chains[lead], v[lead]
-        wins = (v > best_value[k]) | ((v == best_value[k]) & (c <= best[k]))
-        k, c, v = k[wins], c[wins], v[wins]
-        at = at[lead[wins]]
-        best[k], best_value[k] = c, v
-        best_state[k], best_obs[k] = _states(psi[:, at]), _matrices(obs[:, at])
-        best_done[k] = done[at]
-        best_its[k] = np.broadcast_to(its, work.shape)[at]
+        """Record the chains work[at], which iterate no more after
+        iteration its."""
+        chains = work[at]
+        values[chains] = vals[at]
+        states[:, chains] = psi[:, at]
+        observables[:, chains] = obs[:, at]
+        iterations[chains] = its
+        finished[chains] = done[at]
 
     def results():
+        """Each map's result from the record of its first chain of largest
+        value; only these chains' rows become complex."""
+        per_map = values.reshape(T, restarts)
+        win = per_map.argmax(axis=1) + np.arange(0, N, restarts)
         return [InducedNormResult(
-            value=float(best_value[k]),
-            witness_state=best_state[k].copy(),
-            witness_observable=best_obs[k].copy(),
-            iterations=int(best_its[k]),
-            restarts_used=restarts,
-            converged=bool(best_done[k]),
-            restart_values=values[k * restarts:(k + 1) * restarts].copy(),
-        ) for k in range(T)]
+            value=float(values[c]), witness_state=psi, witness_observable=O,
+            iterations=int(iterations[c]), restarts_used=restarts,
+            converged=bool(finished[c]), restart_values=v)
+            for c, psi, O, v in zip(win, _states(states[:, win]),
+                                    _matrices(observables[:, win]), per_map)]
 
     # burn-in, LOCKSTEP_MAPS maps per pass, each map one block of all its
     # restarts; the cull happens once, at its end, and a map never has more
@@ -1059,7 +1048,6 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
     # or stops again. A map leaves the pass once it has no live chain
     cull_at = DEFAULT_BURN_IN
     last = min(cull_at, max_iter)
-    seed_rows = _state_rows(seeds)
     leaders = []            # (chains, next states, values) that go on after it
     for lo in range(0, T, LOCKSTEP_MAPS):
         maps = np.arange(lo, min(lo + LOCKSTEP_MAPS, T))
@@ -1076,16 +1064,15 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
             if it == last and last == max_iter:
                 go_on[:] = False
             elif it == cull_at and go_on.any():
-                # per map, freeze chains strictly behind the leaders; ties
-                # keep lower index
-                sub = work[go_on]
-                owner = sub // restarts
-                order = np.lexsort((sub, -vals[go_on], owner))
-                ranked = owner[order]
-                rank = np.arange(ranked.size) - np.searchsorted(ranked, ranked)
-                keep = np.empty(ranked.size, dtype=bool)
-                keep[order] = rank < keep_after_burn_in
-                go_on[np.flatnonzero(go_on)[~keep]] = False
+                # per map, a row of the block's (maps, restarts) view, keep
+                # the keep_after_burn_in leaders by value (ties keep the
+                # lower index) and freeze the chains behind them
+                rank = np.where(go_on, -vals, np.inf).reshape(-1, restarts)
+                lead = np.argsort(rank, axis=1, kind="stable")
+                keep = np.zeros(rank.shape, dtype=bool)
+                np.put_along_axis(keep, lead[:, :keep_after_burn_in], True,
+                                  axis=1)
+                go_on &= keep.ravel()
             stopped = np.flatnonzero(live & ~go_on)
             if stopped.size:
                 stop(work, stopped, psi, obs, vals, it, done)

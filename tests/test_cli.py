@@ -147,6 +147,32 @@ def test_verify_bounds_json_pass_is_boolean(capsys):
     assert rows and all(type(row["pass"]) is bool for row in rows)
 
 
+def strict_json(text):
+    """json.loads that rejects the NaN, Infinity and -Infinity tokens."""
+    def reject(token):
+        raise ValueError("non-standard JSON token %s" % token)
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_output_writes_non_finite_numbers_as_null(capsys):
+    # a battery row whose hypotheses fail may have no numbers: they read
+    # null, and the row still passes
+    code, out, err = run_cli(["verify-bounds", "--model",
+                              "builtin:random_lindbladian", "--param", "dim=3",
+                              "--param", "n_jumps=2", "--seed", "0",
+                              "--format", "json"], capsys)
+    assert code == 0, err
+    skipped = [row for row in strict_json(out)["rows"]
+               if not row["applicable"]]
+    assert any(row["lhs"] is None for row in skipped)
+    assert all(row["pass"] is True for row in skipped)
+    # the spin model's slow-drift condition has no finite bound
+    code, out, err = run_cli(["project"] + SPIN_ARGS, capsys)
+    assert code == 0, err
+    check = strict_json(out)["condition_checks"]["slow_drift_cond"]
+    assert check["bound"] is None and check["holds"] is False
+
+
 def test_heisenberg_csv(capsys):
     code, out, _ = run_cli(["heisenberg"] + SPIN_ARGS +
                            ["--observable", "sz", "--tmin", "1",
@@ -217,6 +243,7 @@ def test_classical_spectrum_reports_eigvec_condition(tmp_path, capsys):
 @pytest.mark.parametrize("name,text,message", [
     ("wrap.edges", "0 1 1.0\n-1 0 0.5\n", "line 2: negative state index"),
     ("nan.edges", "0 1 nan\n1 0 1.0\n", "rates must be finite"),
+    ("empty.edges", "# no edges\n\n", "at least one state"),
     ("nan.json", "[[-1.0, NaN], [1.0, NaN]]", "rates must be finite"),
     ("dict.json", '{"rates": {"0": 1.0}}', "not 'dict'")])
 def test_classical_model_file_rejects_bad_input(name, text, message, tmp_path,

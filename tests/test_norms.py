@@ -824,9 +824,11 @@ def test_newton_back_off_doubles(monkeypatch):
 @pytest.mark.parametrize("dim", [3, 4])
 def test_witness_pairs_reproduce_polished_values(dim):
     # every reported value, polished or not, is Tr[O X(psi psi^dag)] of its
-    # witness pair, O the sign operator of X(psi psi^dag)
-    for M, res in zip(mixed_map_stack(dim),
-                      single_map_ascents(dim, DEFAULT_MAX_ITER)):
+    # witness pair, O the sign operator of X(psi psi^dag), and it is the
+    # largest restart value
+    results = single_map_ascents(dim, DEFAULT_MAX_ITER)
+    for M, res in zip(mixed_map_stack(dim), results):
+        assert res.value == res.restart_values.max()
         psi, O = res.witness_state, res.witness_observable
         W = herm_image(M, dim)(np.outer(psi, psi.conj())[None])[0]
         scale = max(1.0, res.value)
@@ -834,6 +836,12 @@ def test_witness_pairs_reproduce_polished_values(dim):
         assert abs(np.trace(O @ W).real - res.value) <= 1e-12 * scale
         assert abs(trace_norm(W) - res.value) <= 1e-12 * scale
         assert np.abs(O @ O - np.eye(dim)).max() <= 1e-12
+    # ties go to the lowest restart: every restart of the zero map stops at
+    # 0 on its first O-step, and the witness is the first seed, e_1
+    zero = results[0]
+    assert not zero.restart_values.any()
+    e_1 = np.eye(dim, dtype=complex)[0]
+    assert zero.witness_state.tobytes() == e_1.tobytes()
 
 
 # --- closed-form 3 x 3 steps -------------------------------------------------
