@@ -7,6 +7,7 @@ from the alternating optimizer above) and on classical rate matrices (exact
 l1-induced norms).
 """
 import copy
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -71,8 +72,9 @@ class DynamicsBackend:
     are cached, the last keyed by the matrix expression, so repeated grid
     sweeps are cheap; the evolution cache keeps the EVO_CACHE_SIZE most
     recently used times. The generator's InducedNormResult is kept apart,
-    computed once. unconverged_keys holds the cache keys (and ("gen",) for
-    the generator) whose lower bound stopped at the iteration cap before
+    computed once, by generator_norm_result or by a prefetch of the key
+    ("gen",). unconverged_keys holds the cache keys (and ("gen",) for the
+    generator) whose lower bound stopped at the iteration cap before
     converging.
     """
 
@@ -172,9 +174,12 @@ class DynamicsBackend:
 
         The single getters and prefetch both build their maps here, so a
         cached value does not depend on which of them computed it. A pair
-        key ("pair", t1, t2) has t1 < t2 and names E(t1) - E(t2).
+        key ("pair", t1, t2) has t1 < t2 and names E(t1) - E(t2); ("gen",)
+        names the generator.
         """
         family, *args = key
+        if family == "gen":
+            return self.generator_matrix()
         E, I = self.evolution_matrix, self.identity_matrix()
         if family == "pair":
             return E(args[0]) - E(args[1])
@@ -206,17 +211,34 @@ class DynamicsBackend:
                 self._norm_map(key))
         return value
 
+    def _store(self, key, result):
+        """Keep result under key: its value in the norm cache or, for
+        ("gen",), the whole result apart. Note the key if the ascent stopped
+        before converging."""
+        if not result.converged:
+            self.unconverged_keys.add(key)
+        if key == ("gen",):
+            self._generator_norm = result
+        else:
+            self._norm_cache[key] = result.value
+        return result.value
+
     def prefetch(self, keys):
         """Cache hint: evaluate the norms of the uncached keys in one batch.
 
         keys is an iterable, read at most once, of norm-cache keys such as
-        ("ident", t), ("proj", m, t) or ("pair", t1, t2), the last in either
-        order (equal times name the zero distance). Each value equals, bit for bit, the one the single
-        getter would compute, so a prefetch never changes a result; it only
-        saves per-call overhead for keys that are evaluated later anyway,
-        with one exception: the look-ahead of a crossing search (see
+        ("ident", t), ("proj", m, t), ("gen",) or ("pair", t1, t2), the last
+        in either order (equal times name the zero distance). Each value
+        equals, bit for bit, the one the single getter would compute, so a
+        prefetch never changes a result; it only saves per-call overhead for
+        keys that are evaluated later anyway, with two exceptions, both
+        evaluated and never read. The look-ahead of a crossing search (see
         modes.crossing) may hint up to SCAN_AHEAD - 1 keys past its
-        crossing, which are evaluated and never read. A caller that only
+        crossing. And the first round of timescale_searches holds the tau_0
+        scan's first request and the first tau_ss probe, which go unread on
+        the saturating branches: tau_0 is absent when the distance to the
+        identity saturates below 1 - 1/e, tau_ss when the distance to the
+        stationary projection starts at or below 1/e. A caller that only
         compares distances with a threshold asks exceeds instead.
         A no-op here, and so on the classical backend, whose exact l1 norm has
         no per-call overhead to save; a quantum backend evaluates the keys
@@ -248,9 +270,7 @@ class DynamicsBackend:
     def generator_norm_result(self):
         """InducedNormResult of the generator, computed once."""
         if self._generator_norm is None:
-            self._generator_norm = self.norm_result(self.generator_matrix())
-            if not self._generator_norm.converged:
-                self.unconverged_keys.add(("gen",))
+            self._store(("gen",), self.norm_result(self.generator_matrix()))
         return self._generator_norm
 
     def liouvillian_norm(self):
@@ -315,14 +335,6 @@ class QuantumBackend(DynamicsBackend):
     def norm_result(self, M):
         return _norms._induced_norm_matrix(M, self.dim, seed=self.seed)
 
-    def _store(self, key, result):
-        """Cache result's value under key; note the key if the ascent
-        stopped before converging."""
-        if not result.converged:
-            self.unconverged_keys.add(key)
-        self._norm_cache[key] = result.value
-        return result.value
-
     def _norm_of(self, key):
         value = self._norm_cache.get(key)
         if value is None:
@@ -340,6 +352,8 @@ class QuantumBackend(DynamicsBackend):
                 if t1 == t2:
                     continue
                 key = ("pair", min(t1, t2), max(t1, t2))
+            elif key == ("gen",) and self._generator_norm is not None:
+                continue
             if key not in self._norm_cache:
                 todo[key] = None
         if not todo:
@@ -593,10 +607,11 @@ def lockstep(dyn, searches):
     searches is a list of (family, search) pairs: search a generator of the
     kind modes.zeroin describes, which yields the times it evaluates next
     and then evaluates them itself, and family the key prefix, such as
-    ("ident",) or ("pair", t_start), that makes a time a norm-cache key.
-    Each round advances every unfinished search to its next request and
-    sends the keys of all requests to one prefetch (one batched norm call
-    on a quantum backend, nothing on the classical one). Returns the
+    ("ident",) or ("pair", t_start), that makes a time a norm-cache key. A
+    search whose family is None yields whole keys, such as ("gen",). Each
+    round advances every unfinished search to its next request, in order,
+    and sends the keys of all requests to one prefetch (one batched norm
+    call on a quantum backend, nothing on the classical one). Returns the
     searches' results in order.
     """
     results = [None] * len(searches)
@@ -609,44 +624,77 @@ def lockstep(dyn, searches):
                 waiting.append((i, (family, search)))
             except StopIteration as stop:
                 results[i] = stop.value
-        dyn.prefetch(family + (t,) for family, ts in requests for t in ts)
+        dyn.prefetch(t if family is None else family + (t,)
+                     for family, ts in requests for t in ts)
         live = waiting
     return results
 
 
-def _tau_0_search(dyn, target):
-    """The shortest timescale as a search: the crossing scan of the
-    distance to the identity up to 1.05 / (fastest decay rate), its range
-    doubled until a crossing is located. Returns (tau_0, residual), or
-    (None, why it is absent)."""
-    f = dyn.distance_to_identity
-    if dyn.stationary_distance() < target - 1e-12:
-        return None, ("distance to identity saturates at %.6g < 1 - 1/e"
-                      % dyn.stationary_distance())
-    # guaranteed crossing before 1/(fastest decay rate)
+def _deciding_maps(dyn, message):
+    """The search that opens timescale_searches: it requests the generator
+    and the two maps that decide whether tau_0 and tau_ss are searched at
+    all, then raises TrivialDynamicsError(message) on a generator norm of
+    at most 1e-14."""
+    yield [("gen",), ("ident-stat",), ("stat", 0.0)]
+    if dyn.liouvillian_norm() <= 1e-14:
+        raise TrivialDynamicsError(message)
+
+
+def _identity_scans(dyn, target):
+    """The crossing scans of the tau_0 search, each a search: the distance
+    to the identity up to 1.05 / (fastest decay rate), then up to twice
+    that, and so on up to 64 times."""
     t_hi = 1.0 / dyn.fastest_decay_rate()
     step = crossing_scan_step(dyn)
     t_sure = identity_sure_time(dyn, target)
     t_top = t_hi
     while t_top <= 64 * t_hi:
-        tau = yield from crossing(f, target, 1.05 * t_top, step, t_sure)
+        yield crossing(dyn.distance_to_identity, target, 1.05 * t_top, step,
+                       t_sure)
+        t_top *= 2
+
+
+def _tau_0_search(dyn, target):
+    """The shortest timescale as a search: the crossing scans of
+    _identity_scans, until one locates a crossing. On decaying dynamics the
+    first scan's first request comes before the check that the distance
+    reaches the target at all. Returns (tau_0, residual), or (None, why it
+    is absent)."""
+    f = dyn.distance_to_identity
+    scans = _identity_scans(dyn, target)
+    if dyn.fastest_decay_rate() > 0:
+        scan = next(scans)
+        yield next(scan)
+        scans = itertools.chain([scan], scans)
+    if dyn.stationary_distance() < target - 1e-12:
+        return None, ("distance to identity saturates at %.6g < 1 - 1/e"
+                      % dyn.stationary_distance())
+    for scan in scans:
+        tau = yield from scan
         if tau is not None:
             return tau, abs(f(tau) - target)
-        t_top *= 2
     return None, "no crossing of 1 - 1/e located"
 
 
 def _tau_ss_search(dyn, target):
     """The final relaxation time as a search: a doubling bracket of the
     distance to the stationary projection from 1 / (slowest decay rate),
-    then zeroin. Returns (tau_ss, residual), or (None, why it is absent)."""
+    then zeroin. On decaying dynamics the first probe is requested before
+    the check that the distance starts above the target. Returns (tau_ss,
+    residual), or (None, why it is absent)."""
     f = dyn.distance_to_stationary
+    rate = dyn.slowest_decay_rate()
+    if rate > 0:
+        yield (1.0 / rate,)
     t_lo = 0.0
     if f(t_lo) <= target:
         return None, "distance to stationary starts at %.6g <= 1/e" % f(t_lo)
-    t_hi = 1.0 / dyn.slowest_decay_rate()
-    for _ in range(40):
-        yield (t_hi,)
+    # past here the rate is positive (1 / 0 raises, and a negative time
+    # raises where it is read), so the first probe has been requested
+    t_hi = 1.0 / rate
+    for k in range(40):
+        if k:
+            yield (t_hi,)
         if f(t_hi) < target:
             tau = yield from known_ends_zeroin(lambda t: f(t) - target,
                                                t_lo, t_hi)
@@ -657,6 +705,34 @@ def _tau_ss_search(dyn, target):
                   % (f(t_lo), t_lo))
 
 
+def timescale_searches(dyn, message="timescales require nontrivial dynamics"):
+    """The searches of timescales, as lockstep's (family, search) pairs.
+
+    The first round holds the generator norm and the two maps that decide
+    whether the tau_0 and tau_ss searches run at all, and, on decaying
+    dynamics (a positive decay rate), the tau_0 scan's first request and
+    the first tau_ss probe. A caller may add independent searches of its
+    own to the same lockstep. Raises TrivialDynamicsError(message) when
+    the dynamics has no decaying mode (at once) or a generator norm of at
+    most 1e-14 (after the first round).
+    """
+    if dyn.m_ss >= dyn.eigenvalues().size:
+        raise TrivialDynamicsError(message)
+    return [(None, _deciding_maps(dyn, message)),
+            (("ident",), _tau_0_search(dyn, 1.0 - 1.0 / math.e)),
+            (("stat",), _tau_ss_search(dyn, 1.0 / math.e))]
+
+
+def timescale_report(found):
+    """TimescaleReport from the results of lockstep on timescale_searches."""
+    report = {"absent": {}}
+    for name, (tau, residual) in zip(("tau_0", "tau_ss"), found[1:]):
+        if tau is None:
+            report["absent"][name], residual = residual, None
+        report[name], report[name + "_residual"] = tau, residual
+    return TimescaleReport(**report)
+
+
 def timescales(dyn):
     """First crossings defining the shortest and final relaxation timescales.
 
@@ -664,25 +740,16 @@ def timescales(dyn):
     reaches 1 - 1/e (a crossing scan, since the distance may oscillate, then
     Brent). The final relaxation time is the first time the distance to the
     stationary projection decays to 1/e (monotone: a doubling bracket, then
-    Brent). The two searches run in lockstep, after one round for the two
-    maps that decide whether they run at all. The scan's first request
-    holds every scan point before identity_sure_time, all of which it
-    evaluates, and each request hints SCAN_AHEAD points past them, so on a
-    quantum backend up to SCAN_AHEAD - 1 maps past the crossing are
-    evaluated and never read.
+    Brent). The two searches run in lockstep (timescale_searches), and
+    their first round also holds the generator norm and the two maps that
+    decide whether they run at all. The scan's first request holds every
+    scan point before identity_sure_time, all of which it evaluates, and
+    each request hints SCAN_AHEAD points past them, so on a quantum backend
+    up to SCAN_AHEAD - 1 maps past the crossing are evaluated and never
+    read; on a saturating branch, so are the first round's scan points and
+    probe.
     """
-    lam = dyn.eigenvalues()
-    if dyn.liouvillian_norm() <= 1e-14 or dyn.m_ss >= lam.size:
-        raise TrivialDynamicsError("timescales require nontrivial dynamics")
-    dyn.prefetch([("ident-stat",), ("stat", 0.0)])
-    found = lockstep(dyn, [(("ident",), _tau_0_search(dyn, 1.0 - 1.0 / math.e)),
-                           (("stat",), _tau_ss_search(dyn, 1.0 / math.e))])
-    report = {"absent": {}}
-    for name, (tau, residual) in zip(("tau_0", "tau_ss"), found):
-        if tau is None:
-            report["absent"][name], residual = residual, None
-        report[name], report[name + "_residual"] = tau, residual
-    return TimescaleReport(**report)
+    return timescale_report(lockstep(dyn, timescale_searches(dyn)))
 
 
 def classify_regime(dyn, t_start, t_end, n_grid=33, with_doubling=True):
@@ -759,7 +826,8 @@ def scan_metastable(dyn, c_delta_max=0.1, ratio=2.0, grid=None, n_grid=33,
     next distance of every window still within budget. It needs only the
     comparison, so a quantum backend stops each probe map's ascent once a
     lower bound exceeds c_delta_max and caches no such map. The windows that
-    pass are then classified in grid order. Windows classified Metastable
+    pass are then classified in grid order, the maps of their change grids
+    and end distances prefetched as one sweep. Windows classified Metastable
     with a change measure above c_delta_max are dropped too. Adjacent
     Metastable windows are merged when the merged span still classifies
     Metastable. Output is ordered by ascending window start.
@@ -795,6 +863,8 @@ def scan_metastable(dyn, c_delta_max=0.1, ratio=2.0, grid=None, n_grid=33,
         over = dyn.exceeds([(grid[i], probes[i][k]) for i in alive],
                            c_delta_max)
         alive = [i for i, out in zip(alive, over) if not out]
+    dyn.prefetch(key for i in alive for key in verdict_keys(
+        grid[i], ratio * grid[i], n_grid, with_doubling=False))
     verdicts = [(i, classify_regime(dyn, grid[i], ratio * grid[i],
                                     n_grid=n_grid, with_doubling=False))
                 for i in alive]
@@ -836,6 +906,8 @@ def _merge_run(dyn, run, c_delta_max, n_grid):
         merged.append(best)
         i = j
     # final windows are reported with the doubling-change variant filled in
+    dyn.prefetch(key for v in merged
+                 for key in verdict_keys(v.t_start, v.t_end, n_grid))
     return [classify_regime(dyn, v.t_start, v.t_end, n_grid=n_grid)
             for v in merged]
 

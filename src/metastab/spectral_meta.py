@@ -13,12 +13,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .modes import change_thresholds, crossing, linear_growth_inverse
+# timescales is not called here: it stays importable from this module
+# because bench/tracing.py wraps it at every module that imported it
 from .regimes import (CUTOFF_RELAXATION, change_keys, change_measure,
                       classify_regime, crossing_scan_step, curve_keys,
                       cutoff_flags, identity_sure_time, lockstep,
-                      relaxation_times, scan_metastable, timescales,
-                      verdict_keys, TrivialDynamicsError, _refined_sup,
-                      _window_grid)
+                      relaxation_times, scan_metastable, timescale_report,
+                      timescale_searches, timescales, verdict_keys,
+                      TrivialDynamicsError, _refined_sup, _window_grid)
 
 # tolerance of the separation branch tests on e^{t Re lambda}
 SEPARATION_GUARD = 1e-9
@@ -467,25 +469,47 @@ def default_battery_grid(tau_0, tau_ss):
     return np.geomspace(0.05 * tau_0, 2.0 * tau_ss, 33)
 
 
+def _identity_crossing(dyn, target):
+    """First crossing of the distance to the identity with target, up to
+    2 / (fastest decay rate), as a search: the length of the battery's
+    exclusion windows at accuracy target."""
+    # the step first: with a decay rate of 0 it raises ZeroDivisionError
+    # before the division by -Re lambda below warns
+    step = crossing_scan_step(dyn)
+    return (yield from crossing(
+        dyn.distance_to_identity, target,
+        2.0 / (-dyn.eigenvalues().real[-1]), step,
+        identity_sure_time(dyn, target)))
+
+
 def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
                   n_grid=33, scan_points=16):
     """Evaluate the full inequality battery on one dynamics backend.
 
     Emits one row per (inequality, evaluation point); a row passes when its
     slack is >= -tol or its hypotheses do not hold (marked inapplicable).
-    Once the windows are known, the maps of the rows are prefetched in two
-    batched sweeps: those at times known then, and those that wait for the
-    change measures and the ratio-4 cut. Like every prefetch, this changes
-    no value, and each prefetched map is evaluated later. The two
-    exclusion-span crossings run in lockstep (regimes.lockstep).
+    On decaying dynamics the two exclusion-span crossings run in the
+    lockstep of the timescale searches (regimes.timescale_searches), from
+    its first round on. Once the windows are known, the maps of the rows
+    are prefetched in two batched sweeps: those at times known then, and
+    those that wait for the change measures and the ratio-4 cut. Like every
+    prefetch, this changes no value, and each prefetched map is evaluated
+    later.
     """
     if not tol >= 0:
         raise ValueError("tol must be non-negative, got %r" % (tol,))
     lam = dyn.eigenvalues()
+    searches = timescale_searches(dyn, "bound battery requires nontrivial "
+                                       "dynamics")
+    accuracies = (0.05, 0.15)
+    crossings = [(("ident",), _identity_crossing(dyn, c_acc))
+                 for c_acc in accuracies]
+    # the crossings divide by the fastest decay rate: on dynamics that do
+    # not decay they run alone, below, after the checks that come first
+    decays = dyn.fastest_decay_rate() > 0
+    found = lockstep(dyn, searches + crossings if decays else searches)
+    scales = timescale_report(found[:len(searches)])
     gen_norm = dyn.liouvillian_norm()
-    if gen_norm <= 1e-14:
-        raise TrivialDynamicsError("bound battery requires nontrivial dynamics")
-    scales = timescales(dyn)
     tau_0, tau_ss = scales.tau_0, scales.tau_ss
 
     if grid is None:
@@ -528,13 +552,8 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
     rng = np.random.default_rng([int(seed), 101])
     pairs = [(float(rng.uniform(grid[0], grid[-1])),
               float(rng.uniform(grid[0], grid[-1]))) for _ in range(4)]
-    step = crossing_scan_step(dyn)
-    accuracies = (0.05, 0.15)
-    spans = list(zip(accuracies, lockstep(dyn, [
-        (("ident",), crossing(dyn.distance_to_identity, c_acc,
-                              2.0 / (-lam.real[-1]), step,
-                              identity_sure_time(dyn, c_acc)))
-        for c_acc in accuracies])))
+    spans = list(zip(accuracies, found[len(searches):] if decays
+                     else lockstep(dyn, crossings)))
     exclusion = [(span0, shift * span0) for _, span0 in spans
                  if span0 is not None for shift in (2.5, 8.0)]
     t_probe = 0.9 * w2_start

@@ -91,6 +91,31 @@ def test_detect_trivial_model_exits_2(tmp_path, capsys):
     assert "trivial" in err
 
 
+ZERO_MODELS = {
+    False: {"dim": 2, "jumps": [],
+            "hamiltonian": [[[0.0, 0.0], [0.0, 0.0]],
+                            [[0.0, 0.0], [0.0, 0.0]]]},
+    True: {"rates": [[0.0, 0.0], [0.0, 0.0]]}}
+
+
+@pytest.mark.parametrize("classical", [False, True])
+@pytest.mark.parametrize("command, message", [
+    ("detect", "trivial dynamics: timescales require nontrivial dynamics"),
+    ("project", "timescales require nontrivial dynamics"),
+    ("verify-bounds",
+     "trivial dynamics: bound battery requires nontrivial dynamics")])
+def test_zero_generator_exits_2_with_its_message(classical, command, message,
+                                                 tmp_path, capsys):
+    # the zero generator has no decaying mode, so it is refused before any
+    # search starts, with the message of the analysis that refuses it
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(ZERO_MODELS[classical]))
+    prefix = "classical-" if classical else ""
+    code, out, err = run_cli([prefix + command, "--model", "file:%s" % path],
+                             capsys)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
 def test_malformed_model_file_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -652,17 +677,16 @@ RANDOM_D4_ARGS = ["--model", "builtin:random_lindbladian", "--param", "dim=4",
 
 
 def test_random_detect_norm_calls(norm_calls, monkeypatch, capsys):
-    # 1 model normalisation + 1 generator norm (reused for the dispersion),
-    # single maps; then timescales in 9 rounds: the identity-stationary and
-    # t = 0 stationary maps (2), then the tau_0 and tau_ss searches in
-    # lockstep (12, 5, then 2, 2, 2, 2, 2, 1 for the two Brent searches).
-    # The first lockstep round holds the scan's certified prefix (t = 0 and
-    # 6 steps), 4 look-ahead points and the first doubling probe; the second
-    # the next 4 scan points and the next probe. The crossing lies at the
-    # first of those 4, so 3 maps are evaluated and never read. Then one
-    # 24-map scan round: every window fails at its first, far-end distance,
-    # and each of the 24 maps is certified over the budget at its first
-    # O-step, which stops its ascent
+    # 1 model normalisation, a single map; then timescales in 8 lockstep
+    # rounds (15, 5, then 2, 2, 2, 2, 2, 1 for the two Brent searches). The
+    # first round holds the generator norm (reused for the dispersion), the
+    # identity-stationary and t = 0 stationary maps, the tau_0 scan's
+    # certified prefix (t = 0 and 6 steps), 4 look-ahead points and the
+    # first tau_ss doubling probe; the second the next 4 scan points and the
+    # next probe. The crossing lies at the first of those 4, so 3 maps are
+    # evaluated and never read. Then one 24-map scan round: every window
+    # fails at its first, far-end distance, and each of the 24 maps is
+    # certified over the budget at its first O-step, which stops its ascent
     import metastab.norms
 
     probes = []
@@ -677,7 +701,7 @@ def test_random_detect_norm_calls(norm_calls, monkeypatch, capsys):
     monkeypatch.setattr(metastab.norms, "_alternating_ascents", recorded)
     code, _, _ = run_cli(["detect"] + RANDOM_D4_ARGS, capsys)
     assert code == 0
-    assert norm_calls == {"maps": 56, "ascents": 12}
+    assert norm_calls == {"maps": 56, "ascents": 10}
     [(above, results)] = probes
     assert above == 0.1 and len(results) == 24
     assert all(res.iterations == 1 and res.value > above
@@ -685,27 +709,29 @@ def test_random_detect_norm_calls(norm_calls, monkeypatch, capsys):
 
 
 def test_random_battery_norm_calls(norm_calls, capsys):
-    # the benchmark's D = 3 battery: 532 maps in 20 ascent calls. 2 are
-    # single maps: the model normalisation and the generator. timescales
-    # takes 9: the identity-stationary and t = 0 stationary maps (2), then
-    # the two searches in lockstep (13, 2, 2, 2, 2, 2, 1, 1). Their rounds
-    # follow the last bits of the generator norm and of tau_0
-    # (0.7442421808877799). The first round holds the tau_0 scan's certified
-    # prefix (t = 0 and 7 steps), 4 look-ahead points, the last of which
-    # brackets the crossing, and the first doubling probe. One probe round
-    # per window scan (16 maps each; every window is over budget at its
-    # first distance, which its first O-step certifies; none of these maps
-    # is cached). The two exclusion spans run in lockstep: their scan points
-    # are cached, so only their Brent steps are new (5 rounds of 2). Last
-    # come the battery's two prefetches of its window maps (266 and 195
-    # maps). How many of their keys coincide bit for bit, with others of the
-    # request or with cached ones, follows the last bits of tau_0 and tau_ss
+    # the benchmark's D = 3 battery: 532 maps in 13 ascent calls. The model
+    # normalisation is a single map. Then 8 lockstep rounds of the timescale
+    # searches and the two exclusion-span crossings (16, 4, 4, 4, 4, 4, 1,
+    # 1), which follow the last bits of the generator norm and of tau_0
+    # (0.7442421808877799). The first round holds the generator norm, the
+    # identity-stationary and t = 0 stationary maps, the tau_0 scan's
+    # certified prefix (t = 0 and 7 steps), 4 look-ahead points, the last of
+    # which brackets the crossing, and the first tau_ss doubling probe. The
+    # exclusion spans' scan points are among the tau_0 scan's first-round
+    # points, so only their Brent steps are new: 2 maps in each of the
+    # next 5 rounds, beside the 2 of tau_0 and tau_ss. One probe round per
+    # window scan (16 maps each; every window is over budget at its first
+    # distance, which its first O-step certifies; none of these maps is
+    # cached). Last come the battery's two prefetches of its window maps
+    # (266 and 195 maps). How many of their keys coincide bit for bit, with
+    # others of the request or with cached ones, follows the last bits of
+    # tau_0 and tau_ss
     # (15.376622953871486, with the projection window at 1.6914440134008584)
     code, _, _ = run_cli(["verify-bounds", "--model",
                           "builtin:random_lindbladian", "--param", "dim=3",
                           "--param", "n_jumps=2", "--seed", "0"], capsys)
     assert code == 0
-    assert norm_calls == {"maps": 532, "ascents": 20}
+    assert norm_calls == {"maps": 532, "ascents": 13}
 
 
 def test_spin_norm_calls(norm_calls, capsys):

@@ -9,7 +9,7 @@ import metastab.norms as norms
 import metastab.regimes as regimes
 from metastab.classical import ClassicalBackend, ClassicalGenerator
 from metastab.models import random_lindbladian, spin_half_dephasing
-from metastab.modes import change_thresholds
+from metastab.modes import SCAN_AHEAD, change_thresholds
 from metastab.norms import _alternating_ascent
 from metastab.regimes import (CUTOFF_RELAXATION, DynamicsBackend,
                               QuantumBackend, TimeGrid, TrivialDynamicsError,
@@ -18,8 +18,10 @@ from metastab.regimes import (CUTOFF_RELAXATION, DynamicsBackend,
                               identity_sure_time, observable_average_change,
                               relaxation_times, scan_metastable,
                               state_change_measure, timescales,
-                              _golden_refine, _refined_sup, _window_grid)
+                              verdict_keys, _golden_refine, _refined_sup,
+                              _window_grid)
 from metastab.spectral_meta import bound_battery
+from metastab.superop import QuantumModel
 
 from conftest import three_level_double_well
 
@@ -307,8 +309,25 @@ def test_timescales_absent_paths_in_lockstep():
     # the ascent's arithmetic, so only its size is pinned
     dyn = QuantumBackend(model=random_lindbladian(3, 2, seed=0), seed=0)
     I = dyn.identity_matrix()
-    report = timescales(dyn.with_stationary(I))
+    view = dyn.with_stationary(I)
+    report = timescales(view)
     assert (report.tau_0, report.tau_ss) == (None, None)
+    # both searches saturate after the first round, which held the maps
+    # that decide so, the tau_0 scan's first request (t = 0 and the 7
+    # steps up to identity_sure_time, then SCAN_AHEAD more) and the first
+    # tau_ss probe. The scan points and the probe are evaluated and never
+    # read: a backend that evaluates maps one by one computes only the two
+    # deciding maps, and the same report
+    step = crossing_scan_step(dyn)
+    assert 7 * step <= identity_sure_time(dyn, 1.0 - 1.0 / math.e) < 8 * step
+    scan = {("ident", k * step) for k in range(8 + SCAN_AHEAD)}
+    probe = ("stat", 1.0 / dyn.slowest_decay_rate())
+    deciding = {("ident-stat",), ("stat", 0.0)}
+    assert view._norm_cache.keys() == deciding | scan | {probe}
+    plain_view = OneByOne(model=random_lindbladian(3, 2, seed=0),
+                          seed=0).with_stationary(I)
+    assert timescales(plain_view) == report
+    assert plain_view._norm_cache.keys() == deciding
     assert list(report.absent) == ["tau_0", "tau_ss"]
     assert report.absent["tau_0"] == \
         "distance to identity saturates at 0 < 1 - 1/e"
@@ -421,6 +440,119 @@ def test_generator_norm_stays_out_of_the_norm_cache(monkeypatch):
     assert view.unconverged_keys == {("gen",)}
     assert view._norm_cache == {}
     assert dyn.generator_norm_result() is result
+
+
+def assert_same_result(a, b):
+    """Every field of two InducedNormResults equal, bit for bit."""
+    assert (a.value, a.iterations, a.restarts_used, a.converged, a.exact) \
+        == (b.value, b.iterations, b.restarts_used, b.converged, b.exact)
+    for field_ in ("restart_values", "witness_state", "witness_observable"):
+        x, y = getattr(a, field_), getattr(b, field_)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field_
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("max_iter", [1, None])
+def test_batched_generator_norm_is_the_single_result(dim, max_iter,
+                                                     monkeypatch):
+    # a prefetch of ("gen",) stores the InducedNormResult that
+    # generator_norm_result computes on its own, and flags ("gen",) as
+    # unconverged in the same cases: with the ascent capped at one
+    # iteration, and not with the default cap
+    model = random_lindbladian(dim, 2, seed=0)
+    ascents = norms._alternating_ascents
+    stacks = []
+
+    def counted(Ms, d, **kwargs):
+        stacks.append(len(Ms))
+        if max_iter is not None:
+            kwargs["max_iter"] = max_iter
+        return ascents(Ms, d, **kwargs)
+
+    monkeypatch.setattr(norms, "_alternating_ascents", counted)
+    batched = QuantumBackend(model=model, seed=0)
+    single = QuantumBackend(model=model, seed=0)
+    batched.prefetch([("ident", 1.0), ("gen",), ("stat", 2.0)])
+    assert batched._norm_cache.keys() == {("ident", 1.0), ("stat", 2.0)}
+    assert stacks == [3]
+    result = batched.generator_norm_result()
+    batched.prefetch([("gen",)])
+    assert stacks == [3]
+    reference = single.generator_norm_result()
+    assert stacks == [3, 1]
+    assert_same_result(result, reference)
+    assert single.unconverged_keys == ({("gen",)} if max_iter else set())
+    assert batched.unconverged_keys - {("ident", 1.0), ("stat", 2.0)} \
+        == single.unconverged_keys
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_timescales_take_the_generator_norm_in_their_first_round(
+        dim, monkeypatch):
+    # the generator is one map of the first lockstep round, and its result
+    # is the one a single call computes
+    model = random_lindbladian(dim, 2, seed=0)
+    dyn = QuantumBackend(model=model, seed=0)
+    G = dyn.generator_matrix()
+    batches = []
+    induced = norms._induced_norms
+
+    def recorded(Ms, *args, **kwargs):
+        batches.append([np.array_equal(M, G) for M in Ms])
+        return induced(Ms, *args, **kwargs)
+
+    monkeypatch.setattr(norms, "_induced_norms", recorded)
+    report = timescales(dyn)
+    assert batches[0][0] and len(batches[0]) > 3
+    assert sum(map(sum, batches)) == 1
+    monkeypatch.setattr(norms, "_induced_norms", induced)
+    assert_same_result(dyn.generator_norm_result(),
+                       dyn.norm_result(dyn.generator_matrix()))
+    assert timescales(OneByOne(model=model, seed=0)) == report
+
+
+def trivial_backend(kind):
+    zero = np.zeros((2, 2), dtype=complex)
+    sz = np.diag([0.5, -0.5]).astype(complex)
+    if kind == "classical":
+        return ClassicalBackend(ClassicalGenerator(np.zeros((3, 3))))
+    if kind == "quantum":
+        return QuantumBackend(model=QuantumModel(hamiltonian=zero, jumps=()))
+    if kind == "tiny-dephasing":
+        # a decaying mode, but a generator norm below 1e-14: the norm is
+        # checked after the first round
+        return QuantumBackend(model=QuantumModel(hamiltonian=zero,
+                                                 jumps=(1e-8 * sz,)))
+    # no decaying mode, and with P = I both timescales saturate, so no
+    # search may divide by the decay rate of 0
+    dyn = QuantumBackend(model=QuantumModel(hamiltonian=sz, jumps=()))
+    return dyn.with_stationary(dyn.identity_matrix())
+
+
+NONTRIVIAL = ("timescales require nontrivial dynamics",) * 2 \
+    + ("bound battery requires nontrivial dynamics",)
+
+
+@pytest.mark.parametrize("kind, messages", [
+    ("classical", NONTRIVIAL), ("quantum", NONTRIVIAL),
+    ("tiny-dephasing", NONTRIVIAL),
+    ("undamped-identity", (None, "cannot bracket scan grid without timescales",
+                           "cannot build a default grid without both "
+                           "timescales"))])
+def test_trivial_dynamics_messages(kind, messages):
+    # the messages of timescales, scan_metastable and bound_battery, as
+    # before the first lockstep round took the generator norm
+    for analysis, message in zip((timescales, scan_metastable, bound_battery),
+                                 messages):
+        dyn = trivial_backend(kind)
+        if message is None:
+            report = analysis(dyn)
+            assert (report.tau_0, report.tau_ss) == (None, None)
+            assert list(report.absent) == ["tau_0", "tau_ss"]
+            continue
+        with pytest.raises(TrivialDynamicsError) as err:
+            analysis(dyn)
+        assert str(err.value) == message
 
 
 def test_distance_to_stationary_matches_multi_restart_reference():
@@ -594,10 +726,18 @@ def test_scan_probe_rounds_match_the_window_by_window_probe(monkeypatch):
     assert repr(hits) == repr([v for v in ref_verdicts
                                if v.verdict == "Metastable"
                                and v.c_delta <= kw["c_delta_max"]])
-    # one batched ascent per round, not one per window and probe distance
-    probe_ascents = ascents[:at_classify[0]]
-    assert len(probe_ascents) == max(probe_maps)
+    # one batched ascent per round, not one per window and probe distance,
+    # then one sweep of the change grids and end distances of the three
+    # windows that pass, less their probe maps, before the first of them
+    # is classified
+    probe_ascents = ascents[:max(probe_maps)]
     assert probe_ascents == [6, 4, 4, 4, 3, 3]
+    passed = grid[3:]
+    sweep = {key for t in passed
+             for key in verdict_keys(t, 2.0 * t, 15, with_doubling=False)}
+    sweep -= {("pair", t, s) for t in passed
+              for s in _window_grid(t, 2.0 * t, 7)}
+    assert ascents[len(probe_ascents):at_classify[0]] == [len(sweep)]
 
 
 def test_scan_refuses_trivial():

@@ -187,7 +187,8 @@ def test_bound_battery_override_restores_backend_on_error(spin_model):
 
 def record_search_requests(monkeypatch):
     """Patch lockstep so that it records, per search, the result and every
-    (norm-cache key, time) the search requests."""
+    (norm-cache key, time) the search requests; the time is None for a key
+    request, from a search whose family is None."""
     searches = []
     lockstep = regimes.lockstep
 
@@ -199,7 +200,7 @@ def record_search_requests(monkeypatch):
                 entry["result"] = stop.value
                 return stop.value
             for t in ts:
-                key = family + (t,)
+                key, t = (t, None) if family is None else (family + (t,), t)
                 if key[0] == "pair":
                     if key[1] == key[2]:
                         continue
@@ -224,16 +225,18 @@ def assert_only_look_ahead_added(searches, keys, plain_keys):
     """keys, a batching backend's cache, holds plain_keys, those of a backend
     that evaluates one map at a time, and besides them exactly the keys that
     the searches requested and never read: at most SCAN_AHEAD - 1 per
-    search, each past the search's result."""
+    search, each at a time past the search's result. A key request is
+    always read; ("gen",), the generator norm, is kept out of both caches."""
     assert plain_keys <= keys
     unread = set()
     for entry in searches:
         result = entry["result"]
         tau = result[0] if isinstance(result, tuple) else result
         ahead = {(key, t) for key, t in entry["requests"]
-                 if key not in plain_keys}
+                 if key not in plain_keys and key != ("gen",)}
         assert len(ahead) <= SCAN_AHEAD - 1
-        assert all(tau is not None and t > tau for _, t in ahead)
+        assert all(tau is not None and t is not None and t > tau
+                   for _, t in ahead)
         unread |= {key for key, _ in ahead}
     assert keys - plain_keys == unread
 
@@ -285,7 +288,12 @@ def test_batched_battery_caches_single_map_values(monkeypatch):
         monkeypatch, random_lindbladian(3, 2, seed=0))
     assert max(batches) > 32
     assert n_keys == sum(batches) > 100
-    assert len(searches) == 4  # tau_0, tau_ss and two exclusion spans
+    # the maps deciding the timescale searches, tau_0, tau_ss and two
+    # exclusion spans
+    assert len(searches) == 5
+    assert searches[0]["requests"] == {(("gen",), None),
+                                       (("ident-stat",), None),
+                                       (("stat", 0.0), None)}
 
 
 def test_batched_spin_battery_caches_single_map_values(monkeypatch,
@@ -296,9 +304,9 @@ def test_batched_spin_battery_caches_single_map_values(monkeypatch,
                                                              spin_model)
     assert max(batches) > 32
     assert n_keys > sum(batches) > 500
-    # tau_0, tau_ss, two exclusion spans, and the relaxation times
-    # tau_dprime, tau_prime of the metastable window
-    assert len(searches) == 6
+    # the deciding maps, tau_0, tau_ss, two exclusion spans, and the
+    # relaxation times tau_dprime, tau_prime of the metastable window
+    assert len(searches) == 7
 
 
 @pytest.mark.slow
@@ -321,7 +329,7 @@ def test_battery_prefetches_add_no_map_on_a_metastable_window(monkeypatch):
     assert {"dprime_exp", "prime_lin", "meta_corr",
             "tau_prime_ratio"} <= set(report.applicable_ids())
     dyn_searches = list(searches)
-    assert len(dyn_searches) == 6  # and tau_dprime, tau_prime
+    assert len(dyn_searches) == 7  # and tau_dprime, tau_prime
     plain = OneByOne(model=model, seed=0)
     plain_report = bound_battery(plain, seed=0, scan_points=8, n_grid=17)
     assert_only_look_ahead_added(dyn_searches, set(dyn._norm_cache),
