@@ -28,8 +28,8 @@ from .operators import max_norm
 # classify_regime is unused here but stays importable as cli.classify_regime:
 # bench/tracing.py wraps each analysis function where it is looked up
 from .regimes import (QuantumBackend, TimeGrid, TrivialDynamicsError,
-                      change_measure, classify_regime, scan_metastable,
-                      timescales)
+                      change_measure, change_search, classify_regime,
+                      lockstep, scan_metastable, timescales)
 from .spectral_meta import (SeparationInconsistencyError, bound_battery,
                             detect_separation, spectral_projection_report)
 from .superop import QuantumModel
@@ -244,9 +244,10 @@ def _cmd_distances(args, dyn, payload):
 
 def _cmd_changes(args, dyn, payload):
     ts = _grid_from_args(args).times()
+    found = lockstep(dyn, [change_search(dyn, float(t), args.ratio * float(t))
+                           for t in ts])
     rows = []
-    for t in ts:
-        c, _ = change_measure(dyn, float(t), args.ratio * float(t))
+    for t, (c, _) in zip(ts, found):
         if c < 0.25:
             lo, hi = change_thresholds(c)
         else:

@@ -4,8 +4,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .modes import golden, _run_search
 from .operators import is_hermitian, max_norm
-from .regimes import _golden_refine, _window_grid
+from .regimes import _window_grid
 from .superop import unvec, vec
 
 
@@ -67,7 +68,7 @@ def observable_change(spec, obs, t_start, t_end, n_grid=33):
     k = int(np.argmax(vals))
     a = ts[max(0, k - 1)]
     b = ts[min(len(ts) - 1, k + 1)]
-    _, v_ref = _golden_refine(f, a, b)
+    _, v_ref = _run_search(golden(f, a, b))
     return float(max(vals[k], v_ref))
 
 

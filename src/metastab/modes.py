@@ -1,7 +1,8 @@
 """Closed-form single-mode theory: threshold roots, inverse growth bounds,
 and per-mode regime boundaries for decaying (real or spiraling) modes; and
-the root searches behind them and the regime timescales, as generators
-(zeroin, crossing) that regimes.lockstep can run together."""
+the searches behind them, the regime timescales and the window suprema, as
+generators (zeroin, crossing, golden) that regimes.lockstep can run
+together."""
 import math
 from dataclasses import dataclass
 
@@ -9,6 +10,8 @@ import numpy as np
 
 # scan points a crossing search hints per request past its certified prefix
 SCAN_AHEAD = 4
+# relative bracket width at which a golden-section search stops
+GOLDEN_REL_TOL = 1e-6
 
 
 def change_thresholds(c):
@@ -68,12 +71,12 @@ class ModeRegimes:
     imag_bound: float | None
 
 
-def _run_search(search):
-    """Run a search generator to its end and return its result, dropping its
-    hints."""
+def _run_search(search, hint=lambda request: None):
+    """Run a search generator to its end and return its result, passing
+    each request to hint (by default, dropping it)."""
     while True:
         try:
-            next(search)
+            hint(next(search))
         except StopIteration as stop:
             return stop.value
 
@@ -83,7 +86,8 @@ def zeroin(f, a, b):
     search generator.
 
     A search yields the times it evaluates f at next, as a cache hint for a
-    caller that batches maps (regimes.lockstep), and then evaluates f itself;
+    caller that batches maps (regimes.lockstep, through regimes.keyed), and
+    then evaluates f itself;
     its result is the generator's return value. zeroin yields [a, b], then
     each iterate, and evaluates exactly the times it yields.
 
@@ -185,6 +189,33 @@ def crossing(f, target, t_max, step, t_sure=0.0):
                                                  at(k - 1), t_hi))
         f_lo = f_hi
     return None
+
+
+def golden(f, a, b):
+    """Maximum of f on [a, b] by golden section, as a search generator (see
+    zeroin): at most 80 steps, or down to a bracket of GOLDEN_REL_TOL
+    relative width. It yields its two inner points, then each new one, and
+    evaluates exactly the times it yields, never a or b. Returns (t, f(t))
+    at the larger of the last two points."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    yield (x1, x2)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(80):
+        if (b - a) <= GOLDEN_REL_TOL * max(abs(a), abs(b), 1e-300):
+            break
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            yield (x2,)
+            f2 = f(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            yield (x1,)
+            f1 = f(x1)
+    return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
 def first_crossing(f, target, t_max, step):

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .modes import (SCAN_AHEAD, change_thresholds, crossing,
-                    known_ends_zeroin)
+from .modes import (SCAN_AHEAD, change_thresholds, crossing, golden,
+                    known_ends_zeroin, _run_search)
 from . import norms as _norms
 from .operators import max_norm, trace_norm
 from .superop import build_liouvillian, spectral_decompose, vec
@@ -28,8 +28,6 @@ CUTOFF_LINEAR_GROWTH = (3.0 * math.log(1.5) - 1.0) / 2.0  # 0.1082..., growth-in
 VERDICT_GUARD = 1e-4
 # evolution matrices a backend keeps, least recently used evicted first
 EVO_CACHE_SIZE = 256
-# relative bracket width at which a golden-section refinement stops
-GOLDEN_REL_TOL = 1e-6
 
 
 class TrivialDynamicsError(ValueError):
@@ -223,6 +221,10 @@ class DynamicsBackend:
             self._norm_cache[key] = result.value
         return result.value
 
+    def _uncached(self, keys):
+        """The keys that prefetch(keys) would evaluate: none, here."""
+        return {}
+
     def prefetch(self, keys):
         """Cache hint: evaluate the norms of the uncached keys in one batch.
 
@@ -230,19 +232,11 @@ class DynamicsBackend:
         ("ident", t), ("proj", m, t), ("gen",) or ("pair", t1, t2), the last
         in either order (equal times name the zero distance). Each value
         equals, bit for bit, the one the single getter would compute, so a
-        prefetch never changes a result; it only saves per-call overhead for
-        keys that are evaluated later anyway, with two exceptions, both
-        evaluated and never read. The look-ahead of a crossing search (see
-        modes.crossing) may hint up to SCAN_AHEAD - 1 keys past its
-        crossing. And the first round of timescale_searches holds the tau_0
-        scan's first request and the first tau_ss probe, which go unread on
-        the saturating branches: tau_0 is absent when the distance to the
-        identity saturates below 1 - 1/e, tau_ss when the distance to the
-        stationary projection starts at or below 1/e. A caller that only
-        compares distances with a threshold asks exceeds instead.
-        A no-op here, and so on the classical backend, whose exact l1 norm has
-        no per-call overhead to save; a quantum backend evaluates the keys
-        in one norm call at every D.
+        prefetch never changes a result; it only saves per-call overhead.
+        lockstep calls it once per round with the uncached keys its searches
+        request. A no-op here, and so on the classical backend, whose exact
+        l1 norm has no per-call overhead to save; a quantum backend
+        evaluates the keys in one norm call at every D.
         """
 
     def exceeds(self, pairs, threshold):
@@ -341,10 +335,9 @@ class QuantumBackend(DynamicsBackend):
             value = self._store(key, self.norm_result(self._norm_map(key)))
         return value
 
-    def _evaluate(self, keys, above=None):
-        """(key, InducedNormResult) for each uncached key of keys, each
-        once, pairs in canonical order and the zero distance left out, from
-        one norm call; above is passed on to norms._induced_norms."""
+    def _uncached(self, keys):
+        """The uncached keys of keys, each once, pairs in canonical order
+        and the zero distance left out, as a dict in request order."""
         todo = {}
         for key in keys:
             if key[0] == "pair":
@@ -356,6 +349,12 @@ class QuantumBackend(DynamicsBackend):
                 continue
             if key not in self._norm_cache:
                 todo[key] = None
+        return todo
+
+    def _evaluate(self, keys, above=None):
+        """(key, InducedNormResult) for each of _uncached(keys), from one
+        norm call; above is passed on to norms._induced_norms."""
+        todo = self._uncached(keys)
         if not todo:
             return []
         # the maps go straight into one stack, without a list of copies
@@ -445,79 +444,79 @@ def _window_grid(t_start, t_end, n_points=33):
         else np.linspace(t_start, t_end, n_points)
 
 
-def _golden_refine(f, a, b):
-    """Golden-section maximization of f on [a, b], at most 80 steps or down
-    to a bracket of GOLDEN_REL_TOL relative width."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(80):
-        if (b - a) <= GOLDEN_REL_TOL * max(abs(a), abs(b), 1e-300):
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+def decay_time(rate):
+    """1 / rate, the time scale of a mode that decays at rate. An undamped
+    mode (Re lambda = 0) has none: TrivialDynamicsError."""
+    if not rate > 0:
+        raise TrivialDynamicsError("an undamped mode (Re lambda = 0) has no "
+                                   "decay time")
+    return 1.0 / rate
 
 
-def _refined_sup(f, ts):
-    """f on the grid ts, and its golden-section refinement on
-    [t_{k-1}, t_{k+1}] around the grid maximum k. Returns (grid values, k,
-    refined t, refined value).
+def keyed(key, search):
+    """search, which requests times (modes.zeroin, crossing, golden), as a
+    search that requests the norm-cache key key(t) of each time t."""
+    while True:
+        try:
+            ts = next(search)
+        except StopIteration as stop:
+            return stop.value
+        yield map(key, ts)
 
-    Only an interior maximum is refined. At the first or last grid point the
-    grid point is its own refinement: golden section never evaluates the
-    bracket's ends, and there it has only ever tied the grid value.
-    """
+
+def _read(keys):
+    """The search that requests keys, once, for its caller to read."""
+    yield keys
+
+
+def together(dyn, searches):
+    """Independent searches as one search that returns their results in
+    order. Each round advances every unfinished search to its next request
+    with something left to evaluate (dyn._uncached) and requests the union
+    of those keys: a request with nothing left (all cached, or any request
+    on a backend that does not batch) is answered at once, in the round."""
+    results = [None] * len(searches)
+    live = list(enumerate(searches))
+    while live:
+        request, waiting = {}, []
+        for i, search in live:
+            try:
+                while not (keys := dyn._uncached(next(search))):
+                    pass
+            except StopIteration as stop:
+                results[i] = stop.value
+                continue
+            request.update(keys)
+            waiting.append((i, search))
+        live = waiting
+        if live:
+            yield request
+    return results
+
+
+def lockstep(dyn, searches):
+    """Run independent searches together to their ends, one prefetch (one
+    batched norm call on a quantum backend) per round; returns their
+    results in order. A search is a generator of the kind modes.zeroin
+    describes, which yields the norm-cache keys it reads next, then reads
+    them through the backend's getters. Every analysis reads its maps so."""
+    return _run_search(together(dyn, searches), dyn.prefetch)
+
+
+def _refined_sup(f, key, ts):
+    """f on the grid ts, in one request, and modes.golden on
+    [t_{k-1}, t_{k+1}] around an interior grid maximum k, as a search that
+    requests the norm-cache key key(t) of each time t. Returns (grid values,
+    k, refined t, refined value); at the first or last grid point the grid
+    point is its own refinement, as golden section never evaluates the
+    bracket's ends."""
+    yield map(key, ts)
     vals = [f(t) for t in ts]
     k = int(np.argmax(vals))
     if k in (0, len(ts) - 1):
         return vals, k, ts[k], vals[k]
-    t_ref, v_ref = _golden_refine(f, ts[k - 1], ts[k + 1])
+    t_ref, v_ref = yield from keyed(key, golden(f, ts[k - 1], ts[k + 1]))
     return vals, k, t_ref, v_ref
-
-
-def change_keys(t_start, t_end, n_grid=33):
-    """Norm-cache keys of the change_measure grid on [t_start, t_end].
-
-    Like every key helper, a generator: the keys are built only when a
-    backend that batches reads them, never on an exact backend."""
-    for t in _window_grid(t_start, t_end, n_grid):
-        yield ("pair", t_start, t)
-
-
-def doubling_keys(t_start, t_end, n_grid=33):
-    """Norm-cache keys of the change_measure_doubling grid; none when the
-    window is shorter than its doubled start."""
-    if t_end >= 2 * t_start:
-        for t in _window_grid(t_start, t_end / 2.0, n_grid):
-            yield ("pair", t, 2 * t)
-
-
-def verdict_keys(t_start, t_end, n_grid=33, with_doubling=True):
-    """Norm-cache keys classify_regime evaluates on every window: the change
-    grids and the two end distances."""
-    yield from change_keys(t_start, t_end, n_grid)
-    if with_doubling:
-        yield from doubling_keys(t_start, t_end, n_grid)
-    yield ("ident", t_start)
-    yield ("stat", t_end)
-
-
-def curve_keys(t_start, t_end, n_grid=33):
-    """Norm-cache keys of the distance curves to the identity and to the
-    stationary projection over the window grid, which classify_regime
-    evaluates when its change measure passes the basic cutoff."""
-    ts = _window_grid(t_start, t_end, n_grid)
-    for family in ("ident", "stat"):
-        for t in ts:
-            yield (family, t)
 
 
 def cutoff_flags(c_delta):
@@ -531,6 +530,28 @@ def cutoff_flags(c_delta):
     }
 
 
+def grid_change_search(dyn, ts):
+    """The change measure on the window grid ts, from ts[0] to ts[-1], as
+    a search (_refined_sup of the distance from ts[0]). Returns (value,
+    argmax time)."""
+    t_start = ts[0]
+    vals, k, t_ref, v_ref = yield from _refined_sup(
+        lambda t: dyn.distance(t_start, t), lambda t: ("pair", t_start, t), ts)
+    if v_ref >= vals[k]:
+        return float(v_ref), float(t_ref)
+    return float(vals[k]), float(ts[k])
+
+
+def change_search(dyn, t_start, t_end, n_grid=33):
+    """change_measure as a search."""
+    if t_end < t_start:
+        raise ValueError("window end before start")
+    if t_end == t_start:
+        return 0.0, t_start
+    return (yield from grid_change_search(
+        dyn, _window_grid(t_start, t_end, n_grid)))
+
+
 def change_measure(dyn, t_start, t_end, n_grid=33):
     """Windowed change sup_{t in [t_start, t_end]} ||e^{t_start L} - e^{t L}||.
 
@@ -539,27 +560,18 @@ def change_measure(dyn, t_start, t_end, n_grid=33):
     refined by golden section around an interior grid maximum. Returns
     (value, argmax time).
     """
-    if t_end < t_start:
-        raise ValueError("window end before start")
-    if t_end == t_start:
-        return 0.0, t_start
-    ts = _window_grid(t_start, t_end, n_grid)
-    dyn.prefetch(change_keys(t_start, t_end, n_grid))
-    vals, k, t_ref, v_ref = _refined_sup(lambda t: dyn.distance(t_start, t),
-                                         ts)
-    if v_ref >= vals[k]:
-        return float(v_ref), float(t_ref)
-    return float(vals[k]), float(ts[k])
+    return lockstep(dyn, [change_search(dyn, t_start, t_end, n_grid)])[0]
 
 
-def change_measure_doubling(dyn, t_start, t_end, n_grid=33):
+def doubling_search(dyn, t_start, t_end, n_grid=33):
     """sup_{t in [t_start, t_end/2]} ||e^{tL} - e^{2tL}||, the doubling-change
-    variant that may tighten the thresholds."""
+    variant that may tighten the thresholds, as a search; 0 when the window
+    is shorter than its doubled start."""
     if t_end < 2 * t_start:
         return 0.0
-    ts = _window_grid(t_start, t_end / 2.0, n_grid)
-    dyn.prefetch(doubling_keys(t_start, t_end, n_grid))
-    vals, k, _, v_ref = _refined_sup(lambda t: dyn.distance(t, 2 * t), ts)
+    vals, k, _, v_ref = yield from _refined_sup(
+        lambda t: dyn.distance(t, 2 * t), lambda t: ("pair", t, 2 * t),
+        _window_grid(t_start, t_end / 2.0, n_grid))
     return float(max(vals[k], v_ref))
 
 
@@ -584,7 +596,7 @@ def crossing_scan_step(dyn):
     """Scan step for first crossings of the distance to the identity: 1/40 of
     the fastest decay time, capped at 0.35 / max |Im lambda| so that the scan
     resolves the fastest oscillation."""
-    step = (1.0 / dyn.fastest_decay_rate()) / 40.0
+    step = decay_time(dyn.fastest_decay_rate()) / 40.0
     if dyn.max_imag() > 0:
         step = min(step, 0.35 / dyn.max_imag())
     return step
@@ -601,71 +613,40 @@ def identity_sure_time(dyn, target):
         math.sqrt(dyn.dim) * np.linalg.norm(dyn.generator_matrix(), 2))
 
 
-def lockstep(dyn, searches):
-    """Run independent searches together, one prefetch per round.
-
-    searches is a list of (family, search) pairs: search a generator of the
-    kind modes.zeroin describes, which yields the times it evaluates next
-    and then evaluates them itself, and family the key prefix, such as
-    ("ident",) or ("pair", t_start), that makes a time a norm-cache key. A
-    search whose family is None yields whole keys, such as ("gen",). Each
-    round advances every unfinished search to its next request, in order,
-    and sends the keys of all requests to one prefetch (one batched norm
-    call on a quantum backend, nothing on the classical one). Returns the
-    searches' results in order.
-    """
-    results = [None] * len(searches)
-    live = list(enumerate(searches))
-    while live:
-        requests, waiting = [], []
-        for i, (family, search) in live:
-            try:
-                requests.append((family, next(search)))
-                waiting.append((i, (family, search)))
-            except StopIteration as stop:
-                results[i] = stop.value
-        dyn.prefetch(t if family is None else family + (t,)
-                     for family, ts in requests for t in ts)
-        live = waiting
-    return results
-
-
-def _deciding_maps(dyn, message):
-    """The search that opens timescale_searches: it requests the generator
-    and the two maps that decide whether tau_0 and tau_ss are searched at
-    all, then raises TrivialDynamicsError(message) on a generator norm of
-    at most 1e-14."""
-    yield [("gen",), ("ident-stat",), ("stat", 0.0)]
+def _generator_check(dyn, message):
+    """The search that opens timescale_searches: it requests the generator,
+    then raises TrivialDynamicsError(message) on a generator norm of at
+    most 1e-14."""
+    yield [("gen",)]
     if dyn.liouvillian_norm() <= 1e-14:
         raise TrivialDynamicsError(message)
 
 
-def _identity_scans(dyn, target):
-    """The crossing scans of the tau_0 search, each a search: the distance
-    to the identity up to 1.05 / (fastest decay rate), then up to twice
-    that, and so on up to 64 times."""
-    t_hi = 1.0 / dyn.fastest_decay_rate()
-    step = crossing_scan_step(dyn)
-    t_sure = identity_sure_time(dyn, target)
-    t_top = t_hi
-    while t_top <= 64 * t_hi:
-        yield crossing(dyn.distance_to_identity, target, 1.05 * t_top, step,
-                       t_sure)
-        t_top *= 2
+def identity_crossing(dyn, target, span):
+    """First crossing of the distance to the identity with target, up to
+    span times the fastest decay time, as a search: a crossing scan whose
+    first request holds every scan point before identity_sure_time."""
+    return (yield from keyed(lambda t: ("ident", t), crossing(
+        dyn.distance_to_identity, target,
+        span * decay_time(dyn.fastest_decay_rate()), crossing_scan_step(dyn),
+        identity_sure_time(dyn, target))))
 
 
 def _tau_0_search(dyn, target):
-    """The shortest timescale as a search: the crossing scans of
-    _identity_scans, until one locates a crossing. On decaying dynamics the
-    first scan's first request comes before the check that the distance
-    reaches the target at all. Returns (tau_0, residual), or (None, why it
-    is absent)."""
+    """The shortest timescale as a search: crossing scans up to 1.05 times
+    the fastest decay time, then twice that, and so on up to 64 times, until
+    one locates a crossing. The first request holds the identity-stationary
+    map, which decides whether the distance reaches the target, and on
+    decaying dynamics the first scan's first request. Returns (tau_0,
+    residual), or (None, why it is absent)."""
     f = dyn.distance_to_identity
-    scans = _identity_scans(dyn, target)
+    scans = (identity_crossing(dyn, target, 1.05 * 2 ** j) for j in range(7))
+    request = [("ident-stat",)]
     if dyn.fastest_decay_rate() > 0:
         scan = next(scans)
-        yield next(scan)
+        request.extend(next(scan))
         scans = itertools.chain([scan], scans)
+    yield request
     if dyn.stationary_distance() < target - 1e-12:
         return None, ("distance to identity saturates at %.6g < 1 - 1/e"
                       % dyn.stationary_distance())
@@ -679,25 +660,25 @@ def _tau_0_search(dyn, target):
 def _tau_ss_search(dyn, target):
     """The final relaxation time as a search: a doubling bracket of the
     distance to the stationary projection from 1 / (slowest decay rate),
-    then zeroin. On decaying dynamics the first probe is requested before
-    the check that the distance starts above the target. Returns (tau_ss,
-    residual), or (None, why it is absent)."""
+    then zeroin. The first request holds the distance at t = 0 and, on
+    decaying dynamics, the first probe. Returns (tau_ss, residual), or
+    (None, why it is absent)."""
     f = dyn.distance_to_stationary
     rate = dyn.slowest_decay_rate()
+    request = [("stat", 0.0)]
     if rate > 0:
-        yield (1.0 / rate,)
+        request.append(("stat", 1.0 / rate))
+    yield request
     t_lo = 0.0
     if f(t_lo) <= target:
         return None, "distance to stationary starts at %.6g <= 1/e" % f(t_lo)
-    # past here the rate is positive (1 / 0 raises, and a negative time
-    # raises where it is read), so the first probe has been requested
-    t_hi = 1.0 / rate
+    t_hi = decay_time(rate)
     for k in range(40):
         if k:
-            yield (t_hi,)
+            yield [("stat", t_hi)]
         if f(t_hi) < target:
-            tau = yield from known_ends_zeroin(lambda t: f(t) - target,
-                                               t_lo, t_hi)
+            tau = yield from keyed(lambda t: ("stat", t), known_ends_zeroin(
+                lambda t: f(t) - target, t_lo, t_hi))
             return tau, abs(f(tau) - target)
         t_lo = t_hi
         t_hi *= 2.0
@@ -706,7 +687,7 @@ def _tau_ss_search(dyn, target):
 
 
 def timescale_searches(dyn, message="timescales require nontrivial dynamics"):
-    """The searches of timescales, as lockstep's (family, search) pairs.
+    """The searches of timescales, for lockstep.
 
     The first round holds the generator norm and the two maps that decide
     whether the tau_0 and tau_ss searches run at all, and, on decaying
@@ -714,13 +695,14 @@ def timescale_searches(dyn, message="timescales require nontrivial dynamics"):
     the first tau_ss probe. A caller may add independent searches of its
     own to the same lockstep. Raises TrivialDynamicsError(message) when
     the dynamics has no decaying mode (at once) or a generator norm of at
-    most 1e-14 (after the first round).
+    most 1e-14 (after the first round), and TrivialDynamicsError on an
+    undamped mode (see decay_time) once a search needs its decay time.
     """
     if dyn.m_ss >= dyn.eigenvalues().size:
         raise TrivialDynamicsError(message)
-    return [(None, _deciding_maps(dyn, message)),
-            (("ident",), _tau_0_search(dyn, 1.0 - 1.0 / math.e)),
-            (("stat",), _tau_ss_search(dyn, 1.0 / math.e))]
+    return [_generator_check(dyn, message),
+            _tau_0_search(dyn, 1.0 - 1.0 / math.e),
+            _tau_ss_search(dyn, 1.0 / math.e)]
 
 
 def timescale_report(found):
@@ -752,23 +734,27 @@ def timescales(dyn):
     return timescale_report(lockstep(dyn, timescale_searches(dyn)))
 
 
-def classify_regime(dyn, t_start, t_end, n_grid=33, with_doubling=True):
-    """Classify a window as Initial / Final / Metastable / Indeterminate.
-
-    The change measure fixes threshold roots (lower, upper); the distance to
-    the identity and to the stationary projection must stay within one branch
-    of their dichotomies across the window, with the upper thresholds relaxed
-    by the change measure on the second half of the window. Cutoff constants
-    carry a guard band against discretization of the supremum. The maps of
-    the change grids and end distances are prefetched as one sweep, and so
-    are those of both distance curves.
-    """
+def window_search(dyn, t_start, t_end, n_grid=33, with_doubling=True):
+    """The opening of verdict_search as a search: the change measure, the
+    doubling change (nan without with_doubling) and the two end distances,
+    together. Returns (window grid, (c_delta, argmax time), doubling)."""
     if not t_end >= 2 * t_start > 0:
         raise ValueError("window must satisfy t_end >= 2 t_start > 0")
-    dyn.prefetch(verdict_keys(t_start, t_end, n_grid, with_doubling))
-    c_delta, argmax_t = change_measure(dyn, t_start, t_end, n_grid=n_grid)
-    c_doubling = change_measure_doubling(dyn, t_start, t_end, n_grid=n_grid) \
-        if with_doubling else math.nan
+    ts = _window_grid(t_start, t_end, n_grid)
+    searches = [grid_change_search(dyn, ts),
+                _read([("ident", t_start), ("stat", t_end)])]
+    if with_doubling:
+        searches.append(doubling_search(dyn, t_start, t_end, n_grid))
+    change, _, *doubling = yield from together(dyn, searches)
+    return ts, change, doubling[0] if with_doubling else math.nan
+
+
+def verdict_search(dyn, t_start, t_end, n_grid=33, with_doubling=True):
+    """classify_regime as a search: window_search, then, when the change
+    measure passes the basic cutoff, both distance curves over the window
+    grid in one request."""
+    ts, (c_delta, argmax_t), c_doubling = yield from window_search(
+        dyn, t_start, t_end, n_grid, with_doubling)
     d_init_start = dyn.distance_to_identity(t_start)
     d_stat_end = dyn.distance_to_stationary(t_end)
 
@@ -780,9 +766,8 @@ def classify_regime(dyn, t_start, t_end, n_grid=33, with_doubling=True):
                              {**flags, "gating_cutoff": "1/4"})
 
     lower, upper = change_thresholds(c_delta)
-    ts = _window_grid(t_start, t_end, n_grid)
     first_half = ts <= t_end / 2.0 + 1e-12 * t_end
-    dyn.prefetch(curve_keys(t_start, t_end, n_grid))
+    yield [(family, t) for family in ("ident", "stat") for t in ts]
     d_init = np.array([dyn.distance_to_identity(t) for t in ts])
     d_stat = np.array([dyn.distance_to_stationary(t) for t in ts])
 
@@ -815,6 +800,21 @@ def classify_regime(dyn, t_start, t_end, n_grid=33, with_doubling=True):
                          verdict, flags)
 
 
+def classify_regime(dyn, t_start, t_end, n_grid=33, with_doubling=True):
+    """Classify a window as Initial / Final / Metastable / Indeterminate.
+
+    The change measure fixes threshold roots (lower, upper); the distance to
+    the identity and to the stationary projection must stay within one branch
+    of their dichotomies across the window, with the upper thresholds relaxed
+    by the change measure on the second half of the window. Cutoff constants
+    carry a guard band against discretization of the supremum. Runs
+    verdict_search: the change searches and the two end distances advance
+    together, then both distance curves are read as one sweep.
+    """
+    return lockstep(dyn, [verdict_search(dyn, t_start, t_end, n_grid,
+                                         with_doubling)])[0]
+
+
 def scan_metastable(dyn, c_delta_max=0.1, ratio=2.0, grid=None, n_grid=33,
                     n_scan=24, merge=True):
     """Slide windows (t, ratio t) over a grid and return Metastable verdicts.
@@ -826,8 +826,8 @@ def scan_metastable(dyn, c_delta_max=0.1, ratio=2.0, grid=None, n_grid=33,
     next distance of every window still within budget. It needs only the
     comparison, so a quantum backend stops each probe map's ascent once a
     lower bound exceeds c_delta_max and caches no such map. The windows that
-    pass are then classified in grid order, the maps of their change grids
-    and end distances prefetched as one sweep. Windows classified Metastable
+    pass are then classified together, their verdict searches in one
+    lockstep. Windows classified Metastable
     with a change measure above c_delta_max are dropped too. Adjacent
     Metastable windows are merged when the merged span still classifies
     Metastable. Output is ordered by ascending window start.
@@ -863,12 +863,10 @@ def scan_metastable(dyn, c_delta_max=0.1, ratio=2.0, grid=None, n_grid=33,
         over = dyn.exceeds([(grid[i], probes[i][k]) for i in alive],
                            c_delta_max)
         alive = [i for i, out in zip(alive, over) if not out]
-    dyn.prefetch(key for i in alive for key in verdict_keys(
-        grid[i], ratio * grid[i], n_grid, with_doubling=False))
-    verdicts = [(i, classify_regime(dyn, grid[i], ratio * grid[i],
-                                    n_grid=n_grid, with_doubling=False))
-                for i in alive]
-    hits = [(i, v) for i, v in verdicts
+    verdicts = lockstep(dyn, [verdict_search(dyn, grid[i], ratio * grid[i],
+                                             n_grid, with_doubling=False)
+                              for i in alive])
+    hits = [(i, v) for i, v in zip(alive, verdicts)
             if v.verdict == "Metastable" and v.c_delta <= c_delta_max]
     if not hits:
         return []
@@ -876,16 +874,15 @@ def scan_metastable(dyn, c_delta_max=0.1, ratio=2.0, grid=None, n_grid=33,
         return [v for _, v in hits]
 
     # merge runs of adjacent grid windows greedily, keeping every reported
-    # window Metastable and within the change budget
-    out = []
-    run = [hits[0]]
-    for item in hits[1:]:
-        if item[0] == run[-1][0] + 1:
-            run.append(item)
-        else:
-            out.extend(_merge_run(dyn, [v for _, v in run], c_delta_max, n_grid))
-            run = [item]
-    out.extend(_merge_run(dyn, [v for _, v in run], c_delta_max, n_grid))
+    # window Metastable and within the change budget; the final windows are
+    # reported with the doubling-change variant filled in
+    merged = []
+    for _, run in itertools.groupby(enumerate(hits),
+                                    lambda hit: hit[1][0] - hit[0]):
+        merged += _merge_run(dyn, [v for _, (_, v) in run], c_delta_max,
+                             n_grid)
+    out = lockstep(dyn, [verdict_search(dyn, v.t_start, v.t_end, n_grid)
+                         for v in merged])
     return sorted(out, key=lambda v: v.t_start)
 
 
@@ -905,38 +902,38 @@ def _merge_run(dyn, run, c_delta_max, n_grid):
                 break
         merged.append(best)
         i = j
-    # final windows are reported with the doubling-change variant filled in
-    dyn.prefetch(key for v in merged
-                 for key in verdict_keys(v.t_start, v.t_end, n_grid))
-    return [classify_regime(dyn, v.t_start, v.t_end, n_grid=n_grid)
-            for v in merged]
+    return merged
 
 
 def _onset_search(dyn, t_start, t_end, target):
     """The onset of the long-time dynamics as a search: a geometric bracket
-    of the distance to the window start map from t_start, its probes hinted
-    SCAN_AHEAD at a time, then zeroin.
+    of the distance to the window start map from t_start, its probes
+    requested SCAN_AHEAD at a time, then zeroin.
 
     After a metastable window the distance grows essentially monotonically
     (fast-mode wiggles are bounded by the in-window change), so the bracket
     locates the crossing."""
     f = lambda t: dyn.distance(t_start, t) - target
+    pair = lambda t: ("pair", t_start, t)
     t_lo, f_lo = t_start, f(t_start)
     horizon = max(t_end, 2 * t_start)
     for _ in range(80):
         probes = np.geomspace(t_lo, horizon, 24)[1:].tolist()
         for j, t_hi in enumerate(probes):
             if j % SCAN_AHEAD == 0:
-                yield probes[j:j + SCAN_AHEAD]
+                yield map(pair, probes[j:j + SCAN_AHEAD])
             f_hi = f(t_hi)
             if f_lo * f_hi <= 0.0:
-                return (yield from known_ends_zeroin(f, t_lo, t_hi))
+                return (yield from keyed(pair, known_ends_zeroin(f, t_lo,
+                                                                 t_hi)))
             t_lo, f_lo = t_hi, f_hi
         horizon *= 8.0
         if horizon > 1e9 * t_start:
             break
-        # give up early when the distance can no longer reach the target
-        if f_lo < 0 and dyn.distance_to_stationary(t_lo) \
+        # give up early when the distance, below the target since t_start
+        # (f_lo < 0), can no longer reach it
+        yield [("stat", t_lo), ("stat", t_start)]
+        if dyn.distance_to_stationary(t_lo) \
                 + dyn.distance_to_stationary(t_start) < target - 1e-9:
             break
     return None
@@ -963,8 +960,8 @@ def relaxation_times(dyn, t_start, t_end, c_delta):
     scan = crossing(lambda t: dyn.distance(t_start, t), 1.0 / math.e - lower,
                     t_max=t_start, step=step)
     onset = _onset_search(dyn, t_start, t_end, 1.0 - 1.0 / math.e - lower)
-    family = ("pair", t_start)
-    tau_dprime, tau_prime = lockstep(dyn, [(family, scan), (family, onset)])
+    tau_dprime, tau_prime = lockstep(
+        dyn, [keyed(lambda t: ("pair", t_start, t), scan), onset])
     return (None if tau_dprime is None else float(tau_dprime),
             None if tau_prime is None else float(tau_prime))
 

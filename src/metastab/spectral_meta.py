@@ -12,15 +12,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modes import change_thresholds, crossing, linear_growth_inverse
-# timescales is not called here: it stays importable from this module
-# because bench/tracing.py wraps it at every module that imported it
-from .regimes import (CUTOFF_RELAXATION, change_keys, change_measure,
-                      classify_regime, crossing_scan_step, curve_keys,
-                      cutoff_flags, identity_sure_time, lockstep,
-                      relaxation_times, scan_metastable, timescale_report,
-                      timescale_searches, timescales, verdict_keys,
-                      TrivialDynamicsError, _refined_sup, _window_grid)
+from .modes import change_thresholds, linear_growth_inverse
+# change_measure, classify_regime and timescales are unused here, but
+# bench/tracing.py wraps them at every module that imported them
+from .regimes import (CUTOFF_RELAXATION, change_measure, change_search,
+                      classify_regime, grid_change_search, identity_crossing,
+                      lockstep, relaxation_times, scan_metastable,
+                      timescale_report, timescale_searches, timescales,
+                      together, verdict_search, window_search,
+                      TrivialDynamicsError, _read, _refined_sup,
+                      _window_grid)
 
 # tolerance of the separation branch tests on e^{t Re lambda}
 SEPARATION_GUARD = 1e-9
@@ -196,58 +197,41 @@ def _extended_end(t_start, t_end):
     return max(t_end, 4.0 * t_start)
 
 
-def projection_keys(dyn, m, t_start, t_end, n_grid=33):
-    """Norm-cache keys of every map spectral_projection_report evaluates at
-    a time known before it starts: both change grids, the projection,
-    drift and residual curves with their doubled and tripled times, the
-    three operator norms and, when both blocks are nontrivial, the distance
-    curves. A generator, like the key helpers of regimes."""
-    lam, m_ss, _ = _spectrum_of(dyn)
-    t_ext = _extended_end(t_start, t_end)
-    ts = _window_grid(t_start, t_ext, n_grid)
-    yield from change_keys(t_start, t_end, n_grid)
-    yield from change_keys(t_start, t_ext, n_grid)
-    for family in ("proj", "drift", "fast"):
-        for t in ts:
-            yield (family, m, t)
-    yield ("drift", m, 2.0 * t_start)
-    for t in ts[: max(2, len(ts) // 2)]:
-        for n in (2, 3):
-            yield ("fast", m, n * float(t))
-    yield from (("pnorm", m), ("ipnorm", m), ("pgen", m))
-    if m_ss < m < lam.size:
-        yield from curve_keys(t_start, t_ext, n_grid)
-
-
-def spectral_projection_report(dyn, m, t_start, t_end, n_grid=33, tol=1e-8):
-    """Slow-mode projection error analysis on a window.
-
-    The window is extended to end at 4x its start when shorter (the change
-    measure of the extension is recomputed directly and also bounded by the
-    linear-extension estimate). All weighted-dichotomy bounds gate on the
-    numerically verified conditions rather than on their loosest a-priori
-    constants. Every map of projection_keys is prefetched as one batched
-    sweep.
-    """
+def projection_search(dyn, m, t_start, t_end, n_grid=33, tol=1e-8):
+    """spectral_projection_report as a search: its change searches, the
+    supremum of the projection error and every other map it reads, in one
+    lockstep."""
     lam, m_ss, _ = _spectrum_of(dyn)
     n_modes = lam.size
-    dyn.prefetch(projection_keys(dyn, m, t_start, t_end, n_grid))
-    c_orig, _ = change_measure(dyn, t_start, t_end, n_grid=n_grid)
     t_ext = _extended_end(t_start, t_end)
-    if t_ext > t_end:
-        n_seg = math.ceil((t_ext - t_start) / (t_end - t_start))
-        c_rebound = n_seg * c_orig
-        c_delta, _ = change_measure(dyn, t_start, t_ext, n_grid=n_grid)
-    else:
-        c_rebound = c_orig
-        c_delta = c_orig
-
     nontrivial_fast = m < n_modes
     nontrivial_slow = m > m_ss
     ts = _window_grid(t_start, t_ext, n_grid)
     half = [float(t) for t in ts[: max(2, len(ts) // 2)]]
-    proj_vals, k, _, v_ref = _refined_sup(
-        lambda t: dyn.projector_distance(m, t), ts)
+    reads = [(family, m, float(t)) for family in ("drift", "fast")
+             for t in ts]
+    reads.append(("drift", m, 2.0 * t_start))
+    reads += [("fast", m, n * t) for t in half for n in (2, 3)]
+    reads += [("pnorm", m), ("ipnorm", m), ("pgen", m)]
+    if nontrivial_fast and nontrivial_slow:
+        reads += [(family, float(t)) for family in ("ident", "stat")
+                  for t in ts]
+    searches = [change_search(dyn, t_start, t_end, n_grid),
+                _refined_sup(lambda t: dyn.projector_distance(m, t),
+                             lambda t: ("proj", m, t), ts),
+                _read(reads)]
+    if t_ext > t_end:
+        searches.append(grid_change_search(dyn, ts))
+    (c_orig, _), (proj_vals, k, _, v_ref), _, *extension = \
+        yield from together(dyn, searches)
+    if extension:
+        n_seg = math.ceil((t_ext - t_start) / (t_end - t_start))
+        c_rebound = n_seg * c_orig
+        c_delta, _ = extension[0]
+    else:
+        c_rebound = c_orig
+        c_delta = c_orig
+
     proj_sup = float(max(proj_vals[k], v_ref))
     proj_vals = np.asarray(proj_vals)
     drift_vals = np.asarray([dyn.slow_drift(m, float(t)) for t in ts])
@@ -410,6 +394,21 @@ def spectral_projection_report(dyn, m, t_start, t_end, n_grid=33, tol=1e-8):
         condition_checks=cond, rows=tuple(rows), contradiction=contradiction)
 
 
+def spectral_projection_report(dyn, m, t_start, t_end, n_grid=33, tol=1e-8):
+    """Slow-mode projection error analysis on a window.
+
+    The window is extended to end at 4x its start when shorter (the change
+    measure of the extension is recomputed directly and also bounded by the
+    linear-extension estimate). All weighted-dichotomy bounds gate on the
+    numerically verified conditions rather than on their loosest a-priori
+    constants. Runs projection_search: every map known before it starts is
+    read as one batched sweep, and the golden-section steps of its three
+    suprema advance together.
+    """
+    return lockstep(dyn, [projection_search(dyn, m, t_start, t_end, n_grid,
+                                            tol)])[0]
+
+
 @dataclass(frozen=True)
 class BoundBatteryReport:
     rows: tuple
@@ -469,19 +468,6 @@ def default_battery_grid(tau_0, tau_ss):
     return np.geomspace(0.05 * tau_0, 2.0 * tau_ss, 33)
 
 
-def _identity_crossing(dyn, target):
-    """First crossing of the distance to the identity with target, up to
-    2 / (fastest decay rate), as a search: the length of the battery's
-    exclusion windows at accuracy target."""
-    # the step first: with a decay rate of 0 it raises ZeroDivisionError
-    # before the division by -Re lambda below warns
-    step = crossing_scan_step(dyn)
-    return (yield from crossing(
-        dyn.distance_to_identity, target,
-        2.0 / (-dyn.eigenvalues().real[-1]), step,
-        identity_sure_time(dyn, target)))
-
-
 def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
                   n_grid=33, scan_points=16):
     """Evaluate the full inequality battery on one dynamics backend.
@@ -489,23 +475,24 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
     Emits one row per (inequality, evaluation point); a row passes when its
     slack is >= -tol or its hypotheses do not hold (marked inapplicable).
     On decaying dynamics the two exclusion-span crossings run in the
-    lockstep of the timescale searches (regimes.timescale_searches), from
-    its first round on. Once the windows are known, the maps of the rows
-    are prefetched in two batched sweeps: those at times known then, and
-    those that wait for the change measures and the ratio-4 cut. Like every
-    prefetch, this changes no value, and each prefetched map is evaluated
-    later.
+    lockstep of the timescale searches (regimes.timescale_searches). Once
+    the windows are known, two lockstep phases follow: the battery's own
+    row maps, the change searches of both windows, of the ratio-4
+    extension and of the exclusion windows, and the ratio-2 verdict's
+    opening (regimes.window_search); then, once those fix which rows
+    apply, the ratio-2 verdict, the projection report and the probe rows.
     """
     if not tol >= 0:
         raise ValueError("tol must be non-negative, got %r" % (tol,))
     lam = dyn.eigenvalues()
     searches = timescale_searches(dyn, "bound battery requires nontrivial "
                                        "dynamics")
+    # the exclusion windows' lengths at a small accuracy: first crossings of
+    # the distance to the identity up to twice the fastest decay time
     accuracies = (0.05, 0.15)
-    crossings = [(("ident",), _identity_crossing(dyn, c_acc))
-                 for c_acc in accuracies]
-    # the crossings divide by the fastest decay rate: on dynamics that do
-    # not decay they run alone, below, after the checks that come first
+    crossings = [identity_crossing(dyn, c_acc, 2.0) for c_acc in accuracies]
+    # the crossings need the fastest decay time: on dynamics that do not
+    # decay they run alone, below, after the checks that come first
     decays = dyn.fastest_decay_rate() > 0
     found = lockstep(dyn, searches + crossings if decays else searches)
     scales = timescale_report(found[:len(searches)])
@@ -540,14 +527,8 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
         w4_start, w4_end = window4
         w4_found = True
 
-    # every window map whose time is known once the windows and the
-    # exclusion spans are, as one batched sweep: the shared curves over the
-    # grid, the subsampled rows at derived times, the random pairs (all four
-    # drawn first, t1 then t2, pair by pair), the change grids of both
-    # windows and of the projection report's extension, the ratio-2
-    # verdict's doubling grid and end distances, the probe distance, and
-    # the exclusion windows (lengths: first crossings of the identity
-    # distance at a small accuracy)
+    # phase 1, once the windows and the exclusion spans are known; the
+    # random pairs are all four drawn first, t1 then t2, pair by pair
     sub = [float(t) for t in grid[:: max(1, len(grid) // 6)]]
     rng = np.random.default_rng([int(seed), 101])
     pairs = [(float(rng.uniform(grid[0], grid[-1])),
@@ -557,35 +538,24 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
     exclusion = [(span0, shift * span0) for _, span0 in spans
                  if span0 is not None for shift in (2.5, 8.0)]
     t_probe = 0.9 * w2_start
+    reads = [(family, t) for family in ("ident", "stat") for t in grid]
+    reads += [("pair", t, 2.0 * t) for t in grid]
+    for t in sub:
+        reads += [("ident", n * t) for n in (2, 3, 4)]
+        reads += [("stat", n * t) for n in (2, 3)]
+        reads.append(("pair", t, t + t / 2.0))
+    reads += [("pair", t1, t2) for t1, t2 in pairs]
+    reads += [("ident-stat",), ("pair", t_probe, w2_start)]
+    reads += [("ident", t_s) for _, t_s in exclusion]
+    _, (_, (c2, _), _), (c4, _), _, *c_exclusion = lockstep(dyn, [
+        _read(reads), window_search(dyn, w2_start, w2_end, n_grid),
+        change_search(dyn, w4_start, w4_end, n_grid),
+        change_search(dyn, w4_start, _extended_end(w4_start, w4_end),
+                      n_grid)] + [change_search(dyn, t_s, t_s + span0, 13)
+                                  for span0, t_s in exclusion])
 
-    def known_keys():
-        for family in ("ident", "stat"):
-            for t in grid:
-                yield (family, t)
-        for t in grid:
-            yield ("pair", t, 2.0 * t)
-        for t in sub:
-            yield from (("ident", n * t) for n in (2, 3, 4))
-            yield from (("stat", n * t) for n in (2, 3))
-            yield ("pair", t, t + t / 2.0)
-        for t1, t2 in pairs:
-            yield ("pair", t1, t2)
-        yield from change_keys(w4_start, w4_end, n_grid)
-        yield from change_keys(w4_start, _extended_end(w4_start, w4_end),
-                               n_grid)
-        yield from verdict_keys(w2_start, w2_end, n_grid)
-        yield ("pair", t_probe, w2_start)
-        for span0, t_s in exclusion:
-            yield from change_keys(t_s, t_s + span0, 13)
-            yield ("ident", t_s)
-
-    dyn.prefetch(known_keys())
-
-    # the change measures and the ratio-4 cut fix which rows apply; every
-    # map those rows evaluate at a known time, as a second batched sweep
-    c2, _ = change_measure(dyn, w2_start, w2_end, n_grid=n_grid)
+    # the change measures and the ratio-4 cut fix which rows apply
     c2_ok = c2 < 0.25
-    c4, _ = change_measure(dyn, w4_start, w4_end, n_grid=n_grid)
     sep = None
     if c4 < 0.25:
         try:
@@ -603,23 +573,15 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
         prime_ts = [t for t in (w2_start, 0.5 * (w2_start + w2_end / 2.0))
                     if not t > w2_end / 2.0]
 
-    def window_keys():
-        yield from projection_keys(dyn, m4, w4_start, w4_end, n_grid)
-        if cutoff_flags(c2)["basic_cutoff"]:
-            yield from curve_keys(w2_start, w2_end, n_grid)
-        for n in probe_ns or ():
-            yield ("pair", n * t_probe, w2_start)
-        for t in prime_ts or ():
-            for n in (1, 2, 3):
-                yield ("pair", n * t, w2_start)
-
-    dyn.prefetch(window_keys())
-    # the ratio-2 verdict and the projection report run here, while the
-    # evolutions of the change grids above are still cached; their rows keep
-    # their place below
-    w2_verdict = classify_regime(dyn, w2_start, w2_end, n_grid=n_grid)
-    proj_report = spectral_projection_report(dyn, m4, w4_start, w4_end,
-                                             n_grid=n_grid, tol=tol)
+    # phase 2, while the evolutions of the change grids above are cached;
+    # the verdict's and the report's rows keep their place below
+    reads = [("pair", n * t_probe, w2_start) for n in probe_ns or ()]
+    reads += [("pair", n * t, w2_start) for t in prime_ts or ()
+              for n in (1, 2, 3)]
+    w2_verdict, proj_report, _ = lockstep(dyn, [
+        verdict_search(dyn, w2_start, w2_end, n_grid),
+        projection_search(dyn, m4, w4_start, w4_end, n_grid, tol),
+        _read(reads)])
 
     rows = []
     add = rows.append
@@ -727,7 +689,7 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
             continue
         for shift in (2.5, 8.0):
             t_s = shift * span0
-            c_w, _ = change_measure(dyn, t_s, t_s + span0, n_grid=13)
+            c_w, _ = c_exclusion.pop(0)
             d_at = dyn.distance_to_identity(t_s)
             lhs = (1.0 - d_at) * d_at - c_acc * (1.0 - c_acc)
             add(BoundRow("inherited_exclusion", t_s, lhs,

@@ -116,6 +116,21 @@ def test_zero_generator_exits_2_with_its_message(classical, command, message,
     assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
+UNDAMPED = "an undamped mode (Re lambda = 0) has no decay time"
+
+
+@pytest.mark.parametrize("command", ["detect", "verify-bounds"])
+def test_undamped_mode_exits_2_with_its_message(command, tmp_path, capsys):
+    # H = S_z and no jumps: the coherences rotate at Re lambda = 0 forever,
+    # so no timescale search has a decay time to start from
+    path = tmp_path / "sz.json"
+    path.write_text(json.dumps({"dim": 2, "jumps": [], "hamiltonian": [
+        [[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]]}))
+    code, out, err = run_cli([command, "--model", "file:%s" % path], capsys)
+    assert (code, out, err) == (2, "", "error: trivial dynamics: %s\n"
+                                % UNDAMPED)
+
+
 def test_malformed_model_file_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -722,7 +737,7 @@ def test_random_battery_norm_calls(norm_calls, capsys):
     # next 5 rounds, beside the 2 of tau_0 and tau_ss. One probe round per
     # window scan (16 maps each; every window is over budget at its first
     # distance, which its first O-step certifies; none of these maps is
-    # cached). Last come the battery's two prefetches of its window maps
+    # cached). Last come the battery's two lockstep phases, one round each
     # (266 and 195 maps). How many of their keys coincide bit for bit, with
     # others of the request or with cached ones, follows the last bits of
     # tau_0 and tau_ss
@@ -750,6 +765,45 @@ def test_spin_norm_calls(norm_calls, capsys):
     code, _, _ = run_cli(["verify-bounds"] + SPIN_ARGS, capsys)
     assert code == 0
     assert norm_calls["maps"] == 1160
+
+
+def test_analyses_evaluate_no_map_through_the_single_getter(monkeypatch,
+                                                            capsys):
+    # every analysis requests the maps it reads, in lockstep rounds, so on a
+    # quantum backend none is left to QuantumBackend.norm_result: not in
+    # spin detect and verify-bounds, nor in the D = 3 battery. At D = 2 the
+    # golden-section steps of windows classified together share a
+    # closed-form call, and 75 (detect) and 54 (verify-bounds) calls hold a
+    # single map
+    import metastab.norms
+    import metastab.regimes
+    from metastab.models import random_lindbladian
+    from metastab.spectral_meta import bound_battery
+
+    calls = {"norm_result": 0, "single": 0}
+    norm_result = metastab.regimes.QuantumBackend.norm_result
+    qubit = metastab.norms._qubit_induced_norms
+
+    def counted_norm_result(self, M):
+        calls["norm_result"] += 1
+        return norm_result(self, M)
+
+    def counted_qubit(Ms):
+        calls["single"] += len(Ms) == 1
+        return qubit(Ms)
+
+    monkeypatch.setattr(metastab.regimes.QuantumBackend, "norm_result",
+                        counted_norm_result)
+    monkeypatch.setattr(metastab.norms, "_qubit_induced_norms", counted_qubit)
+    for command, singles in (("detect", 75), ("verify-bounds", 54)):
+        calls.update(norm_result=0, single=0)
+        code, _, _ = run_cli([command] + SPIN_ARGS, capsys)
+        assert code == 0
+        assert calls == {"norm_result": 0, "single": singles}
+    dyn = metastab.regimes.QuantumBackend(model=random_lindbladian(3, 2,
+                                                                   seed=0))
+    bound_battery(dyn, seed=0, scan_points=8, n_grid=17)
+    assert len(dyn._norm_cache) > 100 and calls["norm_result"] == 0
 
 
 def test_quantum_commands_load_no_scipy(tmp_path):

@@ -6,7 +6,7 @@ import scipy.optimize
 
 from metastab.modes import (E1_DOMAIN_MAX, E2_DOMAIN_MAX, SCAN_AHEAD,
                             bracketed_root, change_thresholds, crossing,
-                            first_crossing, inverse_bound,
+                            first_crossing, golden, inverse_bound,
                             linear_growth_inverse, mode_regimes, zeroin)
 
 
@@ -266,6 +266,23 @@ def test_crossing_hints_ahead_of_its_scan(t_sure, n_unread):
     assert all(t > t_star for t in unread)
     # past the scan, zeroin's requests are evaluated one by one
     assert all(len(ts) == 1 for ts in requests[-3:])
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda t: -(t - 1.31) ** 2, 1.125, 1.375),
+    (lambda t: math.sin(3.0 * t), 0.4, 0.7),
+    (lambda t: t, 2.0, 3.0)])
+def test_golden_requests_exactly_what_it_evaluates(f, a, b):
+    # what lockstep relies on to batch golden steps: two points first, then
+    # one per step, each evaluated right after it is requested and never a
+    # bracket end
+    (t_max, v_max), requests, evaluated = drive(lambda g: golden(g, a, b), f)
+    assert [len(ts) for ts in requests] == [2] + [1] * (len(requests) - 1)
+    assert [t for ts in requests for t in ts] == [t for t, _ in evaluated]
+    assert [n for _, n in evaluated] == [1, 1] + list(range(2, len(requests)
+                                                            + 1))
+    assert a < min(t for t, _ in evaluated) <= max(t for t, _ in evaluated) < b
+    assert t_max in [t for t, _ in evaluated] and v_max == f(t_max)
 
 
 def test_crossing_without_crossing_requests_every_point_once():

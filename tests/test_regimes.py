@@ -9,7 +9,7 @@ import metastab.norms as norms
 import metastab.regimes as regimes
 from metastab.classical import ClassicalBackend, ClassicalGenerator
 from metastab.models import random_lindbladian, spin_half_dephasing
-from metastab.modes import SCAN_AHEAD, change_thresholds
+from metastab.modes import SCAN_AHEAD, change_thresholds, golden, _run_search
 from metastab.norms import _alternating_ascent
 from metastab.regimes import (CUTOFF_RELAXATION, DynamicsBackend,
                               QuantumBackend, TimeGrid, TrivialDynamicsError,
@@ -18,8 +18,7 @@ from metastab.regimes import (CUTOFF_RELAXATION, DynamicsBackend,
                               identity_sure_time, observable_average_change,
                               relaxation_times, scan_metastable,
                               state_change_measure, timescales,
-                              verdict_keys, _golden_refine, _refined_sup,
-                              _window_grid)
+                              _refined_sup, _window_grid)
 from metastab.spectral_meta import bound_battery
 from metastab.superop import QuantumModel
 
@@ -555,6 +554,24 @@ def test_trivial_dynamics_messages(kind, messages):
         assert str(err.value) == message
 
 
+def test_undamped_mode_raises_trivial_dynamics():
+    # H = S_z and no jumps: the coherences form a mode with Re lambda = 0,
+    # so no search that needs a decay time can start. With P = I both
+    # timescales saturate first; the battery, given a grid, then reaches
+    # its exclusion crossings, which raise the same error
+    message = "an undamped mode (Re lambda = 0) has no decay time"
+    sz = np.diag([0.5, -0.5]).astype(complex)
+    dyn = QuantumBackend(model=QuantumModel(hamiltonian=sz, jumps=()))
+    for analysis in (timescales, scan_metastable, bound_battery):
+        with pytest.raises(TrivialDynamicsError) as err:
+            analysis(dyn)
+        assert str(err.value) == message
+    with pytest.raises(TrivialDynamicsError) as err:
+        bound_battery(trivial_backend("undamped-identity"),
+                      grid=[1.0, 2.0, 4.0, 8.0])
+    assert str(err.value) == message
+
+
 def test_distance_to_stationary_matches_multi_restart_reference():
     # near tau_ss of this model a warm-started ascent stopped 2.2 % below the
     # optimum (0.36476), and the root search for tau_ss stopped early with it
@@ -639,7 +656,8 @@ def recording(f, visited):
 def test_refined_sup_takes_an_end_maximum_from_the_grid(g):
     ts = np.linspace(1.0, 2.0, 9)
     visited = []
-    vals, k, t_ref, v_ref = _refined_sup(recording(g, visited), ts)
+    vals, k, t_ref, v_ref = _run_search(_refined_sup(recording(g, visited),
+                                                     lambda t: t, ts))
     assert k in (0, len(ts) - 1) and vals == [g(t) for t in ts]
     assert (t_ref, v_ref) == (ts[k], vals[k])
     assert visited == list(ts)
@@ -650,10 +668,31 @@ def test_refined_sup_refines_an_interior_maximum():
         return -(t - 1.31) ** 2
 
     ts = np.linspace(1.0, 2.0, 9)
-    vals, k, t_ref, v_ref = _refined_sup(g, ts)
+    vals, k, t_ref, v_ref = _run_search(_refined_sup(g, lambda t: t, ts))
     assert k == 2
-    assert (t_ref, v_ref) == _golden_refine(g, ts[k - 1], ts[k + 1])
+    assert (t_ref, v_ref) == _run_search(golden(g, ts[k - 1], ts[k + 1]))
     assert v_ref > vals[k]
+
+
+@pytest.mark.parametrize("with_doubling", [True, False])
+def test_classify_regime_builds_each_window_grid_once(spin_backend,
+                                                      monkeypatch,
+                                                      with_doubling):
+    # the change search, the end distances and the curves share one grid of
+    # the window; the doubling change has its own, on [t_start, t_end / 2]
+    grids = []
+    window_grid = regimes._window_grid
+
+    def counted(*args):
+        grids.append(args)
+        return window_grid(*args)
+
+    monkeypatch.setattr(regimes, "_window_grid", counted)
+    verdict = classify_regime(spin_backend, 20.0, 50.0, n_grid=17,
+                              with_doubling=with_doubling)
+    assert verdict.verdict == "Metastable"
+    assert sorted(grids) == sorted([(20.0, 50.0, 17)]
+                                   + [(20.0, 25.0, 17)] * with_doubling)
 
 
 def window_by_window_scan(dyn, grid, c_delta_max, ratio, n_grid):
@@ -699,21 +738,25 @@ def test_scan_probe_rounds_match_the_window_by_window_probe(monkeypatch):
     at_classify = []
     classified = []
     inner_ascents = metastab.norms._alternating_ascents
-    inner_classify = metastab.regimes.classify_regime
+    inner_verdict = metastab.regimes.verdict_search
 
     def counted_ascents(Ms, *args, **kwargs):
         ascents.append(len(Ms))
         return inner_ascents(Ms, *args, **kwargs)
 
-    def recorded_classify(*args, **kwargs):
+    def recorded_verdict(*args, **kwargs):
+        # verdicts are kept in the order their searches start, the grid
+        # order, though lockstep may finish them in another
         at_classify.append(len(ascents))
-        classified.append(inner_classify(*args, **kwargs))
-        return classified[-1]
+        slot = len(classified)
+        classified.append(None)
+        classified[slot] = yield from inner_verdict(*args, **kwargs)
+        return classified[slot]
 
     monkeypatch.setattr(metastab.norms, "_alternating_ascents",
                         counted_ascents)
-    monkeypatch.setattr(metastab.regimes, "classify_regime",
-                        recorded_classify)
+    monkeypatch.setattr(metastab.regimes, "verdict_search",
+                        recorded_verdict)
     dyn = QuantumBackend(model=model, seed=0)
     hits = scan_metastable(dyn, grid=grid, merge=False, **kw)
 
@@ -727,17 +770,20 @@ def test_scan_probe_rounds_match_the_window_by_window_probe(monkeypatch):
                                if v.verdict == "Metastable"
                                and v.c_delta <= kw["c_delta_max"]])
     # one batched ascent per round, not one per window and probe distance,
-    # then one sweep of the change grids and end distances of the three
-    # windows that pass, less their probe maps, before the first of them
-    # is classified
+    # then, once the verdict searches of the three windows that pass have
+    # started, one sweep of their change grids and end distances, less
+    # their probe maps
     probe_ascents = ascents[:max(probe_maps)]
     assert probe_ascents == [6, 4, 4, 4, 3, 3]
     passed = grid[3:]
-    sweep = {key for t in passed
-             for key in verdict_keys(t, 2.0 * t, 15, with_doubling=False)}
+    sweep = {("pair", t, s) for t in passed
+             for s in _window_grid(t, 2.0 * t, 15)}
+    sweep |= {key for t in passed
+              for key in (("ident", t), ("stat", 2.0 * t))}
     sweep -= {("pair", t, s) for t in passed
               for s in _window_grid(t, 2.0 * t, 7)}
-    assert ascents[len(probe_ascents):at_classify[0]] == [len(sweep)]
+    assert at_classify == [len(probe_ascents)] * len(passed)
+    assert ascents[len(probe_ascents)] == len(sweep)
 
 
 def test_scan_refuses_trivial():

@@ -187,33 +187,34 @@ def test_bound_battery_override_restores_backend_on_error(spin_model):
 
 def record_search_requests(monkeypatch):
     """Patch lockstep so that it records, per search, the result and every
-    (norm-cache key, time) the search requests; the time is None for a key
-    request, from a search whose family is None."""
+    (norm-cache key, time) the search requests; the time is the key's last
+    entry when that is a time, as in ("pair", t_start, t), else None, as
+    for ("gen",)."""
     searches = []
     lockstep = regimes.lockstep
 
-    def recorded(family, search, entry):
+    def recorded(search, entry):
         while True:
             try:
-                ts = list(next(search))
+                keys = list(next(search))
             except StopIteration as stop:
                 entry["result"] = stop.value
                 return stop.value
-            for t in ts:
-                key, t = (t, None) if family is None else (family + (t,), t)
+            for key in keys:
+                t = key[-1] if isinstance(key[-1], float) else None
                 if key[0] == "pair":
                     if key[1] == key[2]:
                         continue
                     key = ("pair", min(key[1:]), max(key[1:]))
                 entry["requests"].add((key, t))
-            yield ts
+            yield keys
 
-    def recording(dyn, pairs):
+    def recording(dyn, searches_):
         wrapped = []
-        for family, search in pairs:
+        for search in searches_:
             entry = {"requests": set()}
             searches.append(entry)
-            wrapped.append((family, recorded(family, search, entry)))
+            wrapped.append(recorded(search, entry))
         return lockstep(dyn, wrapped)
 
     monkeypatch.setattr(regimes, "lockstep", recording)
@@ -225,8 +226,9 @@ def assert_only_look_ahead_added(searches, keys, plain_keys):
     """keys, a batching backend's cache, holds plain_keys, those of a backend
     that evaluates one map at a time, and besides them exactly the keys that
     the searches requested and never read: at most SCAN_AHEAD - 1 per
-    search, each at a time past the search's result. A key request is
-    always read; ("gen",), the generator norm, is kept out of both caches."""
+    search, each at a time past the search's result. A requested key
+    without a time is always read; ("gen",), the generator norm, is kept
+    out of both caches."""
     assert plain_keys <= keys
     unread = set()
     for entry in searches:
@@ -282,31 +284,37 @@ def check_batched_battery_caches(monkeypatch, model):
 @pytest.mark.slow
 def test_batched_battery_caches_single_map_values(monkeypatch):
     # at D = 3 the battery's sweeps are prefetched in batches of ascents;
-    # the crossing searches run in prefetched rounds, so every keyed map
-    # of the battery comes through a prefetch
+    # every analysis runs as searches in prefetched rounds, so every keyed
+    # map of the battery comes through a prefetch
     n_keys, batches, searches = check_batched_battery_caches(
         monkeypatch, random_lindbladian(3, 2, seed=0))
     assert max(batches) > 32
     assert n_keys == sum(batches) > 100
-    # the maps deciding the timescale searches, tau_0, tau_ss and two
-    # exclusion spans
-    assert len(searches) == 5
-    assert searches[0]["requests"] == {(("gen",), None),
-                                       (("ident-stat",), None),
-                                       (("stat", 0.0), None)}
+    # the generator check, tau_0, tau_ss and two exclusion spans; no window
+    # passes either scan's screen; then the two phases: the battery's own
+    # maps, the ratio-2 window's opening, the ratio-4 change and its
+    # extension and four exclusion windows, then the ratio-2 verdict, the
+    # projection report and the probe rows
+    assert len(searches) == 5 + 8 + 3
+    assert searches[0]["requests"] == {(("gen",), None)}
+    assert (("ident-stat",), None) in searches[1]["requests"]
+    assert (("stat", 0.0), 0.0) in searches[2]["requests"]
 
 
 def test_batched_spin_battery_caches_single_map_values(monkeypatch,
                                                        spin_model):
-    # at D = 2 they are prefetched in batches of the exact closed form; the
-    # golden-section steps of the change measure's sup are single maps
+    # at D = 2 they are prefetched in batches of the exact closed form, the
+    # golden-section steps of the window suprema too; only the scans'
+    # probe maps, exact here, are cached by exceeds
     n_keys, batches, searches = check_batched_battery_caches(monkeypatch,
                                                              spin_model)
     assert max(batches) > 32
     assert n_keys > sum(batches) > 500
-    # the deciding maps, tau_0, tau_ss, two exclusion spans, and the
-    # relaxation times tau_dprime, tau_prime of the metastable window
-    assert len(searches) == 7
+    # the generator check, tau_0, tau_ss, two exclusion spans, the verdicts
+    # of the 3 and 2 windows that pass the two scans' screens, the two
+    # phases, and the relaxation times tau_dprime, tau_prime of the
+    # metastable window
+    assert len(searches) == 5 + 3 + 2 + 8 + 3 + 2
 
 
 @pytest.mark.slow
@@ -329,7 +337,8 @@ def test_battery_prefetches_add_no_map_on_a_metastable_window(monkeypatch):
     assert {"dprime_exp", "prime_lin", "meta_corr",
             "tau_prime_ratio"} <= set(report.applicable_ids())
     dyn_searches = list(searches)
-    assert len(dyn_searches) == 7  # and tau_dprime, tau_prime
+    # as on the spin model, with 3 and 1 windows past the scans' screens
+    assert len(dyn_searches) == 5 + 3 + 1 + 8 + 3 + 2
     plain = OneByOne(model=model, seed=0)
     plain_report = bound_battery(plain, seed=0, scan_points=8, n_grid=17)
     assert_only_look_ahead_added(dyn_searches, set(dyn._norm_cache),
