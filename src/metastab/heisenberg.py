@@ -84,7 +84,7 @@ def quasi_conserved_witness(dyn, spec, t_start, t_end, t_probe, n_grid=33):
     if not t_start <= t_probe <= t_end / 2.0:
         raise ValueError("probe time must lie in [t_start, t_end/2]")
     M = dyn.evolution_matrix(t_probe) - dyn.stationary_matrix()
-    res = dyn.norm_result(M)
+    res = dyn.norm_results([M])[0]
     if res.value <= 1e-9:
         raise ValueError("dynamics already stationary at the probe time; "
                          "no nontrivial quasi-conserved witness exists")

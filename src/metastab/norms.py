@@ -25,7 +25,7 @@ that chains near a maximum finish quadratically instead of crawling through
 the alternating ascent's linear tail.
 
 Some callers only ask whether a norm exceeds a threshold (the scan's probe,
-regimes.QuantumBackend.exceeds). For them _induced_norms takes above: every
+regimes.DynamicsBackend.exceeds). For them _induced_norms takes above: every
 O-step value is a certified lower bound, so the ascent stops a map at its
 first value above the threshold and returns that value, which settles the
 question, instead of the map's full lower bound. Maps that never exceed it

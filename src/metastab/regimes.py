@@ -65,10 +65,11 @@ class DynamicsBackend:
     A backend holds the SpectralData of its generator (eigenvalues, mode
     pairs, stationary count, valid cuts) and derives every regime quantity
     from it, evolutions included: e^{tL} = V diag(e^{t lambda}) V^-1.
-    Subclasses supply the generator matrix and the norm (norm_result, exact
-    or a lower bound). Evolution matrices, slow projectors and norm values
-    are cached, the last keyed by the matrix expression, so repeated grid
-    sweeps are cheap; the evolution cache keeps the EVO_CACHE_SIZE most
+    Subclasses supply the generator matrix and norm_results, the one norm
+    primitive (exact or a lower bound) that evaluates every map, in a
+    prefetch or on a read miss. Evolution matrices, slow projectors and norm
+    values are cached, the last keyed by the matrix expression, so repeated
+    grid sweeps are cheap; the evolution cache keeps the EVO_CACHE_SIZE most
     recently used times. The generator's InducedNormResult is kept apart,
     computed once, by generator_norm_result or by a prefetch of the key
     ("gen",). unconverged_keys holds the cache keys (and ("gen",) for the
@@ -93,8 +94,10 @@ class DynamicsBackend:
     def generator_matrix(self):
         raise NotImplementedError
 
-    def norm_result(self, M):
-        """InducedNormResult of an arbitrary map matrix."""
+    def norm_results(self, Ms, above=None):
+        """InducedNormResult of each map matrix in Ms (a sequence or a
+        stack), each that of a call with it alone; with above set, a map may
+        stop early once a lower bound exceeds it (norms._induced_norms)."""
         raise NotImplementedError
 
     def random_observable(self, rng):
@@ -133,14 +136,9 @@ class DynamicsBackend:
     def _slow_projector(self, m):
         return self.spectral.projector_matrix(m)
 
-    def matrix_norm(self, M):
-        """Induced norm of an arbitrary map matrix (exact or lower bound)."""
-        return self.norm_result(M).value
-
     def matrix_norms(self, Ms):
-        """matrix_norm of each matrix in Ms, batched on a quantum backend;
-        each value equals matrix_norm's bit for bit."""
-        return [self.matrix_norm(M) for M in Ms]
+        """Induced norm of each matrix in Ms: the values of norm_results."""
+        return [res.value for res in self.norm_results(Ms)]
 
     def eigenvalues(self):
         """Generator eigenvalues sorted by decreasing real part."""
@@ -170,7 +168,7 @@ class DynamicsBackend:
     def _norm_map(self, key):
         """Matrix of the map whose norm the cache key names.
 
-        The single getters and prefetch both build their maps here, so a
+        A read miss, prefetch and exceeds all build their maps here, so a
         cached value does not depend on which of them computed it. A pair
         key ("pair", t1, t2) has t1 < t2 and names E(t1) - E(t2); ("gen",)
         names the generator.
@@ -205,8 +203,8 @@ class DynamicsBackend:
     def _norm_of(self, key):
         value = self._norm_cache.get(key)
         if value is None:
-            value = self._norm_cache[key] = self.matrix_norm(
-                self._norm_map(key))
+            value = self._store(key,
+                                self.norm_results([self._norm_map(key)])[0])
         return value
 
     def _store(self, key, result):
@@ -222,8 +220,32 @@ class DynamicsBackend:
         return result.value
 
     def _uncached(self, keys):
-        """The keys that prefetch(keys) would evaluate: none, here."""
-        return {}
+        """The uncached keys of keys, each once, pairs in canonical order
+        and the zero distance left out, as a dict in request order."""
+        todo = {}
+        for key in keys:
+            if key[0] == "pair":
+                t1, t2 = key[1:]
+                if t1 == t2:
+                    continue
+                key = ("pair", min(t1, t2), max(t1, t2))
+            elif key == ("gen",) and self._generator_norm is not None:
+                continue
+            if key not in self._norm_cache:
+                todo[key] = None
+        return todo
+
+    def _evaluate(self, keys, above=None):
+        """(key, InducedNormResult) for each of _uncached(keys), from one
+        norm_results call; above is passed on to it."""
+        todo = self._uncached(keys)
+        if not todo:
+            return []
+        # the maps go straight into one stack, without a list of copies
+        Ms = np.empty((len(todo),) + self._eye.shape, dtype=self._eye.dtype)
+        for i, key in enumerate(todo):
+            Ms[i] = self._norm_map(key)
+        return zip(todo, self.norm_results(Ms, above=above))
 
     def prefetch(self, keys):
         """Cache hint: evaluate the norms of the uncached keys in one batch.
@@ -231,23 +253,38 @@ class DynamicsBackend:
         keys is an iterable, read at most once, of norm-cache keys such as
         ("ident", t), ("proj", m, t), ("gen",) or ("pair", t1, t2), the last
         in either order (equal times name the zero distance). Each value
-        equals, bit for bit, the one the single getter would compute, so a
+        equals, bit for bit, the one a read miss would compute, so a
         prefetch never changes a result; it only saves per-call overhead.
-        lockstep calls it once per round with the uncached keys its searches
-        request. A no-op here, and so on the classical backend, whose exact
-        l1 norm has no per-call overhead to save; a quantum backend
-        evaluates the keys in one norm call at every D.
+        lockstep calls it once per round with the keys its searches request,
+        evaluated in one norm_results call; the classical backend, whose
+        _uncached holds no keys, evaluates nothing here.
         """
+        for key, res in self._evaluate(keys):
+            self._store(key, res)
 
     def exceeds(self, pairs, threshold):
         """Whether distance(t1, t2) > threshold, for each (t1, t2) of pairs.
 
-        The answer is always that comparison. Here, and so on the classical
-        backend, it is made on the distances themselves; a quantum backend
-        evaluates the uncached pairs in one norm call that may stop a map
-        early, once a lower bound on its norm settles the answer.
+        The answer is always that comparison. The uncached pairs are
+        evaluated in one norm call that may stop a map early, once a lower
+        bound on its norm settles the answer; cached pairs, and all on the
+        classical backend, compare their distances.
         """
-        return [self.distance(t1, t2) > threshold for t1, t2 in pairs]
+        # a lower bound above the threshold settles its pair without being
+        # the pair's distance: it is neither cached nor flagged, and a later
+        # distance() evaluates the map in full. Exact values (D = 2) and
+        # values at or below the threshold, full ascents, are cached as a
+        # prefetch caches them
+        pairs = [(min(t1, t2), max(t1, t2)) for t1, t2 in pairs]
+        certified = set()
+        for key, res in self._evaluate(
+                [("pair",) + pair for pair in pairs], above=threshold):
+            if res.value > threshold and not res.exact:
+                certified.add(key[1:])
+            else:
+                self._store(key, res)
+        return [pair in certified or self.distance(*pair) > threshold
+                for pair in pairs]
 
     def distance(self, t1, t2):
         """Induced-norm distance between the evolution maps at two times."""
@@ -264,7 +301,8 @@ class DynamicsBackend:
     def generator_norm_result(self):
         """InducedNormResult of the generator, computed once."""
         if self._generator_norm is None:
-            self._store(("gen",), self.norm_result(self.generator_matrix()))
+            self._store(("gen",),
+                        self.norm_results([self.generator_matrix()])[0])
         return self._generator_norm
 
     def liouvillian_norm(self):
@@ -309,8 +347,9 @@ class DynamicsBackend:
 
 class QuantumBackend(DynamicsBackend):
     """Quantum dynamics backend; norms are exact at D = 2 and come from the
-    alternating optimizer at D >= 3, through one dispatcher
-    (norms._induced_norms) for single maps and prefetched batches alike."""
+    alternating optimizer at D >= 3. Its norm_results is one call of the
+    dispatcher norms._induced_norms, so a prefetched batch, the probe of
+    exceeds and a read miss all take one path."""
 
     def __init__(self, model=None, liouvillian=None, spectral=None, seed=0):
         if liouvillian is None:
@@ -326,69 +365,8 @@ class QuantumBackend(DynamicsBackend):
     def generator_matrix(self):
         return self.liouvillian.matrix
 
-    def norm_result(self, M):
-        return _norms._induced_norm_matrix(M, self.dim, seed=self.seed)
-
-    def _norm_of(self, key):
-        value = self._norm_cache.get(key)
-        if value is None:
-            value = self._store(key, self.norm_result(self._norm_map(key)))
-        return value
-
-    def _uncached(self, keys):
-        """The uncached keys of keys, each once, pairs in canonical order
-        and the zero distance left out, as a dict in request order."""
-        todo = {}
-        for key in keys:
-            if key[0] == "pair":
-                t1, t2 = key[1:]
-                if t1 == t2:
-                    continue
-                key = ("pair", min(t1, t2), max(t1, t2))
-            elif key == ("gen",) and self._generator_norm is not None:
-                continue
-            if key not in self._norm_cache:
-                todo[key] = None
-        return todo
-
-    def _evaluate(self, keys, above=None):
-        """(key, InducedNormResult) for each of _uncached(keys), from one
-        norm call; above is passed on to norms._induced_norms."""
-        todo = self._uncached(keys)
-        if not todo:
-            return []
-        # the maps go straight into one stack, without a list of copies
-        n = self.dim * self.dim
-        Ms = np.empty((len(todo), n, n), dtype=complex)
-        for i, key in enumerate(todo):
-            Ms[i] = self._norm_map(key)
-        return zip(todo, _norms._induced_norms(Ms, self.dim, seed=self.seed,
-                                               above=above))
-
-    def prefetch(self, keys):
-        for key, res in self._evaluate(keys):
-            self._store(key, res)
-
-    def exceeds(self, pairs, threshold):
-        # a lower bound above the threshold settles its pair without being
-        # the pair's distance: it is neither cached nor flagged, and a later
-        # distance() evaluates the map in full. Exact values (D = 2) and
-        # values at or below the threshold, full ascents, are cached as a
-        # prefetch caches them
-        pairs = [(min(t1, t2), max(t1, t2)) for t1, t2 in pairs]
-        certified = set()
-        for key, res in self._evaluate(
-                [("pair",) + pair for pair in pairs], above=threshold):
-            if res.value > threshold and not res.exact:
-                certified.add(key[1:])
-            else:
-                self._store(key, res)
-        return [pair in certified or self.distance(*pair) > threshold
-                for pair in pairs]
-
-    def matrix_norms(self, Ms):
-        return [res.value for res in
-                _norms._induced_norms(Ms, self.dim, seed=self.seed)]
+    def norm_results(self, Ms, above=None):
+        return _norms._induced_norms(Ms, self.dim, seed=self.seed, above=above)
 
     def random_observable(self, rng):
         G = rng.normal(size=(self.dim, self.dim)) \
@@ -750,11 +728,17 @@ def window_search(dyn, t_start, t_end, n_grid=33, with_doubling=True):
 
 
 def verdict_search(dyn, t_start, t_end, n_grid=33, with_doubling=True):
-    """classify_regime as a search: window_search, then, when the change
-    measure passes the basic cutoff, both distance curves over the window
-    grid in one request."""
-    ts, (c_delta, argmax_t), c_doubling = yield from window_search(
-        dyn, t_start, t_end, n_grid, with_doubling)
+    """classify_regime as a search: window_search, then verdict_from."""
+    opened = yield from window_search(dyn, t_start, t_end, n_grid,
+                                      with_doubling)
+    return (yield from verdict_from(dyn, t_start, t_end, opened))
+
+
+def verdict_from(dyn, t_start, t_end, opened):
+    """The rest of verdict_search, from opened, the result of window_search
+    on the window: when the change measure passes the basic cutoff, both
+    distance curves over the window grid in one request."""
+    ts, (c_delta, argmax_t), c_doubling = opened
     d_init_start = dyn.distance_to_identity(t_start)
     d_stat_end = dyn.distance_to_stationary(t_end)
 

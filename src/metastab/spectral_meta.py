@@ -19,7 +19,7 @@ from .regimes import (CUTOFF_RELAXATION, change_measure, change_search,
                       classify_regime, grid_change_search, identity_crossing,
                       lockstep, relaxation_times, scan_metastable,
                       timescale_report, timescale_searches, timescales,
-                      together, verdict_search, window_search,
+                      together, verdict_from, window_search,
                       TrivialDynamicsError, _read, _refined_sup,
                       _window_grid)
 
@@ -192,18 +192,16 @@ class SpectralProjectionReport:
         return out
 
 
-def _extended_end(t_start, t_end):
-    """End of the projection report's window: at least 4x its start."""
-    return max(t_end, 4.0 * t_start)
-
-
 def projection_search(dyn, m, t_start, t_end, n_grid=33, tol=1e-8):
     """spectral_projection_report as a search: its change searches, the
     supremum of the projection error and every other map it reads, in one
-    lockstep."""
+    lockstep. The window must have t_end > t_start (ValueError)."""
+    if not t_end > t_start:
+        raise ValueError("window end before start" if t_end < t_start
+                         else "zero-length window: t_end must exceed t_start")
     lam, m_ss, _ = _spectrum_of(dyn)
     n_modes = lam.size
-    t_ext = _extended_end(t_start, t_end)
+    t_ext = max(t_end, 4.0 * t_start)   # the window extended to 4x its start
     nontrivial_fast = m < n_modes
     nontrivial_slow = m > m_ss
     ts = _window_grid(t_start, t_ext, n_grid)
@@ -477,10 +475,11 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
     On decaying dynamics the two exclusion-span crossings run in the
     lockstep of the timescale searches (regimes.timescale_searches). Once
     the windows are known, two lockstep phases follow: the battery's own
-    row maps, the change searches of both windows, of the ratio-4
-    extension and of the exclusion windows, and the ratio-2 verdict's
-    opening (regimes.window_search); then, once those fix which rows
-    apply, the ratio-2 verdict, the projection report and the probe rows.
+    row maps, the ratio-2 verdict's opening (regimes.window_search) and the
+    change searches of the ratio-4 and the exclusion windows; then, once
+    those fix which rows apply, the rest of the ratio-2 verdict
+    (regimes.verdict_from), the projection report with its ratio-4
+    extension, and the probe rows. Each grid is read once.
     """
     if not tol >= 0:
         raise ValueError("tol must be non-negative, got %r" % (tol,))
@@ -547,12 +546,11 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
     reads += [("pair", t1, t2) for t1, t2 in pairs]
     reads += [("ident-stat",), ("pair", t_probe, w2_start)]
     reads += [("ident", t_s) for _, t_s in exclusion]
-    _, (_, (c2, _), _), (c4, _), _, *c_exclusion = lockstep(dyn, [
+    _, opened2, (c4, _), *c_exclusion = lockstep(dyn, [
         _read(reads), window_search(dyn, w2_start, w2_end, n_grid),
-        change_search(dyn, w4_start, w4_end, n_grid),
-        change_search(dyn, w4_start, _extended_end(w4_start, w4_end),
-                      n_grid)] + [change_search(dyn, t_s, t_s + span0, 13)
-                                  for span0, t_s in exclusion])
+        change_search(dyn, w4_start, w4_end, n_grid)] + [
+        change_search(dyn, t_s, t_s + span0, 13) for span0, t_s in exclusion])
+    _, (c2, _), _ = opened2
 
     # the change measures and the ratio-4 cut fix which rows apply
     c2_ok = c2 < 0.25
@@ -574,12 +572,12 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
                     if not t > w2_end / 2.0]
 
     # phase 2, while the evolutions of the change grids above are cached;
-    # the verdict's and the report's rows keep their place below
+    # the verdict goes on from its opening, the rows keep their place below
     reads = [("pair", n * t_probe, w2_start) for n in probe_ns or ()]
     reads += [("pair", n * t, w2_start) for t in prime_ts or ()
               for n in (1, 2, 3)]
     w2_verdict, proj_report, _ = lockstep(dyn, [
-        verdict_search(dyn, w2_start, w2_end, n_grid),
+        verdict_from(dyn, w2_start, w2_end, opened2),
         projection_search(dyn, m4, w4_start, w4_end, n_grid, tol),
         _read(reads)])
 

@@ -145,6 +145,25 @@ def test_classical_battery_exact(spin_backend):
     assert rep.all_pass, rep.failed_ids()
 
 
+def test_classical_battery_builds_records_for_two_map_kinds(monkeypatch):
+    # the keyed maps are evaluated on their read, as l1 values; only the
+    # generator and the three meta_corr maps come through norm_results,
+    # which builds each map's record with its witness
+    calls = []
+    norm_results = ClassicalBackend.norm_results
+
+    def counted(self, Ms, above=None):
+        calls.append(len(Ms))
+        return norm_results(self, Ms, above)
+
+    monkeypatch.setattr(ClassicalBackend, "norm_results", counted)
+    dyn = classical_backend(three_state_double_well(1.0, 1e-3))
+    rep = bound_battery(dyn, tol=1e-10)
+    assert "meta_corr" in rep.applicable_ids()
+    assert calls == [1, 3]
+    assert len(dyn._norm_cache) > 100
+
+
 def test_classical_battery_two_state():
     dyn = classical_backend(symmetric_two_state(1.0))
     rep = bound_battery(dyn, tol=1e-10)

@@ -770,40 +770,40 @@ def test_spin_norm_calls(norm_calls, capsys):
 def test_analyses_evaluate_no_map_through_the_single_getter(monkeypatch,
                                                             capsys):
     # every analysis requests the maps it reads, in lockstep rounds, so on a
-    # quantum backend none is left to QuantumBackend.norm_result: not in
-    # spin detect and verify-bounds, nor in the D = 3 battery. At D = 2 the
-    # golden-section steps of windows classified together share a
-    # closed-form call, and 75 (detect) and 54 (verify-bounds) calls hold a
-    # single map
+    # quantum backend no read misses the cache (a miss would evaluate its
+    # map alone, in DynamicsBackend._norm_of): not in spin detect and
+    # verify-bounds, nor in the D = 3 battery. At D = 2 the golden-section
+    # steps of windows classified together share a closed-form call, and
+    # 75 (detect) and 54 (verify-bounds) calls hold a single map
     import metastab.norms
     import metastab.regimes
     from metastab.models import random_lindbladian
     from metastab.spectral_meta import bound_battery
 
-    calls = {"norm_result": 0, "single": 0}
-    norm_result = metastab.regimes.QuantumBackend.norm_result
+    calls = {"misses": 0, "single": 0}
+    norm_of = metastab.regimes.DynamicsBackend._norm_of
     qubit = metastab.norms._qubit_induced_norms
 
-    def counted_norm_result(self, M):
-        calls["norm_result"] += 1
-        return norm_result(self, M)
+    def counted_norm_of(self, key):
+        calls["misses"] += key not in self._norm_cache
+        return norm_of(self, key)
 
     def counted_qubit(Ms):
         calls["single"] += len(Ms) == 1
         return qubit(Ms)
 
-    monkeypatch.setattr(metastab.regimes.QuantumBackend, "norm_result",
-                        counted_norm_result)
+    monkeypatch.setattr(metastab.regimes.DynamicsBackend, "_norm_of",
+                        counted_norm_of)
     monkeypatch.setattr(metastab.norms, "_qubit_induced_norms", counted_qubit)
     for command, singles in (("detect", 75), ("verify-bounds", 54)):
-        calls.update(norm_result=0, single=0)
+        calls.update(misses=0, single=0)
         code, _, _ = run_cli([command] + SPIN_ARGS, capsys)
         assert code == 0
-        assert calls == {"norm_result": 0, "single": singles}
+        assert calls == {"misses": 0, "single": singles}
     dyn = metastab.regimes.QuantumBackend(model=random_lindbladian(3, 2,
                                                                    seed=0))
     bound_battery(dyn, seed=0, scan_points=8, n_grid=17)
-    assert len(dyn._norm_cache) > 100 and calls["norm_result"] == 0
+    assert len(dyn._norm_cache) > 100 and calls["misses"] == 0
 
 
 def test_quantum_commands_load_no_scipy(tmp_path):

@@ -1057,7 +1057,7 @@ def test_qubit_backend_distances_are_exact(spin_backend):
         # both modes have decayed to exactly 0.0 in double precision at 1e6
         assert spin_backend.distance_to_stationary(t1) == pytest.approx(
             spin_mode_distance(t1, 1e6), abs=1e-12)
-    res = spin_backend.norm_result(spin_backend.generator_matrix())
+    res = spin_backend.norm_results([spin_backend.generator_matrix()])[0]
     assert res.exact and res.converged and res.iterations == 0
     assert res.restart_dispersion == 0.0
 

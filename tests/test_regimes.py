@@ -11,14 +11,13 @@ from metastab.classical import ClassicalBackend, ClassicalGenerator
 from metastab.models import random_lindbladian, spin_half_dephasing
 from metastab.modes import SCAN_AHEAD, change_thresholds, golden, _run_search
 from metastab.norms import _alternating_ascent
-from metastab.regimes import (CUTOFF_RELAXATION, DynamicsBackend,
-                              QuantumBackend, TimeGrid, TrivialDynamicsError,
-                              change_measure, classify_regime,
-                              crossing_scan_step, distinguishability_bounds,
-                              identity_sure_time, observable_average_change,
-                              relaxation_times, scan_metastable,
-                              state_change_measure, timescales,
-                              _refined_sup, _window_grid)
+from metastab.regimes import (CUTOFF_RELAXATION, QuantumBackend, TimeGrid,
+                              TrivialDynamicsError, change_measure,
+                              classify_regime, crossing_scan_step,
+                              distinguishability_bounds, identity_sure_time,
+                              observable_average_change, relaxation_times,
+                              scan_metastable, state_change_measure,
+                              timescales, _refined_sup, _window_grid)
 from metastab.spectral_meta import bound_battery
 from metastab.superop import QuantumModel
 
@@ -182,12 +181,16 @@ def test_scan_probe_stops_at_first_excess(monkeypatch):
 
 class OneByOne(QuantumBackend):
     """A quantum backend that evaluates every map on its own."""
-    prefetch = DynamicsBackend.prefetch
+
+    def prefetch(self, keys):
+        pass
 
 
 class FullProbe(QuantumBackend):
     """A quantum backend whose exceeds evaluates every distance in full."""
-    exceeds = DynamicsBackend.exceeds
+
+    def exceeds(self, pairs, threshold):
+        return [self.distance(t1, t2) > threshold for t1, t2 in pairs]
 
 
 def symmetric_chain():
@@ -346,12 +349,12 @@ def test_timescales_absent_paths_in_lockstep():
 
 def test_matrix_norms_batch_the_single_norms(monkeypatch):
     # unkeyed maps (the battery's correlator products) in one ascent call,
-    # each value that of matrix_norm on its own
+    # each value that of norm_results on it alone
     dyn = QuantumBackend(model=random_lindbladian(3, 2, seed=0), seed=0)
     C = dyn.correlator_matrix(dyn.random_observable(np.random.default_rng(1)))
     E = dyn.evolution_matrix
     Ms = [C @ E(1.0) - C @ E(3.0), E(0.5) @ C - E(2.0), C @ (E(4.0) - E(9.0))]
-    singles = [dyn.matrix_norm(M) for M in Ms]
+    singles = [dyn.norm_results([M])[0].value for M in Ms]
     calls = []
     ascents = norms._alternating_ascents
     monkeypatch.setattr(norms, "_alternating_ascents",
@@ -506,7 +509,7 @@ def test_timescales_take_the_generator_norm_in_their_first_round(
     assert sum(map(sum, batches)) == 1
     monkeypatch.setattr(norms, "_induced_norms", induced)
     assert_same_result(dyn.generator_norm_result(),
-                       dyn.norm_result(dyn.generator_matrix()))
+                       dyn.norm_results([dyn.generator_matrix()])[0])
     assert timescales(OneByOne(model=model, seed=0)) == report
 
 

@@ -6,7 +6,7 @@ import pytest
 from metastab import regimes, spectral_meta
 from metastab.models import random_lindbladian
 from metastab.modes import SCAN_AHEAD
-from metastab.regimes import DynamicsBackend, QuantumBackend, change_measure
+from metastab.regimes import QuantumBackend, change_measure
 from metastab.spectral_meta import (SeparationInconsistencyError, bound_battery,
                                     detect_separation, gap_cut,
                                     spectral_projection_report,
@@ -128,6 +128,16 @@ def test_projection_report_identity_cut_contradiction(spin_backend):
     # the unconditional rows still hold
     for row in rep.rows:
         assert row.passed(1e-8), (row.id, row.t, row.slack)
+
+
+def test_projection_report_rejects_an_empty_window(spin_backend):
+    # a window of zero length has no change measure to extend: a ValueError
+    # before any map is read, not a division by zero in the rebound's
+    # segment count
+    with pytest.raises(ValueError, match="zero-length window"):
+        spectral_projection_report(spin_backend, 1, 20.0, 20.0)
+    with pytest.raises(ValueError, match="window end before start"):
+        spectral_projection_report(spin_backend, 1, 20.0, 10.0)
 
 
 def test_gap_cut_prefers_largest_gap(spin_backend):
@@ -270,7 +280,8 @@ def check_batched_battery_caches(monkeypatch, model):
     # one by one, less the look-ahead maps past each crossing, and reports
     # the same rows
     class OneByOne(QuantumBackend):
-        prefetch = DynamicsBackend.prefetch
+        def prefetch(self, keys):
+            pass
 
     dyn_searches = list(searches)
     plain = OneByOne(model=model, seed=0)
@@ -292,10 +303,10 @@ def test_batched_battery_caches_single_map_values(monkeypatch):
     assert n_keys == sum(batches) > 100
     # the generator check, tau_0, tau_ss and two exclusion spans; no window
     # passes either scan's screen; then the two phases: the battery's own
-    # maps, the ratio-2 window's opening, the ratio-4 change and its
-    # extension and four exclusion windows, then the ratio-2 verdict, the
-    # projection report and the probe rows
-    assert len(searches) == 5 + 8 + 3
+    # maps, the ratio-2 window's opening, the ratio-4 change and four
+    # exclusion windows, then the rest of the ratio-2 verdict, the
+    # projection report (with the ratio-4 extension) and the probe rows
+    assert len(searches) == 5 + 7 + 3
     assert searches[0]["requests"] == {(("gen",), None)}
     assert (("ident-stat",), None) in searches[1]["requests"]
     assert (("stat", 0.0), 0.0) in searches[2]["requests"]
@@ -314,7 +325,7 @@ def test_batched_spin_battery_caches_single_map_values(monkeypatch,
     # of the 3 and 2 windows that pass the two scans' screens, the two
     # phases, and the relaxation times tau_dprime, tau_prime of the
     # metastable window
-    assert len(searches) == 5 + 3 + 2 + 8 + 3 + 2
+    assert len(searches) == 5 + 3 + 2 + 7 + 3 + 2
 
 
 @pytest.mark.slow
@@ -326,7 +337,8 @@ def test_battery_prefetches_add_no_map_on_a_metastable_window(monkeypatch):
     # them one by one, and besides them only the look-ahead maps past each
     # crossing, and reports the same rows
     class OneByOne(QuantumBackend):
-        prefetch = DynamicsBackend.prefetch
+        def prefetch(self, keys):
+            pass
 
     model = three_level_double_well(0.01)
     searches = record_search_requests(monkeypatch)
@@ -338,7 +350,7 @@ def test_battery_prefetches_add_no_map_on_a_metastable_window(monkeypatch):
             "tau_prime_ratio"} <= set(report.applicable_ids())
     dyn_searches = list(searches)
     # as on the spin model, with 3 and 1 windows past the scans' screens
-    assert len(dyn_searches) == 5 + 3 + 1 + 8 + 3 + 2
+    assert len(dyn_searches) == 5 + 3 + 1 + 7 + 3 + 2
     plain = OneByOne(model=model, seed=0)
     plain_report = bound_battery(plain, seed=0, scan_points=8, n_grid=17)
     assert_only_look_ahead_added(dyn_searches, set(dyn._norm_cache),
