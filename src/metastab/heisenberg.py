@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modes import golden, _run_search
+from .modes import brent_max, _run_search
 from .operators import is_hermitian, max_norm
 from .regimes import _window_grid
 from .superop import unvec, vec
@@ -50,9 +50,11 @@ def observable_change(spec, obs, t_start, t_end, n_grid=33):
     """Windowed max-norm change of an observable, normalized by its initial
     max norm; bounded above by the full change measure of the dynamics.
 
-    Unlike regimes._refined_sup, this refines a maximum at the grid's first
-    or last point too: an observable's change can oscillate, and there
-    golden section does beat the endpoint grid value."""
+    The grid maximum is refined by modes.brent_max between its grid
+    neighbours. Unlike regimes._refined_sup, this refines a maximum at the
+    grid's first or last point too, inside the one grid interval beside it:
+    an observable's change can oscillate, and there the search does beat
+    the endpoint grid value."""
     obs = np.asarray(obs, dtype=complex)
     norm0 = max_norm(obs)
     if norm0 == 0.0:
@@ -68,7 +70,7 @@ def observable_change(spec, obs, t_start, t_end, n_grid=33):
     k = int(np.argmax(vals))
     a = ts[max(0, k - 1)]
     b = ts[min(len(ts) - 1, k + 1)]
-    _, v_ref = _run_search(golden(f, a, b))
+    _, v_ref = _run_search(brent_max(f, a, b))
     return float(max(vals[k], v_ref))
 
 

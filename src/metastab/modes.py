@@ -1,8 +1,9 @@
 """Closed-form single-mode theory: threshold roots, inverse growth bounds,
 and per-mode regime boundaries for decaying (real or spiraling) modes; and
 the searches behind them, the regime timescales and the window suprema, as
-generators (zeroin, crossing, golden) that regimes.lockstep can run
-together."""
+generators (zeroin, crossing, brent_max) that regimes.lockstep can run
+together. zeroin and brent_max port scipy.optimize's brentq and fminbound
+step for step, without the cost of importing scipy.optimize."""
 import math
 from dataclasses import dataclass
 
@@ -10,8 +11,8 @@ import numpy as np
 
 # scan points a crossing search hints per request past its certified prefix
 SCAN_AHEAD = 4
-# relative bracket width at which a golden-section search stops
-GOLDEN_REL_TOL = 1e-6
+# absolute tolerance of brent_max, relative to its bracket's larger end
+SUP_REL_TOL = 1e-6
 
 
 def change_thresholds(c):
@@ -191,31 +192,86 @@ def crossing(f, target, t_max, step, t_sure=0.0):
     return None
 
 
-def golden(f, a, b):
-    """Maximum of f on [a, b] by golden section, as a search generator (see
-    zeroin): at most 80 steps, or down to a bracket of GOLDEN_REL_TOL
-    relative width. It yields its two inner points, then each new one, and
+def brent_max(f, a, b):
+    """Maximum of f on [a, b] by Brent's bounded method (Brent 1973, ch. 5),
+    as a search generator (see zeroin). It yields one time per request and
     evaluates exactly the times it yields, never a or b. Returns (t, f(t))
-    at the larger of the last two points."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    yield (x1, x2)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(80):
-        if (b - a) <= GOLDEN_REL_TOL * max(abs(a), abs(b), 1e-300):
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            yield (x2,)
-            f2 = f(x2)
+    at its best point.
+
+    A step-for-step port of scipy.optimize.fminbound run on -f, with
+    xtol = SUP_REL_TOL * max(|a|, |b|): a parabola through the three best
+    points where it steps inside the bracket and shortens it fast enough,
+    a golden-section step into the longer side otherwise; no step is
+    shorter than tol = sqrt(eps) |t| + xtol / 3 at the best point t. It
+    stops once both ends of the bracket lie within 2 tol of t, or after 500
+    evaluations.
+    """
+    xatol = SUP_REL_TOL * max(abs(a), abs(b))
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = float(a), float(b)
+    # xf is the best point, nfc the second best, fulc the previous nfc;
+    # fx, fnfc and ffulc hold -f there
+    xf = nfc = fulc = a + golden_mean * (b - a)
+    yield (xf,)
+    fx = fnfc = ffulc = -f(xf)
+    num = 1
+    rat = e = 0.0
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = p / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        step = max(abs(rat), tol1)
+        x = xf + step if rat >= 0.0 else xf - step
+        yield (x,)
+        fu = -f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
         else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            yield (x1,)
-            f1 = f(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf, -fx
 
 
 def first_crossing(f, target, t_max, step):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .modes import (SCAN_AHEAD, change_thresholds, crossing, golden,
+from .modes import (SCAN_AHEAD, brent_max, change_thresholds, crossing,
                     known_ends_zeroin, _run_search)
 from . import norms as _norms
 from .operators import max_norm, trace_norm
@@ -432,7 +432,7 @@ def decay_time(rate):
 
 
 def keyed(key, search):
-    """search, which requests times (modes.zeroin, crossing, golden), as a
+    """search, which requests times (modes.zeroin, crossing, brent_max), as a
     search that requests the norm-cache key key(t) of each time t."""
     while True:
         try:
@@ -482,18 +482,19 @@ def lockstep(dyn, searches):
 
 
 def _refined_sup(f, key, ts):
-    """f on the grid ts, in one request, and modes.golden on
+    """f on the grid ts, in one request, and modes.brent_max on
     [t_{k-1}, t_{k+1}] around an interior grid maximum k, as a search that
     requests the norm-cache key key(t) of each time t. Returns (grid values,
     k, refined t, refined value); at the first or last grid point the grid
-    point is its own refinement, as golden section never evaluates the
-    bracket's ends."""
+    point is its own refinement, as brent_max never evaluates the bracket's
+    ends. The refined value may fall below the grid maximum, which callers
+    then keep."""
     yield map(key, ts)
     vals = [f(t) for t in ts]
     k = int(np.argmax(vals))
     if k in (0, len(ts) - 1):
         return vals, k, ts[k], vals[k]
-    t_ref, v_ref = yield from keyed(key, golden(f, ts[k - 1], ts[k + 1]))
+    t_ref, v_ref = yield from keyed(key, brent_max(f, ts[k - 1], ts[k + 1]))
     return vals, k, t_ref, v_ref
 
 
@@ -534,9 +535,10 @@ def change_measure(dyn, t_start, t_end, n_grid=33):
     """Windowed change sup_{t in [t_start, t_end]} ||e^{t_start L} - e^{t L}||.
 
     Contractivity reduces the pair supremum to distances from the window
-    start. Evaluated on a log grid (one batched sweep), then
-    refined by golden section around an interior grid maximum. Returns
-    (value, argmax time).
+    start. Evaluated on a log grid (one batched sweep), then refined by
+    Brent's bounded maximiser (modes.brent_max) between the neighbours of
+    an interior grid maximum, one map per step. Returns (value, argmax
+    time); the value is never below the grid maximum.
     """
     return lockstep(dyn, [change_search(dyn, t_start, t_end, n_grid)])[0]
 

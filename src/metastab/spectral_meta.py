@@ -400,8 +400,8 @@ def spectral_projection_report(dyn, m, t_start, t_end, n_grid=33, tol=1e-8):
     linear-extension estimate). All weighted-dichotomy bounds gate on the
     numerically verified conditions rather than on their loosest a-priori
     constants. Runs projection_search: every map known before it starts is
-    read as one batched sweep, and the golden-section steps of its three
-    suprema advance together.
+    read as one batched sweep, and the Brent steps (modes.brent_max) of its
+    three suprema advance together.
     """
     return lockstep(dyn, [projection_search(dyn, m, t_start, t_end, n_grid,
                                             tol)])[0]

@@ -750,21 +750,23 @@ def test_random_battery_norm_calls(norm_calls, capsys):
 
 
 def test_spin_norm_calls(norm_calls, capsys):
-    # detect: 1 generator norm + 16 in timescales + 1,314 in the scan + 91
+    # detect: 1 generator norm + 16 in timescales + 1,228 in the scan + 91
     # in relaxation_times; verify-bounds: 1 generator norm + 16 in
-    # timescales + 496 in its two window scans, whose probes stop at their
-    # first over-budget distance, + 97 in relaxation_times + 550 in the
-    # other battery rows. Prefetches batch the exact qubit norm too, so the
-    # crossing searches' SCAN_AHEAD look-ahead maps past each crossing are
-    # evaluated and never read: 2 in timescales, and 4 (detect) or 3
-    # (verify-bounds) in relaxation_times
+    # timescales + 440 in its two window scans, whose probes stop at their
+    # first over-budget distance, + 96 in relaxation_times + 533 in the
+    # other battery rows. Each window supremum refined inside its grid
+    # takes 8 or 9 steps of the bounded maximiser (modes.brent_max).
+    # Prefetches batch the exact qubit norm too, so the crossing searches'
+    # SCAN_AHEAD look-ahead maps past each crossing are evaluated and never
+    # read: 2 in timescales, and 4 (detect) or 3 (verify-bounds) in
+    # relaxation_times
     code, _, _ = run_cli(["detect"] + SPIN_ARGS, capsys)
     assert code == 0
-    assert norm_calls["maps"] == 1422
+    assert norm_calls["maps"] == 1336
     norm_calls["maps"] = 0
     code, _, _ = run_cli(["verify-bounds"] + SPIN_ARGS, capsys)
     assert code == 0
-    assert norm_calls["maps"] == 1160
+    assert norm_calls["maps"] == 1086
 
 
 def test_analyses_evaluate_no_map_through_the_single_getter(monkeypatch,
@@ -772,9 +774,9 @@ def test_analyses_evaluate_no_map_through_the_single_getter(monkeypatch,
     # every analysis requests the maps it reads, in lockstep rounds, so on a
     # quantum backend no read misses the cache (a miss would evaluate its
     # map alone, in DynamicsBackend._norm_of): not in spin detect and
-    # verify-bounds, nor in the D = 3 battery. At D = 2 the golden-section
-    # steps of windows classified together share a closed-form call, and
-    # 75 (detect) and 54 (verify-bounds) calls hold a single map
+    # verify-bounds, nor in the D = 3 battery. At D = 2 the maximiser steps
+    # (modes.brent_max) of windows classified together share a closed-form
+    # call, and 29 (detect) and 20 (verify-bounds) calls hold a single map
     import metastab.norms
     import metastab.regimes
     from metastab.models import random_lindbladian
@@ -795,7 +797,7 @@ def test_analyses_evaluate_no_map_through_the_single_getter(monkeypatch,
     monkeypatch.setattr(metastab.regimes.DynamicsBackend, "_norm_of",
                         counted_norm_of)
     monkeypatch.setattr(metastab.norms, "_qubit_induced_norms", counted_qubit)
-    for command, singles in (("detect", 75), ("verify-bounds", 54)):
+    for command, singles in (("detect", 29), ("verify-bounds", 20)):
         calls.update(misses=0, single=0)
         code, _, _ = run_cli([command] + SPIN_ARGS, capsys)
         assert code == 0

@@ -112,8 +112,8 @@ def test_nonzero_observable_change():
 
 def test_observable_change_refines_an_end_maximum():
     # an observable's change can oscillate: here the grid maximum is the
-    # window's last point, and golden section inside the last grid interval
-    # finds a larger change (0.025524957... against 0.025524913...)
+    # window's last point, and the bounded maximiser inside the last grid
+    # interval finds a larger change (0.025524957... against 0.025524913...)
     spec = spectral_decompose(build_liouvillian(random_lindbladian(3, 2,
                                                                    seed=1)))
     rng = np.random.default_rng(103)

@@ -5,9 +5,10 @@ import pytest
 import scipy.optimize
 
 from metastab.modes import (E1_DOMAIN_MAX, E2_DOMAIN_MAX, SCAN_AHEAD,
-                            bracketed_root, change_thresholds, crossing,
-                            first_crossing, golden, inverse_bound,
-                            linear_growth_inverse, mode_regimes, zeroin)
+                            SUP_REL_TOL, brent_max, bracketed_root,
+                            change_thresholds, crossing, first_crossing,
+                            inverse_bound, linear_growth_inverse,
+                            mode_regimes, zeroin)
 
 
 def test_threshold_endpoints():
@@ -268,21 +269,47 @@ def test_crossing_hints_ahead_of_its_scan(t_sure, n_unread):
     assert all(len(ts) == 1 for ts in requests[-3:])
 
 
-@pytest.mark.parametrize("f, a, b", [
+MAX_CASES = [
     (lambda t: -(t - 1.31) ** 2, 1.125, 1.375),
     (lambda t: math.sin(3.0 * t), 0.4, 0.7),
-    (lambda t: t, 2.0, 3.0)])
-def test_golden_requests_exactly_what_it_evaluates(f, a, b):
-    # what lockstep relies on to batch golden steps: two points first, then
-    # one per step, each evaluated right after it is requested and never a
-    # bracket end
-    (t_max, v_max), requests, evaluated = drive(lambda g: golden(g, a, b), f)
-    assert [len(ts) for ts in requests] == [2] + [1] * (len(requests) - 1)
+    (lambda t: math.sin(3.0 * t), 0.1, 4.0),
+    (lambda t: t, 2.0, 3.0),
+    (lambda t: -math.exp(t), -1.0, 2.0),
+    (lambda t: 0.25, 10.0, 40.0),
+    (lambda t: -abs(t - 0.3), 0.0, 1.0)]
+
+
+@pytest.mark.parametrize("f, a, b", MAX_CASES)
+def test_brent_max_requests_exactly_what_it_evaluates(f, a, b):
+    # what lockstep relies on to batch Brent steps: one point per request,
+    # each evaluated right after it is requested and never a bracket end
+    (t_max, v_max), requests, evaluated = drive(lambda g: brent_max(g, a, b),
+                                                f)
+    assert [len(ts) for ts in requests] == [1] * len(requests)
     assert [t for ts in requests for t in ts] == [t for t, _ in evaluated]
-    assert [n for _, n in evaluated] == [1, 1] + list(range(2, len(requests)
-                                                            + 1))
-    assert a < min(t for t, _ in evaluated) <= max(t for t, _ in evaluated) < b
+    assert [n for _, n in evaluated] == list(range(1, len(requests) + 1))
+    assert all(a < t < b for t, _ in evaluated)
     assert t_max in [t for t, _ in evaluated] and v_max == f(t_max)
+    assert v_max == max(f(t) for t, _ in evaluated)
+
+
+@pytest.mark.parametrize("f, a, b", MAX_CASES)
+def test_brent_max_matches_fminbound_bit_for_bit(f, a, b):
+    # the same points, in the same order, and the same best point and value
+    # as scipy's fminbound on -f at the same tolerance
+    seen = []
+
+    def negated(t):
+        seen.append(t)
+        return -f(t)
+
+    t_opt, v_opt, flag, n_evals = scipy.optimize.fminbound(
+        negated, a, b, xtol=SUP_REL_TOL * max(abs(a), abs(b)),
+        full_output=True, disp=0)
+    (t_max, v_max), requests, evaluated = drive(lambda g: brent_max(g, a, b),
+                                                f)
+    assert [t for t, _ in evaluated] == seen and len(seen) == n_evals
+    assert flag == 0 and t_max == t_opt and v_max == -v_opt
 
 
 def test_crossing_without_crossing_requests_every_point_once():

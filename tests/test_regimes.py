@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import metastab.norms as norms
 import metastab.regimes as regimes
+import metastab.spectral_meta as spectral_meta
 from metastab.classical import ClassicalBackend, ClassicalGenerator
 from metastab.models import random_lindbladian, spin_half_dephasing
-from metastab.modes import SCAN_AHEAD, change_thresholds, golden, _run_search
+from metastab.modes import (SCAN_AHEAD, brent_max, change_thresholds,
+                            _run_search)
 from metastab.norms import _alternating_ascent
 from metastab.regimes import (CUTOFF_RELAXATION, QuantumBackend, TimeGrid,
                               TrivialDynamicsError, change_measure,
@@ -673,8 +676,59 @@ def test_refined_sup_refines_an_interior_maximum():
     ts = np.linspace(1.0, 2.0, 9)
     vals, k, t_ref, v_ref = _run_search(_refined_sup(g, lambda t: t, ts))
     assert k == 2
-    assert (t_ref, v_ref) == _run_search(golden(g, ts[k - 1], ts[k + 1]))
+    assert (t_ref, v_ref) == _run_search(brent_max(g, ts[k - 1],
+                                                   ts[k + 1]))
     assert v_ref > vals[k]
+
+
+def dense_sup(dyn, f, key, a, b):
+    """A reference maximum of f on [a, b]: a 4,001-point grid, read in one
+    prefetch, then fminbound converged between the grid neighbours of its
+    best point."""
+    ts = np.linspace(a, b, 4001)
+    dyn.prefetch(map(key, ts))
+    vals = [f(t) for t in ts]
+    j = int(np.argmax(vals))
+    lo, hi = ts[max(j - 1, 0)], ts[min(j + 1, len(ts) - 1)]
+    t_opt = scipy.optimize.fminbound(lambda t: -f(t), lo, hi,
+                                     xtol=1e-15 * hi, disp=0)
+    return max(vals[j], f(t_opt))
+
+
+@pytest.mark.parametrize("model, analysis, n_refined", [
+    (spin_half_dephasing(1.0, 0.005, 5.025), scan_metastable, 6),
+    (spin_half_dephasing(1.0, 0.005, 5.025),
+     lambda dyn: bound_battery(dyn, seed=0), 4),
+    (random_lindbladian(3, 2, seed=0), lambda dyn: bound_battery(dyn, seed=0),
+     0)], ids=["spin-detect", "spin-battery", "random-battery"])
+def test_window_suprema_match_a_dense_reference(monkeypatch, model, analysis,
+                                                n_refined):
+    # every window supremum of spin detect's scan and of the batteries is at
+    # least its grid maximum, and a refined one lies within 1e-10 relative
+    # of the supremum on its refinement bracket
+    records = []
+    refined_sup = regimes._refined_sup
+
+    def recorded(f, key, ts):
+        result = yield from refined_sup(f, key, ts)
+        records.append((f, key, ts, result))
+        return result
+
+    monkeypatch.setattr(regimes, "_refined_sup", recorded)
+    monkeypatch.setattr(spectral_meta, "_refined_sup", recorded)
+    dyn = QuantumBackend(model=model, seed=0)
+    analysis(dyn)
+    refined = 0
+    for f, key, ts, (vals, k, t_ref, v_ref) in records:
+        sup = max(vals[k], v_ref)
+        assert sup >= max(vals)
+        if k in (0, len(ts) - 1):
+            assert (t_ref, v_ref) == (ts[k], vals[k])
+            continue
+        refined += 1
+        ref = dense_sup(dyn, f, key, ts[k - 1], ts[k + 1])
+        assert abs(sup - ref) <= 1e-10 * ref, (ts[0], sup, ref)
+    assert refined == n_refined and records
 
 
 @pytest.mark.parametrize("with_doubling", [True, False])

@@ -315,8 +315,8 @@ def test_batched_battery_caches_single_map_values(monkeypatch):
 def test_batched_spin_battery_caches_single_map_values(monkeypatch,
                                                        spin_model):
     # at D = 2 they are prefetched in batches of the exact closed form, the
-    # golden-section steps of the window suprema too; only the scans'
-    # probe maps, exact here, are cached by exceeds
+    # maximiser steps of the window suprema too; only the scans' probe maps,
+    # exact here, are cached by exceeds
     n_keys, batches, searches = check_batched_battery_caches(monkeypatch,
                                                              spin_model)
     assert max(batches) > 32

@@ -12,6 +12,9 @@ two checkouts:
     PYTHONPATH=old/src python3 tools/cli_outputs.py out-old
     PYTHONPATH=src python3 tools/cli_outputs.py out-new
     diff -r out-old out-new
+
+tools/compare_outputs.py reports how far numbers moved between two such
+directories and which conclusions changed.
 """
 import argparse
 import contextlib
