@@ -113,8 +113,8 @@ class ClassicalBackend(DynamicsBackend):
     # records in one stack, as a quantum backend does, measured slower and
     # larger on the classical-chains benchmark (2-vCPU VM, 4 runs each:
     # detect 0.043 -> 0.077 s, peak RSS 96 -> 135 MB). With no keys left to
-    # evaluate, together answers every request at once, and prefetch and
-    # exceeds evaluate none
+    # evaluate, together answers every request at once, prefetch evaluates
+    # none, and exceeds compares the full distance
     def _uncached(self, keys):
         return {}
 

@@ -142,8 +142,11 @@ def _quantum_model_from_json(data, path):
     if dim and H.shape[0] != dim:
         raise UsageError("%s: hamiltonian dimension %d does not match dim=%d"
                          % (path, H.shape[0], dim))
-    jumps = tuple(_complex_array(J, "jump operator", path)
-                  for J in data.get("jumps", []))
+    jumps = data.get("jumps", [])
+    if not isinstance(jumps, list):
+        raise UsageError("%s: jumps must be an array of [D][D][2] matrices"
+                         % path)
+    jumps = tuple(_complex_array(J, "jump operator", path) for J in jumps)
     try:
         return QuantumModel(hamiltonian=H, jumps=jumps)
     except ValueError as err:

@@ -24,12 +24,12 @@ the call. In the shared pass each chain also tries a Riemannian Newton step
 that chains near a maximum finish quadratically instead of crawling through
 the alternating ascent's linear tail.
 
-Some callers only ask whether a norm exceeds a threshold (the scan's probe,
-regimes.DynamicsBackend.exceeds). For them _induced_norms takes above: every
-O-step value is a certified lower bound, so the ascent stops a map at its
-first value above the threshold and returns that value, which settles the
-question, instead of the map's full lower bound. Maps that never exceed it
-run in full, with the same result as without above.
+Some requests only ask whether a norm exceeds a threshold (the scan's
+screen, regimes.DynamicsBackend.exceeds). For them _induced_norms takes
+above, one threshold per map (inf for a full value): every O-step value is a
+certified lower bound, so the ascent stops a map at its first value above
+its threshold and returns that value, which settles the question. Maps that
+never exceed theirs run in full, with the same result as without above.
 
 The ascent holds its chains in real Hermitian coordinates: a stack of
 Hermitian matrices as D^2 contiguous real rows (the diagonal, then Re and Im
@@ -726,9 +726,9 @@ def _induced_norms(Ms, dim, seed=0, above=None):
     """Induced trace norm of each raw D^2 x D^2 Hermiticity-preserving
     matrix in Ms (a sequence or a (T, D^2, D^2) stack): exact at D = 2 (seed
     and above are then unused), the alternating ascent's lower bound at
-    D >= 3. With above set, the ascent stops a map at its first value above
-    it (see _alternating_ascents). Each map's result equals, bit for bit,
-    that of a call with it alone."""
+    D >= 3. With above, one threshold per map, the ascent stops a map at its
+    first value above it (see _alternating_ascents). Each map's result
+    equals, bit for bit, that of a call with it alone."""
     if dim == 2:
         return _qubit_induced_norms(Ms)
     return _alternating_ascents(Ms, dim, seed=seed, above=above)
@@ -933,15 +933,15 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
     _alternating_ascent(Ms[k], dim). Returns one InducedNormResult per map,
     in order.
 
-    above, when set, answers "is the norm above it?" for each map. Every
-    O-step value is a lower bound on the norm, so after each O-step, in
-    burn-in and in the shared pass alike, a map with a chain whose value
-    exceeds above stops all its chains; its result is that round's best
-    value, a certificate, with converged=False. A map whose chains never
-    exceed above runs exactly as without it. The ascent is monotone (a
-    culled or frozen chain and a turned-back Newton candidate keep an
-    earlier value), so the full value exceeds above iff some O-step of the
-    full run does, up to round-off.
+    above, when set, holds one threshold per map and answers "is the norm
+    above it?" for each. Every O-step value is a lower bound on the norm, so
+    after each O-step, in burn-in and in the shared pass alike, a map with a
+    chain above its threshold stops all its chains; its result is that
+    round's best value, a certificate, with converged=False. A map whose
+    chains never exceed it runs exactly as without it. The ascent is
+    monotone (a culled or frozen chain and a turned-back Newton candidate
+    keep an earlier value), so the full value exceeds the threshold iff
+    some O-step of the full run does, up to round-off.
     """
     if restarts is None:
         restarts = max(16, 4 * dim)
@@ -991,13 +991,13 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
 
     def going_on(work, vals, done):
         """Which chains of work go on after an O-step: those not done, less
-        every chain of a map with a chain above `above`. Those maps stop
+        every chain of a map with a chain above its `above`. Those maps stop
         with a certificate, so their chains' done is cleared in place."""
         go_on = ~done
         if above is not None:
-            over = vals > above
+            owner = work // restarts
+            over = vals > above[owner]
             if over.any():
-                owner = work // restarts
                 hit = np.zeros(T, dtype=bool)
                 hit[owner[over]] = True
                 certified = hit[owner]

@@ -82,6 +82,7 @@ class DynamicsBackend:
         self.dim = spectral.dim
         self._eye = identity
         self._norm_cache = {}
+        self._certificates = {}
         self._generator_norm = None
         self._evo_cache = {}
         self._projectors = {}
@@ -96,8 +97,9 @@ class DynamicsBackend:
 
     def norm_results(self, Ms, above=None):
         """InducedNormResult of each map matrix in Ms (a sequence or a
-        stack), each that of a call with it alone; with above set, a map may
-        stop early once a lower bound exceeds it (norms._induced_norms)."""
+        stack), each that of a call with it alone; with above, one threshold
+        per map, a map may stop early once a lower bound exceeds it
+        (norms._induced_norms)."""
         raise NotImplementedError
 
     def random_observable(self, rng):
@@ -159,7 +161,7 @@ class DynamicsBackend:
         evolution caches, so norms computed under P never reach this backend.
         """
         view = copy.copy(self)
-        view._norm_cache, view._evo_cache = {}, {}
+        view._norm_cache, view._certificates, view._evo_cache = {}, {}, {}
         view.unconverged_keys = self.unconverged_keys & {("gen",)}
         view.stationary_matrix = lambda: P
         return view
@@ -168,9 +170,9 @@ class DynamicsBackend:
     def _norm_map(self, key):
         """Matrix of the map whose norm the cache key names.
 
-        A read miss, prefetch and exceeds all build their maps here, so a
-        cached value does not depend on which of them computed it. A pair
-        key ("pair", t1, t2) has t1 < t2 and names E(t1) - E(t2); ("gen",)
+        A read miss and a prefetch both build their maps here, so a cached
+        value does not depend on which of them computed it. A pair key
+        ("pair", t1, t2) has t1 < t2 and names E(t1) - E(t2); ("gen",)
         names the generator.
         """
         family, *args = key
@@ -201,90 +203,87 @@ class DynamicsBackend:
         raise KeyError(key)
 
     def _norm_of(self, key):
-        value = self._norm_cache.get(key)
-        if value is None:
-            value = self._store(key,
-                                self.norm_results([self._norm_map(key)])[0])
-        return value
+        if key not in self._norm_cache:
+            self._evaluate([key])
+        return self._norm_cache[key]
 
-    def _store(self, key, result):
+    def _store(self, key, result, above=math.inf):
         """Keep result under key: its value in the norm cache or, for
-        ("gen",), the whole result apart. Note the key if the ascent stopped
-        before converging."""
+        ("gen",), the whole result apart; note the key if the ascent stopped
+        before converging. An inexact value over the threshold above, a
+        certificate, is kept apart to settle comparisons, and not noted."""
+        if result.value > above and not result.exact:
+            self._certificates[key] = result.value
+            return
         if not result.converged:
             self.unconverged_keys.add(key)
         if key == ("gen",):
             self._generator_norm = result
         else:
             self._norm_cache[key] = result.value
-        return result.value
 
     def _uncached(self, keys):
-        """The uncached keys of keys, each once, pairs in canonical order
-        and the zero distance left out, as a dict in request order."""
+        """The maps of keys left to evaluate, each once, as a dict in
+        request order from key to threshold (inf: the full value). A
+        comparison ("above", c, t1, t2) is its pair at threshold c, settled
+        by a certificate above c; a map requested twice keeps the larger
+        threshold. Pairs go in canonical order, the zero distance left out."""
         todo = {}
         for key in keys:
+            above = math.inf
+            if key[0] == "above":
+                above, key = key[1], ("pair",) + key[2:]
             if key[0] == "pair":
                 t1, t2 = key[1:]
-                if t1 == t2:
+                if t1 > t2:
+                    key = ("pair", t2, t1)
+                if t1 == t2 or self._certificates.get(key, above) > above:
                     continue
-                key = ("pair", min(t1, t2), max(t1, t2))
             elif key == ("gen",) and self._generator_norm is not None:
                 continue
-            if key not in self._norm_cache:
-                todo[key] = None
+            if key in self._norm_cache or todo.get(key, -math.inf) >= above:
+                continue
+            todo[key] = above
         return todo
 
-    def _evaluate(self, keys, above=None):
-        """(key, InducedNormResult) for each of _uncached(keys), from one
-        norm_results call; above is passed on to it."""
+    def _evaluate(self, keys):
+        """Evaluate the maps of _uncached(keys) in one norm_results call,
+        each against its threshold, and keep their results (_store)."""
         todo = self._uncached(keys)
         if not todo:
-            return []
+            return
         # the maps go straight into one stack, without a list of copies
         Ms = np.empty((len(todo),) + self._eye.shape, dtype=self._eye.dtype)
         for i, key in enumerate(todo):
             Ms[i] = self._norm_map(key)
-        return zip(todo, self.norm_results(Ms, above=above))
+        above = np.fromiter(todo.values(), float)
+        results = self.norm_results(
+            Ms, above=above if np.isfinite(above).any() else None)
+        for (key, threshold), res in zip(todo.items(), results):
+            self._store(key, res, threshold)
 
     def prefetch(self, keys):
         """Cache hint: evaluate the norms of the uncached keys in one batch.
 
         keys is an iterable, read at most once, of norm-cache keys such as
-        ("ident", t), ("proj", m, t), ("gen",) or ("pair", t1, t2), the last
-        in either order (equal times name the zero distance). Each value
-        equals, bit for bit, the one a read miss would compute, so a
-        prefetch never changes a result; it only saves per-call overhead.
-        lockstep calls it once per round with the keys its searches request,
-        evaluated in one norm_results call; the classical backend, whose
-        _uncached holds no keys, evaluates nothing here.
+        ("ident", t), ("proj", m, t), ("gen",), ("pair", t1, t2) or
+        ("above", c, t1, t2), pairs in either order (equal times name the
+        zero distance). Each value equals, bit for bit, the one a read miss
+        would compute, so a prefetch never changes a result; it only saves
+        per-call overhead. lockstep calls it once per round with the keys
+        its searches request; the classical backend, whose _uncached holds
+        no keys, evaluates nothing here.
         """
-        for key, res in self._evaluate(keys):
-            self._store(key, res)
+        self._evaluate(keys)
 
-    def exceeds(self, pairs, threshold):
-        """Whether distance(t1, t2) > threshold, for each (t1, t2) of pairs.
-
-        The answer is always that comparison. The uncached pairs are
-        evaluated in one norm call that may stop a map early, once a lower
-        bound on its norm settles the answer; cached pairs, and all on the
-        classical backend, compare their distances.
-        """
-        # a lower bound above the threshold settles its pair without being
-        # the pair's distance: it is neither cached nor flagged, and a later
-        # distance() evaluates the map in full. Exact values (D = 2) and
-        # values at or below the threshold, full ascents, are cached as a
-        # prefetch caches them
-        pairs = [(min(t1, t2), max(t1, t2)) for t1, t2 in pairs]
-        certified = set()
-        for key, res in self._evaluate(
-                [("pair",) + pair for pair in pairs], above=threshold):
-            if res.value > threshold and not res.exact:
-                certified.add(key[1:])
-            else:
-                self._store(key, res)
-        return [pair in certified or self.distance(*pair) > threshold
-                for pair in pairs]
+    def exceeds(self, t1, t2, threshold):
+        """Whether distance(t1, t2) > threshold: the answer to the comparison
+        key ("above", threshold, t1, t2), which a read miss evaluates alone."""
+        pair = ("pair", min(t1, t2), max(t1, t2))
+        if pair not in self._norm_cache:
+            self._evaluate([("above", threshold) + pair[1:]])
+        return (pair in self._certificates and pair not in self._norm_cache
+                or self.distance(t1, t2) > threshold)
 
     def distance(self, t1, t2):
         """Induced-norm distance between the evolution maps at two times."""
@@ -348,8 +347,8 @@ class DynamicsBackend:
 class QuantumBackend(DynamicsBackend):
     """Quantum dynamics backend; norms are exact at D = 2 and come from the
     alternating optimizer at D >= 3. Its norm_results is one call of the
-    dispatcher norms._induced_norms, so a prefetched batch, the probe of
-    exceeds and a read miss all take one path."""
+    dispatcher norms._induced_norms, so a prefetched batch and a read miss
+    take one path."""
 
     def __init__(self, model=None, liouvillian=None, spectral=None, seed=0):
         if liouvillian is None:
@@ -450,13 +449,13 @@ def _read(keys):
 def together(dyn, searches):
     """Independent searches as one search that returns their results in
     order. Each round advances every unfinished search to its next request
-    with something left to evaluate (dyn._uncached) and requests the union
-    of those keys: a request with nothing left (all cached, or any request
-    on a backend that does not batch) is answered at once, in the round."""
+    with something left to evaluate (dyn._uncached) and requests those keys
+    together: a request with nothing left (all cached, or any request on a
+    backend that does not batch) is answered at once, in the round."""
     results = [None] * len(searches)
     live = list(enumerate(searches))
     while live:
-        request, waiting = {}, []
+        request, waiting = [], []
         for i, search in live:
             try:
                 while not (keys := dyn._uncached(next(search))):
@@ -464,7 +463,10 @@ def together(dyn, searches):
             except StopIteration as stop:
                 results[i] = stop.value
                 continue
-            request.update(keys)
+            # the keys left, a comparison at its largest threshold
+            request += [key if above == math.inf
+                        else ("above", above) + key[1:]
+                        for key, above in keys.items()]
             waiting.append((i, search))
         live = waiting
         if live:
@@ -805,18 +807,15 @@ def scan_metastable(dyn, c_delta_max=0.1, ratio=2.0, grid=None, n_grid=33,
                     n_scan=24, merge=True):
     """Slide windows (t, ratio t) over a grid and return Metastable verdicts.
 
-    Each window is first probed on a coarse grid: a window with any distance
-    d(t, s) above c_delta_max is dropped without classification, and its
-    probe stops at the first such distance. The probe runs in rounds across
-    windows, one dyn.exceeds call (a batched norm call) per round for the
-    next distance of every window still within budget. It needs only the
-    comparison, so a quantum backend stops each probe map's ascent once a
-    lower bound exceeds c_delta_max and caches no such map. The windows that
-    pass are then classified together, their verdict searches in one
-    lockstep. Windows classified Metastable
-    with a change measure above c_delta_max are dropped too. Adjacent
-    Metastable windows are merged when the merged span still classifies
-    Metastable. Output is ordered by ascending window start.
+    Runs scan_search in one lockstep, on n_scan window starts from 1.05
+    tau_0 to tau_ss / ratio unless grid gives them. Each window is first
+    screened on a coarse grid: one with any distance d(t, s) above
+    c_delta_max is dropped without classification. The screen requests
+    comparison keys, so a quantum backend stops each such ascent once a
+    lower bound exceeds c_delta_max and caches no such map. Windows
+    classified Metastable with a change measure above c_delta_max are
+    dropped too. Adjacent Metastable windows are merged when the merged span
+    still classifies Metastable. Output is ordered by ascending window start.
     """
     if ratio < 2.0:
         raise ValueError("ratio must be at least 2 (pronounced time regime)")
@@ -833,62 +832,63 @@ def scan_metastable(dyn, c_delta_max=0.1, ratio=2.0, grid=None, n_grid=33,
         if hi <= lo:
             return []
         grid = np.geomspace(lo, hi, n_scan)
-    else:
-        grid = np.asarray(grid, dtype=float)
+    return lockstep(dyn, [scan_search(dyn, grid, c_delta_max, ratio, n_grid,
+                                      merge)])[0]
 
-    grid = np.sort(grid)
 
-    # far end first, where the distance is usually largest. The maps are
-    # those of a window-by-window probe, and a distance depends on its
-    # arguments alone (fixed restart seeds), so neither the batching nor the
-    # order changes any value a later analysis computes
-    n_probe = max(7, n_grid // 2)
-    probes = [_window_grid(t, ratio * t, n_probe)[::-1] for t in grid]
-    alive = range(len(grid))
-    for k in range(n_probe):
-        over = dyn.exceeds([(grid[i], probes[i][k]) for i in alive],
-                           c_delta_max)
-        alive = [i for i, out in zip(alive, over) if not out]
-    verdicts = lockstep(dyn, [verdict_search(dyn, grid[i], ratio * grid[i],
+def _screen(dyn, t, ratio, c_delta_max, n_probe):
+    """Whether no d(t, s) on the window's probe grid exceeds c_delta_max, as
+    a search: one comparison per request, far end first, up to an excess."""
+    for s in _window_grid(t, ratio * t, n_probe)[::-1]:
+        yield [("above", c_delta_max, t, s)]
+        if dyn.exceeds(t, s, c_delta_max):
+            return False
+    return True
+
+
+def _merge_search(dyn, run, c_delta_max, n_grid):
+    """A run of adjacent verdicts merged greedily, as a search: a window
+    grows while the merged span stays Metastable within the budget."""
+    merged, i = [], 0
+    while i < len(run):
+        best, i = run[i], i + 1
+        while i < len(run):
+            span = yield from verdict_search(dyn, best.t_start, run[i].t_end,
                                              n_grid, with_doubling=False)
-                              for i in alive])
+            if span.verdict != "Metastable" or span.c_delta > c_delta_max:
+                break
+            best, i = span, i + 1
+        merged.append(best)
+    return merged
+
+
+def scan_search(dyn, grid, c_delta_max=0.1, ratio=2.0, n_grid=33, merge=True):
+    """scan_metastable on the window starts grid, as a search in four
+    phases that each run one search per window or run together: the
+    screens, the verdicts of the windows that pass, the merges of each run
+    of adjacent hits, and the final windows' doubling changes. A distance depends on its
+    arguments alone (fixed restart seeds), so neither the batching nor the
+    order changes any value a later analysis computes."""
+    grid = np.sort(np.asarray(grid, dtype=float))
+    n_probe = max(7, n_grid // 2)
+    passed = yield from together(dyn, [
+        _screen(dyn, t, ratio, c_delta_max, n_probe) for t in grid])
+    alive = [i for i, ok in enumerate(passed) if ok]
+    verdicts = yield from together(dyn, [
+        verdict_search(dyn, grid[i], ratio * grid[i], n_grid,
+                       with_doubling=False) for i in alive])
     hits = [(i, v) for i, v in zip(alive, verdicts)
             if v.verdict == "Metastable" and v.c_delta <= c_delta_max]
-    if not hits:
-        return []
     if not merge:
         return [v for _, v in hits]
-
-    # merge runs of adjacent grid windows greedily, keeping every reported
-    # window Metastable and within the change budget; the final windows are
-    # reported with the doubling-change variant filled in
-    merged = []
-    for _, run in itertools.groupby(enumerate(hits),
-                                    lambda hit: hit[1][0] - hit[0]):
-        merged += _merge_run(dyn, [v for _, (_, v) in run], c_delta_max,
-                             n_grid)
-    out = lockstep(dyn, [verdict_search(dyn, v.t_start, v.t_end, n_grid)
-                         for v in merged])
-    return sorted(out, key=lambda v: v.t_start)
-
-
-def _merge_run(dyn, run, c_delta_max, n_grid):
-    merged = []
-    i = 0
-    while i < len(run):
-        best = run[i]
-        j = i + 1
-        while j < len(run):
-            span = classify_regime(dyn, best.t_start, run[j].t_end,
-                                   n_grid=n_grid, with_doubling=False)
-            if span.verdict == "Metastable" and span.c_delta <= c_delta_max:
-                best = span
-                j += 1
-            else:
-                break
-        merged.append(best)
-        i = j
-    return merged
+    runs = [[v for _, (_, v) in run] for _, run in itertools.groupby(
+        enumerate(hits), lambda hit: hit[1][0] - hit[0])]
+    merged = yield from together(dyn, [
+        _merge_search(dyn, run, c_delta_max, n_grid) for run in runs])
+    final = [v for run in merged for v in run]
+    doubling = yield from together(dyn, [
+        doubling_search(dyn, v.t_start, v.t_end, n_grid) for v in final])
+    return [replace(v, c_delta2=c2) for v, c2 in zip(final, doubling)]
 
 
 def _onset_search(dyn, t_start, t_end, target):
@@ -933,9 +933,12 @@ def relaxation_times(dyn, t_start, t_end, c_delta):
     at which it reaches 1 - 1/e - lower threshold. The first is found by a
     crossing scan, then Brent; the second by a geometric bracket, then
     Brent (_onset_search). The two searches run in lockstep, and both hint
-    SCAN_AHEAD points per request. Requires the change measure to be below
-    the relaxation cutoff.
+    SCAN_AHEAD points per request. Requires a window t_end > t_start > 0
+    and the change measure to be below the relaxation cutoff.
     """
+    if not t_end > t_start > 0:
+        raise ValueError("relaxation times require a window with "
+                         "t_end > t_start > 0")
     if c_delta > CUTOFF_RELAXATION:
         raise ValueError("relaxation times require c_delta <= (1 - 1/e)/e")
     lower, _ = change_thresholds(c_delta)

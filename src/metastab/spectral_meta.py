@@ -13,13 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .modes import change_thresholds, linear_growth_inverse
-# change_measure, classify_regime and timescales are unused here, but
-# bench/tracing.py wraps them at every module that imported them
+# change_measure, classify_regime, scan_metastable and timescales are unused
+# here, but bench/tracing.py wraps them at every module that imported them
 from .regimes import (CUTOFF_RELAXATION, change_measure, change_search,
                       classify_regime, grid_change_search, identity_crossing,
                       lockstep, relaxation_times, scan_metastable,
-                      timescale_report, timescale_searches, timescales,
-                      together, verdict_from, window_search,
+                      scan_search, timescale_report, timescale_searches,
+                      timescales, together, verdict_from, window_search,
                       TrivialDynamicsError, _read, _refined_sup,
                       _window_grid)
 
@@ -434,21 +434,6 @@ class BoundBatteryReport:
                    "1" if row.passed(self.tol) else "0")
 
 
-def _select_window(dyn, ratio, c_max, n_grid, fallback_span, scan_grid):
-    """Best (smallest-change) metastable window at the given ratio, or a
-    deterministic fallback window centered between the timescales."""
-    try:
-        hits = scan_metastable(dyn, c_delta_max=c_max, ratio=ratio,
-                               n_grid=n_grid, grid=scan_grid, merge=False)
-    except TrivialDynamicsError:
-        hits = []
-    if hits:
-        best = min(hits, key=lambda v: (v.c_delta, v.t_start))
-        return best.t_start, best.t_end, True
-    t_g = fallback_span
-    return t_g / math.sqrt(ratio), t_g * math.sqrt(ratio), False
-
-
 def gap_cut(dyn):
     """Deterministic slow-mode cut at the largest real-part gap; used when no
     separation is detected so the unconditional projection bounds still get
@@ -473,13 +458,14 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
     Emits one row per (inequality, evaluation point); a row passes when its
     slack is >= -tol or its hypotheses do not hold (marked inapplicable).
     On decaying dynamics the two exclusion-span crossings run in the
-    lockstep of the timescale searches (regimes.timescale_searches). Once
-    the windows are known, two lockstep phases follow: the battery's own
-    row maps, the ratio-2 verdict's opening (regimes.window_search) and the
-    change searches of the ratio-4 and the exclusion windows; then, once
-    those fix which rows apply, the rest of the ratio-2 verdict
-    (regimes.verdict_from), the projection report with its ratio-4
-    extension, and the probe rows. Each grid is read once.
+    lockstep of the timescale searches (regimes.timescale_searches), and
+    the ratio-2 and ratio-4 window scans (regimes.scan_search) share the
+    next. Once the windows are known, two lockstep phases follow: the
+    battery's own row maps, the ratio-2 verdict's opening
+    (regimes.window_search) and the change searches of the ratio-4 and the
+    exclusion windows; then, once those fix which rows apply, the rest of
+    the ratio-2 verdict (regimes.verdict_from), the projection report with
+    its ratio-4 extension, and the probe rows. Each grid is read once.
     """
     if not tol >= 0:
         raise ValueError("tol must be non-negative, got %r" % (tol,))
@@ -513,18 +499,26 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
                              scan_points)
     else:
         scan2 = scan4 = np.geomspace(grid[0], grid[-1] / 4.0, scan_points)
-    if window is None:
-        w2_start, w2_end, w2_found = _select_window(
-            dyn, 2.0, CUTOFF_RELAXATION, max(9, n_grid // 3), span, scan2)
-    else:
-        w2_start, w2_end = window
-        w2_found = True
-    if window4 is None:
-        w4_start, w4_end, w4_found = _select_window(
-            dyn, 4.0, 0.24, max(9, n_grid // 3), span, scan4)
-    else:
-        w4_start, w4_end = window4
-        w4_found = True
+    # the window scans that no given window replaces share one lockstep
+    scans = [(window, 2.0, CUTOFF_RELAXATION, scan2),
+             (window4, 4.0, 0.24, scan4)]
+    hits = iter(lockstep(dyn, [
+        scan_search(dyn, g, c_max, ratio, max(9, n_grid // 3), merge=False)
+        for given, ratio, c_max, g in scans if given is None]))
+
+    def chosen(given, ratio):
+        """(start, end, not a fallback): the given window, the scan's
+        smallest-change hit, or a window centered between the timescales."""
+        if given is not None:
+            return (*given, True)
+        best = min(next(hits), default=None,
+                   key=lambda v: (v.c_delta, v.t_start))
+        if best is None:
+            return span / math.sqrt(ratio), span * math.sqrt(ratio), False
+        return best.t_start, best.t_end, True
+
+    w2_start, w2_end, w2_found = chosen(window, 2.0)
+    w4_start, w4_end, w4_found = chosen(window4, 4.0)
 
     # phase 1, once the windows and the exclusion spans are known; the
     # random pairs are all four drawn first, t1 then t2, pair by pair

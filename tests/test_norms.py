@@ -428,7 +428,8 @@ def test_ascent_above_a_threshold_certifies_and_leaves_other_maps_alone(dim):
     certified_at = set()
     for above in (float(np.median(values)), values[slowest] * (1 - 1e-6)):
         for order in (1, -1):
-            batch = _alternating_ascents(stack[::order], dim, above=above)
+            batch = _alternating_ascents(stack[::order], dim,
+                                         above=np.full(len(stack), above))
             for M, got, want in zip(stack[::order], batch, single[::order]):
                 if want.value <= above:
                     assert_same_result(got, want)
@@ -438,16 +439,26 @@ def test_ascent_above_a_threshold_certifies_and_leaves_other_maps_alone(dim):
                 assert got.iterations <= want.iterations
                 certified_at.add(got.iterations)
                 if order == 1:
-                    assert_same_result(
-                        got, _alternating_ascents([M], dim, above=above)[0])
+                    assert_same_result(got, _alternating_ascents(
+                        [M], dim, above=np.array([above]))[0])
     assert 1 in certified_at
     assert max(certified_at) > DEFAULT_BURN_IN
+    # one threshold per map, inf where the full value is asked for: each
+    # map's result is that of a call with it alone at its own threshold
+    thresholds = np.where(np.arange(len(stack)) % 2, np.inf,
+                          float(np.median(values)))
+    batch = _alternating_ascents(stack, dim, above=thresholds)
+    for M, above, got in zip(stack, thresholds, batch):
+        assert_same_result(got, _alternating_ascents(
+            [M], dim, above=np.array([above]))[0])
+    assert any(not res.converged for res in batch[::2])
 
 
 def test_ascent_above_a_threshold_leaves_the_qubit_norm_exact(spin_spectral):
     M = identity_minus_stationary(spin_spectral).matrix
     exact = norms._induced_norms([M], 2)[0]
-    assert_same_result(norms._induced_norms([M], 2, above=0.0)[0], exact)
+    assert_same_result(norms._induced_norms([M], 2, above=np.zeros(1))[0],
+                       exact)
 
 
 def test_lockstep_ascent_of_no_maps():

@@ -190,10 +190,19 @@ class OneByOne(QuantumBackend):
 
 
 class FullProbe(QuantumBackend):
-    """A quantum backend whose exceeds evaluates every distance in full."""
+    """A quantum backend that evaluates the distance of every comparison key
+    in full."""
 
-    def exceeds(self, pairs, threshold):
-        return [self.distance(t1, t2) > threshold for t1, t2 in pairs]
+    def _uncached(self, keys):
+        return super()._uncached(("pair",) + key[2:] if key[0] == "above"
+                                 else key for key in keys)
+
+
+def comparisons(dyn, pairs, threshold):
+    """dyn's answers to the comparison keys of pairs, requested in one
+    round."""
+    dyn.prefetch([("above", threshold, t1, t2) for t1, t2 in pairs])
+    return [dyn.exceeds(t1, t2, threshold) for t1, t2 in pairs]
 
 
 def symmetric_chain():
@@ -224,10 +233,10 @@ def test_exceeds_answers_the_distance_comparison(model):
     ref = make()
     distances = [ref.distance(t1, t2) for t1, t2 in pairs]
     for threshold in (0.0, 0.1, 0.5, 1.0, 2.0):
-        assert make().exceeds(pairs, threshold) == [
+        assert comparisons(make(), pairs, threshold) == [
             d > threshold for d in distances]
-    assert make().exceeds(pairs, 0.0) == [t1 != t2 for t1, t2 in pairs]
-    assert not any(make().exceeds(pairs, 2.0))
+    assert comparisons(make(), pairs, 0.0) == [t1 != t2 for t1, t2 in pairs]
+    assert not any(comparisons(make(), pairs, 2.0))
 
 
 @pytest.mark.parametrize("dim", [3, 4])
@@ -240,7 +249,7 @@ def test_exceeds_caches_full_values_and_no_certificate(dim, monkeypatch):
     ref = QuantumBackend(model=random_lindbladian(dim, 2, seed=0), seed=0)
     pairs = [(t, 1.5 * t) for t in (0.2, 1.0, 4.0, 16.0, 64.0)]
     pairs += [(2.0, 2.0), (96.0, 64.0)]
-    over = dyn.exceeds(pairs, 0.1)
+    over = comparisons(dyn, pairs, 0.1)
     assert True in over and False in over[:5]
     for (t1, t2), out in zip(pairs, over):
         key = ("pair", min(t1, t2), max(t1, t2))
@@ -250,6 +259,8 @@ def test_exceeds_caches_full_values_and_no_certificate(dim, monkeypatch):
             value = _alternating_ascent(dyn._norm_map(key), dim).value
             assert dyn._norm_cache[key] == value == ref.distance(t1, t2)
     assert not dyn.unconverged_keys
+    assert set(dyn._certificates) == {
+        ("pair", min(p), max(p)) for p, out in zip(pairs, over) if out}
     cached = dict(dyn._norm_cache)
 
     def evaluated(*args, **kwargs):
@@ -257,14 +268,79 @@ def test_exceeds_caches_full_values_and_no_certificate(dim, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(norms, "_induced_norms", evaluated)
-        assert dyn.exceeds([p for p, out in zip(pairs, over) if not out],
+        assert comparisons(dyn, [p for p, out in zip(pairs, over) if not out],
                            0.1) == [False] * over.count(False)
     for (t1, t2), out in zip(pairs, over):
         if out:
             assert dyn.distance(t1, t2) == ref.distance(t1, t2) > 0.1
-    assert dyn.exceeds(pairs, 0.1) == over
+    assert comparisons(dyn, pairs, 0.1) == over
     assert dyn._norm_cache.keys() - cached.keys() == {
         ("pair", min(p), max(p)) for p, out in zip(pairs, over) if out}
+
+
+def recorded_ascents(monkeypatch):
+    """Patch the ascent kernel to record (maps, thresholds) of each call,
+    thresholds None for a call without above."""
+    calls = []
+    ascents = norms._alternating_ascents
+
+    def recorded(Ms, dim, above=None, **kwargs):
+        calls.append((len(Ms), None if above is None else list(above)))
+        return ascents(Ms, dim, above=above, **kwargs)
+
+    monkeypatch.setattr(norms, "_alternating_ascents", recorded)
+    return calls
+
+
+def test_a_full_request_of_a_pair_wins_over_its_comparison(monkeypatch):
+    # one round holding a pair as a full key and as a comparison, in either
+    # order and either time order, evaluates its map once, in full: the
+    # value is cached, no certificate is kept, and it answers the comparison
+    model = random_lindbladian(3, 2, seed=0)
+    key = ("pair", 1.0, 4.0)
+    value = QuantumBackend(model=model, seed=0).distance(1.0, 4.0)
+    assert value > 0.1
+    calls = recorded_ascents(monkeypatch)
+    for request in ([("above", 0.1, 4.0, 1.0), ("pair", 1.0, 4.0)],
+                    [("pair", 4.0, 1.0), ("above", 0.1, 1.0, 4.0)]):
+        calls.clear()
+        dyn = QuantumBackend(model=model, seed=0)
+        dyn.prefetch(request)
+        assert calls == [(1, None)]
+        assert dyn._norm_cache == {key: value} and not dyn._certificates
+        assert dyn.exceeds(4.0, 1.0, 0.1)
+
+
+def test_two_thresholds_on_a_pair_evaluate_it_once_at_the_larger(monkeypatch):
+    # both comparisons are answered by one evaluation against the larger
+    # threshold: a certificate above it, or, when the value lies below it,
+    # the full value, cached
+    model = random_lindbladian(3, 2, seed=0)
+    key = ("pair", 1.0, 4.0)
+    value = QuantumBackend(model=model, seed=0).distance(1.0, 4.0)
+    calls = recorded_ascents(monkeypatch)
+    for lo, hi in ((value / 4, value / 2), (value / 2, 2 * value)):
+        calls.clear()
+        dyn = QuantumBackend(model=model, seed=0)
+        dyn.prefetch([("above", lo, 1.0, 4.0), ("above", hi, 4.0, 1.0)])
+        assert calls == [(1, [hi])]
+        if hi < value:
+            assert not dyn._norm_cache and dyn._certificates[key] > hi
+        else:
+            assert dyn._norm_cache == {key: value} and not dyn._certificates
+        with monkeypatch.context() as patch:
+            patch.setattr(norms, "_induced_norms", None)
+            assert dyn.exceeds(1.0, 4.0, lo)
+            assert dyn.exceeds(4.0, 1.0, hi) == (hi < value)
+    # a certificate settles no comparison at or above its value: the read
+    # evaluates the map again, here in full
+    calls.clear()
+    dyn = QuantumBackend(model=model, seed=0)
+    dyn.prefetch([("above", value / 4, 1.0, 4.0)])
+    assert dyn._certificates[key] < 2 * value
+    assert not dyn.exceeds(1.0, 4.0, 2 * value)
+    assert calls == [(1, [value / 4]), (1, [2 * value])]
+    assert dyn._norm_cache == {key: value}
 
 
 @pytest.mark.parametrize("model, kw", [
@@ -696,7 +772,7 @@ def dense_sup(dyn, f, key, a, b):
 
 
 @pytest.mark.parametrize("model, analysis, n_refined", [
-    (spin_half_dephasing(1.0, 0.005, 5.025), scan_metastable, 6),
+    (spin_half_dephasing(1.0, 0.005, 5.025), scan_metastable, 5),
     (spin_half_dephasing(1.0, 0.005, 5.025),
      lambda dyn: bound_battery(dyn, seed=0), 4),
     (random_lindbladian(3, 2, seed=0), lambda dyn: bound_battery(dyn, seed=0),
@@ -854,6 +930,15 @@ def test_scan_ratio_validation(spin_backend):
         scan_metastable(spin_backend, ratio=1.5)
 
 
+@pytest.mark.parametrize("t_start, t_end", [(0.0, 40.0), (30.0, 20.0),
+                                             (20.0, 20.0), (-20.0, 40.0)])
+def test_relaxation_times_reject_a_bad_window(spin_backend, t_start, t_end):
+    # t_start = 0 divided by zero in the crossing scan's step, and a window
+    # that ends before it starts returned numbers
+    with pytest.raises(ValueError, match="t_end > t_start > 0"):
+        relaxation_times(spin_backend, t_start, t_end, 0.05)
+
+
 def test_relaxation_times_spin(spin_backend):
     c, _ = change_measure(spin_backend, 20.0, 40.0)
     tau_d, tau_p = relaxation_times(spin_backend, 20.0, 40.0, c)
@@ -986,3 +1071,53 @@ def test_evolution_cache_evicts_the_least_recently_used(monkeypatch):
     assert dyn.evolution_matrix(1.0) is E1
     dyn.evolution_matrix(3.0)
     assert list(dyn._evo_cache) == [1.0, 3.0]
+
+
+def merged_by_reference(dyn, c_delta_max=0.1, ratio=2.0, n_grid=33):
+    """The scan's merge as it ran before the scan was a search: each run of
+    adjacent grid windows among the unmerged hits merged greedily, one
+    classify_regime per candidate span, then each final window classified
+    again with the doubling change."""
+    report = timescales(dyn)
+    grid = list(np.geomspace(report.tau_0 * 1.05, report.tau_ss / ratio, 24))
+    hits = scan_metastable(dyn, c_delta_max, ratio, n_grid=n_grid,
+                           merge=False)
+    merged = []
+    for _, run in itertools.groupby(
+            enumerate(hits), lambda hit: grid.index(hit[1].t_start) - hit[0]):
+        run = [v for _, v in run]
+        i = 0
+        while i < len(run):
+            best = run[i]
+            j = i + 1
+            while j < len(run):
+                span = classify_regime(dyn, best.t_start, run[j].t_end,
+                                       n_grid=n_grid, with_doubling=False)
+                if span.verdict != "Metastable" or span.c_delta > c_delta_max:
+                    break
+                best = span
+                j += 1
+            merged.append(best)
+            i = j
+    return merged, [classify_regime(dyn, v.t_start, v.t_end, n_grid=n_grid)
+                    for v in merged]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: QuantumBackend(model=spin_half_dephasing(1.0, 0.005, 5.025),
+                           seed=0),
+    lambda: ClassicalBackend(ClassicalGenerator(two_cluster_rates(64, 64)))],
+    ids=["spin", "classical-64"])
+def test_scan_merges_as_the_one_span_reference(make):
+    # the merge searches give the windows of merging one span at a time, and
+    # each final window's doubling change is that of its full verdict
+    merged, final = merged_by_reference(make())
+    hits = scan_metastable(make())
+    assert exact_form(hits) == exact_form(final)
+    assert [v.c_delta2 for v in hits] == [v.c_delta2 for v in final]
+    assert all(math.isnan(v.c_delta2) for v in merged)
+    assert exact_form([dataclasses.replace(v, c_delta2=math.nan)
+                       for v in hits]) == exact_form(merged)
+    # some windows merge, and more than one window is left
+    assert any(v.t_end > 2.0 * v.t_start * (1 + 1e-12) for v in hits)
+    assert len(hits) > 1

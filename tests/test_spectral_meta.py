@@ -199,7 +199,7 @@ def record_search_requests(monkeypatch):
     """Patch lockstep so that it records, per search, the result and every
     (norm-cache key, time) the search requests; the time is the key's last
     entry when that is a time, as in ("pair", t_start, t), else None, as
-    for ("gen",)."""
+    for ("gen",). A comparison key is recorded as its pair."""
     searches = []
     lockstep = regimes.lockstep
 
@@ -212,6 +212,8 @@ def record_search_requests(monkeypatch):
                 return stop.value
             for key in keys:
                 t = key[-1] if isinstance(key[-1], float) else None
+                if key[0] == "above":
+                    key = ("pair",) + key[2:]
                 if key[0] == "pair":
                     if key[1] == key[2]:
                         continue
@@ -232,10 +234,16 @@ def record_search_requests(monkeypatch):
     return searches
 
 
+def evaluated(dyn):
+    """The keys of the maps dyn has evaluated: cached, or certified above a
+    comparison's threshold."""
+    return set(dyn._norm_cache) | set(dyn._certificates)
+
+
 def assert_only_look_ahead_added(searches, keys, plain_keys):
-    """keys, a batching backend's cache, holds plain_keys, those of a backend
-    that evaluates one map at a time, and besides them exactly the keys that
-    the searches requested and never read: at most SCAN_AHEAD - 1 per
+    """keys, those a batching backend evaluated, hold plain_keys, those of a
+    backend that evaluates one map at a time, and besides them exactly the
+    keys that the searches requested and never read: at most SCAN_AHEAD - 1 per
     search, each at a time past the search's result. A requested key
     without a time is always read; ("gen",), the generator norm, is kept
     out of both caches."""
@@ -286,8 +294,8 @@ def check_batched_battery_caches(monkeypatch, model):
     dyn_searches = list(searches)
     plain = OneByOne(model=model, seed=0)
     plain_report = bound_battery(plain, seed=0, scan_points=8, n_grid=17)
-    assert_only_look_ahead_added(dyn_searches, set(dyn._norm_cache),
-                                 set(plain._norm_cache))
+    assert_only_look_ahead_added(dyn_searches, evaluated(dyn),
+                                 evaluated(plain))
     assert list(plain_report.csv_rows()) == list(report.csv_rows())
     return len(keys), batches, dyn_searches
 
@@ -301,12 +309,13 @@ def test_batched_battery_caches_single_map_values(monkeypatch):
         monkeypatch, random_lindbladian(3, 2, seed=0))
     assert max(batches) > 32
     assert n_keys == sum(batches) > 100
-    # the generator check, tau_0, tau_ss and two exclusion spans; no window
-    # passes either scan's screen; then the two phases: the battery's own
-    # maps, the ratio-2 window's opening, the ratio-4 change and four
-    # exclusion windows, then the rest of the ratio-2 verdict, the
-    # projection report (with the ratio-4 extension) and the probe rows
-    assert len(searches) == 5 + 7 + 3
+    # the generator check, tau_0, tau_ss and two exclusion spans; the two
+    # window scans, in one lockstep, where no window passes either screen;
+    # then the two phases: the battery's own maps, the ratio-2 window's
+    # opening, the ratio-4 change and four exclusion windows, then the rest
+    # of the ratio-2 verdict, the projection report (with the ratio-4
+    # extension) and the probe rows
+    assert len(searches) == 5 + 2 + 7 + 3
     assert searches[0]["requests"] == {(("gen",), None)}
     assert (("ident-stat",), None) in searches[1]["requests"]
     assert (("stat", 0.0), 0.0) in searches[2]["requests"]
@@ -315,17 +324,15 @@ def test_batched_battery_caches_single_map_values(monkeypatch):
 def test_batched_spin_battery_caches_single_map_values(monkeypatch,
                                                        spin_model):
     # at D = 2 they are prefetched in batches of the exact closed form, the
-    # maximiser steps of the window suprema too; only the scans' probe maps,
-    # exact here, are cached by exceeds
+    # maximiser steps of the window suprema and the scans' screen maps too
     n_keys, batches, searches = check_batched_battery_caches(monkeypatch,
                                                              spin_model)
     assert max(batches) > 32
-    assert n_keys > sum(batches) > 500
-    # the generator check, tau_0, tau_ss, two exclusion spans, the verdicts
-    # of the 3 and 2 windows that pass the two scans' screens, the two
-    # phases, and the relaxation times tau_dprime, tau_prime of the
-    # metastable window
-    assert len(searches) == 5 + 3 + 2 + 7 + 3 + 2
+    assert n_keys == sum(batches) > 500
+    # the generator check, tau_0, tau_ss, two exclusion spans, the two
+    # window scans, the two phases, and the relaxation times tau_dprime,
+    # tau_prime of the metastable window
+    assert len(searches) == 5 + 2 + 7 + 3 + 2
 
 
 @pytest.mark.slow
@@ -349,12 +356,12 @@ def test_battery_prefetches_add_no_map_on_a_metastable_window(monkeypatch):
     assert {"dprime_exp", "prime_lin", "meta_corr",
             "tau_prime_ratio"} <= set(report.applicable_ids())
     dyn_searches = list(searches)
-    # as on the spin model, with 3 and 1 windows past the scans' screens
-    assert len(dyn_searches) == 5 + 3 + 1 + 7 + 3 + 2
+    # as on the spin model
+    assert len(dyn_searches) == 5 + 2 + 7 + 3 + 2
     plain = OneByOne(model=model, seed=0)
     plain_report = bound_battery(plain, seed=0, scan_points=8, n_grid=17)
-    assert_only_look_ahead_added(dyn_searches, set(dyn._norm_cache),
-                                 set(plain._norm_cache))
+    assert_only_look_ahead_added(dyn_searches, evaluated(dyn),
+                                 evaluated(plain))
     assert list(plain_report.csv_rows()) == list(report.csv_rows())
 
 

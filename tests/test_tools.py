@@ -8,7 +8,8 @@ TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 
 def write_outputs(root, c_delta=0.05, verdict="Metastable", n_windows=1,
-                  pass_flag="1", row_id="change2_all", exit_code=0):
+                  pass_flag="1", row_id="change2_all", exit_code=0,
+                  norm_calls=70):
     """A small directory shaped as tools/cli_outputs.py writes one."""
     os.makedirs(root / "models")
     (root / "models" / "chain.json").write_text(json.dumps({"rates": [
@@ -26,6 +27,10 @@ def write_outputs(root, c_delta=0.05, verdict="Metastable", n_windows=1,
     (root / "status.txt").write_text(
         "spin-detect.json exit 0 ''\n"
         "spin-verify-bounds.csv exit %d ''\n" % exit_code)
+    (root / "counts.txt").write_text(
+        "spin-detect.json norm_calls 82 maps 1336 single 29\n"
+        "spin-verify-bounds.csv norm_calls %d maps 1086 single 20\n"
+        % norm_calls)
 
 
 def compare(old, new):
@@ -43,8 +48,8 @@ def test_compare_outputs_reports_moves_and_lists_changed_conclusions(
     code, report = compare(tmp_path / "old", tmp_path / "same")
     assert code == 0
     assert report == ["%s: identical" % name for name in (
-        os.path.join("models", "chain.json"), "spin-detect.json",
-        "spin-verify-bounds.csv", "status.txt")]
+        "counts.txt", os.path.join("models", "chain.json"),
+        "spin-detect.json", "spin-verify-bounds.csv", "status.txt")]
     # a move of the value alone: reported, and the exit code stays 0
     write_outputs(tmp_path / "moved", c_delta=0.05 * (1 + 1e-9))
     code, report = compare(tmp_path / "old", tmp_path / "moved")
@@ -76,3 +81,44 @@ def test_compare_outputs_reports_moves_and_lists_changed_conclusions(
     code, report = compare(tmp_path / "old", tmp_path / "moved")
     assert code == 1
     assert "CHANGED status.txt: only in %s" % (tmp_path / "old") in report
+
+
+def test_compare_outputs_notes_count_moves_without_listing_a_change(
+        tmp_path):
+    # counts.txt moves are noted, never listed as changed conclusions, and
+    # neither is the file missing from one side (outputs written before it)
+    write_outputs(tmp_path / "old")
+    write_outputs(tmp_path / "fewer", norm_calls=53)
+    code, report = compare(tmp_path / "old", tmp_path / "fewer")
+    assert code == 0
+    assert "counts.txt: largest relative move 0.243 at " \
+        "spin-verify-bounds.csv norm_calls" in report
+    assert report[-1] == "NOTE counts.txt: spin-verify-bounds.csv " \
+        "norm_calls 70 -> 53"
+    assert not [line for line in report if line.startswith("CHANGED")]
+    os.remove(tmp_path / "old" / "counts.txt")
+    code, report = compare(tmp_path / "old", tmp_path / "fewer")
+    assert code == 0
+    assert report[-1] == "NOTE counts.txt: only in %s" % (tmp_path / "fewer")
+
+
+def test_cli_outputs_counts_the_norm_calls_of_each_output(tmp_path):
+    # one line per output: a quantum command's induced-norm calls, maps and
+    # single-map calls, and zero for a classical command, which evaluates
+    # its l1 norms without them
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "cli_outputs", os.path.join(TOOLS, "cli_outputs.py"))
+    cli_outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli_outputs)
+    cli_outputs.runs = lambda paths: [
+        ("random4-detect.json", ["detect", "--model",
+                                 "file:" + paths["random4"]]),
+        ("double-well-detect.json",
+         ["classical-detect", "--model", "builtin:double_well"])]
+    induced_norms = cli_outputs.norms._induced_norms
+    assert cli_outputs.main([str(tmp_path)]) == 0
+    assert cli_outputs.norms._induced_norms is induced_norms
+    assert (tmp_path / "counts.txt").read_text() == (
+        "random4-detect.json norm_calls 10 maps 56 single 2\n"
+        "double-well-detect.json norm_calls 0 maps 0 single 0\n")

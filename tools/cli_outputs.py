@@ -3,11 +3,13 @@
     python3 tools/cli_outputs.py OUTDIR [--seed N]
 
 Each output is one in-process ``metastab.cli.main`` call with ``--out``; the
-exit code and standard error of every call go to ``OUTDIR/status.txt``, and
-the model files the calls read to ``OUTDIR/models``. metastab is imported
-from the environment (PYTHONPATH), or from this checkout's ``src`` when the
-environment has none, so one copy of this script can write the outputs of
-two checkouts:
+exit code and standard error of every call go to ``OUTDIR/status.txt``, the
+model files the calls read to ``OUTDIR/models``, and the induced-norm work
+of every call (``metastab.norms._induced_norms`` calls, the maps they
+evaluate and the calls that hold a single map) to ``OUTDIR/counts.txt``.
+metastab is imported from the environment (PYTHONPATH), or from this
+checkout's ``src`` when the environment has none, so one copy of this
+script can write the outputs of two checkouts:
 
     PYTHONPATH=old/src python3 tools/cli_outputs.py out-old
     PYTHONPATH=src python3 tools/cli_outputs.py out-new
@@ -17,6 +19,7 @@ tools/compare_outputs.py reports how far numbers moved between two such
 directories and which conclusions changed.
 """
 import argparse
+import collections
 import contextlib
 import io
 import json
@@ -32,6 +35,7 @@ except ImportError:
     sys.path.insert(0, os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
     import metastab.cli as cli
+import metastab.norms as norms
 
 SPIN = ["--model", "builtin:spin_half", "--param", "gamma=1",
         "--param", "kappa=0.005", "--param", "omega=5.025"]
@@ -127,15 +131,32 @@ def main(argv=None):
     args = parser.parse_args(argv)
     os.makedirs(args.outdir, exist_ok=True)
     paths = write_models(os.path.join(args.outdir, "models"), args.seed)
-    status = []
-    for name, command in runs(paths):
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = cli.main(command + ["--seed", str(args.seed), "--out",
-                                       os.path.join(args.outdir, name)])
-        status.append("%s exit %d %r\n" % (name, code, err.getvalue()))
-    with open(os.path.join(args.outdir, "status.txt"), "w") as fh:
-        fh.writelines(status)
+    status, counts = [], []
+    # every norm evaluation, batched or not, calls _induced_norms through
+    # the module, so a wrapper there counts them all
+    induced_norms = norms._induced_norms
+    tally = collections.Counter()
+
+    def counted(Ms, *a, **kw):
+        tally.update(norm_calls=1, maps=len(Ms), single=int(len(Ms) == 1))
+        return induced_norms(Ms, *a, **kw)
+
+    norms._induced_norms = counted
+    try:
+        for name, command in runs(paths):
+            tally.clear()
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(command + ["--seed", str(args.seed), "--out",
+                                           os.path.join(args.outdir, name)])
+            status.append("%s exit %d %r\n" % (name, code, err.getvalue()))
+            counts.append("%s norm_calls %d maps %d single %d\n" % (
+                name, tally["norm_calls"], tally["maps"], tally["single"]))
+    finally:
+        norms._induced_norms = induced_norms
+    for file, lines in (("status.txt", status), ("counts.txt", counts)):
+        with open(os.path.join(args.outdir, file), "w") as fh:
+            fh.writelines(lines)
     return 0
 
 

@@ -9,7 +9,9 @@ a regime verdict, a number of metastable windows, or a file that only one
 directory holds. It exits 1 when it lists any, else 0, so a change that
 moves values within a search tolerance passes and one that changes a
 conclusion does not. Any other changed text value, such as a validity
-flag, is printed as a note and does not change the exit code:
+flag, is printed as a note and does not change the exit code, and so is
+every count of counts.txt that moved (the induced-norm calls, maps and
+single-map calls of each output), or that file missing from one directory:
 
     PYTHONPATH=old/src python3 tools/cli_outputs.py out-old
     PYTHONPATH=src python3 tools/cli_outputs.py out-new
@@ -25,6 +27,8 @@ import sys
 # leaf names whose values are pass flags; a name ending in "verdict" is a
 # regime verdict
 PASS_KEYS = ("pass", "all_pass", "failed_ids")
+# the file of norm-call counts, which notes report and no change lists
+COUNTS = "counts.txt"
 
 
 def _files(root):
@@ -77,6 +81,16 @@ def _status(text):
     return codes
 
 
+def _counts(text):
+    """{(output file, count name): count} of a counts.txt."""
+    counts = {}
+    for line in text.splitlines():
+        name, *fields = line.split()
+        for what, n in zip(fields[::2], fields[1::2]):
+            counts[name, what] = int(n)
+    return counts
+
+
 def _label(path):
     out = ""
     for part in path:
@@ -108,6 +122,14 @@ def compare_file(name, old_text, new_text):
                    for out in sorted(set(old) | set(new))
                    if old.get(out) != new.get(out)]
         return 0.0, "", changes, []
+    if os.path.basename(name) == COUNTS:
+        old, new = _counts(old_text), _counts(new_text)
+        moves = [(_relative_move(old.get(k), new.get(k)), k)
+                 for k in sorted(set(old) | set(new))]
+        notes = ["%s: %s %s %s -> %s" % (name, *k, old.get(k), new.get(k))
+                 for move, k in moves if move]
+        largest, where = max(moves, default=(0.0, ()))
+        return largest, " ".join(where) if largest else "", [], notes
     if name.endswith(".json"):
         old_doc, new_doc = json.loads(old_text), json.loads(new_text)
         old, new = dict(_leaves(old_doc)), dict(_leaves(new_doc))
@@ -151,11 +173,12 @@ def compare_file(name, old_text, new_text):
 def compare(old_dir, new_dir, out=sys.stdout):
     """Print the report; returns the listed changes."""
     old_files, new_files = _files(old_dir), _files(new_dir)
-    changes = ["%s: only in %s" % (name, old_dir)
-               for name in sorted(old_files - new_files)]
-    changes += ["%s: only in %s" % (name, new_dir)
-                for name in sorted(new_files - old_files)]
-    notes = []
+    changes, notes = [], []
+    for names, where in ((old_files - new_files, old_dir),
+                         (new_files - old_files, new_dir)):
+        for name in sorted(names):
+            (notes if name == COUNTS else changes).append(
+                "%s: only in %s" % (name, where))
     for name in sorted(old_files & new_files):
         with open(os.path.join(old_dir, name)) as fh:
             old_text = fh.read()
