@@ -109,12 +109,11 @@ class ClassicalBackend(DynamicsBackend):
         # projectors of a real rate matrix are real up to round-off
         return P.real if np.max(np.abs(P.imag)) < 1e-10 else P
 
-    # Keyed maps are not batched: evaluating a lockstep round's keys as
-    # records in one stack, as a quantum backend does, measured slower and
-    # larger on the classical-chains benchmark (2-vCPU VM, 4 runs each:
-    # detect 0.043 -> 0.077 s, peak RSS 96 -> 135 MB). With no keys left to
-    # evaluate, together answers every request at once, prefetch evaluates
-    # none, and exceeds compares the full distance
+    # Keyed maps are not batched: evaluating a round's todo as records in
+    # one stack, as a quantum backend does, measured slower and larger on
+    # the classical-chains benchmark (2-vCPU VM, 4 runs each: detect 0.043
+    # -> 0.077 s, peak RSS 96 -> 135 MB). So every todo is empty: together
+    # yields no round, prefetch evaluates none, and reads evaluate each map
     def _uncached(self, keys):
         return {}
 

@@ -204,10 +204,10 @@ class DynamicsBackend:
 
     def _norm_of(self, key):
         if key not in self._norm_cache:
-            self._evaluate([key])
+            self._evaluate({key: math.inf})
         return self._norm_cache[key]
 
-    def _store(self, key, result, above=math.inf):
+    def _store(self, key, result, above):
         """Keep result under key: its value in the norm cache or, for
         ("gen",), the whole result apart; note the key if the ascent stopped
         before converging. An inexact value over the threshold above, a
@@ -228,6 +228,8 @@ class DynamicsBackend:
         comparison ("above", c, t1, t2) is its pair at threshold c, settled
         by a certificate above c; a map requested twice keeps the larger
         threshold. Pairs go in canonical order, the zero distance left out."""
+        if isinstance(keys, dict):  # a round's todo, filtered already
+            return keys
         todo = {}
         for key in keys:
             above = math.inf
@@ -246,10 +248,9 @@ class DynamicsBackend:
             todo[key] = above
         return todo
 
-    def _evaluate(self, keys):
-        """Evaluate the maps of _uncached(keys) in one norm_results call,
-        each against its threshold, and keep their results (_store)."""
-        todo = self._uncached(keys)
+    def _evaluate(self, todo):
+        """Evaluate the maps of todo, a dict of _uncached, as given in one
+        norm_results call, each against its threshold; keep them (_store)."""
         if not todo:
             return
         # the maps go straight into one stack, without a list of copies
@@ -268,20 +269,20 @@ class DynamicsBackend:
         keys is an iterable, read at most once, of norm-cache keys such as
         ("ident", t), ("proj", m, t), ("gen",), ("pair", t1, t2) or
         ("above", c, t1, t2), pairs in either order (equal times name the
-        zero distance). Each value equals, bit for bit, the one a read miss
-        would compute, so a prefetch never changes a result; it only saves
-        per-call overhead. lockstep calls it once per round with the keys
-        its searches request; the classical backend, whose _uncached holds
-        no keys, evaluates nothing here.
+        zero distance), or a todo of _uncached. Each value equals, bit for
+        bit, the one a read miss would compute, so a prefetch never changes
+        a result; it only saves per-call overhead. lockstep calls it once
+        per round with the round's todo, filtered already; the classical
+        backend, whose _uncached holds no keys, evaluates nothing here.
         """
-        self._evaluate(keys)
+        self._evaluate(self._uncached(keys))
 
     def exceeds(self, t1, t2, threshold):
         """Whether distance(t1, t2) > threshold: the answer to the comparison
         key ("above", threshold, t1, t2), which a read miss evaluates alone."""
         pair = ("pair", min(t1, t2), max(t1, t2))
         if pair not in self._norm_cache:
-            self._evaluate([("above", threshold) + pair[1:]])
+            self._evaluate(self._uncached([("above", threshold) + pair[1:]]))
         return (pair in self._certificates and pair not in self._norm_cache
                 or self.distance(t1, t2) > threshold)
 
@@ -300,8 +301,7 @@ class DynamicsBackend:
     def generator_norm_result(self):
         """InducedNormResult of the generator, computed once."""
         if self._generator_norm is None:
-            self._store(("gen",),
-                        self.norm_results([self.generator_matrix()])[0])
+            self._evaluate({("gen",): math.inf})
         return self._generator_norm
 
     def liouvillian_norm(self):
@@ -447,30 +447,28 @@ def _read(keys):
 
 
 def together(dyn, searches):
-    """Independent searches as one search that returns their results in
-    order. Each round advances every unfinished search to its next request
-    with something left to evaluate (dyn._uncached) and requests those keys
-    together: a request with nothing left (all cached, or any request on a
-    backend that does not batch) is answered at once, in the round."""
+    """Independent searches as one search returning their results in order.
+    Each round advances every unfinished search to its next request with maps
+    left (dyn._uncached; a nested todo passes as is) and yields the merged
+    todo, each map at its largest threshold; a request with none left (all
+    cached, or on a backend that does not batch) is answered at once."""
     results = [None] * len(searches)
     live = list(enumerate(searches))
     while live:
-        request, waiting = [], []
+        todo, waiting = {}, []
         for i, search in live:
             try:
-                while not (keys := dyn._uncached(next(search))):
+                while not (request := dyn._uncached(next(search))):
                     pass
             except StopIteration as stop:
                 results[i] = stop.value
                 continue
-            # the keys left, a comparison at its largest threshold
-            request += [key if above == math.inf
-                        else ("above", above) + key[1:]
-                        for key, above in keys.items()]
+            for key, above in request.items():
+                todo[key] = max(todo.get(key, above), above)
             waiting.append((i, search))
         live = waiting
         if live:
-            yield request
+            yield todo
     return results
 
 
@@ -479,7 +477,8 @@ def lockstep(dyn, searches):
     batched norm call on a quantum backend) per round; returns their
     results in order. A search is a generator of the kind modes.zeroin
     describes, which yields the norm-cache keys it reads next, then reads
-    them through the backend's getters. Every analysis reads its maps so."""
+    them through the backend's getters. Every analysis reads its maps so,
+    each round's keys filtered once, where its leaf searches yield them."""
     return _run_search(together(dyn, searches), dyn.prefetch)
 
 
@@ -525,6 +524,8 @@ def grid_change_search(dyn, ts):
 
 def change_search(dyn, t_start, t_end, n_grid=33):
     """change_measure as a search."""
+    if t_start < 0:
+        raise ValueError("the dynamics is a semigroup: t must be >= 0")
     if t_end < t_start:
         raise ValueError("window end before start")
     if t_end == t_start:

@@ -63,6 +63,16 @@ def test_changes_csv(capsys):
         pytest.approx(1.0, abs=1e-9)
 
 
+def test_changes_with_a_negative_time_exits_2_with_its_message(capsys):
+    # the window (t, ratio t) of a negative t also ends before it starts;
+    # the negative time is the fault that is reported
+    code, out, err = run_cli(["changes", "--model", "builtin:spin_half",
+                              "--tmin", "-1", "--tmax", "5", "--points", "4",
+                              "--spacing", "linear"], capsys)
+    assert code == 2 and not out
+    assert err == "error: the dynamics is a semigroup: t must be >= 0\n"
+
+
 def test_detect_spin(capsys):
     code, out, _ = run_cli(["detect"] + SPIN_ARGS + ["--cdelta-max", "0.1"],
                            capsys)

@@ -292,37 +292,50 @@ def recorded_ascents(monkeypatch):
     return calls
 
 
+def split_request(dyn, keys):
+    """keys requested in one lockstep round, each by a sibling _read search
+    under a nested together."""
+    regimes.lockstep(dyn, [regimes.together(
+        dyn, [regimes._read([key]) for key in keys])])
+
+
 def test_a_full_request_of_a_pair_wins_over_its_comparison(monkeypatch):
     # one round holding a pair as a full key and as a comparison, in either
-    # order and either time order, evaluates its map once, in full: the
-    # value is cached, no certificate is kept, and it answers the comparison
+    # order and either time order, in one request or split across nested
+    # searches, evaluates its map once, in full: the value is cached, no
+    # certificate is kept, and it answers the comparison
     model = random_lindbladian(3, 2, seed=0)
     key = ("pair", 1.0, 4.0)
     value = QuantumBackend(model=model, seed=0).distance(1.0, 4.0)
     assert value > 0.1
     calls = recorded_ascents(monkeypatch)
-    for request in ([("above", 0.1, 4.0, 1.0), ("pair", 1.0, 4.0)],
-                    [("pair", 4.0, 1.0), ("above", 0.1, 1.0, 4.0)]):
+    for request, run in itertools.product(
+            ([("above", 0.1, 4.0, 1.0), ("pair", 1.0, 4.0)],
+             [("pair", 4.0, 1.0), ("above", 0.1, 1.0, 4.0)]),
+            (QuantumBackend.prefetch, split_request)):
         calls.clear()
         dyn = QuantumBackend(model=model, seed=0)
-        dyn.prefetch(request)
+        run(dyn, request)
         assert calls == [(1, None)]
         assert dyn._norm_cache == {key: value} and not dyn._certificates
         assert dyn.exceeds(4.0, 1.0, 0.1)
 
 
 def test_two_thresholds_on_a_pair_evaluate_it_once_at_the_larger(monkeypatch):
-    # both comparisons are answered by one evaluation against the larger
-    # threshold: a certificate above it, or, when the value lies below it,
-    # the full value, cached
+    # both comparisons, in one request or split across nested searches, are
+    # answered by one evaluation against the larger threshold: a
+    # certificate above it, or, when the value lies below it, the full
+    # value, cached
     model = random_lindbladian(3, 2, seed=0)
     key = ("pair", 1.0, 4.0)
     value = QuantumBackend(model=model, seed=0).distance(1.0, 4.0)
     calls = recorded_ascents(monkeypatch)
-    for lo, hi in ((value / 4, value / 2), (value / 2, 2 * value)):
+    for (lo, hi), run in itertools.product(
+            ((value / 4, value / 2), (value / 2, 2 * value)),
+            (QuantumBackend.prefetch, split_request)):
         calls.clear()
         dyn = QuantumBackend(model=model, seed=0)
-        dyn.prefetch([("above", lo, 1.0, 4.0), ("above", hi, 4.0, 1.0)])
+        run(dyn, [("above", lo, 1.0, 4.0), ("above", hi, 4.0, 1.0)])
         assert calls == [(1, [hi])]
         if hi < value:
             assert not dyn._norm_cache and dyn._certificates[key] > hi
@@ -341,6 +354,39 @@ def test_two_thresholds_on_a_pair_evaluate_it_once_at_the_larger(monkeypatch):
     assert not dyn.exceeds(1.0, 4.0, 2 * value)
     assert calls == [(1, [value / 4]), (1, [2 * value])]
     assert dyn._norm_cache == {key: value}
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_lockstep_scans_each_requested_key_once_per_round(depth,
+                                                         monkeypatch):
+    # a _read search alone, or nested depth together levels deep: the round
+    # that lockstep hands to the prefetch is the todo built from its keys,
+    # and no level above the search, nor the prefetch, scans it again; a
+    # scan is an _uncached call that builds a todo of its own
+    scans = []
+    uncached = QuantumBackend._uncached
+
+    def counted(self, keys):
+        keys = keys if isinstance(keys, dict) else list(keys)
+        todo = uncached(self, keys)
+        if todo is not keys:
+            scans.append(len(keys))
+        return todo
+
+    monkeypatch.setattr(QuantumBackend, "_uncached", counted)
+    request = [("ident", 1.0), ("pair", 4.0, 1.0), ("above", 0.1, 2.0, 3.0),
+               ("stat", 2.0), ("pair", 1.0, 4.0), ("pair", 5.0, 5.0)]
+    dyn = EXCEEDS_MODELS["spin"]()
+    search = regimes._read(request)
+    for _ in range(depth):
+        search = regimes.together(dyn, [search])
+    regimes.lockstep(dyn, [search])
+    assert scans == [len(request)]
+    reference = EXCEEDS_MODELS["spin"]()
+    reference.prefetch(request)
+    assert dyn._norm_cache == reference._norm_cache
+    assert dyn._norm_cache.keys() == {("ident", 1.0), ("pair", 1.0, 4.0),
+                                      ("pair", 2.0, 3.0), ("stat", 2.0)}
 
 
 @pytest.mark.parametrize("model, kw", [

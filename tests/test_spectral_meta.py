@@ -199,18 +199,22 @@ def record_search_requests(monkeypatch):
     """Patch lockstep so that it records, per search, the result and every
     (norm-cache key, time) the search requests; the time is the key's last
     entry when that is a time, as in ("pair", t_start, t), else None, as
-    for ("gen",). A comparison key is recorded as its pair."""
+    for ("gen",). A comparison key is recorded as its pair. A request is
+    passed on as it came, a round's todo (a dict) with its thresholds, and
+    an iterable of keys, read once, as their list."""
     searches = []
     lockstep = regimes.lockstep
 
     def recorded(search, entry):
         while True:
             try:
-                keys = list(next(search))
+                request = next(search)
             except StopIteration as stop:
                 entry["result"] = stop.value
                 return stop.value
-            for key in keys:
+            if not isinstance(request, dict):
+                request = list(request)
+            for key in request:
                 t = key[-1] if isinstance(key[-1], float) else None
                 if key[0] == "above":
                     key = ("pair",) + key[2:]
@@ -219,7 +223,7 @@ def record_search_requests(monkeypatch):
                         continue
                     key = ("pair", min(key[1:]), max(key[1:]))
                 entry["requests"].add((key, t))
-            yield keys
+            yield request
 
     def recording(dyn, searches_):
         wrapped = []

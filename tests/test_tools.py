@@ -103,9 +103,9 @@ def test_compare_outputs_notes_count_moves_without_listing_a_change(
 
 
 def test_cli_outputs_counts_the_norm_calls_of_each_output(tmp_path):
-    # one line per output: a quantum command's induced-norm calls, maps and
-    # single-map calls, and zero for a classical command, which evaluates
-    # its l1 norms without them
+    # one line per output: its induced-norm calls, maps and single-map
+    # calls, which a quantum command makes, and its classical maps, each
+    # one l1_norm call of a classical command
     import importlib.util
     spec = importlib.util.spec_from_file_location(
         "cli_outputs", os.path.join(TOOLS, "cli_outputs.py"))
@@ -117,8 +117,12 @@ def test_cli_outputs_counts_the_norm_calls_of_each_output(tmp_path):
         ("double-well-detect.json",
          ["classical-detect", "--model", "builtin:double_well"])]
     induced_norms = cli_outputs.norms._induced_norms
+    l1_norm = cli_outputs.classical.l1_norm
     assert cli_outputs.main([str(tmp_path)]) == 0
     assert cli_outputs.norms._induced_norms is induced_norms
+    assert cli_outputs.classical.l1_norm is l1_norm
     assert (tmp_path / "counts.txt").read_text() == (
-        "random4-detect.json norm_calls 10 maps 56 single 2\n"
-        "double-well-detect.json norm_calls 0 maps 0 single 0\n")
+        "random4-detect.json norm_calls 10 maps 56 single 2 "
+        "classical_maps 0\n"
+        "double-well-detect.json norm_calls 0 maps 0 single 0 "
+        "classical_maps 2960\n")

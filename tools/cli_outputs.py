@@ -4,9 +4,10 @@
 
 Each output is one in-process ``metastab.cli.main`` call with ``--out``; the
 exit code and standard error of every call go to ``OUTDIR/status.txt``, the
-model files the calls read to ``OUTDIR/models``, and the induced-norm work
-of every call (``metastab.norms._induced_norms`` calls, the maps they
-evaluate and the calls that hold a single map) to ``OUTDIR/counts.txt``.
+model files the calls read to ``OUTDIR/models``, and the norm work of every
+call (``metastab.norms._induced_norms`` calls, the maps they evaluate, the
+calls that hold a single map, and the classical maps, one
+``metastab.classical.l1_norm`` call each) to ``OUTDIR/counts.txt``.
 metastab is imported from the environment (PYTHONPATH), or from this
 checkout's ``src`` when the environment has none, so one copy of this
 script can write the outputs of two checkouts:
@@ -35,6 +36,7 @@ except ImportError:
     sys.path.insert(0, os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
     import metastab.cli as cli
+import metastab.classical as classical
 import metastab.norms as norms
 
 SPIN = ["--model", "builtin:spin_half", "--param", "gamma=1",
@@ -132,16 +134,21 @@ def main(argv=None):
     os.makedirs(args.outdir, exist_ok=True)
     paths = write_models(os.path.join(args.outdir, "models"), args.seed)
     status, counts = [], []
-    # every norm evaluation, batched or not, calls _induced_norms through
-    # the module, so a wrapper there counts them all
-    induced_norms = norms._induced_norms
+    # every quantum norm evaluation, batched or not, calls _induced_norms
+    # through its module, and every classical one l1_norm, so wrappers there
+    # count them all
+    induced_norms, l1_norm = norms._induced_norms, classical.l1_norm
     tally = collections.Counter()
 
     def counted(Ms, *a, **kw):
         tally.update(norm_calls=1, maps=len(Ms), single=int(len(Ms) == 1))
         return induced_norms(Ms, *a, **kw)
 
-    norms._induced_norms = counted
+    def counted_l1(M):
+        tally.update(classical_maps=1)
+        return l1_norm(M)
+
+    norms._induced_norms, classical.l1_norm = counted, counted_l1
     try:
         for name, command in runs(paths):
             tally.clear()
@@ -150,10 +157,12 @@ def main(argv=None):
                 code = cli.main(command + ["--seed", str(args.seed), "--out",
                                            os.path.join(args.outdir, name)])
             status.append("%s exit %d %r\n" % (name, code, err.getvalue()))
-            counts.append("%s norm_calls %d maps %d single %d\n" % (
-                name, tally["norm_calls"], tally["maps"], tally["single"]))
+            counts.append(
+                "%s norm_calls %d maps %d single %d classical_maps %d\n" % (
+                    name, tally["norm_calls"], tally["maps"], tally["single"],
+                    tally["classical_maps"]))
     finally:
-        norms._induced_norms = induced_norms
+        norms._induced_norms, classical.l1_norm = induced_norms, l1_norm
     for file, lines in (("status.txt", status), ("counts.txt", counts)):
         with open(os.path.join(args.outdir, file), "w") as fh:
             fh.writelines(lines)
