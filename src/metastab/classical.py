@@ -7,9 +7,12 @@ entries and columns summing to zero, so e^{tQ} is column-stochastic and the
 trace norm.
 
 A chain evolves on the shared spectral core, e^{tQ} = V diag(e^{t lambda})
-V^-1, as a quantum model does. The norms are exact, evaluated on an
-evolution that carries about 1e-16 cond(V) of round-off; a defective chain
-(cond(V) above DEFECT_TOL) evolves through scipy's expm instead.
+V^-1, as a quantum model does; the rate matrix is real, so its evolutions
+and slow projectors are formed in real arithmetic (Re(V D) Re(V^-1) -
+Im(V D) Im(V^-1)) and are real by construction. The norms are exact,
+evaluated on an evolution that carries about 1e-16 cond(V) of round-off; a
+defective chain (cond(V) above DEFECT_TOL) evolves through scipy's expm
+instead.
 """
 from dataclasses import dataclass
 
@@ -61,9 +64,11 @@ def classical_evolution(generator, t):
 
 
 def l1_norm(M):
-    """Exact 1->1 induced norm: max over columns of the column absolute sum."""
-    M = np.atleast_2d(M)
-    return float(np.max(np.abs(M).sum(axis=0)))
+    """Exact 1->1 induced norm of a matrix: max over columns of the column
+    absolute sum."""
+    if M.ndim != 2:
+        raise ValueError("l1_norm needs a matrix, got shape %r" % (M.shape,))
+    return float(np.abs(M).sum(axis=0).max())
 
 
 def l1_induced_distance(generator, t1, t2):
@@ -89,15 +94,14 @@ class ClassicalBackend(DynamicsBackend):
             SpectralData(dim=generator.dim, eigenvalues=lam, right_vecs=V,
                          left_dual=None if defective else np.linalg.inv(V),
                          m_ss=int(np.sum(np.abs(lam) <= zero_tol)),
-                         zero_tol=zero_tol, eigvec_condition=cond),
+                         zero_tol=zero_tol, eigvec_condition=cond,
+                         real=True),
             np.eye(generator.dim))
 
     def _evolve(self, t):
         if self.spectral.left_dual is None:
             return classical_evolution(self.generator, t)
-        # real up to round-off; a copy, because a .real view would keep the
-        # complex matrix alive in the evolution cache
-        return super()._evolve(t).real.copy()
+        return super()._evolve(t)
 
     def generator_matrix(self):
         return self.generator.rates
@@ -105,9 +109,7 @@ class ClassicalBackend(DynamicsBackend):
     def _slow_projector(self, m):
         if self.spectral.left_dual is None:
             raise DefectiveLiouvillianError(np.inf)
-        P = super()._slow_projector(m)
-        # projectors of a real rate matrix are real up to round-off
-        return P.real if np.max(np.abs(P.imag)) < 1e-10 else P
+        return super()._slow_projector(m)
 
     # Keyed maps are not batched: evaluating a round's todo as records in
     # one stack, as a quantum backend does, measured slower and larger on
@@ -170,6 +172,14 @@ def embed_as_lindbladian(generator):
                         jumps=tuple(jumps))
 
 
+def _check_json_numbers(entries, what):
+    """Raise unless every entry of decoded JSON arrays is a number: numpy
+    would read a string ("1"), a boolean or null as one too."""
+    for x in np.asarray(entries, dtype=object).ravel().tolist():
+        if type(x) not in (int, float):
+            raise ValueError("%s must be numbers, got %r" % (what, x))
+
+
 def rate_matrix_from_json(data):
     """Dense rate matrix from decoded JSON: an array of rows, or an object
     with a "rates" (or "Q") entry holding one."""
@@ -177,7 +187,10 @@ def rate_matrix_from_json(data):
         data = data.get("rates", data.get("Q"))
         if data is None:
             raise ValueError("classical model JSON needs a 'rates' entry")
-    return ClassicalGenerator(np.asarray(data, dtype=float))
+    # numpy's conversion first: it names a ragged or non-array entry
+    Q = np.asarray(data, dtype=float)
+    _check_json_numbers(data, "rates")
+    return ClassicalGenerator(Q)
 
 
 def rate_matrix_from_edges(text, dim=None):

@@ -18,8 +18,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .classical import (ClassicalBackend, rate_matrix_from_edges,
-                        rate_matrix_from_json)
+from .classical import (ClassicalBackend, _check_json_numbers,
+                        rate_matrix_from_edges, rate_matrix_from_json)
 from .heisenberg import observable_trajectory
 from .models import (SPIN_X, SPIN_Y, SPIN_Z, ModelSpecifier, build_model,
                      _integral_param)
@@ -125,6 +125,10 @@ def _complex_array(entries, what, path):
     except (TypeError, ValueError):
         raise UsageError("%s: %s must be nested arrays of [re, im] pairs"
                          % (path, what))
+    try:
+        _check_json_numbers(entries, what + " entries")
+    except ValueError as err:
+        raise UsageError("%s: %s" % (path, err))
     if arr.ndim != 3 or arr.shape[-1] != 2 or arr.shape[0] != arr.shape[1]:
         raise UsageError("%s: %s must have shape [D][D][2]" % (path, what))
     return arr[..., 0] + 1j * arr[..., 1]
@@ -246,6 +250,10 @@ def _cmd_distances(args, dyn, payload):
 
 
 def _cmd_changes(args, dyn, payload):
+    # a window (t, ratio t) needs ratio > 1: ratio 1 gives empty windows and
+    # a smaller one ends them before they start
+    if not args.ratio > 1:
+        raise UsageError("--ratio must be above 1, got %r" % args.ratio)
     ts = _grid_from_args(args).times()
     found = lockstep(dyn, [change_search(dyn, float(t), args.ratio * float(t))
                            for t in ts])

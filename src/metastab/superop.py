@@ -5,6 +5,7 @@ so vec(X A Y) = kron(Y.T, X) @ vec(A). Serialized superoperator matrices act
 on column-stacked operators; this is the wire convention.
 """
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -116,7 +117,9 @@ class SpectralData:
     are normalized to Tr(left_mode(k) @ right_mode(l)) = delta_kl, without
     conjugation. A classical rate matrix stores its eigenvectors the same way
     (dim is then the number of states), with left_dual None when the chain
-    is defective.
+    is defective, and real True: the products of a real generator are real,
+    so they are formed in real arithmetic from the real and imaginary parts
+    of the eigenvectors.
     """
 
     dim: int
@@ -126,6 +129,16 @@ class SpectralData:
     m_ss: int
     zero_tol: float
     eigvec_condition: float
+    real: bool = False
+
+    @cached_property
+    def _left_dual_parts(self):
+        return self.left_dual.real.copy(), self.left_dual.imag.copy()
+
+    def _real_product(self, A, m):
+        """Re(A @ left_dual[:m]) as Re A @ Re W - Im A @ Im W."""
+        Wr, Wi = self._left_dual_parts
+        return A.real @ Wr[:m] - A.imag @ Wi[:m]
 
     @property
     def n_modes(self):
@@ -145,7 +158,10 @@ class SpectralData:
             raise ValueError("the dynamics is a semigroup: t must be >= 0")
         rates = t * self.eigenvalues
         rates[:self.m_ss] = 0.0
-        return (self.right_vecs * np.exp(rates)) @ self.left_dual
+        A = self.right_vecs * np.exp(rates)
+        if self.real:
+            return self._real_product(A, self.n_modes)
+        return A @ self.left_dual
 
     def adjoint_evolution_matrix(self, t):
         return self.evolution_matrix(t).conj().T
@@ -157,6 +173,8 @@ class SpectralData:
                                   % (m, self.m_ss, self.n_modes))
         if m < self.n_modes and self._splits_pair(m):
             raise InvalidCutError("cut m=%d splits a conjugate eigenvalue pair" % m)
+        if self.real:
+            return self._real_product(self.right_vecs[:, :m], m)
         return self.right_vecs[:, :m] @ self.left_dual[:m, :]
 
     def _splits_pair(self, m):

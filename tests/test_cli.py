@@ -295,7 +295,11 @@ def test_classical_spectrum_reports_eigvec_condition(tmp_path, capsys):
     ("nan.edges", "0 1 nan\n1 0 1.0\n", "rates must be finite"),
     ("empty.edges", "# no edges\n\n", "at least one state"),
     ("nan.json", "[[-1.0, NaN], [1.0, NaN]]", "rates must be finite"),
-    ("dict.json", '{"rates": {"0": 1.0}}', "not 'dict'")])
+    ("dict.json", '{"rates": {"0": 1.0}}', "not 'dict'"),
+    # numpy reads numeric strings and booleans as numbers; JSON does not
+    ("string.json", '{"rates": [["-1", "1"], ["1", "-1"]]}',
+     "rates must be numbers, got '-1'"),
+    ("bool.json", "[[-1, true], [1, -1]]", "rates must be numbers, got True")])
 def test_classical_model_file_rejects_bad_input(name, text, message, tmp_path,
                                                 capsys):
     path = tmp_path / name
@@ -395,6 +399,22 @@ def test_non_finite_model_file_entry_exits_2(tmp_path, capsys):
     assert err == "error: %s: jump operators must have finite entries\n" % path
 
 
+@pytest.mark.parametrize("where,entry", [
+    ("hamiltonian", "1"), ("hamiltonian", True), ("jump operator", "1"),
+    ("jump operator", True)])
+def test_model_file_non_numeric_entry_exits_2(where, entry, tmp_path, capsys):
+    # numpy would read "1" and true as the number 1
+    H = [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]
+    J = [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]
+    (H if where == "hamiltonian" else J)[1][1][0] = entry
+    model, path = write_json(tmp_path, "entry.json", {
+        "dim": 2, "hamiltonian": H, "jumps": [J]})
+    code, out, err = run_cli(["spectrum", "--model", model], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: %s: %s entries must be numbers, got %r\n" % (
+        path, where, entry)
+
+
 @pytest.mark.parametrize("jumps", [5, None, {"J": [[[0, 0]]]}])
 def test_model_file_jumps_not_an_array_exits_2(jumps, tmp_path, capsys):
     # a number or null raised a TypeError out of the CLI, and an object was
@@ -475,6 +495,25 @@ def test_non_finite_float_option_exits_2(command, option, capsys):
         assert out == ""
         assert err.endswith("error: argument %s: must be a finite number, "
                             "got %r\n" % (option, value)), err
+
+
+@pytest.mark.parametrize("command", ["changes", "classical-changes"])
+def test_changes_ratio_not_above_one_exits_2(command, capsys, monkeypatch):
+    # ratio 1 printed zero changes of empty windows, and a smaller ratio
+    # exited with "window end before start"; neither reaches a norm now
+    def norm_called(*args, **kwargs):
+        raise AssertionError("a norm was evaluated")
+
+    monkeypatch.setattr("metastab.norms._induced_norms", norm_called)
+    monkeypatch.setattr("metastab.classical.l1_norm", norm_called)
+    model = "builtin:double_well" if command.startswith("classical") \
+        else "builtin:spin_half"
+    for value in ("1", "0.5", "0", "-1"):
+        code, out, err = run_cli([command, "--model", model,
+                                  "--ratio=" + value], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: --ratio must be above 1, got %r\n" \
+            % float(value)
 
 
 @pytest.mark.parametrize("command", ["detect", "project", "classical-detect",
