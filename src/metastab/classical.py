@@ -150,6 +150,9 @@ class ClassicalBackend(DynamicsBackend):
     def correlator_matrix(self, obs):
         return np.diag(np.asarray(obs, dtype=float))
 
+    def adjoint(self, obs, M):
+        return M.T @ obs
+
 
 def classical_backend(generator):
     """Adapter exposing a rate matrix to the generic regime machinery."""

@@ -24,12 +24,11 @@ from .heisenberg import observable_trajectory
 from .models import (SPIN_X, SPIN_Y, SPIN_Z, ModelSpecifier, build_model,
                      _integral_param)
 from .modes import change_thresholds
-from .operators import max_norm
 # classify_regime is unused here but stays importable as cli.classify_regime:
 # bench/tracing.py wraps each analysis function where it is looked up
 from .regimes import (QuantumBackend, TimeGrid, TrivialDynamicsError,
-                      change_measure, change_search, classify_regime,
-                      lockstep, scan_metastable, timescales)
+                      change_measure, change_search, check_window,
+                      classify_regime, lockstep, scan_metastable, timescales)
 from .spectral_meta import (SeparationInconsistencyError, bound_battery,
                             detect_separation, spectral_projection_report)
 from .superop import QuantumModel
@@ -255,6 +254,9 @@ def _cmd_changes(args, dyn, payload):
     if not args.ratio > 1:
         raise UsageError("--ratio must be above 1, got %r" % args.ratio)
     ts = _grid_from_args(args).times()
+    # a window starting at 0 is the empty window (0, 0)
+    if ts[0] == 0:
+        raise UsageError("--tmin must be above 0, got %r" % args.tmin)
     found = lockstep(dyn, [change_search(dyn, float(t), args.ratio * float(t))
                            for t in ts])
     rows = []
@@ -334,6 +336,7 @@ def _cmd_detect(args, dyn, payload):
 def _cmd_project(args, dyn, payload):
     if args.window:
         t_start, t_end = args.window
+        check_window(t_start, t_end)
     else:
         hits = scan_metastable(dyn, c_delta_max=args.cdelta_max,
                                ratio=args.ratio, n_scan=args.scan_points)
@@ -422,43 +425,28 @@ def _cmd_verify_bounds(args, dyn, payload):
 
 def _cmd_heisenberg(args, dyn, payload):
     ts = _grid_from_args(args).times()
-    if isinstance(dyn, QuantumBackend):
-        spec = dyn.spectral
-        dim = spec.dim
-        observable = args.observable or "sz"
-        if observable == "basis":
-            obs = np.zeros((dim, dim), dtype=complex)
-            obs[0, 0] = 1.0
-        else:
-            if dim != 2:
-                raise UsageError("observable %r needs a two-level model"
-                                 % observable)
-            obs = {"sx": SPIN_X, "sy": SPIN_Y, "sz": SPIN_Z}[observable]
-        traj = observable_trajectory(spec, obs, ts)
-        columns = ["t", "distance_to_asymptotic"]
-        columns += ["re_%d_%d" % (i, j) for i in range(dim) for j in range(dim)]
-        rows = []
-        for t, O in zip(traj.times, traj.values):
-            cells = [_fmt(t), _fmt(max_norm(O - traj.asymptotic))]
-            cells += [_fmt(O[i, j].real) for i in range(dim) for j in range(dim)]
-            rows.append(tuple(cells))
+    n = dyn.dim
+    quantum = isinstance(dyn, QuantumBackend)
+    observable = args.observable or ("sz" if quantum else "basis")
+    if observable != "basis" and not quantum:
+        raise UsageError("observable %r needs a quantum model; classical "
+                         "chains take basis" % observable)
+    if observable != "basis" and n != 2:
+        raise UsageError("observable %r needs a two-level model" % observable)
+    if observable == "basis":
+        obs = np.zeros((n, n) if quantum else n)
+        obs.flat[0] = 1.0
     else:
-        if args.observable not in (None, "basis"):
-            raise UsageError("observable %r needs a quantum model; classical "
-                             "chains take basis" % args.observable)
-        n = dyn.dim
-        f = np.zeros(n)
-        f[0] = 1.0
-        columns = ["t", "distance_to_asymptotic"]
-        columns += ["f_%d" % i for i in range(n)]
-        P = dyn.stationary_matrix()
-        f_ss = P.T @ f
-        rows = []
-        for t in ts:
-            ft = dyn.evolution_matrix(float(t)).T @ f
-            cells = [_fmt(t), _fmt(float(np.max(np.abs(ft - f_ss))))]
-            cells += [_fmt(v) for v in ft]
-            rows.append(tuple(cells))
+        obs = {"sx": SPIN_X, "sy": SPIN_Y, "sz": SPIN_Z}[observable]
+    traj = observable_trajectory(dyn, obs, ts)
+    rows = []
+    for t, O in zip(traj.times, traj.values):
+        cells = [_fmt(t), _fmt(dyn.observable_max_norm(O - traj.asymptotic))]
+        cells += [_fmt(v) for v in O.real.ravel()]
+        rows.append(tuple(cells))
+    columns = ["t", "distance_to_asymptotic"]
+    columns += (["re_%d_%d" % (i, j) for i in range(n) for j in range(n)]
+                if quantum else ["f_%d" % i for i in range(n)])
     _emit_csv(args, payload, columns, rows)
     return 0
 

@@ -1,13 +1,12 @@
 """Adjoint-picture evolution of observables, max-norm change measures, and
-quasi-conserved-observable witnesses."""
+quasi-conserved-observable witnesses, on a dynamics backend of either
+family: its adjoint maps a Hermitian operator (or a classical f vector)."""
 from dataclasses import dataclass
 
 import numpy as np
 
 from .modes import brent_max, _run_search
-from .operators import is_hermitian, max_norm
 from .regimes import _window_grid
-from .superop import unvec, vec
 
 
 @dataclass(frozen=True)
@@ -18,35 +17,26 @@ class ObservableTrajectory:
     asymptotic: np.ndarray
 
 
-def evolve_observable(spec, obs, t):
-    """Heisenberg-picture observable at time t, via the adjoint of the
-    spectral evolution (exactly reuses the biorthogonal mode pairs)."""
-    obs = np.asarray(obs, dtype=complex)
-    if not is_hermitian(obs, rtol=1e-10):
-        raise ValueError("observable must be Hermitian")
-    if t < 0:
-        raise ValueError("the dynamics is a semigroup: t must be >= 0")
-    out = unvec(spec.adjoint_evolution_matrix(t) @ vec(obs), spec.dim)
-    return (out + out.conj().T) / 2
+def evolve_observable(dyn, obs, t):
+    """Heisenberg-picture observable at time t: the adjoint of the backend's
+    evolution map (which reuses the biorthogonal mode pairs) applied to obs."""
+    return dyn.adjoint(obs, dyn.evolution_matrix(t))
 
 
-def asymptotic_observable(spec, obs):
+def asymptotic_observable(dyn, obs):
     """Conserved limit of the adjoint evolution (stationary projection)."""
-    obs = np.asarray(obs, dtype=complex)
-    P = spec.projector_matrix(spec.m_ss)
-    out = unvec(P.conj().T @ vec(obs), spec.dim)
-    return (out + out.conj().T) / 2
+    return dyn.adjoint(obs, dyn.stationary_matrix())
 
 
-def observable_trajectory(spec, obs, times):
-    vals = [evolve_observable(spec, obs, float(t)) for t in times]
-    return ObservableTrajectory(initial=np.asarray(obs, dtype=complex),
+def observable_trajectory(dyn, obs, times):
+    vals = [evolve_observable(dyn, obs, float(t)) for t in times]
+    return ObservableTrajectory(initial=np.asarray(obs),
                                 times=np.asarray(times, dtype=float),
                                 values=vals,
-                                asymptotic=asymptotic_observable(spec, obs))
+                                asymptotic=asymptotic_observable(dyn, obs))
 
 
-def observable_change(spec, obs, t_start, t_end, n_grid=33):
+def observable_change(dyn, obs, t_start, t_end, n_grid=33):
     """Windowed max-norm change of an observable, normalized by its initial
     max norm; bounded above by the full change measure of the dynamics.
 
@@ -55,16 +45,16 @@ def observable_change(spec, obs, t_start, t_end, n_grid=33):
     grid's first or last point too, inside the one grid interval beside it:
     an observable's change can oscillate, and there the search does beat
     the endpoint grid value."""
-    obs = np.asarray(obs, dtype=complex)
-    norm0 = max_norm(obs)
+    norm0 = dyn.observable_max_norm(obs)
     if norm0 == 0.0:
         raise ValueError("zero observable")
     if t_end < t_start:
         raise ValueError("window end before start")
     if t_end == t_start:
         return 0.0
-    o_start = evolve_observable(spec, obs, t_start)
-    f = lambda t: max_norm(o_start - evolve_observable(spec, obs, t)) / norm0
+    o_start = evolve_observable(dyn, obs, t_start)
+    f = lambda t: dyn.observable_max_norm(
+        o_start - evolve_observable(dyn, obs, t)) / norm0
     ts = _window_grid(t_start, t_end, n_grid)
     vals = [f(t) for t in ts]
     k = int(np.argmax(vals))
@@ -74,7 +64,7 @@ def observable_change(spec, obs, t_start, t_end, n_grid=33):
     return float(max(vals[k], v_ref))
 
 
-def quasi_conserved_witness(dyn, spec, t_start, t_end, t_probe, n_grid=33):
+def quasi_conserved_witness(dyn, t_start, t_end, t_probe, n_grid=33):
     """Observable that drifts negligibly through a metastable window.
 
     Built from the witness observable of the induced-norm computation of
@@ -90,11 +80,10 @@ def quasi_conserved_witness(dyn, spec, t_start, t_end, t_probe, n_grid=33):
     if res.value <= 1e-9:
         raise ValueError("dynamics already stationary at the probe time; "
                          "no nontrivial quasi-conserved witness exists")
-    # adjoint action of (e^{tL} - P_ss) on the witness observable
-    O0 = unvec(M.conj().T @ vec(res.witness_observable), spec.dim)
-    O0 = (O0 + O0.conj().T) / 2
-    norm0 = max_norm(O0)
+    O0 = dyn.adjoint(res.witness_observable, M)
+    norm0 = dyn.observable_max_norm(O0)
     ts = _window_grid(0.0, t_end, n_grid)
-    drift = max(max_norm(evolve_observable(spec, O0, float(t)) - O0) / norm0
+    drift = max(dyn.observable_max_norm(evolve_observable(dyn, O0, float(t))
+                                        - O0) / norm0
                 for t in ts)
     return O0, float(drift)

@@ -16,8 +16,8 @@ import numpy as np
 from .modes import (SCAN_AHEAD, brent_max, change_thresholds, crossing,
                     known_ends_zeroin, _run_search)
 from . import norms as _norms
-from .operators import max_norm, trace_norm
-from .superop import build_liouvillian, spectral_decompose, vec
+from .operators import is_hermitian, max_norm, trace_norm
+from .superop import build_liouvillian, spectral_decompose, unvec, vec
 
 # cutoff constants of the verdict logic, with their governing condition
 CUTOFF_BASIC = 0.25                     # threshold roots exist
@@ -74,7 +74,8 @@ class DynamicsBackend:
     computed once, by generator_norm_result or by a prefetch of the key
     ("gen",). unconverged_keys holds the cache keys (and ("gen",) for the
     generator) whose lower bound stopped at the iteration cap before
-    converging.
+    converging. Subclasses also supply the observable picture: adjoint, the
+    Heisenberg image of an observable under a map, and observable_max_norm.
     """
 
     def __init__(self, spectral, identity):
@@ -110,6 +111,14 @@ class DynamicsBackend:
         """Matrix of the measurement superoperator encoding obs correlations."""
         raise NotImplementedError
 
+    def observable_max_norm(self, obs):
+        """Max norm of an observable (or classical f vector)."""
+        raise NotImplementedError
+
+    def adjoint(self, obs, M):
+        """Heisenberg image of obs under the map with matrix M."""
+        raise NotImplementedError
+
     # --- spectral primitives ---------------------------------------------------
     def evolution_matrix(self, t):
         cache = self._evo_cache
@@ -137,10 +146,6 @@ class DynamicsBackend:
 
     def _slow_projector(self, m):
         return self.spectral.projector_matrix(m)
-
-    def matrix_norms(self, Ms):
-        """Induced norm of each matrix in Ms: the values of norm_results."""
-        return [res.value for res in self.norm_results(Ms)]
 
     def eigenvalues(self):
         """Generator eigenvalues sorted by decreasing real part."""
@@ -379,6 +384,13 @@ class QuantumBackend(DynamicsBackend):
     def correlator_matrix(self, obs):
         return _norms.correlator_superop(obs).matrix
 
+    def adjoint(self, obs, M):
+        obs = np.asarray(obs, dtype=complex)
+        if not is_hermitian(obs, rtol=1e-10):
+            raise ValueError("observable must be Hermitian")
+        out = unvec(M.conj().T @ vec(obs), self.dim)
+        return (out + out.conj().T) / 2
+
 
 @dataclass(frozen=True)
 class RegimeVerdict:
@@ -558,20 +570,20 @@ def doubling_search(dyn, t_start, t_end, n_grid=33):
     return float(max(vals[k], v_ref))
 
 
-def state_change_measure(spec, rho0, t_start, t_end, n_grid=33):
-    """Windowed trace-norm change of the trajectory started from rho0."""
+def state_change_measure(dyn, rho0, t_start, t_end, n_grid=33):
+    """Windowed trace-norm change of the quantum trajectory from rho0."""
     ts = _window_grid(t_start, t_end, n_grid)
-    v0 = spec.evolution_matrix(t_start) @ vec(rho0)
-    vals = [trace_norm((spec.evolution_matrix(t) @ vec(rho0) - v0)
-                       .reshape(spec.dim, spec.dim, order="F")) for t in ts]
+    v0 = dyn.evolution_matrix(t_start) @ vec(rho0)
+    vals = [trace_norm((dyn.evolution_matrix(t) @ vec(rho0) - v0)
+                       .reshape(dyn.dim, dyn.dim, order="F")) for t in ts]
     return float(np.max(vals))
 
 
-def observable_average_change(spec, rho0, obs, t_start, t_end, n_grid=129):
+def observable_average_change(dyn, rho0, obs, t_start, t_end, n_grid=129):
     """Windowed change of Tr(obs rho_t), normalized by the observable max norm."""
     ts = _window_grid(t_start, t_end, n_grid)
     w = vec(obs.conj().T)
-    traj = [np.vdot(w, spec.evolution_matrix(t) @ vec(rho0)).real for t in ts]
+    traj = [np.vdot(w, dyn.evolution_matrix(t) @ vec(rho0)).real for t in ts]
     return float((np.max(traj) - np.min(traj)) / max_norm(obs))
 
 
@@ -717,12 +729,17 @@ def timescales(dyn):
     return timescale_report(lockstep(dyn, timescale_searches(dyn)))
 
 
+def check_window(t_start, t_end):
+    """The rule of every classified or separated window (ValueError)."""
+    if not t_end >= 2 * t_start > 0:
+        raise ValueError("window must satisfy t_end >= 2 t_start > 0")
+
+
 def window_search(dyn, t_start, t_end, n_grid=33, with_doubling=True):
     """The opening of verdict_search as a search: the change measure, the
     doubling change (nan without with_doubling) and the two end distances,
     together. Returns (window grid, (c_delta, argmax time), doubling)."""
-    if not t_end >= 2 * t_start > 0:
-        raise ValueError("window must satisfy t_end >= 2 t_start > 0")
+    check_window(t_start, t_end)
     ts = _window_grid(t_start, t_end, n_grid)
     searches = [grid_change_search(dyn, ts),
                 _read([("ident", t_start), ("stat", t_end)])]

@@ -1,6 +1,8 @@
 """Spectral side of metastability: eigenvalue-change bounds, separation
 detection, slow-mode projection error analysis, and the executable battery of
-inequalities tying the operational quantities to the spectrum.
+inequalities tying the operational quantities to the spectrum. Every
+function reads its spectrum (eigenvalues, m_ss, valid cuts) and its norms
+from one dynamics backend, quantum or classical.
 
 Every inequality is evaluated as a row (id, t, lhs, rhs) normalized to the
 form lhs <= rhs; failures are data, not exceptions. Rows whose hypotheses do
@@ -20,8 +22,8 @@ from .regimes import (CUTOFF_RELAXATION, change_measure, change_search,
                       lockstep, relaxation_times, scan_metastable,
                       scan_search, timescale_report, timescale_searches,
                       timescales, together, verdict_from, window_search,
-                      TrivialDynamicsError, _read, _refined_sup,
-                      _window_grid)
+                      TrivialDynamicsError, check_window, _read,
+                      _refined_sup, _window_grid)
 
 # tolerance of the separation branch tests on e^{t Re lambda}
 SEPARATION_GUARD = 1e-9
@@ -39,20 +41,13 @@ class SeparationInconsistencyError(ValueError):
             "dichotomy" % (k, eigenvalue))
 
 
-def _spectrum_of(source):
-    """(eigenvalues, m_ss, valid cuts) from a backend or spectral data."""
-    lam = source.eigenvalues() if callable(getattr(source, "eigenvalues", None)) \
-        else source.eigenvalues
-    return np.asarray(lam), source.m_ss, source.valid_cuts()
-
-
-def spectrum_change_bound_check(spec, dyn, t1, t2):
+def spectrum_change_bound_check(dyn, t1, t2):
     """Margins ||e^{t1 L} - e^{t2 L}|| - |e^{t1 lam_k} - e^{t2 lam_k}| per k.
 
     All margins are nonnegative up to norm-evaluation error: the dynamics
     changes at least as much as each eigenvalue of the evolution operator.
     """
-    lam, _, _ = _spectrum_of(spec)
+    lam = dyn.eigenvalues()
     dist = dyn.distance(t1, t2)
     return dist - np.abs(np.exp(t1 * lam) - np.exp(t2 * lam))
 
@@ -73,7 +68,7 @@ class SeparationReport:
     slack_imag: float | None
 
 
-def detect_separation(spec, t_start, t_end, c_delta):
+def detect_separation(dyn, t_start, t_end, c_delta):
     """Assign every eigenvalue to the initial or final branch of the window.
 
     Initial branch: e^{t_end Re lam} >= upper_threshold(c)^2; final branch:
@@ -82,11 +77,10 @@ def detect_separation(spec, t_start, t_end, c_delta):
     conjugate pairs; an unclassifiable eigenvalue raises
     SeparationInconsistencyError.
     """
+    check_window(t_start, t_end)
     if not c_delta < 0.25:
         raise ValueError("separation detection requires c_delta < 1/4")
-    if not t_end >= 2 * t_start > 0:
-        raise ValueError("window must satisfy t_end >= 2 t_start > 0")
-    lam, m_ss, valid_cuts = _spectrum_of(spec)
+    lam = dyn.eigenvalues()
     lower, upper = change_thresholds(c_delta)
     init_ok = np.exp(t_end * lam.real) >= upper ** 2 - SEPARATION_GUARD
     final_ok = np.exp(t_start * lam.real) <= lower + SEPARATION_GUARD
@@ -95,7 +89,7 @@ def detect_separation(spec, t_start, t_end, c_delta):
         if not (init_ok[k] or final_ok[k]):
             raise SeparationInconsistencyError(k, lam[k])
 
-    candidates = [m for m in valid_cuts
+    candidates = [m for m in dyn.valid_cuts()
                   if np.all(init_ok[:m]) and np.all(final_ok[m:])]
     if not candidates:
         # some eigenvalue sits in both regions in a pair-splitting pattern
@@ -123,7 +117,7 @@ def detect_separation(spec, t_start, t_end, c_delta):
 
     ratio_real = ratio_real_bound = None
     ratio_imag = ratio_imag_bound = None
-    if m_ss < m < lam.size:
+    if dyn.m_ss < m < lam.size:
         rate_slow = -lam.real[m - 1]
         rate_fast = -lam.real[m]
         ratio_real = float(rate_slow / rate_fast)
@@ -199,11 +193,10 @@ def projection_search(dyn, m, t_start, t_end, n_grid=33, tol=1e-8):
     if not t_end > t_start:
         raise ValueError("window end before start" if t_end < t_start
                          else "zero-length window: t_end must exceed t_start")
-    lam, m_ss, _ = _spectrum_of(dyn)
-    n_modes = lam.size
+    lam = dyn.eigenvalues()
     t_ext = max(t_end, 4.0 * t_start)   # the window extended to 4x its start
-    nontrivial_fast = m < n_modes
-    nontrivial_slow = m > m_ss
+    nontrivial_fast = m < lam.size
+    nontrivial_slow = m > dyn.m_ss
     ts = _window_grid(t_start, t_ext, n_grid)
     half = [float(t) for t in ts[: max(2, len(ts) // 2)]]
     reads = [(family, m, float(t)) for family in ("drift", "fast")
@@ -607,11 +600,11 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
         dt = t / 2.0
         lhs = (2.0 - di) * dt * gen_norm - safe_exp(dt * gen_norm) + 1.0
         add(BoundRow("all_lin", t, lhs, dyn.distance(t, t + dt)))
-        margins = spectrum_change_bound_check(dyn, dyn, t, 2.0 * t)
+        margins = spectrum_change_bound_check(dyn, t, 2.0 * t)
         add(BoundRow("change_spectral", t, float(-np.min(margins)), 0.0))
 
     for t1, t2 in pairs:
-        margins = spectrum_change_bound_check(dyn, dyn, t1, t2)
+        margins = spectrum_change_bound_check(dyn, t1, t2)
         add(BoundRow("change_spectral", t1, float(-np.min(margins)), 0.0))
 
     add(BoundRow("IPss", 0.0, 1.0, dyn.stationary_distance()))
@@ -664,8 +657,8 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
             M2 = C2 @ dyn.evolution_matrix(t22) @ C1 @ dyn.evolution_matrix(t21)
             changes.append(M1 - M2)
         norm_prod = dyn.observable_max_norm(O1) * dyn.observable_max_norm(O2)
-        for (n1, n2), value in zip(multiples, dyn.matrix_norms(changes)):
-            add(BoundRow("meta_corr", float(n1 + n2), value / norm_prod,
+        for (n1, n2), res in zip(multiples, dyn.norm_results(changes)):
+            add(BoundRow("meta_corr", float(n1 + n2), res.value / norm_prod,
                          (n1 + n2) * c2))
     else:
         add(BoundRow("meta_corr", math.nan, math.nan, math.nan,

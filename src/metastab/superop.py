@@ -163,9 +163,6 @@ class SpectralData:
             return self._real_product(A, self.n_modes)
         return A @ self.left_dual
 
-    def adjoint_evolution_matrix(self, t):
-        return self.evolution_matrix(t).conj().T
-
     def projector_matrix(self, m):
         """Matrix of the projection onto the m leading (slowest) modes."""
         if not (self.m_ss <= m <= self.n_modes):

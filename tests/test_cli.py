@@ -497,23 +497,58 @@ def test_non_finite_float_option_exits_2(command, option, capsys):
                             "got %r\n" % (option, value)), err
 
 
-@pytest.mark.parametrize("command", ["changes", "classical-changes"])
-def test_changes_ratio_not_above_one_exits_2(command, capsys, monkeypatch):
-    # ratio 1 printed zero changes of empty windows, and a smaller ratio
-    # exited with "window end before start"; neither reaches a norm now
+def forbid_norms(monkeypatch):
+    """Make any quantum or classical norm evaluation fail the test."""
     def norm_called(*args, **kwargs):
         raise AssertionError("a norm was evaluated")
 
     monkeypatch.setattr("metastab.norms._induced_norms", norm_called)
     monkeypatch.setattr("metastab.classical.l1_norm", norm_called)
-    model = "builtin:double_well" if command.startswith("classical") \
+
+
+def family_model(command):
+    return "builtin:double_well" if command.startswith("classical") \
         else "builtin:spin_half"
+
+
+@pytest.mark.parametrize("command", ["changes", "classical-changes"])
+def test_changes_ratio_not_above_one_exits_2(command, capsys, monkeypatch):
+    # ratio 1 printed zero changes of empty windows, and a smaller ratio
+    # exited with "window end before start"; neither reaches a norm now
+    forbid_norms(monkeypatch)
     for value in ("1", "0.5", "0", "-1"):
-        code, out, err = run_cli([command, "--model", model,
+        code, out, err = run_cli([command, "--model", family_model(command),
                                   "--ratio=" + value], capsys)
         assert (code, out) == (2, "")
         assert err == "error: --ratio must be above 1, got %r\n" \
             % float(value)
+
+
+@pytest.mark.parametrize("command", ["changes", "classical-changes"])
+def test_changes_from_zero_exits_2(command, capsys, monkeypatch):
+    # a grid from t = 0 printed the empty window (0, 0) as a row 0,0,0,1;
+    # it reaches no norm now, and a negative start keeps its semigroup error
+    forbid_norms(monkeypatch)
+    args = [command, "--model", family_model(command), "--tmax", "10",
+            "--points", "3", "--spacing", "linear", "--tmin"]
+    for tmin, message in (("0", "--tmin must be above 0, got 0.0"),
+                          ("-1", "the dynamics is a semigroup: t must be "
+                                 ">= 0")):
+        code, out, err = run_cli(args + [tmin], capsys)
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("command", ["project", "classical-project"])
+def test_project_window_outside_the_rule_exits_2(command, capsys,
+                                                 monkeypatch):
+    # --window 0 40 exited with "separation detection requires c_delta <
+    # 1/4", and 20 30 evaluated the change measure before its rejection
+    forbid_norms(monkeypatch)
+    for window in (["0", "40"], ["20", "30"]):
+        code, out, err = run_cli([command, "--model", family_model(command),
+                                  "--window"] + window, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: window must satisfy t_end >= 2 t_start > 0\n"
 
 
 @pytest.mark.parametrize("command", ["detect", "project", "classical-detect",

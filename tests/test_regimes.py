@@ -472,7 +472,7 @@ def test_timescales_absent_paths_in_lockstep():
         "tau_ss": "distance to stationary still 1 > 1/e at t = 6.88e+12"}
 
 
-def test_matrix_norms_batch_the_single_norms(monkeypatch):
+def test_norm_results_batch_the_single_norms(monkeypatch):
     # unkeyed maps (the battery's correlator products) in one ascent call,
     # each value that of norm_results on it alone
     dyn = QuantumBackend(model=random_lindbladian(3, 2, seed=0), seed=0)
@@ -485,7 +485,7 @@ def test_matrix_norms_batch_the_single_norms(monkeypatch):
     monkeypatch.setattr(norms, "_alternating_ascents",
                         lambda Ms, *a, **k: calls.append(len(Ms))
                         or ascents(Ms, *a, **k))
-    assert dyn.matrix_norms(Ms) == singles
+    assert [res.value for res in dyn.norm_results(Ms)] == singles
     assert calls == [3]
 
 
@@ -1024,12 +1024,12 @@ def test_distinguishability_bounds():
                                pytest.approx(0.9975))
 
 
-def test_state_and_observable_change_helpers(spin_spectral):
+def test_state_and_observable_change_helpers(spin_backend):
     rho0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    c_state = state_change_measure(spin_spectral, rho0, 20.0, 40.0)
+    c_state = state_change_measure(spin_backend, rho0, 20.0, 40.0)
     assert 0.0 < c_state <= 0.0862
     obs = np.diag([0.5, -0.5]).astype(complex)
-    c_obs = observable_average_change(spin_spectral, rho0, obs, 20.0, 40.0)
+    c_obs = observable_average_change(spin_backend, rho0, obs, 20.0, 40.0)
     # the z-magnetization from the up state decays from e^{-0.1}/2 by the
     # slow mode alone
     want = 0.5 * (math.exp(-0.1) - math.exp(-0.2)) / 0.5

@@ -16,17 +16,16 @@ from conftest import (DECAY_FAST, KAPPA, assert_caches_untouched,
                       cache_snapshot, three_level_double_well)
 
 
-def test_spectrum_change_margins_zero_pair(spin_backend, spin_spectral):
-    margins = spectrum_change_bound_check(spin_spectral, spin_backend, 3.0, 3.0)
+def test_spectrum_change_margins_zero_pair(spin_backend):
+    margins = spectrum_change_bound_check(spin_backend, 3.0, 3.0)
     assert np.allclose(margins, 0.0, atol=1e-12)
 
 
-def test_spectrum_change_margins_spin(spin_backend, spin_spectral):
+def test_spectrum_change_margins_spin(spin_backend):
     rng = np.random.default_rng(0)
     for _ in range(6):
         t1, t2 = rng.uniform(0.05, 60.0, 2)
-        margins = spectrum_change_bound_check(spin_spectral, spin_backend,
-                                              t1, t2)
+        margins = spectrum_change_bound_check(spin_backend, t1, t2)
         assert margins.min() >= -1e-8
 
 
@@ -35,7 +34,7 @@ def test_spectrum_change_margins_random_d3():
     rng = np.random.default_rng(1)
     for _ in range(8):
         t1, t2 = rng.uniform(0.05, 8.0, 2)
-        margins = spectrum_change_bound_check(dyn, dyn, t1, t2)
+        margins = spectrum_change_bound_check(dyn, t1, t2)
         assert margins.min() >= -1e-8
 
 
@@ -86,6 +85,10 @@ def test_detect_separation_validation(spin_backend):
         detect_separation(spin_backend, 20.0, 40.0, 0.3)
     with pytest.raises(ValueError):
         detect_separation(spin_backend, 20.0, 30.0, 0.01)
+    # the window rule comes first: a window from 0 is no window, whatever
+    # its change
+    with pytest.raises(ValueError, match="window must satisfy"):
+        detect_separation(spin_backend, 0.0, 40.0, 0.3)
 
 
 def test_projection_report_spin(spin_backend):

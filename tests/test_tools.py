@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -102,15 +103,26 @@ def test_compare_outputs_notes_count_moves_without_listing_a_change(
     assert report[-1] == "NOTE counts.txt: only in %s" % (tmp_path / "fewer")
 
 
-def test_cli_outputs_counts_the_norm_calls_of_each_output(tmp_path):
-    # one line per output: its induced-norm calls, maps and single-map
-    # calls, which a quantum command makes, and its classical maps, each
-    # one l1_norm call of a classical command
-    import importlib.util
+def load_cli_outputs():
     spec = importlib.util.spec_from_file_location(
         "cli_outputs", os.path.join(TOOLS, "cli_outputs.py"))
     cli_outputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(cli_outputs)
+    return cli_outputs
+
+
+def test_cli_outputs_runs_every_subcommand(tmp_path):
+    cli_outputs = load_cli_outputs()
+    paths = cli_outputs.write_models(str(tmp_path), 0)
+    commands = {argv[0] for _, argv in cli_outputs.runs(paths)}
+    assert commands == set(cli_outputs.cli.build_parser()._command_specs)
+
+
+def test_cli_outputs_counts_the_norm_calls_of_each_output(tmp_path):
+    # one line per output: its induced-norm calls, maps and single-map
+    # calls, which a quantum command makes, and its classical maps, each
+    # one l1_norm call of a classical command
+    cli_outputs = load_cli_outputs()
     cli_outputs.runs = lambda paths: [
         ("random4-detect.json", ["detect", "--model",
                                  "file:" + paths["random4"]]),

@@ -2,10 +2,12 @@
 
     python3 tools/cli_outputs.py OUTDIR [--seed N]
 
-Each output is one in-process ``metastab.cli.main`` call with ``--out``; the
-exit code and standard error of every call go to ``OUTDIR/status.txt``, the
-model files the calls read to ``OUTDIR/models``, and the norm work of every
-call (``metastab.norms._induced_norms`` calls, the maps they evaluate, the
+The set runs every subcommand of both families (spectrum, distances,
+changes, detect, project, verify-bounds, heisenberg and their classical-*
+variants) at least once. Each output is one in-process
+``metastab.cli.main`` call with ``--out``; the exit code and standard error
+of every call go to ``OUTDIR/status.txt``, the model files the calls read
+to ``OUTDIR/models``, and the norm work of every call (``metastab.norms._induced_norms`` calls, the maps they evaluate, the
 calls that hold a single map, and the classical maps, one
 ``metastab.classical.l1_norm`` call each) to ``OUTDIR/counts.txt``.
 metastab is imported from the environment (PYTHONPATH), or from this
@@ -94,14 +96,21 @@ def write_models(models, seed):
 
 
 def runs(paths):
-    """(output file name, argv) of every output."""
+    """(output file name, argv) of every output: each subcommand of both
+    families at least once."""
     changes = ["--tmin", "10", "--tmax", "40", "--points", "8"]
-    out = [("spin-detect.json", ["detect"] + SPIN),
+    grid = ["--tmin", "0.1", "--tmax", "1000", "--points", "12"]
+    out = [("spin-spectrum.json", ["spectrum"] + SPIN),
+           ("spin-distances.csv", ["distances"] + SPIN + grid),
+           ("spin-detect.json", ["detect"] + SPIN),
            ("spin-verify-bounds.csv", ["verify-bounds"] + SPIN),
            ("spin-verify-bounds.json",
             ["verify-bounds", "--format", "json"] + SPIN),
            ("spin-project.json", ["project"] + SPIN),
            ("spin-changes.csv", ["changes"] + SPIN + changes)]
+    out += [("spin-heisenberg-%s.csv" % obs,
+             ["heisenberg", "--observable", obs] + SPIN + grid)
+            for obs in ("sz", "sx", "basis")]
     random3 = ["--model", "file:" + paths["random3"]]
     out += [("random3-detect.json", ["detect"] + random3),
             ("random3-verify-bounds.csv", ["verify-bounds"] + random3),
@@ -109,20 +118,33 @@ def runs(paths):
              ["verify-bounds", "--format", "json"] + random3),
             ("random3-changes.csv", ["changes"] + random3
              + ["--tmin", "1", "--tmax", "20", "--points", "8"]),
+            ("random3-heisenberg-basis.csv",
+             ["heisenberg", "--observable", "basis"] + random3 + grid),
             ("random4-detect.json",
              ["detect", "--model", "file:" + paths["random4"]])]
     three = ["--model", "file:" + paths["three-level"]]
     out += [("three-level-detect.json", ["detect"] + three),
             ("three-level-verify-bounds.csv", ["verify-bounds"] + three)]
     well = ["--model", "builtin:double_well"]
-    out += [("double-well-detect.json", ["classical-detect"] + well),
+    out += [("double-well-spectrum.json", ["classical-spectrum"] + well),
+            ("double-well-distances.csv",
+             ["classical-distances"] + well + grid),
+            ("double-well-changes.csv",
+             ["classical-changes"] + well + changes),
+            ("double-well-detect.json", ["classical-detect"] + well),
             ("double-well-verify-bounds.csv",
-             ["classical-verify-bounds"] + well)]
+             ["classical-verify-bounds"] + well),
+            ("double-well-project.json",
+             ["classical-project", "--window", "20", "40"] + well),
+            ("double-well-heisenberg.csv",
+             ["classical-heisenberg"] + well + grid)]
     for n in CHAIN_SIZES:
         chain = ["--model", "file:" + paths["chain%d" % n]]
         out += [("chain%d-detect.json" % n, ["classical-detect"] + chain),
                 ("chain%d-verify-bounds.csv" % n,
-                 ["classical-verify-bounds"] + chain)]
+                 ["classical-verify-bounds"] + chain),
+                ("chain%d-heisenberg.csv" % n,
+                 ["classical-heisenberg"] + chain + grid)]
     return out
 
 
