@@ -355,12 +355,9 @@ class QuantumBackend(DynamicsBackend):
     dispatcher norms._induced_norms, so a prefetched batch and a read miss
     take one path."""
 
-    def __init__(self, model=None, liouvillian=None, spectral=None, seed=0):
-        if liouvillian is None:
-            if model is None:
-                raise ValueError("provide a model or a liouvillian")
-            liouvillian = build_liouvillian(model)
-        super().__init__(spectral or spectral_decompose(liouvillian),
+    def __init__(self, model, seed=0):
+        liouvillian = build_liouvillian(model)
+        super().__init__(spectral_decompose(liouvillian),
                          np.eye(liouvillian.dim ** 2, dtype=complex))
         self.model = model
         self.liouvillian = liouvillian
@@ -609,7 +606,7 @@ def identity_sure_time(dyn, target):
 
 
 def _generator_check(dyn, message):
-    """The search that opens timescale_searches: it requests the generator,
+    """The search that opens timescale_search: it requests the generator,
     then raises TrivialDynamicsError(message) on a generator norm of at
     most 1e-14."""
     yield [("gen",)]
@@ -681,29 +678,26 @@ def _tau_ss_search(dyn, target):
                   % (f(t_lo), t_lo))
 
 
-def timescale_searches(dyn, message="timescales require nontrivial dynamics"):
-    """The searches of timescales, for lockstep.
+def timescale_search(dyn, message="timescales require nontrivial dynamics"):
+    """timescales as a search, which returns its TimescaleReport.
 
-    The first round holds the generator norm and the two maps that decide
+    The generator check and the tau_0 and tau_ss searches run together. The
+    first round holds the generator norm and the two maps that decide
     whether the tau_0 and tau_ss searches run at all, and, on decaying
     dynamics (a positive decay rate), the tau_0 scan's first request and
-    the first tau_ss probe. A caller may add independent searches of its
-    own to the same lockstep. Raises TrivialDynamicsError(message) when
-    the dynamics has no decaying mode (at once) or a generator norm of at
-    most 1e-14 (after the first round), and TrivialDynamicsError on an
-    undamped mode (see decay_time) once a search needs its decay time.
+    the first tau_ss probe. A caller may run independent searches of its
+    own in the same lockstep. Raises TrivialDynamicsError(message) when the
+    dynamics has no decaying mode (before any request) or a generator norm
+    of at most 1e-14 (after the first round), and TrivialDynamicsError on
+    an undamped mode (see decay_time) once a search needs its decay time.
     """
     if dyn.m_ss >= dyn.eigenvalues().size:
         raise TrivialDynamicsError(message)
-    return [_generator_check(dyn, message),
-            _tau_0_search(dyn, 1.0 - 1.0 / math.e),
-            _tau_ss_search(dyn, 1.0 / math.e)]
-
-
-def timescale_report(found):
-    """TimescaleReport from the results of lockstep on timescale_searches."""
+    _, *found = yield from together(dyn, [
+        _generator_check(dyn, message), _tau_0_search(dyn, 1.0 - 1.0 / math.e),
+        _tau_ss_search(dyn, 1.0 / math.e)])
     report = {"absent": {}}
-    for name, (tau, residual) in zip(("tau_0", "tau_ss"), found[1:]):
+    for name, (tau, residual) in zip(("tau_0", "tau_ss"), found):
         if tau is None:
             report["absent"][name], residual = residual, None
         report[name], report[name + "_residual"] = tau, residual
@@ -717,7 +711,7 @@ def timescales(dyn):
     reaches 1 - 1/e (a crossing scan, since the distance may oscillate, then
     Brent). The final relaxation time is the first time the distance to the
     stationary projection decays to 1/e (monotone: a doubling bracket, then
-    Brent). The two searches run in lockstep (timescale_searches), and
+    Brent). Runs timescale_search: the two searches run together, and
     their first round also holds the generator norm and the two maps that
     decide whether they run at all. The scan's first request holds every
     scan point before identity_sure_time, all of which it evaluates, and
@@ -726,7 +720,7 @@ def timescales(dyn):
     read; on a saturating branch, so are the first round's scan points and
     probe.
     """
-    return timescale_report(lockstep(dyn, timescale_searches(dyn)))
+    return lockstep(dyn, [timescale_search(dyn)])[0]
 
 
 def check_window(t_start, t_end):
@@ -735,32 +729,19 @@ def check_window(t_start, t_end):
         raise ValueError("window must satisfy t_end >= 2 t_start > 0")
 
 
-def window_search(dyn, t_start, t_end, n_grid=33, with_doubling=True):
-    """The opening of verdict_search as a search: the change measure, the
-    doubling change (nan without with_doubling) and the two end distances,
-    together. Returns (window grid, (c_delta, argmax time), doubling)."""
+def verdict_search(dyn, t_start, t_end, n_grid=33, with_doubling=True):
+    """classify_regime as a search: the change measure, the doubling change
+    (nan without with_doubling) and the two end distances together, then,
+    when the change measure passes the basic cutoff, both distance curves
+    over the window grid in one request."""
     check_window(t_start, t_end)
     ts = _window_grid(t_start, t_end, n_grid)
     searches = [grid_change_search(dyn, ts),
                 _read([("ident", t_start), ("stat", t_end)])]
     if with_doubling:
         searches.append(doubling_search(dyn, t_start, t_end, n_grid))
-    change, _, *doubling = yield from together(dyn, searches)
-    return ts, change, doubling[0] if with_doubling else math.nan
-
-
-def verdict_search(dyn, t_start, t_end, n_grid=33, with_doubling=True):
-    """classify_regime as a search: window_search, then verdict_from."""
-    opened = yield from window_search(dyn, t_start, t_end, n_grid,
-                                      with_doubling)
-    return (yield from verdict_from(dyn, t_start, t_end, opened))
-
-
-def verdict_from(dyn, t_start, t_end, opened):
-    """The rest of verdict_search, from opened, the result of window_search
-    on the window: when the change measure passes the basic cutoff, both
-    distance curves over the window grid in one request."""
-    ts, (c_delta, argmax_t), c_doubling = opened
+    (c_delta, argmax_t), _, *doubling = yield from together(dyn, searches)
+    c_doubling = doubling[0] if with_doubling else math.nan
     d_init_start = dyn.distance_to_identity(t_start)
     d_stat_end = dyn.distance_to_stationary(t_end)
 
@@ -943,17 +924,9 @@ def _onset_search(dyn, t_start, t_end, target):
     return None
 
 
-def relaxation_times(dyn, t_start, t_end, c_delta):
-    """Initial relaxation time and the onset time of the long-time dynamics.
-
-    The first is the shortest time at which the distance to the window start
-    map reaches 1/e - lower threshold; the second the shortest t >= t_start
-    at which it reaches 1 - 1/e - lower threshold. The first is found by a
-    crossing scan, then Brent; the second by a geometric bracket, then
-    Brent (_onset_search). The two searches run in lockstep, and both hint
-    SCAN_AHEAD points per request. Requires a window t_end > t_start > 0
-    and the change measure to be below the relaxation cutoff.
-    """
+def relaxation_search(dyn, t_start, t_end, c_delta):
+    """relaxation_times as a search: the crossing scan and the onset search
+    (_onset_search) together. Raises its ValueErrors before any request."""
     if not t_end > t_start > 0:
         raise ValueError("relaxation times require a window with "
                          "t_end > t_start > 0")
@@ -967,10 +940,25 @@ def relaxation_times(dyn, t_start, t_end, c_delta):
     scan = crossing(lambda t: dyn.distance(t_start, t), 1.0 / math.e - lower,
                     t_max=t_start, step=step)
     onset = _onset_search(dyn, t_start, t_end, 1.0 - 1.0 / math.e - lower)
-    tau_dprime, tau_prime = lockstep(
+    tau_dprime, tau_prime = yield from together(
         dyn, [keyed(lambda t: ("pair", t_start, t), scan), onset])
     return (None if tau_dprime is None else float(tau_dprime),
             None if tau_prime is None else float(tau_prime))
+
+
+def relaxation_times(dyn, t_start, t_end, c_delta):
+    """Initial relaxation time and the onset time of the long-time dynamics.
+
+    The first is the shortest time at which the distance to the window start
+    map reaches 1/e - lower threshold; the second the shortest t >= t_start
+    at which it reaches 1 - 1/e - lower threshold. The first is found by a
+    crossing scan, then Brent; the second by a geometric bracket, then
+    Brent (_onset_search). Runs relaxation_search: the two searches run
+    together, and both hint SCAN_AHEAD points per request. Requires a
+    window t_end > t_start > 0 and the change measure to be below the
+    relaxation cutoff.
+    """
+    return lockstep(dyn, [relaxation_search(dyn, t_start, t_end, c_delta)])[0]
 
 
 def distinguishability_bounds(c_delta):

@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .modes import change_thresholds, linear_growth_inverse
-# change_measure, classify_regime, scan_metastable and timescales are unused
-# here, but bench/tracing.py wraps them at every module that imported them
+# change_measure, classify_regime, relaxation_times, scan_metastable and
+# timescales are unused here, but bench/tracing.py wraps them at every module
+# that imported them
 from .regimes import (CUTOFF_RELAXATION, change_measure, change_search,
                       classify_regime, grid_change_search, identity_crossing,
-                      lockstep, relaxation_times, scan_metastable,
-                      scan_search, timescale_report, timescale_searches,
-                      timescales, together, verdict_from, window_search,
+                      lockstep, relaxation_search, relaxation_times,
+                      scan_metastable, scan_search, timescale_search,
+                      timescales, together, verdict_search,
                       TrivialDynamicsError, check_window, _read,
                       _refined_sup, _window_grid)
 
@@ -95,14 +96,9 @@ def detect_separation(dyn, t_start, t_end, c_delta):
         # some eigenvalue sits in both regions in a pair-splitting pattern
         k = int(np.argmin(init_ok))
         raise SeparationInconsistencyError(k, lam[k])
-    # prefer the smallest consistent cut: eigenvalues that already qualify as
-    # final are not dragged into the slow block
+    # the smallest consistent cut: eigenvalues that already qualify as final
+    # are not dragged into the slow block
     m = candidates[0]
-    for m_c in candidates:
-        if np.all(final_ok[m_c:]) and (m_c == 0 or not final_ok[m_c - 1]):
-            m = m_c
-            break
-
     classification = tuple("initial" if k < m else "final"
                            for k in range(lam.size))
     slack_initial = float(np.min(np.exp(t_end * lam.real[:m]) - upper ** 2)) \
@@ -444,27 +440,38 @@ def default_battery_grid(tau_0, tau_ss):
     return np.geomspace(0.05 * tau_0, 2.0 * tau_ss, 33)
 
 
+def _relaxation_search(dyn, verdict):
+    """relaxation_search on the window of verdict when it is Metastable
+    below the relaxation cutoff; (None, None) otherwise or on a ValueError."""
+    if verdict.verdict == "Metastable" and verdict.c_delta <= CUTOFF_RELAXATION:
+        try:
+            return (yield from relaxation_search(
+                dyn, verdict.t_start, verdict.t_end, verdict.c_delta))
+        except ValueError:
+            pass
+    return None, None
+
+
 def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
                   n_grid=33, scan_points=16):
     """Evaluate the full inequality battery on one dynamics backend.
 
     Emits one row per (inequality, evaluation point); a row passes when its
     slack is >= -tol or its hypotheses do not hold (marked inapplicable).
-    On decaying dynamics the two exclusion-span crossings run in the
-    lockstep of the timescale searches (regimes.timescale_searches), and
-    the ratio-2 and ratio-4 window scans (regimes.scan_search) share the
-    next. Once the windows are known, two lockstep phases follow: the
-    battery's own row maps, the ratio-2 verdict's opening
-    (regimes.window_search) and the change searches of the ratio-4 and the
-    exclusion windows; then, once those fix which rows apply, the rest of
-    the ratio-2 verdict (regimes.verdict_from), the projection report with
-    its ratio-4 extension, and the probe rows. Each grid is read once.
+    Runs one lockstep per link of its chain of dependencies: the timescales
+    (regimes.timescale_search) and, on decaying dynamics, the two
+    exclusion-span crossings; the ratio-2 and ratio-4 window scans
+    (regimes.scan_search); once the windows are known, the battery's own
+    row maps, the whole ratio-2 verdict (regimes.verdict_search) and the
+    change searches of the ratio-4 and the exclusion windows; once those
+    fix which rows apply, the projection report with its ratio-4
+    extension, the probe rows and, on a metastable ratio-2 window, its
+    relaxation times (regimes.relaxation_search). The projection report
+    searches the ratio-4 change again, from the cache.
     """
     if not tol >= 0:
         raise ValueError("tol must be non-negative, got %r" % (tol,))
     lam = dyn.eigenvalues()
-    searches = timescale_searches(dyn, "bound battery requires nontrivial "
-                                       "dynamics")
     # the exclusion windows' lengths at a small accuracy: first crossings of
     # the distance to the identity up to twice the fastest decay time
     accuracies = (0.05, 0.15)
@@ -472,8 +479,9 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
     # the crossings need the fastest decay time: on dynamics that do not
     # decay they run alone, below, after the checks that come first
     decays = dyn.fastest_decay_rate() > 0
-    found = lockstep(dyn, searches + crossings if decays else searches)
-    scales = timescale_report(found[:len(searches)])
+    scales, *spans = lockstep(dyn, [timescale_search(
+        dyn, "bound battery requires nontrivial dynamics")]
+        + (crossings if decays else []))
     gen_norm = dyn.liouvillian_norm()
     tau_0, tau_ss = scales.tau_0, scales.tau_ss
 
@@ -513,14 +521,13 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
     w2_start, w2_end, w2_found = chosen(window, 2.0)
     w4_start, w4_end, w4_found = chosen(window4, 4.0)
 
-    # phase 1, once the windows and the exclusion spans are known; the
+    # stage 3, once the windows and the exclusion spans are known; the
     # random pairs are all four drawn first, t1 then t2, pair by pair
     sub = [float(t) for t in grid[:: max(1, len(grid) // 6)]]
     rng = np.random.default_rng([int(seed), 101])
     pairs = [(float(rng.uniform(grid[0], grid[-1])),
               float(rng.uniform(grid[0], grid[-1]))) for _ in range(4)]
-    spans = list(zip(accuracies, found[len(searches):] if decays
-                     else lockstep(dyn, crossings)))
+    spans = list(zip(accuracies, spans if decays else lockstep(dyn, crossings)))
     exclusion = [(span0, shift * span0) for _, span0 in spans
                  if span0 is not None for shift in (2.5, 8.0)]
     t_probe = 0.9 * w2_start
@@ -533,11 +540,11 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
     reads += [("pair", t1, t2) for t1, t2 in pairs]
     reads += [("ident-stat",), ("pair", t_probe, w2_start)]
     reads += [("ident", t_s) for _, t_s in exclusion]
-    _, opened2, (c4, _), *c_exclusion = lockstep(dyn, [
-        _read(reads), window_search(dyn, w2_start, w2_end, n_grid),
+    _, w2_verdict, (c4, _), *c_exclusion = lockstep(dyn, [
+        _read(reads), verdict_search(dyn, w2_start, w2_end, n_grid),
         change_search(dyn, w4_start, w4_end, n_grid)] + [
         change_search(dyn, t_s, t_s + span0, 13) for span0, t_s in exclusion])
-    _, (c2, _), _ = opened2
+    c2 = w2_verdict.c_delta
 
     # the change measures and the ratio-4 cut fix which rows apply
     c2_ok = c2 < 0.25
@@ -558,15 +565,14 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
         prime_ts = [t for t in (w2_start, 0.5 * (w2_start + w2_end / 2.0))
                     if not t > w2_end / 2.0]
 
-    # phase 2, while the evolutions of the change grids above are cached;
-    # the verdict goes on from its opening, the rows keep their place below
+    # stage 4, while the evolutions of the change grids above are cached;
+    # the rows keep their place below
     reads = [("pair", n * t_probe, w2_start) for n in probe_ns or ()]
     reads += [("pair", n * t, w2_start) for t in prime_ts or ()
               for n in (1, 2, 3)]
-    w2_verdict, proj_report, _ = lockstep(dyn, [
-        verdict_from(dyn, w2_start, w2_end, opened2),
+    proj_report, _, (tau_dp, tau_p) = lockstep(dyn, [
         projection_search(dyn, m4, w4_start, w4_end, n_grid, tol),
-        _read(reads)])
+        _read(reads), _relaxation_search(dyn, w2_verdict)])
 
     rows = []
     add = rows.append
@@ -681,12 +687,6 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
                          math.ceil(t_s / span0) * c_w))
 
     # relaxation times and their ratio bound
-    tau_dp = tau_p = None
-    if w2_verdict.verdict == "Metastable" and c2 <= CUTOFF_RELAXATION:
-        try:
-            tau_dp, tau_p = relaxation_times(dyn, w2_start, w2_end, c2)
-        except ValueError:
-            tau_dp = tau_p = None
     if tau_p is not None and tau_dp is not None:
         lo2, _ = change_thresholds(c2)
         add(BoundRow("tau_prime_ratio", math.nan,

@@ -835,7 +835,7 @@ def test_random_battery_norm_calls(norm_calls, capsys):
     # the two window scans, which share a lockstep (32 maps, each against
     # its scan's threshold; every window is over budget at its first
     # distance, which its first O-step certifies; none of these maps is
-    # cached). Last come the battery's two lockstep phases, one round each
+    # cached). Then come the battery's last two locksteps, one round each
     # (266 and 195 maps). How many of their keys coincide bit for bit, with
     # others of the request or with cached ones, follows the last bits of
     # tau_0 and tau_ss

@@ -1001,6 +1001,26 @@ def test_relaxation_times_spin(spin_backend):
     assert tau_p / 20.0 >= math.floor((1.0 - 1.0 / math.e - lo) / c) + 1.0
 
 
+def test_relaxation_search_beside_another_search(spin_model):
+    # relaxation_search in one lockstep with a change search from the same
+    # window start, whose pairs it also reads: the values of each analysis
+    # alone, and only the maps that the two evaluate alone
+    def fresh():
+        return QuantumBackend(model=spin_model, seed=0)
+
+    c, _ = change_measure(fresh(), 20.0, 40.0)
+    alone, other = fresh(), fresh()
+    taus = relaxation_times(alone, 20.0, 40.0, c)
+    change = change_measure(other, 20.0, 80.0)
+    dyn = fresh()
+    assert regimes.lockstep(dyn, [
+        regimes.relaxation_search(dyn, 20.0, 40.0, c),
+        regimes.change_search(dyn, 20.0, 80.0)]) == [taus, change]
+    assert set(dyn._norm_cache) == set(alone._norm_cache) \
+        | set(other._norm_cache)
+    assert set(dyn._norm_cache) > set(alone._norm_cache)
+
+
 def test_relaxation_times_cutoff(spin_backend):
     with pytest.raises(ValueError):
         relaxation_times(spin_backend, 20.0, 40.0, CUTOFF_RELAXATION + 0.01)

@@ -199,45 +199,48 @@ def test_bound_battery_override_restores_backend_on_error(spin_model):
 
 
 def record_search_requests(monkeypatch):
-    """Patch lockstep so that it records, per search, the result and every
-    (norm-cache key, time) the search requests; the time is the key's last
-    entry when that is a time, as in ("pair", t_start, t), else None, as
-    for ("gen",). A comparison key is recorded as its pair. A request is
-    passed on as it came, a round's todo (a dict) with its thresholds, and
-    an iterable of keys, read once, as their list."""
+    """Patch together, which lockstep and every search that runs others
+    runs, so that it records, per leaf search, the result and every
+    (norm-cache key, time) the search requests. A leaf search is one that
+    requests keys itself, not only the todos (dicts) of the searches it runs
+    together; it is recorded from its first such request on. The time is
+    the key's last entry when that is a time, as in ("pair", t_start, t),
+    else None, as for ("gen",). A comparison key is recorded as its pair.
+    A request is passed on as it came, a todo as is, and an iterable of
+    keys, read once, as their list."""
     searches = []
-    lockstep = regimes.lockstep
+    together = regimes.together
 
-    def recorded(search, entry):
+    def recorded(search):
+        entry = None
         while True:
             try:
                 request = next(search)
             except StopIteration as stop:
-                entry["result"] = stop.value
+                if entry is not None:
+                    entry["result"] = stop.value
                 return stop.value
             if not isinstance(request, dict):
                 request = list(request)
-            for key in request:
-                t = key[-1] if isinstance(key[-1], float) else None
-                if key[0] == "above":
-                    key = ("pair",) + key[2:]
-                if key[0] == "pair":
-                    if key[1] == key[2]:
-                        continue
-                    key = ("pair", min(key[1:]), max(key[1:]))
-                entry["requests"].add((key, t))
+                if entry is None:
+                    entry = {"requests": set()}
+                    searches.append(entry)
+                for key in request:
+                    t = key[-1] if isinstance(key[-1], float) else None
+                    if key[0] == "above":
+                        key = ("pair",) + key[2:]
+                    if key[0] == "pair":
+                        if key[1] == key[2]:
+                            continue
+                        key = ("pair", min(key[1:]), max(key[1:]))
+                    entry["requests"].add((key, t))
             yield request
 
     def recording(dyn, searches_):
-        wrapped = []
-        for search in searches_:
-            entry = {"requests": set()}
-            searches.append(entry)
-            wrapped.append(recorded(search, entry))
-        return lockstep(dyn, wrapped)
+        return together(dyn, [recorded(search) for search in searches_])
 
-    monkeypatch.setattr(regimes, "lockstep", recording)
-    monkeypatch.setattr(spectral_meta, "lockstep", recording)
+    monkeypatch.setattr(regimes, "together", recording)
+    monkeypatch.setattr(spectral_meta, "together", recording)
     return searches
 
 
@@ -250,8 +253,8 @@ def evaluated(dyn):
 def assert_only_look_ahead_added(searches, keys, plain_keys):
     """keys, those a batching backend evaluated, hold plain_keys, those of a
     backend that evaluates one map at a time, and besides them exactly the
-    keys that the searches requested and never read: at most SCAN_AHEAD - 1 per
-    search, each at a time past the search's result. A requested key
+    keys that the searches requested and never read: at most SCAN_AHEAD - 1
+    per leaf search, each at a time past its result. A requested key
     without a time is always read; ("gen",), the generator norm, is kept
     out of both caches."""
     assert plain_keys <= keys
@@ -316,13 +319,15 @@ def test_batched_battery_caches_single_map_values(monkeypatch):
         monkeypatch, random_lindbladian(3, 2, seed=0))
     assert max(batches) > 32
     assert n_keys == sum(batches) > 100
-    # the generator check, tau_0, tau_ss and two exclusion spans; the two
-    # window scans, in one lockstep, where no window passes either screen;
-    # then the two phases: the battery's own maps, the ratio-2 window's
-    # opening, the ratio-4 change and four exclusion windows, then the rest
-    # of the ratio-2 verdict, the projection report (with the ratio-4
-    # extension) and the probe rows
-    assert len(searches) == 5 + 2 + 7 + 3
+    # the leaf searches of the battery's four locksteps: the generator
+    # check, tau_0, tau_ss and two exclusion spans; the two window scans,
+    # where no window passes its screen, so one screen per window start;
+    # the battery's own maps, the ratio-2 verdict's change, end distances
+    # and doubling change (its change is above 1/4, so it reads no curve),
+    # the ratio-4 change and four exclusion windows; then the projection
+    # report's change, projection supremum and reads (a ratio-4 window
+    # needs no extension), and the probe rows
+    assert len(searches) == 5 + 2 * 8 + 9 + 4
     assert searches[0]["requests"] == {(("gen",), None)}
     assert (("ident-stat",), None) in searches[1]["requests"]
     assert (("stat", 0.0), 0.0) in searches[2]["requests"]
@@ -336,20 +341,22 @@ def test_batched_spin_battery_caches_single_map_values(monkeypatch,
                                                              spin_model)
     assert max(batches) > 32
     assert n_keys == sum(batches) > 500
-    # the generator check, tau_0, tau_ss, two exclusion spans, the two
-    # window scans, the two phases, and the relaxation times tau_dprime,
-    # tau_prime of the metastable window
-    assert len(searches) == 5 + 2 + 7 + 3 + 2
+    # as at D = 3, but 5 windows pass their screens, and the verdict of
+    # each adds three leaf searches: its change, its end distances and
+    # itself, as it reads its curves; the ratio-2 verdict reads its curves
+    # too (9 + 1); and the relaxation times tau_dprime, tau_prime of the
+    # metastable window are two more
+    assert len(searches) == 5 + (2 * 8 + 5 * 3) + 10 + (4 + 2)
 
 
 @pytest.mark.slow
 def test_battery_prefetches_add_no_map_on_a_metastable_window(monkeypatch):
-    # with a metastable window the second prefetch also takes the verdict
-    # curves, the probe and linear-growth distances and the projection maps
-    # of a separated cut, and relaxation_times runs its two searches in
-    # lockstep; the battery still evaluates the keys of one that evaluates
-    # them one by one, and besides them only the look-ahead maps past each
-    # crossing, and reports the same rows
+    # with a metastable window the third lockstep also takes the verdict
+    # curves, and the fourth the probe and linear-growth distances, the
+    # projection maps of a separated cut and the two searches of the
+    # relaxation times; the battery still evaluates the keys of one that
+    # evaluates them one by one, and besides them only the look-ahead maps
+    # past each crossing, and reports the same rows
     class OneByOne(QuantumBackend):
         def prefetch(self, keys):
             pass
@@ -363,8 +370,8 @@ def test_battery_prefetches_add_no_map_on_a_metastable_window(monkeypatch):
     assert {"dprime_exp", "prime_lin", "meta_corr",
             "tau_prime_ratio"} <= set(report.applicable_ids())
     dyn_searches = list(searches)
-    # as on the spin model
-    assert len(dyn_searches) == 5 + 2 + 7 + 3 + 2
+    # as on the spin model, but 4 windows pass their screens
+    assert len(dyn_searches) == 5 + (2 * 8 + 4 * 3) + 10 + (4 + 2)
     plain = OneByOne(model=model, seed=0)
     plain_report = bound_battery(plain, seed=0, scan_points=8, n_grid=17)
     assert_only_look_ahead_added(dyn_searches, evaluated(dyn),

@@ -124,7 +124,9 @@ def runs(paths):
              ["detect", "--model", "file:" + paths["random4"]])]
     three = ["--model", "file:" + paths["three-level"]]
     out += [("three-level-detect.json", ["detect"] + three),
-            ("three-level-verify-bounds.csv", ["verify-bounds"] + three)]
+            ("three-level-verify-bounds.csv", ["verify-bounds"] + three),
+            ("three-level-verify-bounds.json",
+             ["verify-bounds", "--format", "json"] + three)]
     well = ["--model", "builtin:double_well"]
     out += [("double-well-spectrum.json", ["classical-spectrum"] + well),
             ("double-well-distances.csv",
