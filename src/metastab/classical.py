@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import InducedNormResult
+from .norms import InducedNormBatch
 from .regimes import DynamicsBackend
 from .superop import (DEFECT_TOL, DefectiveLiouvillianError, QuantumModel,
                       SpectralData, _sort_order, _zero_tol)
@@ -127,18 +127,18 @@ class ClassicalBackend(DynamicsBackend):
         return value
 
     def norm_results(self, Ms, above=None):
-        # exact records with a basis-vector witness, for the generator and
-        # the battery's correlator maps; an exact value settles above
-        results = []
-        for M in Ms:
-            value = l1_norm(M)
-            j = int(np.argmax(np.abs(M).sum(axis=0)))
-            results.append(InducedNormResult(
-                value=value, witness_state=np.eye(self.dim)[:, j],
-                witness_observable=np.sign(M[:, j]), iterations=0,
-                restarts_used=1, converged=True,
-                restart_values=np.array([value]), exact=True))
-        return results
+        # exact values, for the generator and the battery's correlator
+        # maps, with a basis-vector witness built when a result is read; an
+        # exact value settles above
+        values = np.array([l1_norm(M) for M in Ms])
+
+        def witnesses():
+            cols = [int(np.argmax(np.abs(M).sum(axis=0))) for M in Ms]
+            return (np.eye(self.dim)[cols],
+                    [np.sign(M[:, j]) for M, j in zip(Ms, cols)])
+
+        return InducedNormBatch(values, True, True, 0, values[:, None],
+                                witnesses)
 
     def random_observable(self, rng):
         f = rng.normal(size=self.dim)

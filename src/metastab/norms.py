@@ -15,11 +15,14 @@ coordinate maxima have closed forms (sign operator of X(psi psi^dag), top
 eigenvector of X^dag(O)), giving a monotone ascent; multiple restarts, from
 seed states fixed by D and the seed alone, guard against local maxima.
 Ascent values are certified lower bounds, exact whenever any restart reaches
-the global optimum. _alternating_ascents runs the ascent on several maps in
-lockstep, with the same result for each map as a call of its own, in two
-phases: burn-in passes of at most LOCKSTEP_MAPS maps with all their
-restarts, then one shared pass for the few leading chains of every map in
-the call. In the shared pass each chain also tries a Riemannian Newton step
+the global optimum. A call returns an InducedNormBatch: per-map arrays of
+values, flags and iterations, and each map's full InducedNormResult, its
+witness state and observable included, built only when it is read.
+_alternating_ascents runs the ascent on several maps in lockstep, with the
+same result for each map as a call of its own, in two phases: burn-in
+passes of at most LOCKSTEP_MAPS maps with all their restarts, then one
+shared pass for the few leading chains of every map in the call. In the
+shared pass each chain also tries a Riemannian Newton step
 (_newton_step), kept only if the next O-step finds its value no lower, so
 that chains near a maximum finish quadratically instead of crawling through
 the alternating ascent's linear tail.
@@ -58,6 +61,7 @@ matrix and of each Hessian.
 import functools
 import math
 import types
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +111,53 @@ class InducedNormResult:
         """Spread of restart optima; a heuristic confidence indicator."""
         v = self.restart_values
         return float(v.max() - v.min()) if v.size else 0.0
+
+
+class InducedNormBatch(Sequence):
+    """The results of one norm call, values first.
+
+    values, exact, converged and iterations hold one entry per map, and
+    restart_values one row per map, as many values as the map's restarts.
+    batch[k] builds map k's InducedNormResult only when it is read, and a
+    slice the list of its results. The witness stacks, states (T, D) and
+    observables (T, D, D), come from witnesses(), called once, on the first
+    read. A batch compares equal to the list of its results."""
+
+    def __init__(self, values, exact, converged, iterations, restart_values,
+                 witnesses):
+        self.values = values
+        self.exact = np.broadcast_to(exact, values.shape)
+        self.converged = np.broadcast_to(converged, values.shape)
+        self.iterations = np.broadcast_to(iterations, values.shape)
+        self.restart_values = restart_values
+        self._witnesses, self._stacks = witnesses, None
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        k = range(len(self))[k]
+        if self._stacks is None:
+            self._stacks = self._witnesses()
+        states, observables = self._stacks
+        rows = self.restart_values
+        return InducedNormResult(
+            value=float(self.values[k]), witness_state=states[k],
+            witness_observable=observables[k],
+            iterations=int(self.iterations[k]), restarts_used=rows.shape[1],
+            converged=bool(self.converged[k]), restart_values=rows[k],
+            exact=bool(self.exact[k]))
+
+    def __eq__(self, other):
+        return list(self) == other
+
+
+def _no_maps():
+    """The batch of a call on no maps."""
+    return InducedNormBatch(np.zeros(0), False, True, 0, np.zeros((0, 1)),
+                            None)
 
 
 @functools.lru_cache(maxsize=None)
@@ -724,11 +775,14 @@ def _newton_step3(psi, W, O, A, image):
 
 def _induced_norms(Ms, dim, seed=0, above=None):
     """Induced trace norm of each raw D^2 x D^2 Hermiticity-preserving
-    matrix in Ms (a sequence or a (T, D^2, D^2) stack): exact at D = 2 (seed
-    and above are then unused), the alternating ascent's lower bound at
-    D >= 3. With above, one threshold per map, the ascent stops a map at its
-    first value above it (see _alternating_ascents). Each map's result
-    equals, bit for bit, that of a call with it alone."""
+    matrix in Ms (a sequence or a (T, D^2, D^2) stack), as one
+    InducedNormBatch: exact at D = 2 (seed and above are then unused), the
+    alternating ascent's lower bound at D >= 3. With above, one threshold
+    per map, the ascent stops a map at its first value above it (see
+    _alternating_ascents). A caller that needs values alone reads the
+    batch's arrays, and no witness is built; batch[k] builds map k's full
+    result. Each map's result equals, bit for bit, that of a call with it
+    alone."""
     if dim == 2:
         return _qubit_induced_norms(Ms)
     return _alternating_ascents(Ms, dim, seed=seed, above=above)
@@ -832,7 +886,10 @@ def _sphere_argmax(B, c):
 @np.errstate(divide="ignore", invalid="ignore")
 def _qubit_induced_norms(Ms):
     """Exact induced trace norm of each Hermiticity-preserving qubit map in
-    Ms, a sequence or a (T, 4, 4) stack; one InducedNormResult per map.
+    Ms, a sequence or a (T, 4, 4) stack, as an InducedNormBatch: exact and
+    converged, no iterations and one restart value, the value itself. Its
+    witness stacks are built on the first read of a result
+    (_qubit_witnesses).
 
     With T = S^dag M S / 2 in the Pauli basis (real part, which matches the
     ascent's Hermitian symmetrization of X(rho)), a pure state
@@ -844,7 +901,7 @@ def _qubit_induced_norms(Ms):
     """
     Ms = np.asarray(Ms, dtype=complex)
     if not len(Ms):
-        return []
+        return _no_maps()
     T = 0.5 * (_PAULI_ROWS @ Ms @ _PAULI_VECS).real
     a, b, c, B = T[:, 0, 0], T[:, 0, 1:], T[:, 1:, 0], T[:, 1:, 1:]
     b_norm = _hypot3(b)
@@ -864,11 +921,20 @@ def _qubit_induced_norms(Ms):
     pick = (affine.astype(int), np.arange(len(Ms))) if affine.any() else 0
     value, alpha, beta, beta_norm, r = (
         v[pick] for v in (value, alpha, beta, beta_norm, r))
+    return InducedNormBatch(
+        value, True, True, 0, value[:, None],
+        lambda: _qubit_witnesses(r, alpha, beta, beta_norm))
 
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _qubit_witnesses(r, alpha, beta, beta_norm):
+    """The witness states (T, 2) and sign observables (T, 2, 2) of the
+    qubit closed form, from the maximizing Bloch vectors r and the Pauli
+    components alpha, beta (|beta| = beta_norm) of X(psi psi^dag)."""
     # Bloch vector r -> state vector, on the side of the sphere that is stable
     x, y, z = r.T
     north = z >= 0
-    psi = np.empty((len(Ms), 2), dtype=complex)
+    psi = np.empty((len(r), 2), dtype=complex)
     psi[:, 0] = np.where(north, 1.0 + z, x - 1j * y)
     psi[:, 1] = np.where(north, x + 1j * y, 1.0 - z)
     # the squared length as np.linalg.norm takes it: two dot products
@@ -877,7 +943,7 @@ def _qubit_induced_norms(Ms):
                    + im @ im.transpose(0, 2, 1))[:, 0]
     # sign operator of X(psi psi^dag) = (alpha I + beta.sigma) / 2
     nx, ny, nz = (beta / beta_norm[:, None]).T
-    obs = np.empty((len(Ms), 2, 2), dtype=complex)
+    obs = np.empty((len(r), 2, 2), dtype=complex)
     obs[:, 0, 0], obs[:, 0, 1] = nz, nx - 1j * ny
     obs[:, 1, 0], obs[:, 1, 1] = nx + 1j * ny, -nz
     positive = alpha >= beta_norm
@@ -886,10 +952,7 @@ def _qubit_induced_norms(Ms):
         obs[positive] = _EYE2
     if negative.any():
         obs[negative] = -_EYE2
-    return [InducedNormResult(
-        value=v, witness_state=p, witness_observable=o, iterations=0,
-        restarts_used=1, converged=True, restart_values=vs, exact=True)
-        for v, p, o, vs in zip(value.tolist(), psi, obs, value[:, None])]
+    return psi, obs
 
 
 def _alternating_ascent(M, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
@@ -926,12 +989,13 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
     Each chain writes one record when it stops: the value, state, observable,
     iteration and convergence of its last O-step. At the end a map's result
     is the record of its first chain of largest value (the lowest restart on
-    ties), and only these T records become complex.
+    ties). The call returns an InducedNormBatch of these T records, with each
+    map's restart values; it keeps no other chain's rows, and its witness
+    states and observables become complex on its first read of a result.
     Cull and convergence are per map, steps per matrix or chain and products
     per block, so a map's result does not depend on the other maps in the
     call: it equals, bit for bit, the single-map call
-    _alternating_ascent(Ms[k], dim). Returns one InducedNormResult per map,
-    in order.
+    _alternating_ascent(Ms[k], dim).
 
     above, when set, holds one threshold per map and answers "is the norm
     above it?" for each. Every O-step value is a lower bound on the norm, so
@@ -948,7 +1012,7 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
     Ms = np.asarray(Ms, dtype=complex)
     T = len(Ms)
     if not T:
-        return []
+        return _no_maps()
     N = T * restarts
     seed_rows = _state_rows(_seed_states(dim, restarts, seed))
     # one record per chain, written when it stops: the value, state rows,
@@ -1030,15 +1094,14 @@ def _alternating_ascents(Ms, dim, restarts=None, max_iter=DEFAULT_MAX_ITER,
 
     def results():
         """Each map's result from the record of its first chain of largest
-        value; only these chains' rows become complex."""
+        value. The batch keeps these chains' rows alone, and they become
+        complex on its first read."""
         per_map = values.reshape(T, restarts)
         win = per_map.argmax(axis=1) + np.arange(0, N, restarts)
-        return [InducedNormResult(
-            value=float(values[c]), witness_state=psi, witness_observable=O,
-            iterations=int(iterations[c]), restarts_used=restarts,
-            converged=bool(finished[c]), restart_values=v)
-            for c, psi, O, v in zip(win, _states(states[:, win]),
-                                    _matrices(observables[:, win]), per_map)]
+        psi, O = states[:, win], observables[:, win]
+        return InducedNormBatch(
+            values[win], False, finished[win], iterations[win], per_map,
+            lambda: (_states(psi), _matrices(O)))
 
     # burn-in, LOCKSTEP_MAPS maps per pass, each map one block of all its
     # restarts; the cull happens once, at its end, and a map never has more

@@ -97,10 +97,13 @@ class DynamicsBackend:
         raise NotImplementedError
 
     def norm_results(self, Ms, above=None):
-        """InducedNormResult of each map matrix in Ms (a sequence or a
-        stack), each that of a call with it alone; with above, one threshold
-        per map, a map may stop early once a lower bound exceeds it
-        (norms._induced_norms)."""
+        """The norms of the map matrices in Ms (a sequence or a stack) as a
+        norms.InducedNormBatch: per-map arrays of values, exact and
+        converged flags, iterations and restart values, and batch[k], map
+        k's InducedNormResult with its witnesses, built when it is read.
+        Each map's result is that of a call with it alone; with above, one
+        threshold per map, a map may stop early once a lower bound exceeds
+        it (norms._induced_norms)."""
         raise NotImplementedError
 
     def random_observable(self, rng):
@@ -212,21 +215,6 @@ class DynamicsBackend:
             self._evaluate({key: math.inf})
         return self._norm_cache[key]
 
-    def _store(self, key, result, above):
-        """Keep result under key: its value in the norm cache or, for
-        ("gen",), the whole result apart; note the key if the ascent stopped
-        before converging. An inexact value over the threshold above, a
-        certificate, is kept apart to settle comparisons, and not noted."""
-        if result.value > above and not result.exact:
-            self._certificates[key] = result.value
-            return
-        if not result.converged:
-            self.unconverged_keys.add(key)
-        if key == ("gen",):
-            self._generator_norm = result
-        else:
-            self._norm_cache[key] = result.value
-
     def _uncached(self, keys):
         """The maps of keys left to evaluate, each once, as a dict in
         request order from key to threshold (inf: the full value). A
@@ -255,7 +243,12 @@ class DynamicsBackend:
 
     def _evaluate(self, todo):
         """Evaluate the maps of todo, a dict of _uncached, as given in one
-        norm_results call, each against its threshold; keep them (_store)."""
+        norm_results call, each against its threshold, and keep them from
+        the batch's arrays: each value in the norm cache, and for ("gen",)
+        the whole result apart, the only result the batch builds. A key is
+        noted if its ascent stopped before converging. An inexact value over
+        the threshold, a certificate, is kept apart to settle comparisons,
+        and not noted. No batch outlives the call."""
         if not todo:
             return
         # the maps go straight into one stack, without a list of copies
@@ -263,10 +256,20 @@ class DynamicsBackend:
         for i, key in enumerate(todo):
             Ms[i] = self._norm_map(key)
         above = np.fromiter(todo.values(), float)
-        results = self.norm_results(
+        batch = self.norm_results(
             Ms, above=above if np.isfinite(above).any() else None)
-        for (key, threshold), res in zip(todo.items(), results):
-            self._store(key, res, threshold)
+        for k, ((key, threshold), value, exact, converged) in enumerate(zip(
+                todo.items(), batch.values.tolist(), batch.exact.tolist(),
+                batch.converged.tolist())):
+            if value > threshold and not exact:
+                self._certificates[key] = value
+                continue
+            if not converged:
+                self.unconverged_keys.add(key)
+            if key == ("gen",):
+                self._generator_norm = batch[k]
+            else:
+                self._norm_cache[key] = value
 
     def prefetch(self, keys):
         """Cache hint: evaluate the norms of the uncached keys in one batch.

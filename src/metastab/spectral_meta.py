@@ -663,8 +663,9 @@ def bound_battery(dyn, grid=None, tol=1e-8, seed=0, window=None, window4=None,
             M2 = C2 @ dyn.evolution_matrix(t22) @ C1 @ dyn.evolution_matrix(t21)
             changes.append(M1 - M2)
         norm_prod = dyn.observable_max_norm(O1) * dyn.observable_max_norm(O2)
-        for (n1, n2), res in zip(multiples, dyn.norm_results(changes)):
-            add(BoundRow("meta_corr", float(n1 + n2), res.value / norm_prod,
+        values = dyn.norm_results(changes).values.tolist()
+        for (n1, n2), value in zip(multiples, values):
+            add(BoundRow("meta_corr", float(n1 + n2), value / norm_prod,
                          (n1 + n2) * c2))
     else:
         add(BoundRow("meta_corr", math.nan, math.nan, math.nan,

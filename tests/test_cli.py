@@ -867,6 +867,27 @@ def test_spin_norm_calls(norm_calls, capsys):
     assert norm_calls["maps"] == 1086
 
 
+def test_spin_commands_build_only_the_generator_result(monkeypatch, capsys):
+    # the backend stores values from the batch's arrays: of the 1,336
+    # (detect) and 1,086 (verify-bounds) maps, only the generator's full
+    # InducedNormResult is built, with its witnesses
+    import metastab.norms
+
+    built = []
+    init = metastab.norms.InducedNormResult.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs["value"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(metastab.norms.InducedNormResult, "__init__", counted)
+    for command in ("detect", "verify-bounds"):
+        built.clear()
+        code, _, _ = run_cli([command] + SPIN_ARGS, capsys)
+        assert code == 0
+        assert len(built) == 1
+
+
 def test_analyses_evaluate_no_map_through_the_single_getter(monkeypatch,
                                                             capsys):
     # every analysis requests the maps it reads, in lockstep rounds, so on a

@@ -475,6 +475,109 @@ def assert_same_result(a, b):
         assert x.tobytes() == y.tobytes(), name
 
 
+def assert_batch_reads(batch, full):
+    """batch[k] equals full[k], a full result of map k, field by field and
+    bit for bit, read in reverse order; its value, flags, iterations and
+    restart values are those of the batch's arrays, which a read of values
+    alone takes without building a witness. The witness stacks are built on
+    the first read."""
+    assert len(batch) == len(full)
+    values = batch.values.tolist()
+    assert batch._stacks is None
+    for k in reversed(range(len(batch))):
+        got = batch[k]
+        assert_same_result(got, full[k])
+        assert (got.value, got.exact, got.converged, got.iterations) == (
+            values[k], batch.exact[k], batch.converged[k],
+            batch.iterations[k])
+        assert got.restart_values.tobytes() == \
+            batch.restart_values[k].tobytes()
+        assert got.restarts_used == batch.restart_values.shape[1]
+    assert batch._stacks is not None or not len(batch)
+
+
+def assert_witness_reproduces(res, M, dim):
+    """res's witness state and observable give its value on the map M."""
+    X = Superoperator(dim, M, hermiticity_preserving=True)
+    out = X.apply(np.outer(res.witness_state, res.witness_state.conj()))
+    out = (out + out.conj().T) / 2
+    assert np.trace(res.witness_observable @ out).real == pytest.approx(
+        res.value, abs=1e-12)
+
+
+def test_qubit_batch_builds_each_full_result_when_read(spin_spectral):
+    # every branch of the closed form (sphere, affine, hard case, the three
+    # sign operators) in one stack; each read result is that of a call on
+    # its map alone
+    E, P = spin_spectral.evolution_matrix, \
+        stationary_projector(spin_spectral).matrix
+    T = np.zeros((4, 4))
+    T[0, 0], T[0, 1:], T[1:, 1:] = -0.5, (1.0, 2.0, 0.0), 0.01 * np.eye(3)
+    stack = np.array([E(0.3) - P, E(2.0) - np.eye(4), np.zeros((4, 4)),
+                      np.eye(4), -np.eye(4), map_of_pauli_transfer(T)]
+                     + [M for _, M, _ in random_qubit_maps(2, seed=5)])
+    batch = norms._induced_norms(stack, 2)
+    full = [norms._qubit_induced_norms([M])[0] for M in stack]
+    assert_batch_reads(batch, full)
+    assert batch.exact.all() and batch.converged.all()
+    assert not batch.iterations.any()
+    for M, res in zip(stack, full):
+        assert_witness_reproduces(res, M, 2)
+
+
+def test_ascent_batch_builds_each_full_result_when_read():
+    # a D = 3 stack with above, certificates among its maps: each read
+    # result is that of a call on its map alone at its own threshold
+    stack = mixed_map_stack(3)[:16]
+    full = single_map_ascents(3, DEFAULT_MAX_ITER)[:16]
+    above = np.where(np.arange(16) % 2, np.inf,
+                     float(np.median([res.value for res in full])))
+    batch = _alternating_ascents(stack, 3, above=above)
+    certified = batch.values > above
+    assert certified.any() and not batch.converged[certified].any()
+    assert_batch_reads(batch, [_alternating_ascents(
+        [M], 3, above=np.array([a]))[0] for M, a in zip(stack, above)])
+    for M, res in zip(stack, batch):
+        assert_witness_reproduces(res, M, 3)
+
+
+def test_classical_batch_builds_each_full_result_when_read():
+    # the exact l1 value with a basis-vector witness: the column of largest
+    # absolute sum and the signs of its entries
+    from metastab.classical import ClassicalBackend
+    from metastab.models import three_state_double_well
+
+    dyn = ClassicalBackend(three_state_double_well(1.0, 1e-3))
+    rng = np.random.default_rng(2)
+    stack = [dyn.generator_matrix(), dyn.evolution_matrix(2.0) - np.eye(3)]
+    stack += list(rng.normal(size=(4, 3, 3)))
+    full = []
+    for M in stack:
+        j = int(np.argmax(np.abs(M).sum(axis=0)))
+        value = float(np.abs(M).sum(axis=0).max())
+        full.append(norms.InducedNormResult(
+            value=value, witness_state=np.eye(3)[:, j],
+            witness_observable=np.sign(M[:, j]), iterations=0,
+            restarts_used=1, converged=True,
+            restart_values=np.array([value]), exact=True))
+    assert_batch_reads(dyn.norm_results(stack), full)
+    assert_batch_reads(dyn.norm_results(stack, above=np.zeros(6)), full)
+
+
+def test_batches_of_no_maps():
+    from metastab.classical import ClassicalBackend, ClassicalGenerator
+
+    dyn = ClassicalBackend(ClassicalGenerator(np.array([[-1.0, 1.0],
+                                                        [1.0, -1.0]])))
+    for batch in (norms._induced_norms([], 2), norms._induced_norms([], 3),
+                  dyn.norm_results([])):
+        assert len(batch) == 0 and batch == [] and list(batch) == []
+        assert batch.values.shape == batch.converged.shape == (0,)
+        assert batch.restart_values.shape[0] == 0
+        with pytest.raises(IndexError):
+            batch[0]
+
+
 def degenerate_maps(dim):
     """Map matrices whose X(psi psi^dag) is degenerate for every psi: the
     zero map, the identity map and rho -> Tr(rho) I / dim."""
