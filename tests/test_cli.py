@@ -474,6 +474,30 @@ def test_float_options_are_the_finite_ones():
             command.replace("classical-", ""), ())), command
 
 
+def test_one_parser_serves_every_call_of_a_process(capsys):
+    # main builds its parser once per process. A usage error, then a
+    # quantum and a classical command on that parser each give the exit
+    # code and output of the same call in a fresh process
+    build_parser.cache_clear()
+    src = os.path.dirname(os.path.dirname(metastab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    codes = []
+    for argv in (["spectrum", "--model", "builtin:spin_half", "--seed", "-1"],
+                 ["spectrum"] + SPIN_ARGS,
+                 ["classical-spectrum", "--model", "builtin:double_well"]):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "metastab.cli"] + argv,
+                               env=env, capture_output=True, text=True)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout,
+                                    fresh.stderr)
+        codes.append(code)
+    assert codes == [2, 0, 0] and build_parser.cache_info().misses == 1
+
+
 @pytest.mark.parametrize("command,option", [
     (prefix + command, option) for command, options in FLOAT_OPTIONS.items()
     for option in options for prefix in ("", "classical-")])
