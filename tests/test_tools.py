@@ -120,8 +120,10 @@ def test_cli_outputs_runs_every_subcommand(tmp_path):
 
 def test_cli_outputs_counts_the_norm_calls_of_each_output(tmp_path):
     # one line per output: its induced-norm calls, maps and single-map
-    # calls, which a quantum command makes, and its classical maps, each
-    # one l1_norm call of a classical command
+    # calls, which a quantum command makes, its classical maps, each one
+    # l1_norm call of a classical command, and the full results it builds:
+    # the model normalisation's and the generator's on random4, the
+    # generator's on the double well
     cli_outputs = load_cli_outputs()
     cli_outputs.runs = lambda paths: [
         ("random4-detect.json", ["detect", "--model",
@@ -130,11 +132,13 @@ def test_cli_outputs_counts_the_norm_calls_of_each_output(tmp_path):
          ["classical-detect", "--model", "builtin:double_well"])]
     induced_norms = cli_outputs.norms._induced_norms
     l1_norm = cli_outputs.classical.l1_norm
+    result_init = cli_outputs.norms.InducedNormResult.__init__
     assert cli_outputs.main([str(tmp_path)]) == 0
     assert cli_outputs.norms._induced_norms is induced_norms
     assert cli_outputs.classical.l1_norm is l1_norm
+    assert cli_outputs.norms.InducedNormResult.__init__ is result_init
     assert (tmp_path / "counts.txt").read_text() == (
         "random4-detect.json norm_calls 10 maps 56 single 2 "
-        "classical_maps 0\n"
+        "classical_maps 0 results 2\n"
         "double-well-detect.json norm_calls 0 maps 0 single 0 "
-        "classical_maps 2960\n")
+        "classical_maps 2960 results 1\n")

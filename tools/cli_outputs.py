@@ -7,9 +7,12 @@ changes, detect, project, verify-bounds, heisenberg and their classical-*
 variants) at least once. Each output is one in-process
 ``metastab.cli.main`` call with ``--out``; the exit code and standard error
 of every call go to ``OUTDIR/status.txt``, the model files the calls read
-to ``OUTDIR/models``, and the norm work of every call (``metastab.norms._induced_norms`` calls, the maps they evaluate, the
-calls that hold a single map, and the classical maps, one
-``metastab.classical.l1_norm`` call each) to ``OUTDIR/counts.txt``.
+to ``OUTDIR/models``, and the norm work of every call
+(``metastab.norms._induced_norms`` calls, the maps they evaluate, the
+calls that hold a single map, the classical maps, one
+``metastab.classical.l1_norm`` call each, and the full
+``metastab.norms.InducedNormResult`` records built, witnesses included) to
+``OUTDIR/counts.txt``.
 metastab is imported from the environment (PYTHONPATH), or from this
 checkout's ``src`` when the environment has none, so one copy of this
 script can write the outputs of two checkouts:
@@ -160,8 +163,9 @@ def main(argv=None):
     status, counts = [], []
     # every quantum norm evaluation, batched or not, calls _induced_norms
     # through its module, and every classical one l1_norm, so wrappers there
-    # count them all
+    # count them all; every full result passes through its class's __init__
     induced_norms, l1_norm = norms._induced_norms, classical.l1_norm
+    result_init = norms.InducedNormResult.__init__
     tally = collections.Counter()
 
     def counted(Ms, *a, **kw):
@@ -172,7 +176,12 @@ def main(argv=None):
         tally.update(classical_maps=1)
         return l1_norm(M)
 
+    def counted_result(self, *a, **kw):
+        tally.update(results=1)
+        result_init(self, *a, **kw)
+
     norms._induced_norms, classical.l1_norm = counted, counted_l1
+    norms.InducedNormResult.__init__ = counted_result
     try:
         for name, command in runs(paths):
             tally.clear()
@@ -182,11 +191,13 @@ def main(argv=None):
                                            os.path.join(args.outdir, name)])
             status.append("%s exit %d %r\n" % (name, code, err.getvalue()))
             counts.append(
-                "%s norm_calls %d maps %d single %d classical_maps %d\n" % (
+                "%s norm_calls %d maps %d single %d classical_maps %d "
+                "results %d\n" % (
                     name, tally["norm_calls"], tally["maps"], tally["single"],
-                    tally["classical_maps"]))
+                    tally["classical_maps"], tally["results"]))
     finally:
         norms._induced_norms, classical.l1_norm = induced_norms, l1_norm
+        norms.InducedNormResult.__init__ = result_init
     for file, lines in (("status.txt", status), ("counts.txt", counts)):
         with open(os.path.join(args.outdir, file), "w") as fh:
             fh.writelines(lines)

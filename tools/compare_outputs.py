@@ -10,8 +10,9 @@ directory holds. It exits 1 when it lists any, else 0, so a change that
 moves values within a search tolerance passes and one that changes a
 conclusion does not. Any other changed text value, such as a validity
 flag, is printed as a note and does not change the exit code, and so is
-every count of counts.txt that moved (the induced-norm calls, maps and
-single-map calls of each output), or that file missing from one directory:
+every count of counts.txt that moved (the induced-norm calls, maps,
+single-map calls, classical maps and full results built of each output),
+or that file missing from one directory:
 
     PYTHONPATH=old/src python3 tools/cli_outputs.py out-old
     PYTHONPATH=src python3 tools/cli_outputs.py out-new
