@@ -444,13 +444,14 @@ def decay_time(rate):
 
 def keyed(key, search):
     """search, which requests times (modes.zeroin, crossing, brent_max), as a
-    search that requests the norm-cache key key(t) of each time t."""
+    search that requests the norm-cache key key(t) of each time t; a time
+    whose key is None, one that search reads without a map, is left out."""
     while True:
         try:
             ts = next(search)
         except StopIteration as stop:
             return stop.value
-        yield map(key, ts)
+        yield filter(None, map(key, ts))
 
 
 def _read(keys):
@@ -620,9 +621,11 @@ def _generator_check(dyn, message):
 def identity_crossing(dyn, target, span):
     """First crossing of the distance to the identity with target, up to
     span times the fastest decay time, as a search: a crossing scan whose
-    first request holds every scan point before identity_sure_time."""
-    return (yield from keyed(lambda t: ("ident", t), crossing(
-        dyn.distance_to_identity, target,
+    first request holds every scan point before identity_sure_time. The
+    scan starts from ||E(0) - I|| = 0, taken as 0: the map at t = 0 is never
+    requested, since its norm would be round-off alone."""
+    return (yield from keyed(lambda t: ("ident", t) if t else None, crossing(
+        lambda t: dyn.distance_to_identity(t) if t else 0.0, target,
         span * decay_time(dyn.fastest_decay_rate()), crossing_scan_step(dyn),
         identity_sure_time(dyn, target))))
 

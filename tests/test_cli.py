@@ -814,10 +814,11 @@ RANDOM_D4_ARGS = ["--model", "builtin:random_lindbladian", "--param", "dim=4",
 
 def test_random_detect_norm_calls(norm_calls, monkeypatch, capsys):
     # 1 model normalisation, a single map; then timescales in 8 lockstep
-    # rounds (15, 5, then 2, 2, 2, 2, 2, 1 for the two Brent searches). The
+    # rounds (14, 5, then 2, 2, 2, 2, 2, 1 for the two Brent searches). The
     # first round holds the generator norm (reused for the dispersion), the
     # identity-stationary and t = 0 stationary maps, the tau_0 scan's
-    # certified prefix (t = 0 and 6 steps), 4 look-ahead points and the
+    # certified prefix (6 steps; its distance at t = 0 is taken as 0, with
+    # no map), 4 look-ahead points and the
     # first tau_ss doubling probe; the second the next 4 scan points and the
     # next probe. The crossing lies at the first of those 4, so 3 maps are
     # evaluated and never read. Then one 24-map scan round: every window
@@ -837,7 +838,7 @@ def test_random_detect_norm_calls(norm_calls, monkeypatch, capsys):
     monkeypatch.setattr(metastab.norms, "_alternating_ascents", recorded)
     code, _, _ = run_cli(["detect"] + RANDOM_D4_ARGS, capsys)
     assert code == 0
-    assert norm_calls == {"maps": 56, "ascents": 10}
+    assert norm_calls == {"maps": 55, "ascents": 10}
     [(above, results)] = probes
     assert list(above) == [0.1] * 24 and len(results) == 24
     assert all(res.iterations == 1 and res.value > 0.1
@@ -845,13 +846,14 @@ def test_random_detect_norm_calls(norm_calls, monkeypatch, capsys):
 
 
 def test_random_battery_norm_calls(norm_calls, capsys):
-    # the benchmark's D = 3 battery: 532 maps in 12 ascent calls. The model
+    # the benchmark's D = 3 battery: 531 maps in 12 ascent calls. The model
     # normalisation is a single map. Then 8 lockstep rounds of the timescale
-    # searches and the two exclusion-span crossings (16, 4, 4, 4, 4, 4, 1,
+    # searches and the two exclusion-span crossings (15, 4, 4, 4, 4, 4, 1,
     # 1), which follow the last bits of the generator norm and of tau_0
     # (0.7442421808877799). The first round holds the generator norm, the
     # identity-stationary and t = 0 stationary maps, the tau_0 scan's
-    # certified prefix (t = 0 and 7 steps), 4 look-ahead points, the last of
+    # certified prefix (7 steps; the distance at t = 0 is taken as 0, with
+    # no map), 4 look-ahead points, the last of
     # which brackets the crossing, and the first tau_ss doubling probe. The
     # exclusion spans' scan points are among the tau_0 scan's first-round
     # points, so only their Brent steps are new: 2 maps in each of the
@@ -868,12 +870,12 @@ def test_random_battery_norm_calls(norm_calls, capsys):
                           "builtin:random_lindbladian", "--param", "dim=3",
                           "--param", "n_jumps=2", "--seed", "0"], capsys)
     assert code == 0
-    assert norm_calls == {"maps": 532, "ascents": 12}
+    assert norm_calls == {"maps": 531, "ascents": 12}
 
 
 def test_spin_norm_calls(norm_calls, capsys):
-    # detect: 1 generator norm + 16 in timescales + 1,228 in the scan + 91
-    # in relaxation_times; verify-bounds: 1 generator norm + 16 in
+    # detect: 1 generator norm + 15 in timescales + 1,228 in the scan + 91
+    # in relaxation_times; verify-bounds: 1 generator norm + 15 in
     # timescales + 440 in its two window scans, whose screens stop at their
     # first over-budget distance, + 96 in relaxation_times + 533 in the
     # other battery rows. Each window supremum refined inside its grid
@@ -884,16 +886,16 @@ def test_spin_norm_calls(norm_calls, capsys):
     # relaxation_times
     code, _, _ = run_cli(["detect"] + SPIN_ARGS, capsys)
     assert code == 0
-    assert norm_calls["maps"] == 1336
+    assert norm_calls["maps"] == 1335
     norm_calls["maps"] = 0
     code, _, _ = run_cli(["verify-bounds"] + SPIN_ARGS, capsys)
     assert code == 0
-    assert norm_calls["maps"] == 1086
+    assert norm_calls["maps"] == 1085
 
 
 def test_spin_commands_build_only_the_generator_result(monkeypatch, capsys):
-    # the backend stores values from the batch's arrays: of the 1,336
-    # (detect) and 1,086 (verify-bounds) maps, only the generator's full
+    # the backend stores values from the batch's arrays: of the 1,335
+    # (detect) and 1,085 (verify-bounds) maps, only the generator's full
     # InducedNormResult is built, with its witnesses
     import metastab.norms
 

@@ -440,14 +440,14 @@ def test_timescales_absent_paths_in_lockstep():
     report = timescales(view)
     assert (report.tau_0, report.tau_ss) == (None, None)
     # both searches saturate after the first round, which held the maps
-    # that decide so, the tau_0 scan's first request (t = 0 and the 7
-    # steps up to identity_sure_time, then SCAN_AHEAD more) and the first
-    # tau_ss probe. The scan points and the probe are evaluated and never
+    # that decide so, the tau_0 scan's first request (the 7 steps up to
+    # identity_sure_time, then SCAN_AHEAD more; the distance at t = 0 is
+    # taken as 0, its map never requested) and the first tau_ss probe. The scan points and the probe are evaluated and never
     # read: a backend that evaluates maps one by one computes only the two
     # deciding maps, and the same report
     step = crossing_scan_step(dyn)
     assert 7 * step <= identity_sure_time(dyn, 1.0 - 1.0 / math.e) < 8 * step
-    scan = {("ident", k * step) for k in range(8 + SCAN_AHEAD)}
+    scan = {("ident", k * step) for k in range(1, 8 + SCAN_AHEAD)}
     probe = ("stat", 1.0 / dyn.slowest_decay_rate())
     deciding = {("ident-stat",), ("stat", 0.0)}
     assert view._norm_cache.keys() == deciding | scan | {probe}

@@ -138,7 +138,7 @@ def test_cli_outputs_counts_the_norm_calls_of_each_output(tmp_path):
     assert cli_outputs.classical.l1_norm is l1_norm
     assert cli_outputs.norms.InducedNormResult.__init__ is result_init
     assert (tmp_path / "counts.txt").read_text() == (
-        "random4-detect.json norm_calls 10 maps 56 single 2 "
+        "random4-detect.json norm_calls 10 maps 55 single 2 "
         "classical_maps 0 results 2\n"
         "double-well-detect.json norm_calls 0 maps 0 single 0 "
-        "classical_maps 2960 results 1\n")
+        "classical_maps 2959 results 1\n")
