@@ -493,9 +493,8 @@ def _add_common(p, grid_required=True):
 
 @functools.lru_cache(maxsize=None)
 def build_parser():
-    """The command-line parser, built once per process: parsing leaves it
-    unchanged, and building its 14 subparsers takes about 3 ms, some 8 % of
-    a spin detect."""
+    """The command-line parser, built once per process and shared by every
+    main call: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="metastab",
         description="Metastability analysis of Markovian open quantum systems "
