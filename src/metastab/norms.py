@@ -126,9 +126,9 @@ class InducedNormBatch(Sequence):
     def __init__(self, values, exact, converged, iterations, restart_values,
                  witnesses):
         self.values = values
-        self.exact = np.broadcast_to(exact, values.shape)
-        self.converged = np.broadcast_to(converged, values.shape)
-        self.iterations = np.broadcast_to(iterations, values.shape)
+        self.exact = np.full(values.shape, exact)
+        self.converged = np.full(values.shape, converged)
+        self.iterations = np.full(values.shape, iterations)
         self.restart_values = restart_values
         self._witnesses, self._stacks = witnesses, None
 
